@@ -1,0 +1,8 @@
+"""Let the benchmark's tests import expmkit from the checkout's src/."""
+
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)

@@ -20,7 +20,8 @@ import numpy as np
 from .engine import ExpmResult, LowRankPair, expm, expm_baseline
 from .matrix import Matrix, MatrixError
 from .oracle import expm_reference, relative_error
-from .select import SCHEME_BASELINE, SCHEME_PS, SCHEME_SASTRE
+from .select import (SCHEME_BASELINE, SCHEME_PS, SCHEME_SASTRE, ToleranceError,
+                     check_tolerance)
 
 __all__ = [
     "BenchRecord",
@@ -205,8 +206,10 @@ class SuiteConfig:
             raise ConfigError("norms.count must be at least 1")
         if self.norm_scale not in ("log", "linear"):
             raise ConfigError("norms.scale must be 'log' or 'linear'")
-        if not self.eps > 0:
-            raise ConfigError("eps must be positive")
+        try:
+            check_tolerance(self.eps)
+        except ToleranceError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def norm_grid(self) -> np.ndarray:
         if self.norm_count == 1:

@@ -129,6 +129,8 @@ def test_config_rejects_garbage():
         small_config(norm_scale="sqrt")
     with pytest.raises(ConfigError):
         small_config(sizes=(0,))
+    with pytest.raises(ConfigError):
+        small_config(eps=2.0 ** -54)
 
 
 def test_run_suite_empty_config():

@@ -107,6 +107,12 @@ def test_bench_bad_config(tmp_path, capsys):
     assert main(["bench", "--suite", str(bad), "--csv", str(tmp_path / "c.csv"),
                  "--summary", str(tmp_path / "s.json")]) == 2
     capsys.readouterr()
+    # a tolerance below the unit roundoff is invalid input, not a crash
+    tiny = suite_file(tmp_path, eps=1e-17)
+    assert main(["bench", "--suite", str(tiny), "--csv", str(tmp_path / "c.csv"),
+                 "--summary", str(tmp_path / "s.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unit roundoff" in err
 
 
 def test_profile_bad_alphas(tmp_path, capsys):

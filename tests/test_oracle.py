@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import expmkit
 from expmkit import (
     Matrix,
     MatrixError,
@@ -17,6 +22,7 @@ from expmkit import (
     taylor_coeffs_exp,
     zeros,
 )
+from expmkit.oracle import _dd_matmul, _slicing, _split, _two_sum
 
 
 def test_zero_gives_identity():
@@ -120,3 +126,89 @@ def test_cross_check_against_scipy():
         other = scipy_linalg.expm(arr)
         rel = np.linalg.norm(ref.a - other) / np.linalg.norm(other)
         assert rel <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# double-double products against exact rational arithmetic
+# ---------------------------------------------------------------------------
+
+def _dd_pair(rng, n, row_scale=None, col_scale=None):
+    """Normalised double-double matrix (|lo| <= ulp(hi)/2), nonzero lo."""
+    hi = rng.uniform(-1.0, 1.0, (n, n))
+    hi, lo = _two_sum(hi, rng.uniform(-1.0, 1.0, (n, n)) * 2.0 ** -53 * np.abs(hi))
+    if row_scale is not None:
+        hi, lo = hi * row_scale[:, None], lo * row_scale[:, None]
+    if col_scale is not None:
+        hi, lo = hi * col_scale[None, :], lo * col_scale[None, :]
+    return hi, lo
+
+
+def _pow2(rng, n):
+    return np.ldexp(1.0, rng.integers(-40, 41, n))
+
+
+def _assert_dd_product_accurate(ah, al, bh, bl):
+    n = ah.shape[0]
+    ch, cl = _dd_matmul(ah, al, bh, bl)
+    a = [[Fraction(ah[i, k]) + Fraction(al[i, k]) for k in range(n)] for i in range(n)]
+    b = [[Fraction(bh[k, j]) + Fraction(bl[k, j]) for j in range(n)] for k in range(n)]
+    bound = np.abs(ah) @ np.abs(bh)  # |A||B|
+    for i in range(n):
+        for j in range(n):
+            exact = sum(a[i][k] * b[k][j] for k in range(n))
+            err = abs(Fraction(ch[i, j]) + Fraction(cl[i, j]) - exact)
+            assert err <= Fraction(bound[i, j]) * Fraction(2) ** -104, (n, i, j)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 16])
+def test_dd_matmul_matches_fraction_product(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(4):
+        ah, al = _dd_pair(rng, n, row_scale=_pow2(rng, n))
+        bh, bl = _dd_pair(rng, n, col_scale=_pow2(rng, n))
+        if n > 1:
+            i, j = rng.integers(n, size=2)
+            ah[i], al[i] = 0.0, 0.0
+            bh[:, j], bl[:, j] = 0.0, 0.0
+        _assert_dd_product_accurate(ah, al, bh, bl)
+    z = np.zeros((n, n))
+    _assert_dd_product_accurate(z, z, bh, bl)
+    _assert_dd_product_accurate(ah, al, z, z)
+    assert not np.any(_dd_matmul(z, z, z, z))
+
+
+def test_level_products_exact_at_order_64():
+    # 64 is the largest order of the default suite
+    n = 64
+    width, depth = _slicing(n)
+    rng = np.random.default_rng(64)
+    ah, al = _dd_pair(rng, n, row_scale=_pow2(rng, n))
+    bh, bl = _dd_pair(rng, n, col_scale=_pow2(rng, n))
+    # same-signed leading slices make the level sums as large as they get
+    x = np.stack((np.abs(ah), np.abs(bh.T), al, bl.T)).reshape(2, 2, n, n)
+    slices, _ = _split(x, width, depth)
+    # slice p of a row of A (column of B) is an integer times 2^(e - (p+1) w)
+    e = np.frexp(np.abs(x[0]).max(axis=2))[1]
+    ints = []
+    for p in range(depth):
+        q = np.ldexp(slices[p], -(e - (p + 1) * width)[:, :, None])
+        assert np.array_equal(q, np.trunc(q))
+        assert np.abs(q).max() <= 2.0 ** width + 1
+        ints.append(q.astype(np.int64))
+    for lev in range(depth):
+        pairs = [(p, lev - p) for p in range(lev + 1)]
+        blas = (np.hstack([slices[p, 0] for p, _ in pairs])
+                @ np.vstack([slices[q, 1].T for _, q in pairs]))
+        exact = sum(ints[p][0] @ ints[q][1].T for p, q in pairs)
+        assert np.abs(exact).max() <= 2 ** 53
+        unit = e[0][:, None] + e[1][None, :] - (lev + 2) * width
+        assert np.array_equal(blas, np.ldexp(exact.astype(np.float64), unit))
+
+
+def test_import_expmkit_does_not_load_scipy():
+    src = str(Path(expmkit.__file__).resolve().parents[1])
+    code = ("import sys, expmkit; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.strip() == "[]"

@@ -13,6 +13,7 @@ from .matrix import (
     MatrixError,
     MulLedger,
     NonFiniteError,
+    check_finite,
     format_matrix,
     frobenius_norm,
     identity,

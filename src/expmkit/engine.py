@@ -13,7 +13,11 @@
   when ||V||_1 is too large for the unscaled series.
 
 Every driver owns one ledger per call; ``mults`` in the result is the
-full square-product count including the squaring phase.
+full square-product count including the squaring phase.  Each driver runs
+under one ``np.errstate`` that keeps overflow in its temporaries from
+warning, and checks its result for finiteness once; with the check in
+every product that is enough (see :mod:`expmkit.matrix`), so an overflow
+raises :class:`~expmkit.matrix.NonFiniteError` and never a warning.
 """
 
 from __future__ import annotations
@@ -24,7 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import Matrix, MatrixError, MulLedger, identity, mat_mul, one_norm, scale_pow2
+from .matrix import (
+    Matrix,
+    MatrixError,
+    MulLedger,
+    NonFiniteError,
+    check_finite,
+    identity,
+    mat_mul,
+    one_norm,
+    scale_pow2,
+)
 from .poly import (
     EXP_COEFFS,
     eval_low_order,
@@ -40,6 +54,10 @@ from .select import (
     SCHEME_PS,
     SCHEME_SASTRE,
     EvalPlan,
+    _exp2,
+    _log2,
+    _log2_factorial,
+    _log2_sum,
     check_tolerance,
     select_ps,
     select_sastre,
@@ -97,23 +115,26 @@ def expm_baseline(W: Matrix, eps: float) -> ExpmResult:
     """
     eps = check_tolerance(eps)
     t0 = time.perf_counter()
-    ledger = MulLedger()
-    s = 0
-    norm1 = one_norm(W)
-    while math.ldexp(norm1, -s) >= 0.5:
-        s += 1
-    B = scale_pow2(W, s)
-    X = identity(W.n)
-    Y = B
-    k = 2
-    while one_norm(Y) > eps:
-        X = X + Y
-        Y = mat_mul(B, Y, ledger) / k
-        k += 1
-    X = squaring(X, s, ledger)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm1 = one_norm(W)
+        if not math.isfinite(norm1):  # the halving loop below would not end
+            raise NonFiniteError("the 1-norm of the input is not finite")
+        ledger = MulLedger()
+        s = 0
+        while math.ldexp(norm1, -s) >= 0.5:
+            s += 1
+        B = scale_pow2(W, s)
+        X = identity(W.n)
+        Y = B
+        k = 2
+        while one_norm(Y) > eps:
+            X = X + Y
+            Y = mat_mul(B, Y, ledger) / k
+            k += 1
+        X = squaring(X, s, ledger)
     plan = EvalPlan(m=k - 2, s=s, scheme=SCHEME_BASELINE,
                     e1=one_norm(Y), e2=0.0, cached_powers={}, cached_norms={})
-    return ExpmResult(X, plan, ledger.count, time.perf_counter() - t0)
+    return ExpmResult(check_finite(X), plan, ledger.count, time.perf_counter() - t0)
 
 
 def expm(W: Matrix, eps: float, scheme: str = SCHEME_SASTRE) -> ExpmResult:
@@ -128,28 +149,30 @@ def expm(W: Matrix, eps: float, scheme: str = SCHEME_SASTRE) -> ExpmResult:
     """
     eps = check_tolerance(eps)
     t0 = time.perf_counter()
-    ledger = MulLedger()
-    if scheme == SCHEME_PS:
-        plan = select_ps(W, eps, ledger=ledger)
-    elif scheme == SCHEME_SASTRE:
-        plan = select_sastre(W, eps, ledger=ledger)
-    else:
-        raise MatrixError(f"unknown scheme {scheme!r}; expected 'ps' or 'sastre'")
+    with np.errstate(over="ignore", invalid="ignore"):
+        ledger = MulLedger()
+        if scheme == SCHEME_PS:
+            plan = select_ps(W, eps, ledger=ledger)
+        elif scheme == SCHEME_SASTRE:
+            plan = select_sastre(W, eps, ledger=ledger)
+        else:
+            raise MatrixError(f"unknown scheme {scheme!r}; expected 'ps' or 'sastre'")
 
-    B = scale_pow2(W, plan.s)
-    scaled = {p: scale_pow2(P, plan.s * p) for p, P in plan.cached_powers.items()}
-    if plan.m == 0:
-        X = identity(W.n)
-    elif scheme == SCHEME_PS:
-        X = ps_eval(taylor_coeffs_exp(plan.m), B, ledger, powers=scaled)
-    elif plan.m in (1, 2, 4):
-        X = eval_low_order(B, plan.m, ledger, a2=scaled.get(2))
-    elif plan.m == 8:
-        X = eval_t8(B, EXP_COEFFS, ledger, a2=scaled.get(2))
-    else:
-        X = eval_t15p(B, EXP_COEFFS, ledger, a2=scaled.get(2))
-    X = squaring(X, plan.s, ledger)
-    return ExpmResult(X, plan, ledger.count, time.perf_counter() - t0)
+        # cached_powers always holds W itself as power 1.
+        scaled = {p: scale_pow2(P, plan.s * p) for p, P in plan.cached_powers.items()}
+        B = scaled[1]
+        if plan.m == 0:
+            X = identity(W.n)
+        elif scheme == SCHEME_PS:
+            X = ps_eval(taylor_coeffs_exp(plan.m), B, ledger, powers=scaled)
+        elif plan.m in (1, 2, 4):
+            X = eval_low_order(B, plan.m, ledger, a2=scaled.get(2))
+        elif plan.m == 8:
+            X = eval_t8(B, EXP_COEFFS, ledger, a2=scaled.get(2))
+        else:
+            X = eval_t15p(B, EXP_COEFFS, ledger, a2=scaled.get(2))
+        X = squaring(X, plan.s, ledger)
+    return ExpmResult(check_finite(X), plan, ledger.count, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +197,7 @@ class LowRankPair:
         if t > n:
             raise MatrixError(f"inner rank {t} exceeds order {n}")
         if not (np.isfinite(a1).all() and np.isfinite(a2).all()):
-            raise MatrixError("low-rank factors must be finite")
+            raise NonFiniteError("low-rank factors must be finite")
         a1.setflags(write=False)
         a2.setflags(write=False)
         object.__setattr__(self, "a1", a1)
@@ -209,62 +232,54 @@ def expm_lowrank(pair: LowRankPair, eps: float) -> ExpmResult:
     """
     eps = check_tolerance(eps)
     t0 = time.perf_counter()
-    ledger = MulLedger()
-    rect = 1  # V = A2 A1
-    V = Matrix(pair.a2 @ pair.a1)
-    nv = one_norm(V)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ledger = MulLedger()
+        rect = 1  # V = A2 A1
+        V = Matrix(pair.a2 @ pair.a1)
+        nv = one_norm(V)
 
-    log_eps = math.log2(eps)
-    lw1 = math.log2(nv) if nv > 0 else -math.inf
-    powers = {1: V}
-    norms = {1: nv}
-    m = 0
-    e1 = e2 = 0.0
-    found = nv == 0.0
-    if not found:
-        lw2 = None
-        for m in LOWRANK_ORDERS:
-            if m >= 2 and 2 not in powers:
-                powers[2] = mat_mul(V, V, ledger)
-                norms[2] = one_norm(powers[2])
-                lw2 = math.log2(norms[2]) if norms[2] > 0 else -math.inf
-            if m == 1:
-                l1 = 2 * lw1 - _LOG2_FACT[3]
-                l2 = 3 * lw1 - _LOG2_FACT[4]
-            else:
-                l1 = _power_bound_log(m + 1, lw1, lw2) - _LOG2_FACT[m + 2]
-                l2 = _power_bound_log(m + 2, lw1, lw2) - _LOG2_FACT[m + 3]
-            if float(np.logaddexp2(l1, l2)) <= log_eps:
-                found = True
-                e1, e2 = _exp2_pair(l1, l2)
-                break
+        log_eps = math.log2(eps)
+        lw1 = _log2(nv)
+        powers = {1: V}
+        norms = {1: nv}
+        m = 0
+        e1 = e2 = 0.0
+        found = nv == 0.0
         if not found:
-            raise LowRankOrderError(
-                f"||V||_1 = {nv:.6g} admits no order <= {LOWRANK_ORDERS[-1]} at "
-                f"tolerance {eps:.3g}; the factored path runs unscaled"
-            )
+            lw2 = None
+            for m in LOWRANK_ORDERS:
+                if m >= 2 and 2 not in powers:
+                    powers[2] = mat_mul(V, V, ledger)
+                    norms[2] = one_norm(powers[2])
+                    lw2 = _log2(norms[2])
+                if m == 1:
+                    l1 = 2 * lw1 - _log2_factorial(3)
+                    l2 = 3 * lw1 - _log2_factorial(4)
+                else:
+                    l1 = _power_bound_log(m + 1, lw1, lw2) - _log2_factorial(m + 2)
+                    l2 = _power_bound_log(m + 2, lw1, lw2) - _log2_factorial(m + 3)
+                if _log2_sum(l1, l2) <= log_eps:
+                    found = True
+                    e1, e2 = _exp2(l1), _exp2(l2)
+                    break
+            if not found:
+                raise LowRankOrderError(
+                    f"||V||_1 = {nv:.6g} admits no order <= {LOWRANK_ORDERS[-1]} at "
+                    f"tolerance {eps:.3g}; the factored path runs unscaled"
+                )
 
-    plan = EvalPlan(m=m, s=0, scheme=SCHEME_LOWRANK, e1=e1, e2=e2,
-                    cached_powers=powers, cached_norms=norms)
-    if m == 0:
-        psi = identity(V.n)
-    else:
-        psi = ps_eval(phi1_coeffs(m), V, ledger, powers=powers)
-    out = np.eye(pair.n) + pair.a1 @ (psi.a @ pair.a2)
-    rect += 2
-    value = Matrix(out)
+        plan = EvalPlan(m=m, s=0, scheme=SCHEME_LOWRANK, e1=e1, e2=e2,
+                        cached_powers=powers, cached_norms=norms)
+        if m == 0:
+            psi = identity(V.n)
+        else:
+            psi = ps_eval(phi1_coeffs(m), V, ledger, powers=powers)
+        value = Matrix(np.eye(pair.n) + pair.a1 @ (psi.a @ pair.a2))
+        rect += 2
     return ExpmResult(value, plan, ledger.count, time.perf_counter() - t0,
                       rect_mults=rect)
-
-
-_LOG2_FACT = [math.lgamma(i + 1) / math.log(2.0) for i in range(40)]
 
 
 def _power_bound_log(q: int, lw1: float, lw2: float) -> float:
     """log2 of the ||V^q||_1 bound ||V^2||^(q//2) * ||V||^(q%2)."""
     return (q // 2) * lw2 + (q % 2) * lw1
-
-
-def _exp2_pair(l1: float, l2: float):
-    with np.errstate(over="ignore"):
-        return float(np.exp2(l1)), float(np.exp2(l2))

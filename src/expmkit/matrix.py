@@ -4,6 +4,17 @@ Every full matrix-matrix product in this package goes through
 :func:`mat_mul`, which charges exactly one unit to a :class:`MulLedger`.
 Norms, additions and scalar scalings are never charged: the cost model
 counts n-by-n products only.
+
+Finiteness is checked where values enter the package and at every
+product, not on each O(n^2) temporary: the :class:`Matrix` constructor
+rejects NaN and Inf entries, :func:`mat_mul` checks its result, and each
+driver of :mod:`expmkit.engine` checks its result once.  That is enough
+because a non-finite entry never becomes finite again under the
+operations in between: an addition, a finite scalar factor or an exact
+power-of-two scaling keeps it Inf or NaN, and a product spreads it over
+a whole row or column of its result.  So an overflow in an entrywise
+temporary reaches a checked product or a driver's output check and raises
+the same :class:`NonFiniteError`.
 """
 
 from __future__ import annotations
@@ -15,6 +26,7 @@ __all__ = [
     "MatrixError",
     "MulLedger",
     "NonFiniteError",
+    "check_finite",
     "format_matrix",
     "frobenius_norm",
     "identity",
@@ -39,10 +51,13 @@ class NonFiniteError(MatrixError):
 class Matrix:
     """Immutable dense square real matrix in IEEE binary64.
 
-    Entries are validated to be finite on construction, and every derived
-    matrix re-validates, so non-finite values surface as errors instead of
-    propagating silently.  The entry array is read-only; instances may be
-    shared freely across threads.
+    Entries are validated to be finite on construction.  The entrywise
+    operations (``+ - * /``, negation) and :func:`identity`, :func:`zeros`
+    and :func:`scale_pow2` do not scan their results: an entry that
+    overflows stays non-finite until the next :func:`mat_mul` or driver
+    output raises :class:`NonFiniteError` on it (see the module docstring),
+    and :func:`check_finite` checks a matrix on demand.  The entry array is
+    read-only; instances may be shared freely across threads.
     """
 
     __slots__ = ("a",)
@@ -93,9 +108,7 @@ class Matrix:
 
 
 def _wrap(a: np.ndarray) -> Matrix:
-    """Wrap a freshly computed float64 array, validating finiteness."""
-    if not np.isfinite(a).all():
-        raise NonFiniteError("operation produced non-finite entries")
+    """Wrap a freshly computed float64 square array without scanning it."""
     a.setflags(write=False)
     m = Matrix.__new__(Matrix)
     m.a = a
@@ -108,6 +121,13 @@ def identity(n: int) -> Matrix:
 
 def zeros(n: int) -> Matrix:
     return _wrap(np.zeros((n, n)))
+
+
+def check_finite(A: Matrix) -> Matrix:
+    """A itself, after checking that every entry is finite."""
+    if not np.isfinite(A.a).all():
+        raise NonFiniteError("operation produced non-finite entries")
+    return A
 
 
 class MulLedger:
@@ -143,7 +163,7 @@ def mat_mul(A: Matrix, B: Matrix, ledger: MulLedger) -> Matrix:
     with np.errstate(over="ignore", invalid="ignore"):
         c = A.a @ B.a
     ledger.charge()
-    return _wrap(c)
+    return check_finite(_wrap(c))
 
 
 def one_norm(A: Matrix) -> float:

@@ -21,7 +21,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import Matrix, MatrixError, MulLedger, identity, mat_mul
+import numpy as np
+
+from .matrix import Matrix, MatrixError, MulLedger, _wrap, identity, mat_mul
 
 __all__ = [
     "CoeffSet",
@@ -46,6 +48,10 @@ def inv_factorial(n: int) -> float:
     return float(Fraction(1, math.factorial(n)))
 
 
+# 1/i! for i = 0..MAX_ORDER+1, the most either coefficient list needs.
+_INV_FACT = tuple(inv_factorial(i) for i in range(MAX_ORDER + 2))
+
+
 def _check_order(m) -> int:
     m = int(m)
     if not 0 <= m <= MAX_ORDER:
@@ -56,14 +62,42 @@ def _check_order(m) -> int:
 def taylor_coeffs_exp(m: int) -> list[float]:
     """Coefficients [1/i! for i = 0..m] of the exponential series."""
     m = _check_order(m)
-    return [inv_factorial(i) for i in range(m + 1)]
+    return list(_INV_FACT[:m + 1])
 
 
 def phi1_coeffs(m: int) -> list[float]:
     """Coefficients [1/(i+1)! for i = 0..m] of the index-shifted series
     sum_i x^i/(i+1)! used on the low-rank path."""
     m = _check_order(m)
-    return [inv_factorial(i + 1) for i in range(m + 1)]
+    return list(_INV_FACT[1:m + 2])
+
+
+def lincomb(*terms) -> Matrix:
+    """Sum of the terms, each a Matrix X or a pair (c, X) standing for c*X.
+
+    The sum is accumulated left to right in place in one fresh array, with
+    the same roundings as the chained expression ``X0 + c1*X1 + ...`` on
+    Matrix operands, so the result is bit for bit the same, without the
+    temporaries.  Like the Matrix operations it does not scan for
+    non-finite entries.
+    """
+    acc = tmp = None
+    for term in terms:
+        if isinstance(term, Matrix):
+            if acc is None:
+                acc = term.a.copy()
+            else:
+                acc += term.a
+            continue
+        c, X = term
+        if acc is None:
+            acc = X.a * c
+        else:
+            if tmp is None:
+                tmp = np.empty_like(acc)
+            np.multiply(X.a, c, out=tmp)
+            acc += tmp
+    return _wrap(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +203,15 @@ def ps_eval(coeffs, A: Matrix, ledger: MulLedger, powers=None) -> Matrix:
             pw[p] = mat_mul(pw[p - 1], A, ledger)
 
     def block(lo, hi):
-        acc = coeffs[lo] * eye
-        for t in range(1, hi - lo + 1):
-            acc = acc + coeffs[lo + t] * pw[t]
-        return acc
+        return [(coeffs[lo], eye)] + [(coeffs[lo + t], pw[t]) for t in range(1, hi - lo + 1)]
 
     # The top block may reach degree j itself (when m is a multiple of j);
-    # that is what makes the k-1 Horner stages sufficient.
-    q = block((k - 1) * j, m)
+    # that is what makes the k-1 Horner stages sufficient.  Each stage adds
+    # the product after the block's own sum, i.e. block + product, which
+    # is bit for bit product + block since binary64 addition commutes.
+    q = lincomb(*block((k - 1) * j, m))
     for r in range(k - 2, -1, -1):
-        q = mat_mul(q, pw[j], ledger) + block(r * j, r * j + j - 1)
+        q = lincomb(*block(r * j, r * j + j - 1), mat_mul(q, pw[j], ledger))
     return q
 
 
@@ -190,14 +223,15 @@ def eval_low_order(A: Matrix, m: int, ledger: MulLedger, a2: Matrix | None = Non
     """Direct Taylor formulas for orders 1, 2, 4 (0, 1, 2 products)."""
     eye = identity(A.n)
     if m == 1:
-        return A + eye
+        return lincomb(A, eye)
     if a2 is None and m in (2, 4):
         a2 = mat_mul(A, A, ledger)
+    # Halving and quartering are exact, so x/2 and x/4 round as x*0.5 and x*0.25.
     if m == 2:
-        return a2 / 2 + A + eye
+        return lincomb((0.5, a2), A, eye)
     if m == 4:
-        inner = (a2 / 4 + A) / 3 + eye
-        return mat_mul(inner, a2, ledger) / 2 + A + eye
+        inner = lincomb((0.25, a2), A) / 3 + eye
+        return lincomb((0.5, mat_mul(inner, a2, ledger)), A, eye)
     raise MatrixError(f"unsupported low order {m}; expected 1, 2 or 4")
 
 
@@ -207,9 +241,9 @@ def eval_t8(A: Matrix, coeffs: CoeffSet, ledger: MulLedger, a2: Matrix | None = 
     eye = identity(A.n)
     if a2 is None:
         a2 = mat_mul(A, A, ledger)
-    y02 = mat_mul(a2, c[0] * a2 + c[1] * A, ledger)
-    prod = mat_mul(y02 + c[2] * a2 + c[3] * A, y02 + c[4] * a2, ledger)
-    return prod + c[5] * y02 + a2 / 2 + A + eye
+    y02 = mat_mul(a2, lincomb((c[0], a2), (c[1], A)), ledger)
+    prod = mat_mul(lincomb(y02, (c[2], a2), (c[3], A)), lincomb(y02, (c[4], a2)), ledger)
+    return lincomb(prod, (c[5], y02), (0.5, a2), A, eye)
 
 
 def eval_t15p(A: Matrix, coeffs: CoeffSet, ledger: MulLedger, a2: Matrix | None = None) -> Matrix:
@@ -222,12 +256,12 @@ def eval_t15p(A: Matrix, coeffs: CoeffSet, ledger: MulLedger, a2: Matrix | None 
     eye = identity(A.n)
     if a2 is None:
         a2 = mat_mul(A, A, ledger)
-    y02 = mat_mul(a2, c[0] * a2 + c[1] * A, ledger)
-    y12 = mat_mul(y02 + c[2] * a2 + c[3] * A, y02 + c[4] * a2, ledger) \
-        + c[5] * y02 + c[6] * a2
-    y22 = mat_mul(y12 + c[7] * a2 + c[8] * A, y12 + c[9] * y02 + c[10] * A, ledger) \
-        + c[11] * y12 + c[12] * y02 + c[13] * a2 + c[14] * A + c[15] * eye
-    return y22
+    y02 = mat_mul(a2, lincomb((c[0], a2), (c[1], A)), ledger)
+    y12 = lincomb(mat_mul(lincomb(y02, (c[2], a2), (c[3], A)), lincomb(y02, (c[4], a2)), ledger),
+                  (c[5], y02), (c[6], a2))
+    return lincomb(mat_mul(lincomb(y12, (c[7], a2), (c[8], A)),
+                           lincomb(y12, (c[9], y02), (c[10], A)), ledger),
+                   (c[11], y12), (c[12], y02), (c[13], a2), (c[14], A), (c[15], eye))
 
 
 _SASTRE_BUDGET = {1: 0, 2: 1, 4: 2, 8: 3, 15: 4}

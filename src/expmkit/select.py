@@ -84,8 +84,27 @@ def _log2(x: float) -> float:
 
 
 def _exp2(x: float) -> float:
-    with np.errstate(over="ignore"):
-        return float(np.exp2(x))
+    """2^x, or inf where that overflows binary64 (from x = 1024 on)."""
+    if x >= 1024.0:
+        return math.inf
+    return float(np.exp2(x))
+
+
+# log2(e), the constant numpy's log2_1p multiplies log1p by.
+_LOG2E = 1.442695040888963407359924681001892137
+
+
+def _log2_sum(x: float, y: float) -> float:
+    """log2(2^x + 2^y) without overflow: numpy's logaddexp2 formula on
+    Python floats, so it returns the same value at a fraction of the cost."""
+    if x == y:
+        return x + 1.0  # also covers two infinities of the same sign
+    d = x - y
+    if d > 0:
+        return x + _LOG2E * math.log1p(math.exp2(-d))
+    if d <= 0:
+        return y + _LOG2E * math.log1p(math.exp2(d))
+    return d  # NaN
 
 
 def _log2_factorial(n: int) -> float:
@@ -203,7 +222,7 @@ def _select(W: Matrix, eps: float, tables: SelectionTables, scheme: str,
                     l2 += lw[2]
                 else:
                     l2 += lw[1]
-        if float(np.logaddexp2(l1, l2)) <= log_eps:
+        if _log2_sum(l1, l2) <= log_eps:
             finished = True
             break
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from expmkit import (
     Matrix,
     MatrixError,
     MulLedger,
+    NonFiniteError,
     ToleranceError,
     expm,
     expm_baseline,
@@ -306,8 +308,10 @@ def test_lowrank_pair_validation():
         LowRankPair(np.zeros((4, 2)), np.zeros((3, 4)))
     with pytest.raises(MatrixError):
         LowRankPair(np.zeros((2, 4)), np.zeros((4, 2)))  # t > n
-    with pytest.raises(MatrixError):
+    with pytest.raises(NonFiniteError):
         LowRankPair(np.full((4, 2), np.nan), np.zeros((2, 4)))
+    with pytest.raises(NonFiniteError):
+        LowRankPair(np.zeros((4, 2)), np.full((2, 4), np.inf))
 
 
 def test_lowrank_psi_series_value():
@@ -317,3 +321,52 @@ def test_lowrank_psi_series_value():
     res = expm_lowrank(LowRankPair(a1, a2), 1e-8)
     want = 1.0 + v * (math.exp(v) - 1.0) / v
     assert res.value.a[0, 0] == pytest.approx(want, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# overflow: a typed error, never a leaked floating-point warning
+# ---------------------------------------------------------------------------
+
+def _overflowing_dense():
+    rng = np.random.default_rng(5)
+    return {
+        "diag800": Matrix(np.diag(np.full(8, 800.0))),
+        "dense1e3": Matrix(rng.uniform(-1, 1, (16, 16)) * 1e3),
+    }
+
+
+@pytest.mark.parametrize("kind", ["diag800", "dense1e3"])
+@pytest.mark.parametrize("scheme", ["sastre", "ps", "baseline"])
+def test_dense_overflow_raises_without_warning(kind, scheme):
+    W = _overflowing_dense()[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            if scheme == "baseline":
+                expm_baseline(W, 1e-8)
+            else:
+                expm(W, 1e-8, scheme)
+
+
+def test_lowrank_overflow_raises_without_warning():
+    pair = LowRankPair(np.full((8, 1), 1e200), np.full((1, 8), 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            expm_lowrank(pair, 1e-8)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Matrix(np.full((2, 2), 1e308)),         # finite, but the 1-norm overflows
+    lambda: Matrix([[1e308, 0.0], [0.0, 1.0]]) * 10.0,  # Inf from an unchecked operation
+    lambda: Matrix([[1.0, 0.0], [0.0, 1.0]]) * math.nan,
+])
+def test_dense_drivers_reject_inputs_with_non_finite_norm(make):
+    with np.errstate(over="ignore"):
+        W = make()
+    for run in (lambda: expm(W, 1e-8, "sastre"), lambda: expm(W, 1e-8, "ps"),
+                lambda: expm_baseline(W, 1e-8)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                run()

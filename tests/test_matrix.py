@@ -8,6 +8,7 @@ from expmkit import (
     MatrixError,
     MulLedger,
     NonFiniteError,
+    check_finite,
     format_matrix,
     frobenius_norm,
     identity,
@@ -55,6 +56,16 @@ def test_mat_mul_overflow_surfaces():
     big = Matrix(np.full((2, 2), 1e200))
     with pytest.raises(NonFiniteError):
         mat_mul(big, big, led)
+
+
+def test_entrywise_overflow_surfaces_at_the_next_check():
+    led = MulLedger()
+    with np.errstate(over="ignore"):
+        big = Matrix([[1e308, 0.0], [0.0, 1.0]]) * 10.0
+    with pytest.raises(NonFiniteError):
+        check_finite(big)
+    with pytest.raises(NonFiniteError):
+        mat_mul(big, identity(2), led)
 
 
 def test_ledger_counts_products_only():

@@ -250,3 +250,67 @@ def test_budget_helpers():
     assert [sastre_budget(m) for m in (1, 2, 4, 8, 15)] == [0, 1, 2, 3, 4]
     with pytest.raises(MatrixError):
         sastre_budget(16)
+
+
+# ---------------------------------------------------------------------------
+# rounding order: each evaluator equals its chained numpy expression
+# ---------------------------------------------------------------------------
+
+def _chained_low_order(a, m):
+    eye = np.eye(len(a))
+    a2 = a @ a
+    if m == 2:
+        return a2 / 2 + a + eye
+    inner = (a2 / 4 + a) / 3 + eye
+    return (inner @ a2) / 2 + a + eye
+
+
+def _chained_t8(a, c):
+    eye = np.eye(len(a))
+    a2 = a @ a
+    y02 = a2 @ (c[0] * a2 + c[1] * a)
+    prod = (y02 + c[2] * a2 + c[3] * a) @ (y02 + c[4] * a2)
+    return prod + c[5] * y02 + a2 / 2 + a + eye
+
+
+def _chained_t15p(a, c):
+    eye = np.eye(len(a))
+    a2 = a @ a
+    y02 = a2 @ (c[0] * a2 + c[1] * a)
+    y12 = (y02 + c[2] * a2 + c[3] * a) @ (y02 + c[4] * a2) + c[5] * y02 + c[6] * a2
+    return ((y12 + c[7] * a2 + c[8] * a) @ (y12 + c[9] * y02 + c[10] * a)
+            + c[11] * y12 + c[12] * y02 + c[13] * a2 + c[14] * a + c[15] * eye)
+
+
+def _chained_ps(coeffs, a):
+    eye = np.eye(len(a))
+    shape = ps_shape(len(coeffs) - 1)
+    j, k = shape.j, shape.k
+    pw = {1: a}
+    for p in range(2, j + 1):
+        pw[p] = pw[p - 1] @ a
+
+    def block(lo, hi):
+        acc = coeffs[lo] * eye
+        for t in range(1, hi - lo + 1):
+            acc = acc + coeffs[lo + t] * pw[t]
+        return acc
+
+    q = block((k - 1) * j, len(coeffs) - 1)
+    for r in range(k - 2, -1, -1):
+        q = q @ pw[j] + block(r * j, r * j + j - 1)
+    return q
+
+
+@pytest.mark.parametrize("n", [1, 5, 16])
+def test_evaluators_round_like_the_chained_expressions(n):
+    a = np.random.default_rng(n).uniform(-0.5, 0.5, (n, n))
+    A = Matrix(a)
+    cases = [(eval_low_order(A, m, MulLedger()), _chained_low_order(a, m)) for m in (2, 4)]
+    cases.append((eval_t8(A, EXP_COEFFS, MulLedger()), _chained_t8(a, EXP_COEFFS.t8)))
+    cases.append((eval_t15p(A, EXP_COEFFS, MulLedger()), _chained_t15p(a, EXP_COEFFS.t15p)))
+    for m in (6, 9, 16):
+        cs = taylor_coeffs_exp(m)
+        cases.append((ps_eval(cs, A, MulLedger()), _chained_ps(cs, a)))
+    for got, want in cases:
+        assert np.array_equal(got.a, want)

@@ -43,6 +43,7 @@ from .select import (
     AlphaBound,
     BoundDomainError,
     EvalPlan,
+    LOWRANK_TABLES,
     MAX_SCALING,
     PS_TABLES,
     SASTRE_TABLES,

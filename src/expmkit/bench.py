@@ -359,6 +359,17 @@ def performance_profile(records, alphas) -> ProfileTable:
                         matrices=len(rows), excluded=excluded)
 
 
+def _profile_dict(profile: ProfileTable) -> dict:
+    """The JSON form of a profile, shared by the bench summary and
+    ``expm profile``."""
+    return {
+        "alphas": list(profile.alphas),
+        "fractions": {k: list(v) for k, v in profile.fractions.items()},
+        "matrices": profile.matrices,
+        "excluded": profile.excluded,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -433,12 +444,7 @@ def summarize(records, profile: ProfileTable | None = None) -> dict:
         "schemes": per,
     }
     if profile is not None:
-        out["profile"] = {
-            "alphas": list(profile.alphas),
-            "fractions": {k: list(v) for k, v in profile.fractions.items()},
-            "matrices": profile.matrices,
-            "excluded": profile.excluded,
-        }
+        out["profile"] = _profile_dict(profile)
     return out
 
 

@@ -16,6 +16,7 @@ from .bench import (
     DEFAULT_PROFILE_ALPHAS,
     ConfigError,
     SuiteConfig,
+    _profile_dict,
     emit_reports,
     performance_profile,
     read_records_csv,
@@ -88,15 +89,9 @@ def _cmd_profile(args) -> int:
     except (OSError, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    payload = {
-        "alphas": list(profile.alphas),
-        "fractions": {k: list(v) for k, v in profile.fractions.items()},
-        "matrices": profile.matrices,
-        "excluded": profile.excluded,
-    }
     try:
         with open(args.out, "w", encoding="ascii") as f:
-            json.dump(payload, f, indent=2)
+            json.dump(_profile_dict(profile), f, indent=2)
             f.write("\n")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

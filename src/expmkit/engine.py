@@ -9,7 +9,8 @@
   times.
 * :func:`expm_lowrank` - for W = A1 A2 with small inner rank, evaluate
   the index-shifted series on V = A2 A1 and assemble I + A1 psi(V) A2;
-  no scaling is applied on this path, so the order search fails loudly
+  the order comes from the same selector on its own ladder, with s pinned
+  to 0: no scaling is applied on this path, so the call fails loudly
   when ||V||_1 is too large for the unscaled series.
 
 Every driver owns one ledger per call; ``mults`` in the result is the
@@ -49,15 +50,13 @@ from .poly import (
     taylor_coeffs_exp,
 )
 from .select import (
+    LOWRANK_TABLES,
     SCHEME_BASELINE,
     SCHEME_LOWRANK,
     SCHEME_PS,
     SCHEME_SASTRE,
     EvalPlan,
-    _exp2,
-    _log2,
-    _log2_factorial,
-    _log2_sum,
+    _select,
     check_tolerance,
     select_ps,
     select_sastre,
@@ -212,10 +211,7 @@ class LowRankPair:
         return self.a1.shape[1]
 
 
-# Evaluation-formula ladder extended by Paterson-Stockmeyer degrees; the
-# shifted series has no published formula coefficients, so every order
-# here is evaluated by ps_eval.
-LOWRANK_ORDERS = (1, 2, 4, 8, 15, 16, 20, 25, 30)
+LOWRANK_ORDERS = LOWRANK_TABLES.orders
 
 
 def expm_lowrank(pair: LowRankPair, eps: float) -> ExpmResult:
@@ -223,8 +219,10 @@ def expm_lowrank(pair: LowRankPair, eps: float) -> ExpmResult:
 
     The order is the smallest on :data:`LOWRANK_ORDERS` whose two leading
     remainder terms, bounded with ||V^2||_1 and ||V||_1 products against
-    the shifted factorials 1/(m+2)! and 1/(m+3)!, meet the tolerance.  No
-    scaling is applied; if no order qualifies, the call raises.
+    the shifted factorials 1/(m+2)! and 1/(m+3)!, meet the tolerance: the
+    shared selector walks :data:`~expmkit.select.LOWRANK_TABLES`, and s is
+    pinned to 0.  No scaling is applied; if the selector would scale, no
+    order qualifies and the call raises.
 
     ``mults`` counts the t x t products of the series evaluation; the
     three factor products (A2*A1 and the two assembly products) are
@@ -234,52 +232,18 @@ def expm_lowrank(pair: LowRankPair, eps: float) -> ExpmResult:
     t0 = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         ledger = MulLedger()
-        rect = 1  # V = A2 A1
         V = Matrix(pair.a2 @ pair.a1)
-        nv = one_norm(V)
-
-        log_eps = math.log2(eps)
-        lw1 = _log2(nv)
-        powers = {1: V}
-        norms = {1: nv}
-        m = 0
-        e1 = e2 = 0.0
-        found = nv == 0.0
-        if not found:
-            lw2 = None
-            for m in LOWRANK_ORDERS:
-                if m >= 2 and 2 not in powers:
-                    powers[2] = mat_mul(V, V, ledger)
-                    norms[2] = one_norm(powers[2])
-                    lw2 = _log2(norms[2])
-                if m == 1:
-                    l1 = 2 * lw1 - _log2_factorial(3)
-                    l2 = 3 * lw1 - _log2_factorial(4)
-                else:
-                    l1 = _power_bound_log(m + 1, lw1, lw2) - _log2_factorial(m + 2)
-                    l2 = _power_bound_log(m + 2, lw1, lw2) - _log2_factorial(m + 3)
-                if _log2_sum(l1, l2) <= log_eps:
-                    found = True
-                    e1, e2 = _exp2(l1), _exp2(l2)
-                    break
-            if not found:
-                raise LowRankOrderError(
-                    f"||V||_1 = {nv:.6g} admits no order <= {LOWRANK_ORDERS[-1]} at "
-                    f"tolerance {eps:.3g}; the factored path runs unscaled"
-                )
-
-        plan = EvalPlan(m=m, s=0, scheme=SCHEME_LOWRANK, e1=e1, e2=e2,
-                        cached_powers=powers, cached_norms=norms)
-        if m == 0:
+        plan = _select(V, eps, LOWRANK_TABLES, SCHEME_LOWRANK, ledger)
+        if plan.s > 0:
+            raise LowRankOrderError(
+                f"||V||_1 = {plan.cached_norms[1]:.6g} admits no order <= "
+                f"{LOWRANK_ORDERS[-1]} at tolerance {eps:.3g}; the factored path "
+                "runs unscaled"
+            )
+        if plan.m == 0:
             psi = identity(V.n)
         else:
-            psi = ps_eval(phi1_coeffs(m), V, ledger, powers=powers)
+            psi = ps_eval(phi1_coeffs(plan.m), V, ledger, powers=plan.cached_powers)
         value = Matrix(np.eye(pair.n) + pair.a1 @ (psi.a @ pair.a2))
-        rect += 2
     return ExpmResult(value, plan, ledger.count, time.perf_counter() - t0,
-                      rect_mults=rect)
-
-
-def _power_bound_log(q: int, lw1: float, lw2: float) -> float:
-    """log2 of the ||V^q||_1 bound ||V^2||^(q//2) * ||V||^(q%2)."""
-    return (q // 2) * lw2 + (q % 2) * lw1
+                      rect_mults=3)

@@ -1,12 +1,14 @@
 """Order and scaling selection for the scaled-Taylor exponential.
 
-Both selectors walk an order ladder and bound the first two remainder
-terms of the Taylor series, E1 ~ ||W^(m+1)||/(m+1)! and
-E2 ~ ||W^(m+2)||/(m+2)!, using products of 1-norms of the powers of W
-cached so far (never forming higher powers just to bound them).  The
-first order whose E1 + E2 meets the tolerance wins with s = 0; if none
-does, the top order is kept and the scaling parameter is the smallest s
-pushing each term below the tolerance, capped at 20 to avoid
+One search, :func:`_select`, walks one of three order ladders
+(:data:`PS_TABLES`, :data:`SASTRE_TABLES` and, for the index-shifted
+series of the low-rank path, :data:`LOWRANK_TABLES`) and bounds the
+first two remainder terms, E1 ~ c1 ||W^(m+1)|| and E2 ~ c2 ||W^(m+2)||,
+using products of 1-norms of the powers of W cached so far (never
+forming higher powers just to bound them).  The first order whose
+E1 + E2 meets the tolerance wins with s = 0; if none does, the top order
+is kept and the scaling parameter is the smallest s for which
+E1/2^(s(m+1)) + E2/2^(s(m+2)) meets it, capped at 20 to avoid
 overscaling.
 
 All bound arithmetic runs in base-2 log domain so that high powers of
@@ -34,6 +36,7 @@ __all__ = [
     "AlphaBound",
     "BoundDomainError",
     "EvalPlan",
+    "LOWRANK_TABLES",
     "MAX_SCALING",
     "PS_TABLES",
     "SASTRE_TABLES",
@@ -159,6 +162,19 @@ SASTRE_TABLES = SelectionTables(
     ),
 )
 
+# The low-rank path evaluates sum_i V^i/(i+1)!, so the tail weights are
+# the shifted 1/(m+2)! and 1/(m+3)!.  Its ladder is the evaluation-formula
+# ladder extended by Paterson-Stockmeyer degrees, but the shifted series
+# has no published formula coefficients, so every order here is
+# evaluated by ps_eval; only V^2 is formed while bounding.
+_LOWRANK_ORDERS = (1, 2, 4, 8, 15, 16, 20, 25, 30)
+LOWRANK_TABLES = SelectionTables(
+    orders=_LOWRANK_ORDERS,
+    block_pows=(1, 2, 2, 2, 2, 2, 2, 2, 2),
+    block_counts=(1, 1, 2, 4, 8, 8, 10, 13, 15),
+    tails=tuple(inv_factorial(m + d) for m in _LOWRANK_ORDERS for d in (2, 3)),
+)
+
 
 @dataclass
 class EvalPlan:
@@ -211,31 +227,28 @@ def _select(W: Matrix, eps: float, tables: SelectionTables, scheme: str,
                     powers[p] = mat_mul(powers[p - 1], W, ledger)
                     norms[p] = one_norm(powers[p])
                     lw[p] = _log2(norms[p])
-            if scheme == SCHEME_PS:
-                l1 = lc1 + k * lw[j] + lw[1]
-                l2 = lc2 + k * lw[j] + lw[2]
+            l1 = lc1 + k * lw[j]
+            l2 = lc2 + k * lw[j]
+            if j * k == m_i:
+                l1 += lw[1]
+                l2 += lw[2]
             else:
-                l1 = lc1 + k * lw[j]
-                l2 = lc2 + k * lw[j]
-                if j * k == m_i:
-                    l1 += lw[1]
-                    l2 += lw[2]
-                else:
-                    l2 += lw[1]
+                l2 += lw[1]
         if _log2_sum(l1, l2) <= log_eps:
             finished = True
             break
 
     s = 0
     if not finished:
+        # At the larger per-term ceiling each scaled term is within eps, so
+        # their sum is within 2 eps; one more step divides both by at
+        # least 4, so the smallest s meeting the sum is that ceiling or
+        # the next.  A +inf term takes the cap; a NaN one fails every test.
         for t, l in ((1, l1), (2, l2)):
-            if l == -math.inf:
-                continue
-            s1 = math.ceil((l - log_eps) / (m + t))
-            if s1 > s:
-                s = s1
-        if s > MAX_SCALING:
-            s = MAX_SCALING
+            if l > log_eps:
+                s = max(s, math.ceil(min((l - log_eps) / (m + t), MAX_SCALING)))
+        if s < MAX_SCALING and not _log2_sum(l1 - s * (m + 1), l2 - s * (m + 2)) <= log_eps:
+            s += 1
     return EvalPlan(m, s, scheme, _exp2(l1), _exp2(l2), powers, norms)
 
 

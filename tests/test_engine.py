@@ -273,27 +273,47 @@ def test_lowrank_matches_reference():
     assert remainder_bound_phi(one_norm(V), res.plan.m) <= 1e-7
 
 
-def test_lowrank_order_minimal_on_ladder():
+# ||V||_1 of the pair below for which each rung of the ladder is the first
+# to meet 1e-8, and one just past the top rung (None: the call raises).
+_LADDER_NORMS = [(1e-5, 1), (1e-3, 2), (0.02, 4), (1.0, 8), (2.0, 15),
+                 (5.0, 16), (6.0, 20), (9.0, 25), (12.0, 30), (16.0, None)]
+
+
+@pytest.mark.parametrize("norm,want", _LADDER_NORMS,
+                         ids=[f"m{m}" if m else "past_top" for _, m in _LADDER_NORMS])
+def test_lowrank_order_minimal_on_ladder(norm, want):
     rng = np.random.default_rng(59)
     a1 = rng.uniform(-1, 1, (16, 2))
     a2 = rng.uniform(-1, 1, (2, 16))
-    a2 *= 1.0 / np.abs(a2 @ a1).sum(axis=0).max()
+    a2 *= norm / np.abs(a2 @ a1).sum(axis=0).max()
+    V = (a2 @ a1)
+    nv = float(np.abs(V).sum(axis=0).max())
+    n2 = float(np.abs(V @ V).sum(axis=0).max())
+
+    def terms(m):
+        # ||V^q||_1 <= ||V^2||^(q//2) ||V||^(q%2), against 1/(m+2)!, 1/(m+3)!;
+        # order 1 forms no V^2 and bounds with ||V||^q alone
+        def bound(q):
+            if m == 1:
+                return nv ** q
+            return n2 ** (q // 2) * nv ** (q % 2)
+        return (bound(m + 1) / math.factorial(m + 2),
+                bound(m + 2) / math.factorial(m + 3))
+
+    if want is None:
+        assert sum(terms(LOWRANK_ORDERS[-1])) > 1e-8
+        with pytest.raises(LowRankOrderError):
+            expm_lowrank(LowRankPair(a1, a2), 1e-8)
+        return
     res = expm_lowrank(LowRankPair(a1, a2), 1e-8)
-    idx = LOWRANK_ORDERS.index(res.plan.m)
+    assert res.plan.m == want and res.plan.s == 0
     assert res.plan.e1 + res.plan.e2 <= 1e-8
+    assert sum(terms(want)) <= 1e-8
+    assert (res.plan.e1, res.plan.e2) == pytest.approx(terms(want), rel=1e-12)
+    idx = LOWRANK_ORDERS.index(want)
     if idx > 0:
         # previous rung must genuinely fail the same two-term test
-        V = (a2 @ a1)
-        nv = float(np.abs(V).sum(axis=0).max())
-        n2 = float(np.abs(V @ V).sum(axis=0).max())
-        m_prev = LOWRANK_ORDERS[idx - 1]
-
-        def bound(q):
-            return n2 ** (q // 2) * nv ** (q % 2)
-
-        e1 = bound(m_prev + 1) / math.factorial(m_prev + 2)
-        e2 = bound(m_prev + 2) / math.factorial(m_prev + 3)
-        assert e1 + e2 > 1e-8
+        assert sum(terms(LOWRANK_ORDERS[idx - 1])) > 1e-8
 
 
 def test_lowrank_norm_too_large():
@@ -354,6 +374,25 @@ def test_lowrank_overflow_raises_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError):
             expm_lowrank(pair, 1e-8)
+
+
+def test_non_finite_bound_takes_a_typed_path():
+    # ||V||_1 overflows while V^2 = 0, so the two-term bound is NaN on every
+    # rung past order 1: the dense drivers scale once and return I + V, which
+    # is exact, and the unscaled low-rank path raises its own error.
+    V = np.zeros((3, 3))
+    V[0, 2] = V[1, 2] = 1e308
+    for scheme in ("sastre", "ps"):
+        res = expm(Matrix(V), 1e-8, scheme)
+        assert res.plan.s == 1
+        assert np.array_equal(res.value.a, np.eye(3) + V)
+    with pytest.raises(LowRankOrderError):
+        expm_lowrank(LowRankPair(np.eye(3), V), 1e-8)
+    # ||W^2||_1 overflows although W^2 is finite: the bound is +inf, the
+    # scaling takes the cap, and the overflow surfaces as NonFiniteError.
+    W = Matrix([[1e154, 0.0, 0.0], [1e154, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(NonFiniteError):
+        expm(W, 1e-8, "sastre")
 
 
 @pytest.mark.parametrize("make", [

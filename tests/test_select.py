@@ -6,6 +6,9 @@ import pytest
 
 from expmkit import (
     EXP_COEFFS,
+    LOWRANK_ORDERS,
+    LOWRANK_TABLES,
+    MAX_SCALING,
     Matrix,
     MulLedger,
     PS_TABLES,
@@ -51,6 +54,16 @@ def test_sastre_table_structure():
     assert t.block_counts == tuple(math.ceil(m / j) for m, j in zip(t.orders, t.block_pows))
     want = [inv_fact(i) for i in (2, 3, 3, 4, 5, 6, 9, 10)]
     want += [abs(inv_fact(16) - EXP_COEFFS.b16), inv_fact(17)]
+    assert list(t.tails) == want
+
+
+def test_lowrank_table_structure():
+    t = LOWRANK_TABLES
+    assert t.orders == LOWRANK_ORDERS == (1, 2, 4, 8, 15, 16, 20, 25, 30)
+    assert t.block_pows == tuple(min(m, 2) for m in t.orders)
+    assert t.block_counts == tuple(math.ceil(m / j) for m, j in zip(t.orders, t.block_pows))
+    # the shifted series sum_i V^i/(i+1)! leaves 1/(m+2)! and 1/(m+3)!
+    want = [inv_fact(m + d) for m in t.orders for d in (2, 3)]
     assert list(t.tails) == want
 
 
@@ -140,16 +153,32 @@ def test_scaling_capped_at_20():
 
 
 def test_early_termination_means_no_scaling():
+    # Each 1x1 input misses eps at the top rung by a sum of two terms that
+    # are each below eps, so scaling is needed although no single term asks
+    # for it.
+    cases = [(select_sastre, Matrix([[2.2358]])), (select_ps, Matrix([[2.418]]))]
     rng = np.random.default_rng(101)
     for _ in range(60):
         n = int(rng.integers(1, 12))
         arr = rng.uniform(-1, 1, (n, n)) * 10.0 ** rng.integers(-6, 1)
         W = Matrix(arr)
-        for sel in (select_ps, select_sastre):
-            plan = sel(W, 1e-8)
-            assert 0 <= plan.s <= 20
-            if plan.e1 + plan.e2 <= 1e-8:
-                assert plan.s == 0
+        cases += [(select_ps, W), (select_sastre, W)]
+
+    def scaled(plan, s):
+        return (plan.e1 * 2.0 ** (-s * (plan.m + 1))
+                + plan.e2 * 2.0 ** (-s * (plan.m + 2)))
+
+    for sel, W in cases:
+        plan = sel(W, 1e-8)
+        assert 0 <= plan.s <= MAX_SCALING
+        if plan.e1 + plan.e2 <= 1e-8:
+            assert plan.s == 0
+        if plan.s < MAX_SCALING:
+            # the scaled two-term bound itself meets eps, with the least s
+            assert scaled(plan, plan.s) <= 1e-8
+        if plan.s > 0:
+            assert scaled(plan, plan.s - 1) > 1e-8
+    assert [sel(W, 1e-8).s for sel, W in cases[:2]] == [1, 1]
 
 
 def test_norm_halving_never_increases_s():

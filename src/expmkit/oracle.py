@@ -1,11 +1,21 @@
 """Reference exponential in compensated (double-double) arithmetic.
 
 Matrices are carried as (hi, lo) array pairs worth ~106 bits.  The
-reference path scales the input until its 1-norm is at most 2^-4, sums
-the Taylor series until terms fall 2^-100 below the accumulated sum,
-then squares back, all in double-double.  That leaves well over ten
-guard digits beyond binary64, enough to adjudicate 1e-8-level
-tolerances with several orders of margin.
+reference path picks the least s with b = ||B||_1 <= 2^-4 for
+B = 2^-s A, evaluates the degree-m Taylor polynomial of B with
+Paterson-Stockmeyer, then squares back s times, all in double-double.
+
+The degree is fixed before any product.  Past degree m the series of
+e^B is at most b^(m+1)/(m+1)! / (1 - b/(m+2)) in the 1-norm, and
+||e^B||_1 >= 1/||e^-B||_1 >= e^-b, so the least m that brings that bound
+below 2^-106 e^-b truncates below 2^-106 relative to e^B (m = 15 at
+b = 2^-4).  With j = ceil(sqrt(m)) and k = ceil(m/j), B^2 .. B^j cost
+j - 1 double-double products and the Horner steps in B^j cost k - 1;
+the blocks between them are sums of double-double scalings.  A call
+therefore costs (j - 1) + (k - 1) + s double-double products, at most
+6 + s; summing the series term by term took one per term, up to about
+15 + s.  That leaves well over ten guard digits beyond binary64, enough
+to adjudicate 1e-8-level tolerances with several orders of margin.
 
 :func:`poly_reference` evaluates an arbitrary polynomial in the same
 arithmetic, so truncation remainders can be measured directly against
@@ -48,10 +58,17 @@ d + 1 = 4 BLAS calls worth 10 binary64 products of order n (from order
 86 on, d = 4: 5 calls worth 15).  The error bound holds per row of A and
 column of B, not per entry, and assumes that nothing underflows or
 overflows.
+
+The right operand of every power and Horner product is fixed within a
+call (B, then B^j), so it is cut once into its BLAS layout
+(:func:`_split_right`), and each product cuts only its left operand
+(:func:`_dd_dot`).  B's lo part is zero and is not cut.  A squaring has
+no fixed operand and cuts both (:func:`_dd_matmul`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -59,6 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import Matrix, MatrixError, NonFiniteError, frobenius_norm, one_norm
+from .poly import ps_shape
 
 __all__ = [
     "ErrorReport",
@@ -70,7 +88,6 @@ __all__ = [
 _SPLITTER = 134217729.0  # 2^27 + 1, exact in binary64
 _NORM_CAP = 2.0 ** 64
 _SCALE_TARGET = 2.0 ** -4
-_TERM_CUTOFF = 2.0 ** -100
 _DD_BITS = 106
 
 
@@ -111,6 +128,7 @@ def _dd_mul(xh, xl, yh, yl):
     return _quick_two_sum(ph, pe)
 
 
+@functools.cache
 def _slicing(n: int):
     """Slice width w (bits) and number of exact levels d for order n."""
     for depth in itertools.count(1):
@@ -132,6 +150,7 @@ def _split(x, width: int, depth: int):
     Slice p of a row is an integer of magnitude at most 2^width + 1
     times 2^(e - (p+1) width), where 2^e bounds the row's hi entries;
     ``rems[p]`` is the remainder after p + 1 slices, rounded to binary64.
+    x may also hold hi alone, as ``x[None]``, when lo is zero.
     """
     e = np.frexp(np.abs(x[0]).max(axis=-1, keepdims=True))[1]
     slices = np.empty((depth,) + x.shape[1:])
@@ -140,27 +159,48 @@ def _split(x, width: int, depth: int):
         sigma = np.ldexp(0.75, e + (53 - (p + 1) * width))
         s = (x + sigma) - sigma
         x = x - s
-        np.add(s[0], s[1], out=slices[p])
-        np.add(x[0], x[1], out=rems[p])
+        np.add.reduce(s, out=slices[p])
+        np.add.reduce(x, out=rems[p])
     return slices, rems
 
 
-def _dd_matmul(ah, al, bh, bl):
-    """Double-double product of two (hi, lo) square matrices."""
+def _split_right(bh, bl=None):
+    """Column-split the right operand of a product into its BLAS layout.
+
+    Returns ``(b_col, b_tail)``: b_col = [B_d-1; ..; B_0] and
+    b_tail = [R_d(B); ..; R_1(B); hi of B], the slices and remainders of
+    B's columns stacked row-block-wise.  A right operand that is fixed
+    over many products is split once; ``bl=None`` means lo is zero.
+    """
+    n = bh.shape[0]
+    width, depth = _slicing(n)
+    x = bh.T[None] if bl is None else np.stack((bh.T, bl.T))
+    slices, rems = _split(x, width, depth)
+    b_col = slices[::-1].transpose(0, 2, 1).reshape(depth * n, n)
+    b_rems = rems[::-1].transpose(0, 2, 1).reshape(depth * n, n)
+    return b_col, np.concatenate((b_rems, bh))
+
+
+def _dd_dot(ah, al, right):
+    """Double-double product of (ah, al) and a right operand prepared by
+    :func:`_split_right`; only the left operand is split here."""
     n = ah.shape[0]
     width, depth = _slicing(n)
-    # B is split through its transpose, i.e. column-wise.
-    x = np.stack((ah, bh.T, al, bl.T)).reshape(2, 2, n, n)
-    slices, rems = _split(x, width, depth)
-    # a_row = [A_0 .. A_d-1  R_d(A)];  b_col = [B_d-1; ..; B_0];
-    # b_tail = [R_d(B); ..; R_1(B); hi of B].  Level l is the first l + 1
-    # blocks of a_row times the last l + 1 of b_col; the tail is a_row
-    # times b_tail.
-    a_row = np.concatenate((slices[:, 0], rems[-1:, 0])).transpose(1, 0, 2)
+    b_col, b_tail = right
+    # a_row = [A_0 .. A_d-1  R_d(A)], cut as in _split but keeping only
+    # the last remainder.  Level l is the first l + 1 blocks of a_row
+    # times the last l + 1 of b_col; the tail is a_row times b_tail.
+    x = np.stack((ah, al))
+    e = np.frexp(np.abs(ah).max(axis=1, keepdims=True))[1]
+    a_row = np.empty((n, depth + 1, n))
+    for p in range(depth):
+        sigma = np.ldexp(0.75, e + (53 - (p + 1) * width))
+        s = x + sigma
+        s -= sigma
+        x -= s
+        np.add(s[0], s[1], out=a_row[:, p])
+    np.add(x[0], x[1], out=a_row[:, depth])
     a_row = a_row.reshape(n, (depth + 1) * n)
-    b_col = slices[::-1, 1].transpose(0, 2, 1).reshape(depth * n, n)
-    b_rems = rems[::-1, 1].transpose(0, 2, 1).reshape(depth * n, n)
-    b_tail = np.concatenate((b_rems, bh))
     ch, cl = a_row @ b_tail, 0.0
     for lev in reversed(range(depth)):
         level = a_row[:, :(lev + 1) * n] @ b_col[(depth - 1 - lev) * n:]
@@ -169,17 +209,42 @@ def _dd_matmul(ah, al, bh, bl):
     return _quick_two_sum(ch, cl)
 
 
-def _dd_inv_int(k: int):
-    """Double-double value of 1/k for a positive integer k."""
-    hi = 1.0 / k
-    p, pe = _two_prod(hi, float(k))
-    lo = ((1.0 - p) - pe) / k
-    return hi, lo
+def _dd_matmul(ah, al, bh, bl):
+    """Double-double product of two (hi, lo) square matrices."""
+    return _dd_dot(ah, al, _split_right(bh, bl))
 
 
-def expm_reference(A: Matrix) -> Matrix:
-    """High-accuracy e^A; at least ~1e-19 relative on well-conditioned
-    inputs, i.e. several digits past binary64 roundoff."""
+def _dd_inv_factorial(k: int):
+    """1/k! in double-double, hi and lo each correctly rounded."""
+    f = math.factorial(k)
+    hi = 1 / f  # int / int rounds correctly
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * f) / (den * f)
+
+
+def _add_eye(xh, xl, ch, cl=0.0):
+    """(xh, xl) + (ch, cl) I in double-double, in place on the diagonal."""
+    diag = np.diag_indices(xh.shape[0])
+    xh[diag], xl[diag] = _dd_add(xh[diag], xl[diag], ch, cl)
+    return xh, xl
+
+
+def _taylor_degree(b: float) -> int:
+    """Smallest m whose Taylor tail bound meets 2^-106 relative to e^B.
+
+    For ||B||_1 <= b the tail past degree m is at most
+    b^(m+1)/(m+1)! / (1 - b/(m+2)), and ||e^B||_1 >= 1/||e^-B||_1 >= e^-b.
+    """
+    target = math.ldexp(math.exp(-b), -_DD_BITS)
+    m, term = 0, b  # term = b^(m+1)/(m+1)!
+    while term / (1.0 - b / (m + 2)) > target:
+        m += 1
+        term *= b / (m + 1)
+    return m
+
+
+def _expm_dd(A: Matrix):
+    """e^A as a double-double pair (hi, lo)."""
     norm1 = one_norm(A)
     if norm1 > _NORM_CAP:
         raise MatrixError(f"1-norm {norm1:.3g} too large for the reference path")
@@ -187,25 +252,46 @@ def expm_reference(A: Matrix) -> Matrix:
     while math.ldexp(norm1, -s) > _SCALE_TARGET:
         s += 1
     n = A.n
-    bh = np.ldexp(A.a, -s)
-    bl = np.zeros((n, n))
-    xh = np.eye(n)
-    xl = np.zeros((n, n))
-    th = np.eye(n)
-    tl = np.zeros((n, n))
-    for k in range(1, 200):
-        th, tl = _dd_matmul(th, tl, bh, bl)
-        rh, rl = _dd_inv_int(k)
-        th, tl = _dd_mul(th, tl, rh, rl)
-        xh, xl = _dd_add(xh, xl, th, tl)
-        if np.abs(th).max() <= _TERM_CUTOFF * np.abs(xh).max():
-            break
-    else:  # pragma: no cover - norm <= 1/16 converges in ~20 terms
-        raise ArithmeticError("reference series failed to converge")
+    m = _taylor_degree(math.ldexp(norm1, -s))
+    if m == 0:
+        xh, xl = np.eye(n), np.zeros((n, n))
+    else:
+        shape = ps_shape(m)
+        j, k = shape.j, shape.k
+        coeffs = [_dd_inv_factorial(i) for i in range(m + 1)]
+        bh = np.ldexp(A.a, -s)
+        pw = {1: (bh, np.zeros((n, n)))}
+        if j > 1:
+            right = _split_right(bh)
+            for p in range(2, j + 1):
+                pw[p] = _dd_dot(*pw[p - 1], right)
+
+        def block(lo, hi):
+            # sum_t coeffs[lo + t] B^t for t = 0 .. hi - lo; hi > lo, since
+            # ps_shape gives j >= 2 whenever k > 1.
+            xh, xl = _dd_mul(*pw[1], *coeffs[lo + 1])
+            for t in range(2, hi - lo + 1):
+                xh, xl = _dd_add(xh, xl, *_dd_mul(*pw[t], *coeffs[lo + t]))
+            return _add_eye(xh, xl, *coeffs[lo])
+
+        # Horner in B^j over the blocks, as in poly.ps_eval: the top block
+        # may reach degree j itself, so k - 1 products suffice.
+        xh, xl = block((k - 1) * j, m)
+        if k > 1:
+            right = _split_right(*pw[j])
+        for r in range(k - 2, -1, -1):
+            xh, xl = _dd_add(*_dd_dot(xh, xl, right), *block(r * j, r * j + j - 1))
     for _ in range(s):
         xh, xl = _dd_matmul(xh, xl, xh, xl)
         if not np.isfinite(xh).all():
             raise NonFiniteError("overflow while squaring the reference value")
+    return xh, xl
+
+
+def expm_reference(A: Matrix) -> Matrix:
+    """High-accuracy e^A; at least ~1e-19 relative on well-conditioned
+    inputs, i.e. several digits past binary64 roundoff."""
+    xh, xl = _expm_dd(A)
     return Matrix(xh + xl)
 
 
@@ -214,14 +300,11 @@ def poly_reference(A: Matrix, coeffs) -> Matrix:
     if len(coeffs) == 0:
         raise MatrixError("empty coefficient list")
     n = A.n
-    ah = A.a.copy()
-    al = np.zeros((n, n))
-    eye = np.eye(n)
-    xh = coeffs[-1] * eye
+    right = _split_right(A.a)
+    xh = coeffs[-1] * np.eye(n)
     xl = np.zeros((n, n))
     for c in reversed(coeffs[:-1]):
-        xh, xl = _dd_matmul(xh, xl, ah, al)
-        xh, xl = _dd_add(xh, xl, c * eye, np.zeros((n, n)))
+        xh, xl = _add_eye(*_dd_dot(xh, xl, right), c)
     return Matrix(xh + xl)
 
 

@@ -234,6 +234,10 @@ def _select(W: Matrix, eps: float, tables: SelectionTables, scheme: str,
                 l2 += lw[2]
             else:
                 l2 += lw[1]
+            if lw[j] == -math.inf:
+                # W^j = 0: both terms vanish, also where an overflowed
+                # ||W||_1 made the sums above -inf + inf = NaN.
+                l1 = l2 = -math.inf
         if _log2_sum(l1, l2) <= log_eps:
             finished = True
             break
@@ -253,17 +257,23 @@ def _select(W: Matrix, eps: float, tables: SelectionTables, scheme: str,
 
 
 def select_ps(W: Matrix, eps: float, ledger: MulLedger | None = None) -> EvalPlan:
-    """Order/scale for the Paterson-Stockmeyer route (ladder up to 16)."""
-    return _select(W, eps, PS_TABLES, SCHEME_PS, ledger)
+    """Order/scale for the Paterson-Stockmeyer route (ladder up to 16).
+
+    A 1-norm that overflows gives an infinite bound, not a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _select(W, eps, PS_TABLES, SCHEME_PS, ledger)
 
 
 def select_sastre(W: Matrix, eps: float, ledger: MulLedger | None = None) -> EvalPlan:
     """Order/scale for the evaluation-formula route (ladder up to 15+).
 
     Only W^2 is ever formed; bounds for ||W^16|| and ||W^17|| use
-    ||W^2||^8 and ||W^2||^8 * ||W||.
+    ||W^2||^8 and ||W^2||^8 * ||W||.  A 1-norm that overflows gives an
+    infinite bound, not a warning.
     """
-    return _select(W, eps, SASTRE_TABLES, SCHEME_SASTRE, ledger)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _select(W, eps, SASTRE_TABLES, SCHEME_SASTRE, ledger)
 
 
 # ---------------------------------------------------------------------------

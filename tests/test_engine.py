@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expmkit import (
     LOWRANK_ORDERS,
@@ -152,6 +153,22 @@ def test_expm_cost_identity():
             else:
                 budget = sastre_budget(m)
             assert res.mults == budget + res.plan.s
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(1, 16), log10_norm=st.floats(-4.0, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1), scheme=st.sampled_from(("sastre", "ps", "baseline")))
+def test_mults_equal_budget_plus_s_property(n, log10_norm, seed, scheme):
+    W = random_with_norm(np.random.default_rng(seed), n, 10.0 ** log10_norm)
+    res = expm_baseline(W, 1e-8) if scheme == "baseline" else expm(W, 1e-8, scheme)
+    m = res.plan.m
+    if scheme == "baseline":
+        budget = m  # one product per term formed
+    elif scheme == "ps":
+        budget = ps_shape(m).mults
+    else:
+        budget = sastre_budget(m)
+    assert res.mults == budget + res.plan.s
 
 
 def test_expm_mults_nonincreasing_in_tolerance():
@@ -377,17 +394,18 @@ def test_lowrank_overflow_raises_without_warning():
 
 
 def test_non_finite_bound_takes_a_typed_path():
-    # ||V||_1 overflows while V^2 = 0, so the two-term bound is NaN on every
-    # rung past order 1: the dense drivers scale once and return I + V, which
-    # is exact, and the unscaled low-rank path raises its own error.
+    # ||V||_1 overflows while V^2 = 0: the bound of the order-2 rung is 0,
+    # not -inf + inf = NaN, so every driver stops there unscaled after one
+    # product and returns I + V, which is exact.
     V = np.zeros((3, 3))
     V[0, 2] = V[1, 2] = 1e308
     for scheme in ("sastre", "ps"):
         res = expm(Matrix(V), 1e-8, scheme)
-        assert res.plan.s == 1
+        assert (res.plan.m, res.plan.s, res.mults) == (2, 0, 1)
         assert np.array_equal(res.value.a, np.eye(3) + V)
-    with pytest.raises(LowRankOrderError):
-        expm_lowrank(LowRankPair(np.eye(3), V), 1e-8)
+    res = expm_lowrank(LowRankPair(np.eye(3), V), 1e-8)
+    assert (res.plan.m, res.plan.s, res.mults) == (2, 0, 1)
+    assert np.array_equal(res.value.a, np.eye(3) + V)
     # ||W^2||_1 overflows although W^2 is finite: the bound is +inf, the
     # scaling takes the cap, and the overflow surfaces as NonFiniteError.
     W = Matrix([[1e154, 0.0, 0.0], [1e154, 0.0, 0.0], [0.0, 0.0, 0.0]])

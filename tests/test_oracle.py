@@ -17,12 +17,15 @@ from expmkit import (
     identity,
     mat_mul,
     MulLedger,
+    one_norm,
     poly_reference,
+    ps_shape,
     relative_error,
     taylor_coeffs_exp,
     zeros,
 )
-from expmkit.oracle import _dd_matmul, _slicing, _split, _two_sum
+from expmkit import oracle
+from expmkit.oracle import _dd_matmul, _expm_dd, _slicing, _split, _two_sum
 
 
 def test_zero_gives_identity():
@@ -203,6 +206,86 @@ def test_level_products_exact_at_order_64():
         assert np.abs(exact).max() <= 2 ** 53
         unit = e[0][:, None] + e[1][None, :] - (lev + 2) * width
         assert np.array_equal(blas, np.ldexp(exact.astype(np.float64), unit))
+
+
+# ---------------------------------------------------------------------------
+# the reference exponential against exact rational arithmetic, and its cost
+# ---------------------------------------------------------------------------
+
+def _fraction_matmul(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _fraction_expm(arr, s):
+    """e^A exactly up to a 2^-200 Taylor tail of 2^-s A, squared s times."""
+    n = arr.shape[0]
+    B = [[Fraction(x) / 2 ** s for x in row] for row in arr]
+    b = max(sum(abs(B[i][j]) for i in range(n)) for j in range(n))
+    assert b <= Fraction(1, 16)
+    X = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    T = X
+    k, tail = 0, Fraction(1)  # tail = b^(k+1)/(k+1)!, and the rest is below 2 tail
+    while 2 * tail * b >= Fraction(1, 2 ** 200):
+        k += 1
+        T = [[t / k for t in row] for row in _fraction_matmul(T, B)]
+        X = [[x + t for x, t in zip(xr, tr)] for xr, tr in zip(X, T)]
+        tail *= b / (k + 1)
+    for _ in range(s):
+        X = _fraction_matmul(X, X)
+    return X
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reference_matches_exact_rational_exponential(n):
+    rng = np.random.default_rng(300 + n)
+    for norm, s in ((0.05, 0), (0.2, 2), (0.9, 4)):
+        arr = rng.uniform(-1.0, 1.0, (n, n))
+        arr *= norm / np.abs(arr).sum(axis=0).max()
+        hi, lo = _expm_dd(Matrix(arr))
+        ref = _fraction_expm(arr, s)
+        err = max(sum(abs(Fraction(hi[i, j]) + Fraction(lo[i, j]) - ref[i][j])
+                      for i in range(n)) for j in range(n))
+        ref_norm = max(sum(abs(ref[i][j]) for i in range(n)) for j in range(n))
+        assert err <= ref_norm * Fraction(2) ** -100, (n, s)
+
+
+def _ps_degree(b):
+    """Smallest m with b^(m+1)/(m+1)! / (1 - b/(m+2)) <= 2^-106 e^-b."""
+    if b == 0.0:
+        return 0
+    m = 0
+    while ((m + 1) * math.log2(b) - math.lgamma(m + 2) / math.log(2)
+           - math.log2(1 - b / (m + 2)) > -106 - b * math.log2(math.e)):
+        m += 1
+    return m
+
+
+def test_reference_cost_is_paterson_stockmeyer(monkeypatch):
+    # One dd product per power B^2 .. B^j, per Horner step in B^j and per
+    # squaring: (j - 1) + (k - 1) + s, where term-by-term summation would
+    # spend one per Taylor term.
+    calls = []
+    dd_dot = oracle._dd_dot
+    monkeypatch.setattr(oracle, "_dd_dot", lambda *args: calls.append(1) or dd_dot(*args))
+    rng = np.random.default_rng(17)
+    signs = np.where(rng.uniform(size=(4, 4)) < 0.5, -0.25, 0.25)  # 1-norm exactly 1
+    cases = [(zeros(4), 0, 0), (Matrix(signs), 4, 15)]
+    for norm in (1e-40, 1e-9, 3e-3, 0.05, 0.7, 12.8):
+        arr = rng.uniform(-1.0, 1.0, (6, 6))
+        cases.append((Matrix(arr * (norm / np.abs(arr).sum(axis=0).max())), None, None))
+    for A, s_want, m_want in cases:
+        norm1 = one_norm(A)
+        s = max(0, math.ceil(math.log2(norm1) + 4)) if norm1 > 0 else 0
+        m = _ps_degree(math.ldexp(norm1, -s))
+        if s_want is not None:
+            assert (s, m) == (s_want, m_want)
+        want = (ps_shape(m).mults if m else 0) + s
+        calls.clear()
+        expm_reference(A)
+        assert len(calls) == want, (norm1, m, s)
+        if s_want == 4:  # b = 2^-4, the largest scaled norm
+            assert len(calls) == 6 + s
 
 
 def test_import_expmkit_does_not_load_scipy():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from expmkit import (
     MAX_SCALING,
     Matrix,
     MulLedger,
+    NonFiniteError,
     PS_TABLES,
     SASTRE_TABLES,
     AlphaBound,
@@ -150,6 +152,20 @@ def test_scaling_capped_at_20():
     for sel in (select_ps, select_sastre):
         plan = sel(diag(1e30), 1e-8)
         assert plan.s == 20
+
+
+def test_bare_selectors_take_an_overflowed_norm_without_warning():
+    # Both inputs are finite, but their column sums overflow.  The tier-1
+    # filter turns a RuntimeWarning into an error, so none may escape.
+    nilpotent = np.zeros((3, 3))
+    nilpotent[0, 2] = nilpotent[1, 2] = 1e308
+    for sel in (select_ps, select_sastre):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = sel(Matrix(nilpotent), 1e-8)  # W^2 = 0 ends the series
+            assert (plan.m, plan.s, plan.e1, plan.e2) == (2, 0, 0.0, 0.0)
+            with pytest.raises(NonFiniteError):  # W^2 overflows
+                sel(Matrix(np.full((2, 2), 1e308)), 1e-8)
 
 
 def test_early_termination_means_no_scaling():

@@ -16,9 +16,14 @@
 Every driver owns one ledger per call; ``mults`` in the result is the
 full square-product count including the squaring phase.  Each driver runs
 under one ``np.errstate`` that keeps overflow in its temporaries from
-warning, and checks its result for finiteness once; with the check in
-every product that is enough (see :mod:`expmkit.matrix`), so an overflow
-raises :class:`~expmkit.matrix.NonFiniteError` and never a warning.
+warning, and checks its result for finiteness once.  Its products are
+unchecked (selection, the evaluators of :mod:`expmkit.poly` and
+:func:`squaring` alike): finiteness is checked where the input enters
+(:class:`~expmkit.matrix.Matrix`, :class:`LowRankPair`), through the
+selector's power norms, and on the driver's output.  A non-finite entry
+never becomes finite again on the way (see :mod:`expmkit.matrix`), so an
+overflow raises :class:`~expmkit.matrix.NonFiniteError` and never a
+warning.
 """
 
 from __future__ import annotations
@@ -36,10 +41,12 @@ from .matrix import (
     NonFiniteError,
     check_finite,
     identity,
-    mat_mul,
     one_norm,
     scale_pow2,
 )
+# Unchecked product under the name perfbench/tracing.py wraps
+# (engine.mat_mul) to count squaring products; see expmkit.select.
+from .matrix import _mat_mul_unchecked as mat_mul
 from .poly import (
     EXP_COEFFS,
     eval_low_order,
@@ -95,12 +102,24 @@ class ExpmResult:
 
 
 def squaring(X: Matrix, s: int, ledger: MulLedger) -> Matrix:
-    """X^(2^s) by s repeated squarings; charges exactly s products."""
+    """X^(2^s) by s repeated squarings; charges exactly s products when
+    the result is finite.
+
+    Unchecked: run it under ``np.errstate(over="ignore", invalid="ignore")``
+    and check the result, as the drivers do.  Once the squarings overflow,
+    the loop stops early and returns the non-finite matrix, charged only
+    for the products it formed.
+    """
     s = int(s)
     if s < 0:
         raise MatrixError("squaring count must be nonnegative")
     for _ in range(s):
         X = mat_mul(X, X, ledger)
+        # Two squarings spread a NaN or Inf entry over the whole matrix
+        # (0 * Inf is NaN), so the corner entry tells when more squarings
+        # can only be wasted; the caller's output check still decides.
+        if not math.isfinite(X.a[0, 0]):
+            break
     return X
 
 
@@ -126,6 +145,9 @@ def expm_baseline(W: Matrix, eps: float) -> ExpmResult:
         X = identity(W.n)
         Y = B
         k = 2
+        # Y = B^(k-1)/(k-1)! with ||B||_1 < 1/2 stays below 2^-(k-1)/(k-1)!,
+        # so the unchecked products here cannot overflow and the norm is
+        # never NaN, which would end the loop as if it had converged.
         while one_norm(Y) > eps:
             X = X + Y
             Y = mat_mul(B, Y, ledger) / k

@@ -1,20 +1,25 @@
 """Dense square-matrix arithmetic with explicit multiplication accounting.
 
 Every full matrix-matrix product in this package goes through
-:func:`mat_mul`, which charges exactly one unit to a :class:`MulLedger`.
+:func:`mat_mul` or its unchecked core :func:`_mat_mul_unchecked`, each
+charging exactly one unit to a :class:`MulLedger`.
 Norms, additions and scalar scalings are never charged: the cost model
 counts n-by-n products only.
 
-Finiteness is checked where values enter the package and at every
-product, not on each O(n^2) temporary: the :class:`Matrix` constructor
-rejects NaN and Inf entries, :func:`mat_mul` checks its result, and each
-driver of :mod:`expmkit.engine` checks its result once.  That is enough
-because a non-finite entry never becomes finite again under the
-operations in between: an addition, a finite scalar factor or an exact
-power-of-two scaling keeps it Inf or NaN, and a product spreads it over
-a whole row or column of its result.  So an overflow in an entrywise
-temporary reaches a checked product or a driver's output check and raises
-the same :class:`NonFiniteError`.
+Finiteness is checked where values enter and leave the package, not on
+each temporary: the :class:`Matrix` constructor (and
+:class:`~expmkit.engine.LowRankPair`) rejects NaN and Inf entries,
+public :func:`mat_mul` checks its result, the selectors check a power
+they formed only when its 1-norm is not finite (a finite norm proves
+every entry finite), and each driver of :mod:`expmkit.engine` checks its
+result once.  Inside a driver, products go through the unchecked
+:func:`_mat_mul_unchecked` under the driver's one ``np.errstate``.  That
+is enough because a non-finite entry never becomes finite again under
+the operations in between: an addition, a finite scalar factor or an
+exact power-of-two scaling keeps it Inf or NaN, and a product spreads it
+over a whole row or column of its result (0 * Inf is NaN).  So an
+overflow in any temporary reaches a selector's norm or a driver's output
+check and raises the same :class:`NonFiniteError`.
 """
 
 from __future__ import annotations
@@ -54,8 +59,9 @@ class Matrix:
     Entries are validated to be finite on construction.  The entrywise
     operations (``+ - * /``, negation) and :func:`identity`, :func:`zeros`
     and :func:`scale_pow2` do not scan their results: an entry that
-    overflows stays non-finite until the next :func:`mat_mul` or driver
-    output raises :class:`NonFiniteError` on it (see the module docstring),
+    overflows stays non-finite until the next check (public
+    :func:`mat_mul`, a selector's power norm or a driver's output) raises
+    :class:`NonFiniteError` on it (see the module docstring),
     and :func:`check_finite` checks a matrix on demand.  The entry array is
     read-only; instances may be shared freely across threads.
     """
@@ -156,19 +162,38 @@ class MulLedger:
         return f"MulLedger(count={self.count})"
 
 
-def mat_mul(A: Matrix, B: Matrix, ledger: MulLedger) -> Matrix:
-    """Full product A @ B, charging exactly one multiplication."""
+def _mat_mul_unchecked(A: Matrix, B: Matrix, ledger: MulLedger) -> Matrix:
+    """Full product A @ B, charging exactly one multiplication, with no
+    finiteness check and no warning guard of its own.
+
+    Precondition: the caller runs it under
+    ``np.errstate(over="ignore", invalid="ignore")`` and checks the values
+    it depends on downstream (see the module docstring).  The drivers'
+    building blocks use it; everything else uses :func:`mat_mul`.
+    """
     if A.n != B.n:
         raise MatrixError(f"order mismatch: {A.n} vs {B.n}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = A.a @ B.a
+    c = A.a @ B.a
     ledger.charge()
-    return check_finite(_wrap(c))
+    return _wrap(c)
+
+
+def mat_mul(A: Matrix, B: Matrix, ledger: MulLedger) -> Matrix:
+    """Full product A @ B, charging exactly one multiplication.
+
+    Raises :class:`NonFiniteError` when the product has a NaN or Inf
+    entry, without a floating-point warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = _mat_mul_unchecked(A, B, ledger)
+    return check_finite(C)
 
 
 def one_norm(A: Matrix) -> float:
     """Maximum over columns of the sum of absolute entries."""
-    return float(np.abs(A.a).sum(axis=0).max())
+    # The ufunc reductions that ``.sum(axis=0).max()`` dispatches to, called
+    # directly: the same bits without the method wrappers' overhead.
+    return float(np.maximum.reduce(np.add.reduce(np.abs(A.a), axis=0)))
 
 
 def frobenius_norm(A: Matrix) -> float:

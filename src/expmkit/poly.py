@@ -13,6 +13,16 @@ The order-15+ result is not the plain Taylor polynomial: it matches the
 series through degree 15 and carries a perturbed degree-16 term whose
 coefficient is the fourth power of the leading table coefficient instead
 of 1/16!.
+
+The evaluators are unchecked building blocks: like the entrywise
+:class:`~expmkit.matrix.Matrix` operations and :func:`lincomb`, their
+products neither scan for NaN or Inf nor guard against floating-point
+warnings.  Each driver of :mod:`expmkit.engine` calls them under its one
+``np.errstate(over="ignore", invalid="ignore")`` and checks its output,
+which an overflow here always reaches (see :mod:`expmkit.matrix` for
+where finiteness is checked); other callers run them under the same
+``errstate`` and check the result with
+:func:`~expmkit.matrix.check_finite`.
 """
 
 from __future__ import annotations
@@ -23,7 +33,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix import Matrix, MatrixError, MulLedger, _wrap, identity, mat_mul
+from .matrix import Matrix, MatrixError, MulLedger, _wrap, identity
+# Unchecked product under the name perfbench/tracing.py wraps (poly.mat_mul)
+# to count evaluation products; see expmkit.select.
+from .matrix import _mat_mul_unchecked as mat_mul
 
 __all__ = [
     "CoeffSet",
@@ -187,6 +200,8 @@ def ps_eval(coeffs, A: Matrix, ledger: MulLedger, powers=None) -> Matrix:
     selectors build them while bounding); only missing powers up to A^j
     are formed, so products already spent are not repeated.  A fresh call
     costs (j-1) + (k-1) products for degree m >= 2 and none for m <= 1.
+    Unchecked: run it under ``np.errstate(over="ignore", invalid="ignore")``
+    and check the result (see the module docstring).
     """
     m = len(coeffs) - 1
     if m < 0:
@@ -220,7 +235,10 @@ def ps_eval(coeffs, A: Matrix, ledger: MulLedger, powers=None) -> Matrix:
 # ---------------------------------------------------------------------------
 
 def eval_low_order(A: Matrix, m: int, ledger: MulLedger, a2: Matrix | None = None) -> Matrix:
-    """Direct Taylor formulas for orders 1, 2, 4 (0, 1, 2 products)."""
+    """Direct Taylor formulas for orders 1, 2, 4 (0, 1, 2 products).
+
+    Unchecked, like every evaluator here (see the module docstring).
+    """
     eye = identity(A.n)
     if m == 1:
         return lincomb(A, eye)
@@ -236,7 +254,10 @@ def eval_low_order(A: Matrix, m: int, ledger: MulLedger, a2: Matrix | None = Non
 
 
 def eval_t8(A: Matrix, coeffs: CoeffSet, ledger: MulLedger, a2: Matrix | None = None) -> Matrix:
-    """Order-8 Taylor value in three products (two with a cached A^2)."""
+    """Order-8 Taylor value in three products (two with a cached A^2).
+
+    Unchecked, like every evaluator here (see the module docstring).
+    """
     c = coeffs.t8
     eye = identity(A.n)
     if a2 is None:
@@ -250,7 +271,8 @@ def eval_t15p(A: Matrix, coeffs: CoeffSet, ledger: MulLedger, a2: Matrix | None 
     """Order-15+ value in four products (three with a cached A^2).
 
     Matches the Taylor series through degree 15; the degree-16 term
-    carries coefficient ``coeffs.b16`` instead of 1/16!.
+    carries coefficient ``coeffs.b16`` instead of 1/16!.  Unchecked, like
+    every evaluator here (see the module docstring).
     """
     c = coeffs.t15p
     eye = identity(A.n)

@@ -30,6 +30,9 @@ from expmkit import (
 )
 
 
+from expmkit import engine as engine_mod, poly as poly_mod, select as select_mod
+
+
 def random_with_norm(rng, n, target):
     arr = rng.uniform(-1, 1, (n, n))
     return Matrix(arr * (target / np.abs(arr).sum(axis=0).max()))
@@ -364,18 +367,52 @@ def test_lowrank_psi_series_value():
 # overflow: a typed error, never a leaked floating-point warning
 # ---------------------------------------------------------------------------
 
+def _record_products(monkeypatch):
+    """Wrap the product each driver module calls (the attributes the
+    benchmark's tracer wraps); returns the list of (module, finite) the
+    wrappers append to, one entry per product in call order."""
+    calls = []
+    for mod in (engine_mod, select_mod, poly_mod):
+        def recorded(A, B, ledger, _name=mod.__name__.rsplit(".", 1)[1],
+                     _mul=mod.mat_mul):
+            try:
+                C = _mul(A, B, ledger)
+            except NonFiniteError:  # a checked product raises instead
+                calls.append((_name, False))
+                raise
+            calls.append((_name, bool(np.isfinite(C.a).all())))
+            return C
+        monkeypatch.setattr(mod, "mat_mul", recorded)
+    return calls
+
+
 def _overflowing_dense():
     rng = np.random.default_rng(5)
     return {
         "diag800": Matrix(np.diag(np.full(8, 800.0))),
         "dense1e3": Matrix(rng.uniform(-1, 1, (16, 16)) * 1e3),
+        # W^2 overflows, so ps and sastre see it in a selection power.
+        "select1e200": Matrix(np.full((2, 2), 1e200)),
+        # W^2..W^4 are finite and s takes the cap: the scaled B has a
+        # 1-norm near 1e64, so the evaluation products overflow.
+        "eval1e70": Matrix(np.diag(np.full(4, 1e70))),
     }
 
 
-@pytest.mark.parametrize("kind", ["diag800", "dense1e3"])
+# Module whose product first overflows, per input and scheme; the
+# engine's products are the squarings (the baseline's term loop has
+# ||B||_1 < 1/2 and cannot overflow).
+_FIRST_OVERFLOW = {
+    "select1e200": {"sastre": "select", "ps": "select"},
+    "eval1e70": {"sastre": "poly", "ps": "poly"},
+}
+
+
+@pytest.mark.parametrize("kind", ["diag800", "dense1e3", "select1e200", "eval1e70"])
 @pytest.mark.parametrize("scheme", ["sastre", "ps", "baseline"])
-def test_dense_overflow_raises_without_warning(kind, scheme):
+def test_dense_overflow_raises_without_warning(kind, scheme, monkeypatch):
     W = _overflowing_dense()[kind]
+    calls = _record_products(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError):
@@ -383,14 +420,61 @@ def test_dense_overflow_raises_without_warning(kind, scheme):
                 expm_baseline(W, 1e-8)
             else:
                 expm(W, 1e-8, scheme)
+    first = [finite for _, finite in calls].index(False)
+    assert calls[first][0] == _FIRST_OVERFLOW.get(kind, {}).get(scheme, "engine")
+    # Once a product has overflowed, at most two more squarings run.
+    assert sum(name == "engine" for name, _ in calls[first + 1:]) <= 2
 
 
-def test_lowrank_overflow_raises_without_warning():
-    pair = LowRankPair(np.full((8, 1), 1e200), np.full((1, 8), 1e200))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NonFiniteError):
-            expm_lowrank(pair, 1e-8)
+def test_lowrank_overflow_raises_without_warning(monkeypatch):
+    big = np.zeros((2, 1))
+    big[0, 0] = 1e200
+    pairs = {
+        # V = A2 A1 overflows, so the input check raises before any product.
+        "entry": LowRankPair(np.full((8, 1), 1e200), np.full((1, 8), 1e200)),
+        # ||V||_1 = 1e200 is finite, V^2 formed during selection is not.
+        "select": LowRankPair(np.array([[1e100]]), np.array([[1e100]])),
+        # V = [[1]] is harmless; the assembly A1 psi(V) A2 overflows.
+        "assembly": LowRankPair(big, np.array([[1e-200, 1e200]])),
+    }
+    calls = _record_products(monkeypatch)
+    for kind, pair in pairs.items():
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                expm_lowrank(pair, 1e-8)
+        # The path has no squarings; it overflows in selection or after
+        # the t x t products, in the rectangular assembly.
+        finite = [f for _, f in calls]
+        if kind == "assembly":
+            assert finite and all(finite)
+        else:
+            assert finite == {"entry": [], "select": [False]}[kind], kind
+
+
+def test_every_charged_product_goes_through_a_module_mat_mul(monkeypatch):
+    # The benchmark attributes products to phases by wrapping mat_mul on
+    # the engine, select and poly modules, so every product the ledger
+    # charges must be looked up there.
+    rng = np.random.default_rng(41)
+    calls = _record_products(monkeypatch)
+    seen_s = set()
+    for norm in (1e-3, 0.3, 2.0, 40.0, 1e3):
+        W = random_with_norm(rng, 6, norm)
+        for run in (lambda: expm(W, 1e-8, "sastre"), lambda: expm(W, 1e-8, "ps"),
+                    lambda: expm_baseline(W, 1e-8)):
+            calls.clear()
+            res = run()
+            assert len(calls) == res.mults > 0
+            seen_s.add(res.plan.s > 0)
+    assert seen_s == {False, True}
+    for norm in (1e-3, 0.3, 2.0, 6.0):
+        a1, a2 = rng.uniform(-1, 1, (12, 3)), rng.uniform(-1, 1, (3, 12))
+        a1 *= norm / np.abs(a2 @ a1).sum(axis=0).max()
+        calls.clear()
+        res = expm_lowrank(LowRankPair(a1, a2), 1e-8)
+        assert len(calls) == res.mults > 0
 
 
 def test_non_finite_bound_takes_a_typed_path():

@@ -111,6 +111,23 @@ def test_one_norm_examples():
     assert one_norm(identity(7)) == 1.0
     assert one_norm(zeros(5)) == 0.0
 
+    # Bit for bit the method-chain formula, summation order included.
+    def chained(A):
+        return float(np.abs(A.a).sum(axis=0).max())
+
+    rng = np.random.default_rng(3)
+    cases = [Matrix(rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-5, 5))
+             for n in (1, 2, 7, 8, 33, 64)]
+    cases.append(Matrix([[-0.0, 0.0], [-0.0, -0.0]]))
+    cases.append(Matrix(rng.uniform(-1, 1, (5, 5)) * 1e-310))  # subnormals
+    for A in cases:
+        assert math.copysign(1.0, one_norm(A)) == 1.0
+        assert one_norm(A) == chained(A)
+    # Finite entries whose column sums overflow: +inf either way.
+    big = Matrix(np.full((3, 3), 1e308))
+    with np.errstate(over="ignore"):
+        assert one_norm(big) == chained(big) == math.inf
+
 
 def test_frobenius_examples():
     assert frobenius_norm(identity(4)) == 2.0

@@ -164,8 +164,9 @@ def test_bare_selectors_take_an_overflowed_norm_without_warning():
             warnings.simplefilter("error")
             plan = sel(Matrix(nilpotent), 1e-8)  # W^2 = 0 ends the series
             assert (plan.m, plan.s, plan.e1, plan.e2) == (2, 0, 0.0, 0.0)
-            with pytest.raises(NonFiniteError):  # W^2 overflows
-                sel(Matrix(np.full((2, 2), 1e308)), 1e-8)
+            for big in (1e308, 1e200):  # W^2 overflows, ||W||_1 or not
+                with pytest.raises(NonFiniteError):
+                    sel(Matrix(np.full((2, 2), big)), 1e-8)
 
 
 def test_early_termination_means_no_scaling():

@@ -40,8 +40,6 @@ from .poly import (
     taylor_coeffs_exp,
 )
 from .select import (
-    AlphaBound,
-    BoundDomainError,
     EvalPlan,
     LOWRANK_TABLES,
     MAX_SCALING,
@@ -54,9 +52,6 @@ from .select import (
     SelectionTables,
     ToleranceError,
     UNIT_ROUNDOFF,
-    alpha_from_cache,
-    remainder_bound_exp,
-    remainder_bound_phi,
     select_ps,
     select_sastre,
 )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import ExpmResult, LowRankPair, expm, expm_baseline
-from .matrix import Matrix, MatrixError
+from .matrix import Matrix, MatrixError, NonFiniteError
 from .oracle import expm_reference, relative_error
 from .select import (SCHEME_BASELINE, SCHEME_PS, SCHEME_SASTRE, ToleranceError,
                      check_tolerance)
@@ -83,8 +83,8 @@ class GeneratorSpec:
             raise ConfigError(f"{self.kind} needs order >= 2")
         if not self.target_norm > 0:
             raise ConfigError("target norm must be positive")
-        if self.noise < 0:
-            raise ConfigError("noise must be nonnegative")
+        if not 0 <= self.noise < math.inf:
+            raise ConfigError("noise must be finite and nonnegative")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -182,7 +182,7 @@ class SuiteConfig:
             )
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise ConfigError(f"bad suite config: {exc}") from exc
         return cfg
 
@@ -200,16 +200,22 @@ class SuiteConfig:
         for scheme in self.schemes:
             if scheme not in _SCHEMES:
                 raise ConfigError(f"unknown scheme {scheme!r}")
-        if not (0 < self.norm_min <= self.norm_max):
-            raise ConfigError("need 0 < norms.min <= norms.max")
+        if not (0 < self.norm_min <= self.norm_max < math.inf):
+            raise ConfigError("need 0 < norms.min <= norms.max < inf")
         if self.norm_count < 1:
             raise ConfigError("norms.count must be at least 1")
         if self.norm_scale not in ("log", "linear"):
             raise ConfigError("norms.scale must be 'log' or 'linear'")
+        if self.base_seed < 0:
+            raise ConfigError("seeds.base must be nonnegative")
         try:
             check_tolerance(self.eps)
         except ToleranceError as exc:
             raise ConfigError(str(exc)) from exc
+        # GeneratorSpec holds the per-kind rules (minimum order, noise).
+        for kind in self.kinds:
+            for n in self.sizes:
+                GeneratorSpec(kind, n, self.norm_max, self.base_seed, self.noise)
 
     def norm_grid(self) -> np.ndarray:
         if self.norm_count == 1:
@@ -274,7 +280,12 @@ def _run_scheme(W: Matrix, scheme: str, eps: float) -> ExpmResult:
 
 def _run_task(config: SuiteConfig, spec: GeneratorSpec) -> list[BenchRecord]:
     rows = []
-    W = gen_matrix(spec)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            W = gen_matrix(spec)
+    except NonFiniteError as exc:
+        raise ConfigError(f"target norm {spec.target_norm!r} overflows "
+                          f"generating {spec.kind}") from exc
     try:
         ref = expm_reference(W)
     except (MatrixError, ArithmeticError):
@@ -297,7 +308,8 @@ def _run_task(config: SuiteConfig, spec: GeneratorSpec) -> list[BenchRecord]:
 def run_suite(config: SuiteConfig, parallel: int | None = None) -> list[BenchRecord]:
     """Run every (matrix, scheme) cell of the suite.
 
-    Driver errors are recorded as NaN rows, never fatal.  With
+    Driver errors are recorded as NaN rows, never fatal; a spec whose
+    matrix cannot be generated raises :class:`ConfigError`.  With
     ``parallel`` > 1 matrices are sharded over processes, one ledger per
     task; record order is by task index either way.
     """
@@ -329,8 +341,8 @@ class ProfileTable:
 
 def performance_profile(records, alphas) -> ProfileTable:
     alphas = tuple(float(a) for a in alphas)
-    if not alphas or any(a < 1 for a in alphas):
-        raise ConfigError("alpha grid must be nonempty with values >= 1")
+    if not alphas or not all(1 <= a < math.inf for a in alphas):
+        raise ConfigError("alpha grid must be nonempty with finite values >= 1")
     if any(b < a for a, b in zip(alphas, alphas[1:])):
         raise ConfigError("alpha grid must be ascending")
     schemes = sorted({r.scheme for r in records})

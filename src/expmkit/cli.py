@@ -17,12 +17,12 @@ from .bench import (
     ConfigError,
     SuiteConfig,
     _profile_dict,
+    _run_scheme,
     emit_reports,
     performance_profile,
     read_records_csv,
     run_suite,
 )
-from .engine import expm, expm_baseline
 from .matrix import MatrixError, NonFiniteError, load_matrix, one_norm, save_matrix
 from .select import SCHEME_BASELINE, SCHEME_PS, SCHEME_SASTRE, ToleranceError
 
@@ -38,10 +38,7 @@ def _cmd_single(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
-        if args.scheme == SCHEME_BASELINE:
-            res = expm_baseline(W, args.eps)
-        else:
-            res = expm(W, args.eps, args.scheme)
+        res = _run_scheme(W, args.scheme, args.eps)
     except ToleranceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -68,7 +65,11 @@ def _cmd_bench(args) -> int:
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    records = run_suite(config, parallel=args.parallel)
+    try:
+        records = run_suite(config, parallel=args.parallel)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     profile = performance_profile(records, DEFAULT_PROFILE_ALPHAS)
     try:
         emit_reports(records, profile, args.csv, args.summary)

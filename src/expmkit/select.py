@@ -2,7 +2,8 @@
 
 One search, :func:`_select`, walks one of three order ladders
 (:data:`PS_TABLES`, :data:`SASTRE_TABLES` and, for the index-shifted
-series of the low-rank path, :data:`LOWRANK_TABLES`) and bounds the
+series of the low-rank path, :data:`LOWRANK_TABLES`, all built by
+:func:`_ladder` from the Paterson-Stockmeyer block shape) and bounds the
 first two remainder terms, E1 ~ c1 ||W^(m+1)|| and E2 ~ c2 ||W^(m+2)||,
 using products of 1-norms of the powers of W cached so far (never
 forming higher powers just to bound them).  The first order whose
@@ -20,15 +21,6 @@ Each power formed while bounding comes from the unchecked product; its
 finite, so only a power whose norm is Inf or NaN is scanned, and a
 non-finite entry raises :class:`~expmkit.matrix.NonFiniteError` there.
 A finite power whose column sums overflow goes on with an infinite bound.
-
-:func:`alpha_from_cache` (the surrogate alpha_p = max a_k^(1/k) built
-from the cached norms) and the closed remainder bounds
-:func:`remainder_bound_exp` and :func:`remainder_bound_phi` are
-validation helpers only; no selector uses them.  Selecting with alpha_p
-in place of the cached-norm products changed no plan on 1,128 inputs
-(five dense kinds, n = 8-64, 1-norms 2.8e-4 to 1e3, both ladders,
-eps 1e-8): the two-term bounds above already take the tightest product
-of the norms in the cache.
 """
 
 from __future__ import annotations
@@ -38,16 +30,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix import Matrix, MatrixError, MulLedger, check_finite, one_norm
+from .matrix import Matrix, MulLedger, check_finite, one_norm
 # The unchecked product keeps the name mat_mul: perfbench/tracing.py counts
 # products per phase by wrapping the module attributes select.mat_mul,
 # poly.mat_mul and engine.mat_mul.
 from .matrix import _mat_mul_unchecked as mat_mul
-from .poly import EXP_COEFFS, inv_factorial
+from .poly import EXP_COEFFS, inv_factorial, ps_shape
 
 __all__ = [
-    "AlphaBound",
-    "BoundDomainError",
     "EvalPlan",
     "LOWRANK_TABLES",
     "MAX_SCALING",
@@ -60,10 +50,7 @@ __all__ = [
     "SelectionTables",
     "ToleranceError",
     "UNIT_ROUNDOFF",
-    "alpha_from_cache",
     "check_tolerance",
-    "remainder_bound_exp",
-    "remainder_bound_phi",
     "select_ps",
     "select_sastre",
 ]
@@ -79,10 +66,6 @@ SCHEME_LOWRANK = "lowrank"
 
 class ToleranceError(ValueError):
     """Requested tolerance below the unit roundoff (or not a number)."""
-
-
-class BoundDomainError(ValueError):
-    """alpha_p outside the domain where the remainder bound applies."""
 
 
 def check_tolerance(eps: float) -> float:
@@ -123,10 +106,6 @@ def _log2_sum(x: float, y: float) -> float:
     return d  # NaN
 
 
-def _log2_factorial(n: int) -> float:
-    return math.lgamma(n + 1) / math.log(2.0)
-
-
 @dataclass(frozen=True)
 class SelectionTables:
     """Order ladder with its power/block shape and remainder-tail
@@ -144,49 +123,37 @@ class SelectionTables:
         object.__setattr__(self, "log_tails", tuple(_log2(c) for c in self.tails))
 
 
-PS_TABLES = SelectionTables(
-    orders=(1, 2, 4, 6, 9, 12, 16),
-    block_pows=(1, 2, 2, 3, 3, 4, 4),
-    block_counts=(1, 1, 2, 2, 3, 3, 4),
-    tails=(
-        inv_factorial(2), inv_factorial(3),
-        inv_factorial(3), inv_factorial(4),
-        inv_factorial(5), inv_factorial(6),
-        inv_factorial(7), inv_factorial(8),
-        inv_factorial(10), inv_factorial(11),
-        inv_factorial(13), inv_factorial(14),
-        inv_factorial(17), inv_factorial(18),
-    ),
-)
+def _ladder(orders, cap=math.inf, shift=0, first_tails=None) -> SelectionTables:
+    """The ladder over ``orders``: block power j = min(ps_shape(m).j, cap)
+    with k = ceil(m/j) blocks, and tail weights 1/(m+1+shift)! and
+    1/(m+2+shift)!, unless ``first_tails`` replaces the first for an order."""
+    first_tails = first_tails or {}
+    pows = tuple(min(ps_shape(m).j, cap) for m in orders)
+    return SelectionTables(
+        orders=tuple(orders),
+        block_pows=pows,
+        block_counts=tuple(-(-m // j) for m, j in zip(orders, pows)),
+        tails=tuple(c for m in orders for c in (
+            first_tails.get(m, inv_factorial(m + 1 + shift)),
+            inv_factorial(m + 2 + shift))),
+    )
 
-# The penultimate tail weight of the 15+ route is |1/16! - b16|: the
-# degree-16 coefficient of the evaluated polynomial is b16, not 1/16!,
-# so that is the remainder weight actually left at degree 16.
-SASTRE_TABLES = SelectionTables(
-    orders=(1, 2, 4, 8, 15),
-    block_pows=(1, 2, 2, 2, 2),
-    block_counts=(1, 1, 2, 4, 8),
-    tails=(
-        inv_factorial(2), inv_factorial(3),
-        inv_factorial(3), inv_factorial(4),
-        inv_factorial(5), inv_factorial(6),
-        inv_factorial(9), inv_factorial(10),
-        abs(inv_factorial(16) - EXP_COEFFS.b16), inv_factorial(17),
-    ),
-)
+
+PS_TABLES = _ladder((1, 2, 4, 6, 9, 12, 16))
+
+# The evaluation formulas need only W^2.  The penultimate tail weight of
+# the 15+ route is |1/16! - b16|: the degree-16 coefficient of the
+# evaluated polynomial is b16, not 1/16!, so that is the remainder weight
+# actually left at degree 16.
+SASTRE_TABLES = _ladder((1, 2, 4, 8, 15), cap=2,
+                        first_tails={15: abs(inv_factorial(16) - EXP_COEFFS.b16)})
 
 # The low-rank path evaluates sum_i V^i/(i+1)!, so the tail weights are
 # the shifted 1/(m+2)! and 1/(m+3)!.  Its ladder is the evaluation-formula
 # ladder extended by Paterson-Stockmeyer degrees, but the shifted series
 # has no published formula coefficients, so every order here is
 # evaluated by ps_eval; only V^2 is formed while bounding.
-_LOWRANK_ORDERS = (1, 2, 4, 8, 15, 16, 20, 25, 30)
-LOWRANK_TABLES = SelectionTables(
-    orders=_LOWRANK_ORDERS,
-    block_pows=(1, 2, 2, 2, 2, 2, 2, 2, 2),
-    block_counts=(1, 1, 2, 4, 8, 8, 10, 13, 15),
-    tails=tuple(inv_factorial(m + d) for m in _LOWRANK_ORDERS for d in (2, 3)),
-)
+LOWRANK_TABLES = _ladder((1, 2, 4, 8, 15, 16, 20, 25, 30), cap=2, shift=1)
 
 
 @dataclass
@@ -290,79 +257,3 @@ def select_sastre(W: Matrix, eps: float, ledger: MulLedger | None = None) -> Eva
     with np.errstate(over="ignore", invalid="ignore"):
         return _select(W, eps, SASTRE_TABLES, SCHEME_SASTRE, ledger)
 
-
-# ---------------------------------------------------------------------------
-# Sharper power-norm surrogate and the closed remainder bounds
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AlphaBound:
-    """alpha_p = max a_k^(1/k) over the remainder index set, where a_k
-    upper-bounds ||W^k||_1; never larger than ||W||_1."""
-
-    p: int
-    alpha_p: float
-
-
-def alpha_from_cache(plan: EvalPlan, m: int, p: int) -> AlphaBound:
-    """Build alpha_p from the power norms a selection already cached.
-
-    Each a_k is the minimal product of cached power-norms whose exponents
-    sum to k (submultiplicativity), found by a small DP; no additional
-    matrix products are spent.  The index set is {p} and m+1 .. m+1+p
-    with the multiple of p in that window dropped.
-    """
-    norms = plan.cached_norms
-    if 1 not in norms:
-        raise MatrixError(f"power-norm cache lacks ||W||_1: {sorted(norms)}")
-    m = int(m)
-    p = int(p)
-    if m < 0 or not 1 <= p <= m + 1:
-        raise ValueError(f"need 1 <= p <= m+1, got p={p}, m={m}")
-    kmax = m + 1 + p
-    logs = {e: _log2(v) for e, v in norms.items() if e >= 1}
-    best = [math.inf] * (kmax + 1)
-    best[0] = 0.0
-    for q in range(1, kmax + 1):
-        for e, le in logs.items():
-            if e <= q:
-                cand = best[q - e] + le
-                if cand < best[q]:
-                    best[q] = cand
-    p0 = m + 1
-    while p0 % p:
-        p0 += 1
-    ks = [p] + [q for q in range(m + 1, kmax + 1) if q != p0]
-    val = max(best[q] / q for q in ks)
-    return AlphaBound(p=p, alpha_p=_exp2(val))
-
-
-def _alpha_value(alpha) -> float:
-    a = alpha.alpha_p if isinstance(alpha, AlphaBound) else float(alpha)
-    if math.isnan(a) or a < 0:
-        raise BoundDomainError(f"alpha_p must be a nonnegative real, got {a!r}")
-    return a
-
-
-def remainder_bound_exp(alpha, m: int) -> float:
-    """Closed bound alpha^(m+1)/(m+1)! * 1/(1 - alpha/(m+2)) on the
-    exponential Taylor remainder of degree m; requires alpha < m + 2."""
-    a = _alpha_value(alpha)
-    if a >= m + 2:
-        raise BoundDomainError(f"bound needs alpha_p < m+2 = {m + 2}, got {a}")
-    if a == 0.0:
-        return 0.0
-    lead = _exp2((m + 1) * math.log2(a) - _log2_factorial(m + 1))
-    return lead / (1.0 - a / (m + 2))
-
-
-def remainder_bound_phi(alpha, m: int) -> float:
-    """Same shape for the index-shifted series sum_{k>m} A^k/(k+1)!:
-    alpha^(m+1)/(m+2)! * 1/(1 - alpha/(m+3)); requires alpha < m + 3."""
-    a = _alpha_value(alpha)
-    if a >= m + 3:
-        raise BoundDomainError(f"bound needs alpha_p < m+3 = {m + 3}, got {a}")
-    if a == 0.0:
-        return 0.0
-    lead = _exp2((m + 1) * math.log2(a) - _log2_factorial(m + 2))
-    return lead / (1.0 - a / (m + 3))

@@ -17,7 +17,6 @@ from expmkit import (
     LOWRANK_ORDERS,
     Matrix,
     MulLedger,
-    alpha_from_cache,
     default_suite_config,
     eval_low_order,
     eval_t8,
@@ -31,7 +30,6 @@ from expmkit import (
     poly_reference,
     ps_eval,
     relative_error,
-    remainder_bound_phi,
     run_suite,
     scale_pow2,
     select_ps,
@@ -253,6 +251,21 @@ def test_criterion_08_structural_identities():
 # 9. low-rank path
 # ---------------------------------------------------------------------------
 
+def _shifted_tail_bound(plan):
+    """Closed bound alpha^(m+1)/(m+2)! / (1 - alpha/(m+3)) on the whole tail
+    sum_{k>m} V^k/(k+1)! (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl.
+    31(3), 2009): alpha = max a_k^(1/k) over k = 2 and m+1..m+3 less the
+    first even one, a_k = min_i ||V^2||^i ||V||^(k-2i) from the cached norms."""
+    m, norms = plan.m, plan.cached_norms
+    n2 = norms.get(2, norms[1] ** 2)
+    drop = m + 1 + (m + 1) % 2
+    ks = [2] + [k for k in (m + 1, m + 2, m + 3) if k != drop]
+    alpha = max(min(n2 ** i * norms[1] ** (k - 2 * i) for i in range(k // 2 + 1))
+                ** (1 / k) for k in ks)
+    assert alpha < m + 3
+    return alpha ** (m + 1) / math.factorial(m + 2) / (1 - alpha / (m + 3))
+
+
 def test_criterion_09_low_rank_path():
     from expmkit import expm_lowrank
 
@@ -268,8 +281,7 @@ def test_criterion_09_low_rank_path():
         assert res.plan.m in LOWRANK_ORDERS
         # independent check: the closed shifted-series bound at the chosen
         # order, with alpha built from the cached power norms, meets eps
-        alpha = alpha_from_cache(res.plan, res.plan.m, 2)
-        assert remainder_bound_phi(alpha, res.plan.m) <= eps
+        assert _shifted_tail_bound(res.plan) <= eps
     _ok(9, "low-rank path within 1e-7 of the oracle; orders satisfy the "
            "shifted-series bound")
 

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from expmkit import Matrix, load_matrix, save_matrix
+from expmkit import KINDS, Matrix, load_matrix, save_matrix
 from expmkit.cli import main
 
 
@@ -113,6 +119,66 @@ def test_bench_bad_config(tmp_path, capsys):
                  "--summary", str(tmp_path / "s.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "unit roundoff" in err
+    # malformed values are rejected before the run, not met by a traceback
+    norms = {"min": 1e-2, "max": 2.0, "count": 2}
+    for overrides in ({"seeds": 5},
+                      {"norms": {**norms, "count": math.inf}},
+                      {"norms": {**norms, "max": math.inf}},
+                      {"sizes": [1], "kinds": ["rotation_block"]},
+                      {"seeds": {"base": -1}},
+                      {"noise": math.nan},
+                      {"norms": {**norms, "max": 1.7e308}}):
+        bad = suite_file(tmp_path, **overrides)
+        assert main(["bench", "--suite", str(bad), "--csv", str(tmp_path / "c.csv"),
+                     "--summary", str(tmp_path / "s.json")]) == 2, overrides
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+_MISSING = object()
+_JUNK = st.sampled_from([_MISSING, None, "x", -1, 0, 1.5, math.nan, math.inf, [], {}, True])
+
+
+@st.composite
+def _suites(draw):
+    """A suite JSON whose values, nested ones included, are drawn from small
+    valid ranges (some out of range), with up to three replaced by junk or
+    removed."""
+    norms = {"min": draw(st.sampled_from([1e-3, 1.0, 12.8])),
+             "max": draw(st.sampled_from([1e-3, 1.0, 12.8, 1.7e308])),
+             "count": draw(st.integers(-1, 3)),
+             "scale": draw(st.sampled_from(["log", "linear", "sqrt"]))}
+    seeds = {"base": draw(st.integers(-2, 2 ** 70))}
+    cfg = {"eps": draw(st.sampled_from([1e-8, 1e-3, 2.0 ** -53, 1e-17])),
+           "sizes": draw(st.lists(st.integers(-2, 6), max_size=2)),
+           "kinds": draw(st.lists(st.sampled_from(KINDS + ("nope",)), max_size=2)),
+           "schemes": draw(st.lists(st.sampled_from(["baseline", "ps", "sastre", "pade"]),
+                                    max_size=3)),
+           "norms": norms, "seeds": seeds,
+           "noise": draw(st.sampled_from([0.0, 1e-8]))}
+    spots = [(cfg, key) for key in cfg] + [(norms, key) for key in norms] + [(seeds, "base")]
+    for i in draw(st.lists(st.integers(0, len(spots) - 1), max_size=3, unique=True)):
+        d, key = spots[i]
+        value = draw(_JUNK)
+        if value is _MISSING:
+            del d[key]
+        else:
+            d[key] = value
+    return cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_suites())
+def test_bench_exit_code_on_any_suite(cfg):
+    # serial, n <= 6 and at most 3 norms: no example allocates much or forks
+    with tempfile.TemporaryDirectory() as tmp:
+        suite = os.path.join(tmp, "suite.json")
+        with open(suite, "w") as f:
+            json.dump(cfg, f)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = main(["bench", "--suite", suite, "--csv", os.path.join(tmp, "c.csv"),
+                       "--summary", os.path.join(tmp, "s.json")])
+    assert rc in (0, 2, 3)
 
 
 def test_profile_bad_alphas(tmp_path, capsys):
@@ -125,3 +191,7 @@ def test_profile_bad_alphas(tmp_path, capsys):
     assert main(["profile", "--csv", str(tmp_path / "nothere.csv"), "--alphas", "1,2",
                  "--out", str(tmp_path / "p.json")]) == 2
     capsys.readouterr()
+    # a NaN alpha would be written as invalid JSON
+    assert main(["profile", "--csv", str(csv_path), "--alphas", "nan,1",
+                 "--out", str(tmp_path / "p.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

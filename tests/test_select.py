@@ -15,13 +15,7 @@ from expmkit import (
     NonFiniteError,
     PS_TABLES,
     SASTRE_TABLES,
-    AlphaBound,
-    BoundDomainError,
     ToleranceError,
-    alpha_from_cache,
-    one_norm,
-    remainder_bound_exp,
-    remainder_bound_phi,
     select_ps,
     select_sastre,
     zeros,
@@ -208,99 +202,3 @@ def test_norm_halving_never_increases_s():
             s_half = sel(0.5 * W, 1e-8).s
             assert s_half <= s_full
 
-
-# ---------------------------------------------------------------------------
-# closed remainder bounds
-# ---------------------------------------------------------------------------
-
-def test_remainder_bound_exp_values():
-    assert remainder_bound_exp(0.0, 9) == 0.0
-    want = inv_fact(16) * (17.0 / 16.0)
-    assert remainder_bound_exp(1.0, 15) == pytest.approx(want, rel=1e-12)
-    assert remainder_bound_exp(1.0, 15) == pytest.approx(5.078e-14, rel=1e-3)
-
-
-def test_remainder_bound_exp_domain():
-    with pytest.raises(BoundDomainError):
-        remainder_bound_exp(17.0, 15)
-    with pytest.raises(BoundDomainError):
-        remainder_bound_exp(-0.5, 15)
-    remainder_bound_exp(16.999, 15)
-
-
-def test_remainder_bound_exp_monotonicity():
-    alphas = np.linspace(0.1, 10.0, 25)
-    vals = [remainder_bound_exp(a, 9) for a in alphas]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-    for alpha in (0.5, 2.0, 5.0):
-        by_m = [remainder_bound_exp(alpha, m) for m in (4, 6, 9, 12, 16)]
-        assert all(b < a for a, b in zip(by_m, by_m[1:]))
-
-
-def test_remainder_bound_phi_values():
-    assert remainder_bound_phi(0.0, 4) == 0.0
-    want = inv_fact(10) * (11.0 / 10.0)
-    assert remainder_bound_phi(1.0, 8) == pytest.approx(want, rel=1e-12)
-    assert remainder_bound_phi(1.0, 8) == pytest.approx(3.031e-7, rel=1e-3)
-    with pytest.raises(BoundDomainError):
-        remainder_bound_phi(11.0, 8)
-
-
-def test_bounds_accept_alpha_bound_objects():
-    ab = AlphaBound(p=2, alpha_p=1.0)
-    assert remainder_bound_exp(ab, 15) == remainder_bound_exp(1.0, 15)
-
-
-# ---------------------------------------------------------------------------
-# alpha_p from cached norms
-# ---------------------------------------------------------------------------
-
-def test_alpha_diag_is_exact():
-    plan = select_ps(diag(1.0), 1e-8)
-    ab = alpha_from_cache(plan, plan.m, 2)
-    assert ab.alpha_p == pytest.approx(1.0, rel=1e-12)
-
-
-def test_alpha_nilpotent_not_above_norm():
-    N = Matrix(np.diag([1.0, 1.0, 1.0], k=1))
-    plan = select_sastre(N, 1e-8)
-    ab = alpha_from_cache(plan, plan.m, 2)
-    assert ab.alpha_p <= one_norm(N) + 1e-15
-    # ||N^2||_1 = 1 = ||N||_1^2 here, so no strict gain; a graded nilpotent
-    # with ||N^2||_1 < ||N||_1^2 must come out strictly below the norm.
-    G = Matrix(np.diag([1.0, 0.25, 1.0], k=1))
-    plan_g = select_sastre(G, 1e-8)
-    ab_g = alpha_from_cache(plan_g, plan_g.m, 2)
-    assert one_norm(plan_g.cached_powers[2]) < one_norm(G) ** 2
-    assert ab_g.alpha_p < one_norm(G)
-
-
-def test_alpha_p_equal_one_includes_first_norm():
-    rng = np.random.default_rng(13)
-    W = Matrix(rng.uniform(-1, 1, (6, 6)))
-    plan = select_ps(W, 1e-8)
-    ab = alpha_from_cache(plan, 4, 1)
-    assert ab.p == 1
-    assert ab.alpha_p <= one_norm(W) + 1e-15
-
-
-def test_alpha_argument_validation():
-    plan = select_ps(diag(1.0), 1e-8)
-    with pytest.raises(ValueError):
-        alpha_from_cache(plan, 5, 0)
-    with pytest.raises(ValueError):
-        alpha_from_cache(plan, 5, 7)
-
-
-def test_alpha_bounds_realized_power_norms():
-    # a_k built from cached norms must dominate the true ||W^k||_1.
-    rng = np.random.default_rng(29)
-    for _ in range(10):
-        n = int(rng.integers(2, 10))
-        W = Matrix(rng.uniform(-1, 1, (n, n)))
-        plan = select_ps(W, 1e-8)
-        m = plan.m if plan.m >= 2 else 2
-        ab = alpha_from_cache(plan, m, 2)
-        k = m + 1
-        true_norm = one_norm(Matrix(np.linalg.matrix_power(W.a, k)))
-        assert true_norm <= ab.alpha_p ** k * (1 + 1e-12) + 1e-300

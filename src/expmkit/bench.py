@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import ExpmResult, LowRankPair, expm, expm_baseline
-from .matrix import Matrix, MatrixError, NonFiniteError
+from .matrix import Matrix, MatrixError
 from .oracle import expm_reference, relative_error
 from .select import (SCHEME_BASELINE, SCHEME_PS, SCHEME_SASTRE, ToleranceError,
                      check_tolerance)
@@ -91,11 +91,21 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _scaled(arr: np.ndarray, target: float) -> np.ndarray:
-    norm = float(np.abs(arr).sum(axis=0).max())
+def _scaled(arr: np.ndarray, target: float, norm: float | None = None) -> np.ndarray:
+    """arr * (target / norm), with norm defaulting to arr's 1-norm.
+
+    Raises :class:`ConfigError`, without a NumPy warning, when an entry
+    of the result leaves the binary64 range.
+    """
+    if norm is None:
+        norm = float(np.abs(arr).sum(axis=0).max())
     if norm == 0.0:
         raise ConfigError("generated matrix is zero; cannot hit a positive norm")
-    return arr * (target / norm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = arr * (target / norm)
+    if not np.isfinite(out).all():
+        raise ConfigError(f"target norm {target!r} is out of binary64 range")
+    return out
 
 
 def gen_matrix(spec: GeneratorSpec):
@@ -103,6 +113,8 @@ def gen_matrix(spec: GeneratorSpec):
 
     Bit-identical for identical specs; after scaling the 1-norm matches
     ``target_norm`` to within ~1e-12 relative (one rounding per entry).
+    Raises :class:`ConfigError` when the spec cannot be generated, a
+    target norm too large for binary64 included.
     """
     rng = _rng(spec.seed)
     n = spec.n
@@ -110,7 +122,7 @@ def gen_matrix(spec: GeneratorSpec):
         d = rng.uniform(-1.0, 1.0, n)
         if not np.abs(d).max() > 0:
             d[0] = 1.0
-        return Matrix(np.diag(d * (spec.target_norm / np.abs(d).max())))
+        return Matrix(np.diag(_scaled(d, spec.target_norm, float(np.abs(d).max()))))
     if spec.kind == KIND_DENSE:
         return Matrix(_scaled(rng.uniform(-1.0, 1.0, (n, n)), spec.target_norm))
     if spec.kind == KIND_TRIANGULAR:
@@ -137,10 +149,7 @@ def gen_matrix(spec: GeneratorSpec):
         a1 = rng.uniform(-1.0, 1.0, (n, t))
         a2 = rng.uniform(-1.0, 1.0, (t, n))
         v_norm = float(np.abs(a2 @ a1).sum(axis=0).max())
-        if v_norm == 0.0:
-            raise ConfigError("degenerate low-rank draw")
-        a2 = a2 * (spec.target_norm / v_norm)
-        return LowRankPair(a1, a2)
+        return LowRankPair(a1, _scaled(a2, spec.target_norm, v_norm))
     raise ConfigError(f"unknown generator kind {spec.kind!r}")
 
 
@@ -170,14 +179,14 @@ class SuiteConfig:
             norms = d["norms"]
             cfg = cls(
                 eps=float(d["eps"]),
-                sizes=tuple(int(n) for n in d["sizes"]),
+                sizes=tuple(_json_int(n, "sizes") for n in d["sizes"]),
                 kinds=tuple(d["kinds"]),
                 schemes=tuple(d["schemes"]),
                 norm_min=float(norms["min"]),
                 norm_max=float(norms["max"]),
-                norm_count=int(norms["count"]),
+                norm_count=_json_int(norms["count"], "norms.count"),
                 norm_scale=str(norms.get("scale", "log")),
-                base_seed=int(d.get("seeds", {}).get("base", 0)),
+                base_seed=_json_int(d.get("seeds", {}).get("base", 0), "seeds.base"),
                 noise=float(d.get("noise", 1e-8)),
             )
         except ConfigError:
@@ -239,6 +248,14 @@ class SuiteConfig:
         return out
 
 
+def _json_int(value, name: str) -> int:
+    """A JSON integer as is; a float (2.0 too), a string or a bool is
+    rejected rather than truncated."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _derive_seed(base: int, index: int) -> int:
     return int(np.random.SeedSequence([base, index]).generate_state(1, np.uint64)[0])
 
@@ -280,12 +297,7 @@ def _run_scheme(W: Matrix, scheme: str, eps: float) -> ExpmResult:
 
 def _run_task(config: SuiteConfig, spec: GeneratorSpec) -> list[BenchRecord]:
     rows = []
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            W = gen_matrix(spec)
-    except NonFiniteError as exc:
-        raise ConfigError(f"target norm {spec.target_norm!r} overflows "
-                          f"generating {spec.kind}") from exc
+    W = gen_matrix(spec)
     try:
         ref = expm_reference(W)
     except (MatrixError, ArithmeticError):
@@ -311,9 +323,9 @@ def run_suite(config: SuiteConfig, parallel: int | None = None) -> list[BenchRec
     Driver errors are recorded as NaN rows, never fatal; a spec whose
     matrix cannot be generated raises :class:`ConfigError`.  With
     ``parallel`` > 1 matrices are sharded over processes, one ledger per
-    task; record order is by task index either way.
+    task; record order is by task index either way.  ``config`` was
+    validated when it was built.
     """
-    config.validate()
     specs = config.specs()
     if parallel and parallel > 1 and len(specs) > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
@@ -403,21 +415,23 @@ def write_records_csv(records, path) -> None:
 
 
 def read_records_csv(path) -> list[BenchRecord]:
-    records = []
     with open(path, "r", newline="", encoding="ascii") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_COLUMNS:
-            raise ConfigError(f"unexpected CSV header {header!r}")
-        for row in reader:
-            if len(row) != len(CSV_COLUMNS):
-                raise ConfigError(f"malformed CSV row {row!r}")
-            spec = GeneratorSpec(kind=row[0], n=int(row[1]),
-                                 target_norm=float(row[2]), seed=int(row[3]))
-            records.append(BenchRecord(
-                generator=spec, scheme=row[4], m=int(row[5]), s=int(row[6]),
-                square_mults=int(row[7]), rel_err=float(row[8]),
-                wall_time=float(row[9])))
+        try:
+            rows = list(csv.reader(f))
+        except csv.Error as exc:
+            raise ConfigError(f"unreadable CSV: {exc}") from exc
+    if not rows or tuple(rows[0]) != CSV_COLUMNS:
+        raise ConfigError(f"unexpected CSV header {rows[0] if rows else None!r}")
+    records = []
+    for row in rows[1:]:
+        if len(row) != len(CSV_COLUMNS):
+            raise ConfigError(f"malformed CSV row {row!r}")
+        spec = GeneratorSpec(kind=row[0], n=int(row[1]),
+                             target_norm=float(row[2]), seed=int(row[3]))
+        records.append(BenchRecord(
+            generator=spec, scheme=row[4], m=int(row[5]), s=int(row[6]),
+            square_mults=int(row[7]), rel_err=float(row[8]),
+            wall_time=float(row[9])))
     return records
 
 

@@ -3,6 +3,13 @@
 Exit codes: 0 success, 2 invalid configuration or input, 3 numerical
 failure (the run completed but at least one row failed, or the single
 computation did not finish).
+
+:func:`main` owns the mapping: every input error expmkit raises (a bad
+suite, matrix, CSV or tolerance, a non-integral count) is a
+``ValueError``, as are malformed JSON and undecodable bytes, so these,
+an ``OSError`` and the ``RecursionError`` of deeply nested JSON print
+``error: ...`` and exit 2.  The commands are straight-line code; only
+``expm single`` maps a numerical failure of its computation to exit 3.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ import sys
 
 from .bench import (
     DEFAULT_PROFILE_ALPHAS,
-    ConfigError,
     SuiteConfig,
     _profile_dict,
     _run_scheme,
@@ -23,8 +29,8 @@ from .bench import (
     read_records_csv,
     run_suite,
 )
-from .matrix import MatrixError, NonFiniteError, load_matrix, one_norm, save_matrix
-from .select import SCHEME_BASELINE, SCHEME_PS, SCHEME_SASTRE, ToleranceError
+from .matrix import NonFiniteError, load_matrix, one_norm, save_matrix
+from .select import SCHEME_BASELINE, SCHEME_PS, SCHEME_SASTRE
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -32,16 +38,10 @@ EXIT_NUMERICAL = 3
 
 
 def _cmd_single(args) -> int:
-    try:
-        W = load_matrix(args.infile)
-    except (OSError, MatrixError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    # A non-finite entry met while loading is bad input (exit 2, in main).
+    W = load_matrix(args.infile)
     try:
         res = _run_scheme(W, args.scheme, args.eps)
-    except ToleranceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except (NonFiniteError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -50,32 +50,16 @@ def _cmd_single(args) -> int:
         print(f"scheme={args.scheme} n={W.n} one_norm={one_norm(W)!r}")
         print(f"e1={res.plan.e1!r} e2={res.plan.e2!r} wall_time_s={res.wall_time!r}")
     if args.out:
-        try:
-            save_matrix(res.value, args.out)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+        save_matrix(res.value, args.out)
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
-    try:
-        with open(args.suite, "r", encoding="utf-8") as f:
-            config = SuiteConfig.from_dict(json.load(f))
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        records = run_suite(config, parallel=args.parallel)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    with open(args.suite, "r", encoding="utf-8") as f:
+        config = SuiteConfig.from_dict(json.load(f))
+    records = run_suite(config, parallel=args.parallel)
     profile = performance_profile(records, DEFAULT_PROFILE_ALPHAS)
-    try:
-        emit_reports(records, profile, args.csv, args.summary)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    emit_reports(records, profile, args.csv, args.summary)
     failures = sum(1 for r in records if not math.isfinite(r.rel_err))
     print(f"records={len(records)} failures={failures} csv={args.csv} "
           f"summary={args.summary}")
@@ -83,20 +67,12 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    try:
-        records = read_records_csv(args.csv)
-        alphas = [float(tok) for tok in args.alphas.split(",") if tok.strip()]
-        profile = performance_profile(records, alphas)
-    except (OSError, ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        with open(args.out, "w", encoding="ascii") as f:
-            json.dump(_profile_dict(profile), f, indent=2)
-            f.write("\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    records = read_records_csv(args.csv)
+    alphas = [float(tok) for tok in args.alphas.split(",") if tok.strip()]
+    profile = performance_profile(records, alphas)
+    with open(args.out, "w", encoding="ascii") as f:
+        json.dump(_profile_dict(profile), f, indent=2)
+        f.write("\n")
     print(f"profile over {profile.matrices} matrices -> {args.out}")
     return EXIT_OK
 
@@ -137,7 +113,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, RecursionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -140,9 +140,8 @@ class MulLedger:
     """Counter of full matrix-matrix products.
 
     The ledger is an explicit parameter, never ambient state: each call
-    chain owns one ledger, and parallel runs keep one per task and
-    :meth:`merge` afterwards.  It only ever increases, by exactly one per
-    product.
+    chain owns one ledger, so calls in parallel never share one.  It only
+    ever increases, by exactly one per product.
     """
 
     __slots__ = ("count",)
@@ -154,9 +153,6 @@ class MulLedger:
 
     def charge(self) -> None:
         self.count += 1
-
-    def merge(self, other: "MulLedger") -> None:
-        self.count += other.count
 
     def __repr__(self):
         return f"MulLedger(count={self.count})"

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,17 @@ def test_generator_spec_validation():
         GeneratorSpec(kind="diag", n=4, target_norm=0.0, seed=0)
     with pytest.raises(ConfigError):
         GeneratorSpec(kind="rotation_block", n=1, target_norm=1.0, seed=0)
+
+
+@pytest.mark.parametrize("kind", ["rotation_block", "nonnormal_triangular",
+                                  "nilpotent_perturbed", "lowrank_pair"])
+def test_unreachable_target_norm_is_config_error(kind):
+    # the scale factor or an entry overflows binary64; no NumPy warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="binary64"):
+            gen_matrix(GeneratorSpec(kind, 2 if kind == "nilpotent_perturbed" else 4,
+                                     1.7e308, 0))
 
 
 # ---------------------------------------------------------------------------

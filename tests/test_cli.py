@@ -3,12 +3,16 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import expmkit
 from expmkit import KINDS, Matrix, load_matrix, save_matrix
 from expmkit.cli import main
 
@@ -68,6 +72,21 @@ def test_single_bad_inputs(tmp_path, matrix_file, capsys):
     assert main(["single", "--in", str(matrix_file), "--eps", "1e-17",
                  "--scheme", "ps"]) == 2
     capsys.readouterr()
+    # a non-ASCII byte and an entry that overflows while loading
+    for name, data in (("latin1.txt", b"1\n\xe9\n"), ("inf.txt", b"1\n1e400\n")):
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        assert main(["single", "--in", str(bad), "--eps", "1e-8",
+                     "--scheme", "sastre"]) == 2, name
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_single_numerical_failure(tmp_path, capsys):
+    # exp(800) overflows binary64: the computation fails, not the input
+    path = tmp_path / "big.txt"
+    save_matrix(Matrix([[800.0]]), path)
+    assert main(["single", "--in", str(path), "--eps", "1e-8", "--scheme", "sastre"]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 def test_bench_and_profile_round_trip(tmp_path, capsys):
@@ -127,10 +146,23 @@ def test_bench_bad_config(tmp_path, capsys):
                       {"sizes": [1], "kinds": ["rotation_block"]},
                       {"seeds": {"base": -1}},
                       {"noise": math.nan},
-                      {"norms": {**norms, "max": 1.7e308}}):
+                      {"norms": {**norms, "max": 1.7e308}},
+                      {"sizes": [2.9], "norms": {**norms, "count": 1.9}},
+                      {"sizes": [2.0]},
+                      {"sizes": ["3"]},
+                      {"norms": {**norms, "count": True}},
+                      {"seeds": {"base": 2.0}},
+                      {"seeds": {"base": "7"}}):
         bad = suite_file(tmp_path, **overrides)
         assert main(["bench", "--suite", str(bad), "--csv", str(tmp_path / "c.csv"),
                      "--summary", str(tmp_path / "s.json")]) == 2, overrides
+        assert capsys.readouterr().err.startswith("error: ")
+    # files that are not UTF-8, or nest deeper than the JSON decoder recurses
+    for data in (b'{"eps": "\xff"}', b"[" * 100000):
+        bad = tmp_path / "raw.json"
+        bad.write_bytes(data)
+        assert main(["bench", "--suite", str(bad), "--csv", str(tmp_path / "c.csv"),
+                     "--summary", str(tmp_path / "s.json")]) == 2, data[:8]
         assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -181,6 +213,55 @@ def test_bench_exit_code_on_any_suite(cfg):
     assert rc in (0, 2, 3)
 
 
+_ENTRIES = st.sampled_from(["1.0", "-0.5", "0", "3e-3", "nan", "1e400", "1e300",
+                            "x", "\xe9"])
+
+
+@st.composite
+def _matrix_texts(draw):
+    """Matrix text of order <= 4 with a junk order line, rows of the wrong
+    count or length, non-ASCII bytes and non-finite or huge entries."""
+    n = draw(st.integers(1, 4))
+    order = draw(st.sampled_from([str(n), str(n), "0", "-1", "2.5", "x", "\xe9"]))
+    rows = []
+    for _ in range(draw(st.sampled_from([n, n, n - 1, n + 1]))):
+        width = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
+        rows.append(" ".join(draw(_ENTRIES) for _ in range(width)))
+    return "\n".join([order] + rows) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_matrix_texts(), eps=st.sampled_from(["1e-8", "1e-17", "nan", "inf", "-1"]),
+       scheme=st.sampled_from(["baseline", "ps", "sastre"]))
+def test_single_exit_code_on_any_matrix(text, eps, scheme):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "w.txt")
+        with open(path, "wb") as f:
+            f.write(text.encode("latin-1"))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = main(["single", "--in", path, "--eps", eps, "--scheme", scheme,
+                       "--out", os.path.join(tmp, "e.txt")])
+    assert rc in (0, 2, 3)
+
+
+def test_entry_point_exits_2_without_traceback(tmp_path):
+    # the installed script runs sys.exit(main()); check it in a fresh interpreter
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"1\n\xe9\n")
+    src = str(Path(expmkit.__file__).resolve().parents[1])
+    for argv in (["single", "--in", str(bad), "--eps", "1e-8", "--scheme", "ps"],
+                 ["bench", "--suite", str(bad), "--csv", str(tmp_path / "c.csv"),
+                  "--summary", str(tmp_path / "s.json")],
+                 ["profile", "--csv", str(bad), "--alphas", "1,2",
+                  "--out", str(tmp_path / "p.json")]):
+        proc = subprocess.run([sys.executable, "-m", "expmkit.cli", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 2, (argv[0], proc.stderr)
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_profile_bad_alphas(tmp_path, capsys):
     suite = suite_file(tmp_path)
     csv_path = tmp_path / "records.csv"
@@ -193,5 +274,11 @@ def test_profile_bad_alphas(tmp_path, capsys):
     capsys.readouterr()
     # a NaN alpha would be written as invalid JSON
     assert main(["profile", "--csv", str(csv_path), "--alphas", "nan,1",
+                 "--out", str(tmp_path / "p.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    # a field longer than the csv module's limit
+    huge = tmp_path / "huge.csv"
+    huge.write_text(csv_path.read_text().splitlines()[0] + "\n" + "1" * 200000 + "\n")
+    assert main(["profile", "--csv", str(huge), "--alphas", "1,2",
                  "--out", str(tmp_path / "p.json")]) == 2
     assert capsys.readouterr().err.startswith("error: ")

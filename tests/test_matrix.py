@@ -80,11 +80,7 @@ def test_ledger_counts_products_only():
         assert led.count == k
 
 
-def test_ledger_merge():
-    a, b = MulLedger(), MulLedger(3)
-    a.charge()
-    a.merge(b)
-    assert a.count == 4
+def test_ledger_rejects_negative_count():
     with pytest.raises(ValueError):
         MulLedger(-1)
 

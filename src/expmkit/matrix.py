@@ -24,6 +24,8 @@ check and raises the same :class:`NonFiniteError`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -193,8 +195,16 @@ def one_norm(A: Matrix) -> float:
 
 
 def frobenius_norm(A: Matrix) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(A.a))
+    """Square root of the sum of squared entries.
+
+    The entries are scaled by 2^-e, where 2^e bounds max|a_ij|, before
+    they are squared, and the norm is scaled back.  Both scalings are
+    exact barring subnormals, so the result is the plain formula's
+    wherever that neither overflows (from about 1.3e154 on) nor
+    underflows.
+    """
+    e = math.frexp(float(np.maximum.reduce(np.abs(A.a), axis=None)))[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(A.a, -e))), e)
 
 
 def scale_pow2(A: Matrix, s: int) -> Matrix:

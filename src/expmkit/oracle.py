@@ -28,8 +28,19 @@ of A and each column of B gets an exponent e, with its hi entries below
 the grid 2^(e - (p+1) w), minus the slices before it.  The cut
 s = (r + sigma) - sigma with sigma = 0.75 * 2^(e + beta - p w) and
 beta = 53 - w rounds r to the nearest grid point exactly, and r - s is
-exact too; hi and lo are cut on the same grid.  A slice entry is
-therefore an integer of magnitude at most 2^w + 1 times its grid unit.
+exact too; hi and lo are cut on the same grid, and each sigma is the
+previous one times 2^-w, exactly.  A slice entry is therefore an integer
+of magnitude at most 2^w + 1 times its grid unit.
+
+Every pair the oracle forms is normalized, |lo| <= ulp(hi)/2 <= 2^(e-54)
+entrywise, so lo's slice on the grid 2^(e - (p+1) w) is exactly +0
+while 2^(e-54) is at most half the grid unit, 2^(e - (p+1) w - 1).  The
+cut skips lo on those grids: hi's slice is never -0, so adding +0 to it
+and taking +0 from lo change no bit.  It skips while (p+1) w + 1 <= 51,
+which leaves a factor 8 of margin on lo.  Since 2 w + 1 <= 51 for every
+order (``_slicing`` asserts 2 w + 1 + ceil(log2(d n)) <= 53, and d n >= 3),
+lo is cut only on the last grid when d = 3, and on the last two when
+d = 4.
 
 Level l gathers the slice pairs (p, l - p).  Their products share one
 unit per result entry, and the level is one BLAS call whose inner
@@ -59,11 +70,22 @@ d + 1 = 4 BLAS calls worth 10 binary64 products of order n (from order
 column of B, not per entry, and assumes that nothing underflows or
 overflows.
 
-The right operand of every power and Horner product is fixed within a
-call (B, then B^j), so it is cut once into its BLAS layout
-(:func:`_split_right`), and each product cuts only its left operand
+One routine, :func:`_cut`, cuts every operand.  The right operand of
+every power and Horner product is fixed within a call (B, then B^j), so
+it is cut once into its BLAS layout (:func:`_split_right`): its columns
+are cut through a transposed view that writes each slice straight into
+its block.  Each product then cuts only its left operand
 (:func:`_dd_dot`).  B's lo part is zero and is not cut.  A squaring has
-no fixed operand and cuts both (:func:`_dd_matmul`).
+no fixed operand: :func:`_dd_matmul` prepares its right operand the same
+way and then takes the same product.
+
+At small orders the cost of a product is numpy passes, not BLAS.  With
+d = 3, a product with a prepared right operand makes 4 BLAS calls and
+about 40 elementwise passes over n^2 entries: 15 to cut the left
+operand and 24 to sum the levels.  A squaring first cuts its right
+operand, which takes about 18 more.  In the Taylor blocks each power is
+Dekker-split once per call and each 1/k! comes pre-split from a table,
+so a term costs a scaling (16 passes) and a double-double addition (20).
 """
 
 from __future__ import annotations
@@ -102,15 +124,11 @@ def _quick_two_sum(a, b):
     return s, b - (s - a)
 
 
-def _two_prod(a, b):
-    p = a * b
+def _dekker(a):
+    """Dekker's split of a into halves of at most 26 bits: a = ah + al."""
     c = _SPLITTER * a
     ah = c - (c - a)
-    al = a - ah
-    c = _SPLITTER * b
-    bh = c - (c - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return ah, a - ah
 
 
 def _dd_add(xh, xl, yh, yl):
@@ -122,10 +140,14 @@ def _dd_add(xh, xl, yh, yl):
     return _quick_two_sum(sh, se)
 
 
-def _dd_mul(xh, xl, yh, yl):
-    ph, pe = _two_prod(xh, yh)
-    pe = pe + (xh * yl + xl * yh)
-    return _quick_two_sum(ph, pe)
+def _dd_scale(x, c):
+    """(xh, xl) c for a double-double scalar c, both given with xh and ch
+    pre-split: x = (xh, xl, *_dekker(xh)) and c = (ch, cl, *_dekker(ch))."""
+    xh, xl, ah, al = x
+    ch, cl, bh, bl = c
+    p = xh * ch  # two_prod(xh, ch) = (p, its exact error)
+    pe = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return _quick_two_sum(p, pe + (xh * cl + xl * ch))
 
 
 @functools.cache
@@ -143,25 +165,45 @@ def _slicing(n: int):
     return width, depth
 
 
-def _split(x, width: int, depth: int):
-    """Cut the double-double matrices x = (hi, lo) row-wise into slices.
+# A normalized lo (|lo| <= 2^(e-54)) has zero slices, with a factor 8 to
+# spare, on every grid 2^(e - (p+1) w) with (p+1) w + 1 <= _LO_GRID; see the
+# module docstring.
+_LO_GRID = 51
 
-    Returns ``(slices, rems)``, each of shape ``(depth,) + x[0].shape``.
-    Slice p of a row is an integer of magnitude at most 2^width + 1
-    times 2^(e - (p+1) width), where 2^e bounds the row's hi entries;
-    ``rems[p]`` is the remainder after p + 1 slices, rounded to binary64.
-    x may also hold hi alone, as ``x[None]``, when lo is zero.
+
+def _cut(hi, lo, width: int, depth: int, slices, rems=None):
+    """Cut the rows of the double-double matrix (hi, lo) into slices.
+
+    Slice p of a row is an integer of magnitude at most 2^width + 1 times
+    2^(e - (p+1) width), where 2^e bounds the row's hi entries; it is
+    written to ``slices[p]``.  ``rems[p]`` receives the remainder after
+    p + 1 slices, rounded to binary64; with ``rems=None`` only the last
+    one is kept, in ``slices[depth]``.  lo must be normalized,
+    |lo| <= ulp(hi)/2, as it is cut only on the grids where its slices
+    can be nonzero; ``lo=None`` means lo is zero.  The outputs may be
+    strided views, so a transposed view of a matrix cuts its columns
+    straight into another layout.
     """
-    e = np.frexp(np.abs(x[0]).max(axis=-1, keepdims=True))[1]
-    slices = np.empty((depth,) + x.shape[1:])
-    rems = np.empty_like(slices)
+    e = np.frexp(np.maximum.reduce(np.abs(hi), axis=1, keepdims=True))[1]
+    sigma = np.ldexp(0.75 * 2.0 ** (53 - width), e)
     for p in range(depth):
-        sigma = np.ldexp(0.75, e + (53 - (p + 1) * width))
-        s = (x + sigma) - sigma
-        x = x - s
-        np.add.reduce(s, out=slices[p])
-        np.add.reduce(x, out=rems[p])
-    return slices, rems
+        s = slices[p]
+        np.add(hi, sigma, out=s)
+        s -= sigma
+        rem = rems[p] if rems is not None else slices[depth] if p == depth - 1 else None
+        if lo is None:
+            hi = np.subtract(hi, s, out=rem)
+        else:
+            hi = hi - s
+            if (p + 1) * width + 1 > _LO_GRID:
+                t = lo + sigma
+                t -= sigma
+                lo = lo - t
+                s += t
+            if rem is not None:
+                np.add(hi, lo, out=rem)
+        if p < depth - 1:
+            sigma = sigma * 2.0 ** -width
 
 
 def _split_right(bh, bl=None):
@@ -171,35 +213,29 @@ def _split_right(bh, bl=None):
     b_tail = [R_d(B); ..; R_1(B); hi of B], the slices and remainders of
     B's columns stacked row-block-wise.  A right operand that is fixed
     over many products is split once; ``bl=None`` means lo is zero.
+    B's columns are cut through transposed views, so the slices land in
+    their blocks without a copy.
     """
     n = bh.shape[0]
     width, depth = _slicing(n)
-    x = bh.T[None] if bl is None else np.stack((bh.T, bl.T))
-    slices, rems = _split(x, width, depth)
-    b_col = slices[::-1].transpose(0, 2, 1).reshape(depth * n, n)
-    b_rems = rems[::-1].transpose(0, 2, 1).reshape(depth * n, n)
-    return b_col, np.concatenate((b_rems, bh))
+    b_col = np.empty((depth, n, n))
+    b_tail = np.empty((depth + 1, n, n))
+    _cut(bh.T, None if bl is None else bl.T, width, depth,
+         b_col[::-1].transpose(0, 2, 1), b_tail[depth - 1::-1].transpose(0, 2, 1))
+    b_tail[depth] = bh
+    return b_col.reshape(depth * n, n), b_tail.reshape((depth + 1) * n, n)
 
 
 def _dd_dot(ah, al, right):
     """Double-double product of (ah, al) and a right operand prepared by
-    :func:`_split_right`; only the left operand is split here."""
+    :func:`_split_right`; only the left operand is cut here."""
     n = ah.shape[0]
     width, depth = _slicing(n)
     b_col, b_tail = right
-    # a_row = [A_0 .. A_d-1  R_d(A)], cut as in _split but keeping only
-    # the last remainder.  Level l is the first l + 1 blocks of a_row
-    # times the last l + 1 of b_col; the tail is a_row times b_tail.
-    x = np.stack((ah, al))
-    e = np.frexp(np.abs(ah).max(axis=1, keepdims=True))[1]
+    # a_row = [A_0 .. A_d-1  R_d(A)].  Level l is the first l + 1 blocks of
+    # a_row times the last l + 1 of b_col; the tail is a_row times b_tail.
     a_row = np.empty((n, depth + 1, n))
-    for p in range(depth):
-        sigma = np.ldexp(0.75, e + (53 - (p + 1) * width))
-        s = x + sigma
-        s -= sigma
-        x -= s
-        np.add(s[0], s[1], out=a_row[:, p])
-    np.add(x[0], x[1], out=a_row[:, depth])
+    _cut(ah, al, width, depth, a_row.transpose(1, 0, 2))
     a_row = a_row.reshape(n, (depth + 1) * n)
     ch, cl = a_row @ b_tail, 0.0
     for lev in reversed(range(depth)):
@@ -214,18 +250,14 @@ def _dd_matmul(ah, al, bh, bl):
     return _dd_dot(ah, al, _split_right(bh, bl))
 
 
-def _dd_inv_factorial(k: int):
-    """1/k! in double-double, hi and lo each correctly rounded."""
-    f = math.factorial(k)
-    hi = 1 / f  # int / int rounds correctly
-    num, den = hi.as_integer_ratio()
-    return hi, (den - num * f) / (den * f)
-
-
 def _add_eye(xh, xl, ch, cl=0.0):
-    """(xh, xl) + (ch, cl) I in double-double, in place on the diagonal."""
-    diag = np.diag_indices(xh.shape[0])
-    xh[diag], xl[diag] = _dd_add(xh[diag], xl[diag], ch, cl)
+    """(xh, xl) + (ch, cl) I in double-double, in place on the diagonal.
+
+    The diagonals are written through ``einsum('ii->i')`` views, which
+    stay views of the pair in any memory layout.
+    """
+    dh, dl = np.einsum("ii->i", xh), np.einsum("ii->i", xl)
+    dh[:], dl[:] = _dd_add(dh, dl, ch, cl)
     return xh, xl
 
 
@@ -243,6 +275,20 @@ def _taylor_degree(b: float) -> int:
     return m
 
 
+def _dd_inv_factorial(k: int):
+    """1/k! in double-double, hi and lo each correctly rounded, with hi
+    pre-split for :func:`_dd_scale`."""
+    f = math.factorial(k)
+    hi = 1 / f  # int / int rounds correctly
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * f) / (den * f), *_dekker(hi)
+
+
+# Every degree _expm_dd can pick: the tail bound grows with b <= 2^-4.
+_INV_FACTORIALS = tuple(map(_dd_inv_factorial,
+                            range(_taylor_degree(_SCALE_TARGET) + 1)))
+
+
 def _expm_dd(A: Matrix):
     """e^A as a double-double pair (hi, lo)."""
     norm1 = one_norm(A)
@@ -258,21 +304,25 @@ def _expm_dd(A: Matrix):
     else:
         shape = ps_shape(m)
         j, k = shape.j, shape.k
-        coeffs = [_dd_inv_factorial(i) for i in range(m + 1)]
+        coeffs = _INV_FACTORIALS
         bh = np.ldexp(A.a, -s)
         pw = {1: (bh, np.zeros((n, n)))}
         if j > 1:
             right = _split_right(bh)
             for p in range(2, j + 1):
                 pw[p] = _dd_dot(*pw[p - 1], right)
+        # Each power the blocks scale, B^1 .. B^t with t the longest block,
+        # is Dekker-split once: the top block ends at m, the others at j - 1.
+        terms = {t: (*pw[t], *_dekker(pw[t][0]))
+                 for t in range(1, max(m - (k - 1) * j, j - 1) + 1)}
 
         def block(lo, hi):
             # sum_t coeffs[lo + t] B^t for t = 0 .. hi - lo; hi > lo, since
             # ps_shape gives j >= 2 whenever k > 1.
-            xh, xl = _dd_mul(*pw[1], *coeffs[lo + 1])
+            xh, xl = _dd_scale(terms[1], coeffs[lo + 1])
             for t in range(2, hi - lo + 1):
-                xh, xl = _dd_add(xh, xl, *_dd_mul(*pw[t], *coeffs[lo + t]))
-            return _add_eye(xh, xl, *coeffs[lo])
+                xh, xl = _dd_add(xh, xl, *_dd_scale(terms[t], coeffs[lo + t]))
+            return _add_eye(xh, xl, *coeffs[lo][:2])
 
         # Horner in B^j over the blocks, as in poly.ps_eval: the top block
         # may reach degree j itself, so k - 1 products suffice.

@@ -65,15 +65,24 @@ SCHEME_LOWRANK = "lowrank"
 
 
 class ToleranceError(ValueError):
-    """Requested tolerance below the unit roundoff (or not a number)."""
+    """Requested tolerance not a number, below the unit roundoff, or not
+    below 1."""
 
 
 def check_tolerance(eps: float) -> float:
+    """eps as a float, if it is a relative tolerance in [u, 1)."""
     eps = float(eps)
-    if math.isnan(eps) or eps < UNIT_ROUNDOFF:
+    if math.isnan(eps):
+        raise ToleranceError(f"tolerance {eps!r} is not a number")
+    if eps < UNIT_ROUNDOFF:
         raise ToleranceError(
             f"tolerance {eps!r} below unit roundoff {UNIT_ROUNDOFF:.3e}; "
             "sub-roundoff accuracy cannot be guaranteed in binary64"
+        )
+    if eps >= 1.0:
+        raise ToleranceError(
+            f"tolerance {eps!r} is not below 1; a relative error of 1 or "
+            "more bounds nothing"
         )
     return eps
 

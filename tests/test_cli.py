@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -68,10 +69,11 @@ def test_single_bad_inputs(tmp_path, matrix_file, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("2\n1.0\n")
     assert main(["single", "--in", str(bad), "--eps", "1e-8", "--scheme", "ps"]) == 2
-    # sub-roundoff tolerance is invalid input
-    assert main(["single", "--in", str(matrix_file), "--eps", "1e-17",
-                 "--scheme", "ps"]) == 2
-    capsys.readouterr()
+    # sub-roundoff and unbounded tolerances are invalid input
+    for eps in ("1e-17", "inf"):
+        assert main(["single", "--in", str(matrix_file), "--eps", eps,
+                     "--scheme", "ps"]) == 2, eps
+        assert capsys.readouterr().err.startswith("error: ")
     # a non-ASCII byte and an entry that overflows while loading
     for name, data in (("latin1.txt", b"1\n\xe9\n"), ("inf.txt", b"1\n1e400\n")):
         bad = tmp_path / name
@@ -124,6 +126,21 @@ def test_bench_deterministic_across_runs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bench_huge_exponentials_are_measured(tmp_path, capsys):
+    # e^A near 1e304: the error metric must not square entries that large
+    suite = suite_file(tmp_path, sizes=[8], kinds=["diag"], schemes=["sastre"],
+                       norms={"min": 300, "max": 700, "count": 3}, seeds={"base": 5})
+    csv_path = tmp_path / "records.csv"
+    rc = main(["bench", "--suite", str(suite), "--csv", str(csv_path),
+               "--summary", str(tmp_path / "summary.json")])
+    assert "failures=0" in capsys.readouterr().out
+    assert rc == 0
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["s"]) for r in rows] == [8, 8, 9]
+    assert all(0.0 < float(r["rel_err"]) < 1e-8 for r in rows)
+
+
 def test_bench_bad_config(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["bench", "--suite", str(missing), "--csv", str(tmp_path / "c.csv"),
@@ -152,7 +169,9 @@ def test_bench_bad_config(tmp_path, capsys):
                       {"sizes": ["3"]},
                       {"norms": {**norms, "count": True}},
                       {"seeds": {"base": 2.0}},
-                      {"seeds": {"base": "7"}}):
+                      {"seeds": {"base": "7"}},
+                      {"eps": math.inf},
+                      {"eps": 2.0}):
         bad = suite_file(tmp_path, **overrides)
         assert main(["bench", "--suite", str(bad), "--csv", str(tmp_path / "c.csv"),
                      "--summary", str(tmp_path / "s.json")]) == 2, overrides

@@ -129,6 +129,10 @@ def test_frobenius_examples():
     assert frobenius_norm(identity(4)) == 2.0
     assert frobenius_norm(zeros(3)) == 0.0
     assert frobenius_norm(Matrix([[3.0, 4.0], [0.0, 0.0]])) == 5.0
+    # squares of entries near 1e200 overflow and near 1e-200 vanish;
+    # tier-1 turns the overflow warning into an error
+    for exp2 in (664, -664):
+        assert frobenius_norm(Matrix([[3.0, 4.0], [0.0, 0.0]]) * 2.0 ** exp2) == 5.0 * 2.0 ** exp2
 
 
 def test_scale_pow2_exactness():

@@ -25,7 +25,8 @@ from expmkit import (
     zeros,
 )
 from expmkit import oracle
-from expmkit.oracle import _dd_matmul, _expm_dd, _slicing, _split, _two_sum
+from expmkit.oracle import (_cut, _dd_dot, _dd_matmul, _expm_dd, _quick_two_sum, _slicing,
+                            _split_right, _two_sum)
 
 
 def test_zero_gives_identity():
@@ -109,6 +110,19 @@ def test_relative_error_examples():
     assert relative_error(ref, ref).norm_kind == "frobenius"
 
 
+@pytest.mark.parametrize("exp2", [664, -664])  # entries near 1e200 and 1e-200
+def test_relative_error_is_scale_free(exp2):
+    # Squared entries past about 1.3e154 overflow and below 1e-162 vanish;
+    # tier-1 turns the overflow warning into an error.
+    rng = np.random.default_rng(12)
+    ref = rng.uniform(-1, 1, (5, 5))
+    X = ref * (1.0 + 1e-9 * rng.uniform(-1, 1, (5, 5)))
+    want = relative_error(Matrix(X), Matrix(ref)).rel_err
+    assert 1e-11 < want < 1e-9
+    got = relative_error(Matrix(np.ldexp(X, exp2)), Matrix(np.ldexp(ref, exp2)))
+    assert got.rel_err == want
+
+
 def test_relative_error_guards():
     with pytest.raises(MatrixError):
         relative_error(identity(2), zeros(2))
@@ -187,11 +201,14 @@ def test_level_products_exact_at_order_64():
     rng = np.random.default_rng(64)
     ah, al = _dd_pair(rng, n, row_scale=_pow2(rng, n))
     bh, bl = _dd_pair(rng, n, col_scale=_pow2(rng, n))
-    # same-signed leading slices make the level sums as large as they get
-    x = np.stack((np.abs(ah), np.abs(bh.T), al, bl.T)).reshape(2, 2, n, n)
-    slices, _ = _split(x, width, depth)
+    # same-signed leading slices make the level sums as large as they get;
+    # A's rows and B's columns are cut together, B's through its transpose
+    hi = np.concatenate((np.abs(ah), np.abs(bh.T)))
+    cut = np.empty((depth + 1, 2 * n, n))
+    _cut(hi, np.concatenate((al, bl.T)), width, depth, cut)
+    slices = cut[:depth].reshape(depth, 2, n, n)
     # slice p of a row of A (column of B) is an integer times 2^(e - (p+1) w)
-    e = np.frexp(np.abs(x[0]).max(axis=2))[1]
+    e = np.frexp(np.abs(hi).max(axis=1))[1].reshape(2, n)
     ints = []
     for p in range(depth):
         q = np.ldexp(slices[p], -(e - (p + 1) * width)[:, :, None])
@@ -206,6 +223,80 @@ def test_level_products_exact_at_order_64():
         assert np.abs(exact).max() <= 2 ** 53
         unit = e[0][:, None] + e[1][None, :] - (lev + 2) * width
         assert np.array_equal(blas, np.ldexp(exact.astype(np.float64), unit))
+
+
+# ---------------------------------------------------------------------------
+# the kernels against the two-plane slicing they replaced, byte for byte
+# ---------------------------------------------------------------------------
+
+def _ref_split(x, width, depth):
+    """Cut x = (hi, lo), or hi alone as x[None], row-wise on one grid."""
+    e = np.frexp(np.abs(x[0]).max(axis=-1, keepdims=True))[1]
+    slices = np.empty((depth,) + x.shape[1:])
+    rems = np.empty_like(slices)
+    for p in range(depth):
+        sigma = np.ldexp(0.75, e + (53 - (p + 1) * width))
+        s = (x + sigma) - sigma
+        x = x - s
+        np.add.reduce(s, out=slices[p])
+        np.add.reduce(x, out=rems[p])
+    return slices, rems
+
+
+def _ref_split_right(bh, bl=None):
+    n = bh.shape[0]
+    width, depth = _slicing(n)
+    x = bh.T[None] if bl is None else np.stack((bh.T, bl.T))
+    slices, rems = _ref_split(x, width, depth)
+    b_col = slices[::-1].transpose(0, 2, 1).reshape(depth * n, n)
+    b_rems = rems[::-1].transpose(0, 2, 1).reshape(depth * n, n)
+    return b_col, np.concatenate((b_rems, bh))
+
+
+def _ref_dd_dot(ah, al, right):
+    n = ah.shape[0]
+    width, depth = _slicing(n)
+    slices, rems = _ref_split(np.stack((ah, al)), width, depth)
+    a_row = np.hstack((*slices, rems[-1]))
+    b_col, b_tail = right
+    ch, cl = a_row @ b_tail, 0.0
+    for lev in reversed(range(depth)):
+        level = a_row[:, :(lev + 1) * n] @ b_col[(depth - 1 - lev) * n:]
+        ch, err = _two_sum(ch, level)
+        cl = cl + err
+    return _quick_two_sum(ch, cl)
+
+
+def _tight_pair(rng, n):
+    """Normalized pair with |lo| exactly ulp(hi)/2, 2^+-40 row and column
+    scales, and (from order 2) a zero row and a zero column."""
+    hi = rng.uniform(-1.0, 1.0, (n, n)) * _pow2(rng, n)[:, None] * _pow2(rng, n)[None, :]
+    lo = np.spacing(np.abs(hi)) / 2 * rng.choice([-1.0, 1.0], (n, n))
+    if n > 1:
+        i, j = rng.integers(n, size=2)
+        hi[i], lo[i], hi[:, j], lo[:, j] = 0.0, 0.0, 0.0, 0.0
+    return hi, lo
+
+
+def _same_bytes(got, want):
+    return all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 16, 64, 90])  # d = 4 from order 86 on
+def test_kernels_match_two_plane_reference_bytes(n):
+    # lo is cut only where its slices can be nonzero; this pins that the
+    # skipped cuts change no bit of (hi, lo)
+    rng = np.random.default_rng(500 + n)
+    for _ in range(3):
+        ah, al = _tight_pair(rng, n)
+        bh, bl = _tight_pair(rng, n)
+        right = _ref_split_right(bh, bl)
+        assert _same_bytes(_split_right(bh, bl), right)
+        assert _same_bytes(_split_right(bh), _ref_split_right(bh))
+        assert _same_bytes(_dd_dot(ah, al, _split_right(bh, bl)), _ref_dd_dot(ah, al, right))
+        assert _same_bytes(_dd_matmul(ah, al, bh, bl), _ref_dd_dot(ah, al, right))
+        assert _same_bytes(_dd_matmul(ah, al, ah, al),
+                           _ref_dd_dot(ah, al, _ref_split_right(ah, al)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +330,10 @@ def _fraction_expm(arr, s):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_reference_matches_exact_rational_exponential(n):
     rng = np.random.default_rng(300 + n)
-    for norm, s in ((0.05, 0), (0.2, 2), (0.9, 4)):
+    cases = [(0.05, 0), (0.2, 2), (0.9, 4)]
+    if n == 2:
+        cases += [(3.2, 6), (6.4, 7)]  # six and seven squarings, about 1.5 s
+    for norm, s in cases:
         arr = rng.uniform(-1.0, 1.0, (n, n))
         arr *= norm / np.abs(arr).sum(axis=0).max()
         hi, lo = _expm_dd(Matrix(arr))
@@ -286,6 +380,37 @@ def test_reference_cost_is_paterson_stockmeyer(monkeypatch):
         assert len(calls) == want, (norm1, m, s)
         if s_want == 4:  # b = 2^-4, the largest scaled norm
             assert len(calls) == 6 + s
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_add_eye_writes_the_diagonal_in_any_layout(layout):
+    rng = np.random.default_rng(43)
+    big = rng.uniform(-1.0, 1.0, (2, 10, 10))
+    big[1] *= 2.0 ** -60
+    xh, xl = {"C": big[:, :5, :5].copy(), "F": np.asfortranarray(big[:, :5, :5]),
+              "strided": big[:, ::2, ::2]}[layout]
+    want_h, want_l = xh.copy(), xl.copy()
+    diag = np.diag_indices(5)
+    want_h[diag], want_l[diag] = oracle._dd_add(want_h[diag], want_l[diag], 1 / 3, 2.0 ** -56)
+    got = oracle._add_eye(xh, xl, 1 / 3, 2.0 ** -56)
+    assert got[0] is xh and got[1] is xl  # in place
+    assert _same_bytes(got, (want_h, want_l))
+
+
+@pytest.mark.parametrize("norm", [1e-9, 1e-7, 1e-5, 0.025])  # m = 3, 4, 5, 13
+def test_reference_does_not_depend_on_memory_layout(norm):
+    # Matrix keeps a Fortran-ordered input's layout, and so does the scaled
+    # B that the Taylor blocks start from.
+    rng = np.random.default_rng(41)
+    arr = rng.uniform(-1.0, 1.0, (5, 5))
+    arr *= norm / np.abs(arr).sum(axis=1).max()
+    fortran = Matrix(arr.T)
+    assert fortran.a.flags.f_contiguous and not fortran.a.flags.c_contiguous
+    want = _expm_dd(Matrix(np.ascontiguousarray(arr.T)))
+    assert _same_bytes(_expm_dd(fortran), want)
+    assert abs(want[0][0, 0] - 1.0) < 0.1  # the identity term is there
+    assert (expm_reference(fortran).a.tobytes()
+            == expm_reference(Matrix(np.ascontiguousarray(arr.T))).a.tobytes())
 
 
 def test_import_expmkit_does_not_load_scipy():

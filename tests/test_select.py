@@ -20,6 +20,7 @@ from expmkit import (
     select_sastre,
     zeros,
 )
+from expmkit.select import check_tolerance
 
 
 def inv_fact(n):
@@ -140,6 +141,19 @@ def test_selection_tolerance_floor():
         with pytest.raises(ToleranceError):
             sel(diag(1.0), float("nan"))
         sel(diag(1.0), 2.0 ** -53)  # the floor itself is admissible
+        sel(diag(1.0), math.nextafter(1.0, 0.0))  # and so is the largest eps below 1
+
+
+@pytest.mark.parametrize("eps, rule", [(math.inf, "not below 1"), (1.0, "not below 1"),
+                                       (math.nan, "not a number"),
+                                       (-math.inf, "below unit roundoff")])
+def test_tolerance_outside_unit_interval_rejected(eps, rule):
+    # an unbounded eps would let order 1 with no scaling stand for e^W at
+    # 1-norm 6; the message names the rule that failed
+    with pytest.raises(ToleranceError, match=rule):
+        check_tolerance(eps)
+    with pytest.raises(ToleranceError, match=rule):
+        select_ps(Matrix([[1.0, 2.0], [3.0, 4.0]]), eps)
 
 
 def test_scaling_capped_at_20():

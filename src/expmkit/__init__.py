@@ -65,7 +65,7 @@ from .engine import (
     expm_lowrank,
     squaring,
 )
-from .oracle import ErrorReport, expm_reference, poly_reference, relative_error
+from .oracle import expm_reference, poly_reference, relative_error
 from .bench import (
     BenchRecord,
     ConfigError,

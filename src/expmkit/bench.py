@@ -2,9 +2,8 @@
 
 Generation is a pure function of the spec (kind, order, target norm,
 seed); the stream behind every seed is numpy's Philox counter PRNG, so
-suites are reproducible bit for bit and may be sharded across processes
-without changing results.  Records are emitted in deterministic task
-order regardless of worker scheduling.
+suites are reproducible bit for bit.  A suite runs serially in one
+process, and records come out in spec order, then scheme order.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,16 +176,17 @@ class SuiteConfig:
         try:
             norms = d["norms"]
             cfg = cls(
-                eps=float(d["eps"]),
-                sizes=tuple(_json_int(n, "sizes") for n in d["sizes"]),
-                kinds=tuple(d["kinds"]),
-                schemes=tuple(d["schemes"]),
-                norm_min=float(norms["min"]),
-                norm_max=float(norms["max"]),
+                eps=_json_number(d["eps"], "eps"),
+                sizes=tuple(_json_int(n, "sizes")
+                            for n in _json_list(d["sizes"], "sizes")),
+                kinds=tuple(_json_list(d["kinds"], "kinds")),
+                schemes=tuple(_json_list(d["schemes"], "schemes")),
+                norm_min=_json_number(norms["min"], "norms.min"),
+                norm_max=_json_number(norms["max"], "norms.max"),
                 norm_count=_json_int(norms["count"], "norms.count"),
                 norm_scale=str(norms.get("scale", "log")),
                 base_seed=_json_int(d.get("seeds", {}).get("base", 0), "seeds.base"),
-                noise=float(d.get("noise", 1e-8)),
+                noise=_json_number(d.get("noise", 1e-8), "noise"),
             )
         except ConfigError:
             raise
@@ -256,6 +255,22 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_number(value, name: str) -> float:
+    """A JSON number (integer or float) as a float; a string or a bool is
+    rejected rather than converted."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_list(value, name: str) -> list:
+    """A JSON array as is; a string or an object is rejected rather than
+    iterated."""
+    if type(value) is not list:
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return value
+
+
 def _derive_seed(base: int, index: int) -> int:
     return int(np.random.SeedSequence([base, index]).generate_state(1, np.uint64)[0])
 
@@ -295,45 +310,31 @@ def _run_scheme(W: Matrix, scheme: str, eps: float) -> ExpmResult:
     return expm(W, eps, scheme)
 
 
-def _run_task(config: SuiteConfig, spec: GeneratorSpec) -> list[BenchRecord]:
-    rows = []
-    W = gen_matrix(spec)
-    try:
-        ref = expm_reference(W)
-    except (MatrixError, ArithmeticError):
-        ref = None
-    for scheme in config.schemes:
-        try:
-            res = _run_scheme(W, scheme, config.eps)
-        except (MatrixError, ArithmeticError):
-            rows.append(BenchRecord(spec, scheme, 0, 0, 0, math.nan, 0.0))
-            continue
-        if ref is None:
-            err = math.nan
-        else:
-            err = relative_error(res.value, ref).rel_err
-        rows.append(BenchRecord(spec, scheme, res.plan.m, res.plan.s,
-                                res.mults, err, res.wall_time))
-    return rows
-
-
-def run_suite(config: SuiteConfig, parallel: int | None = None) -> list[BenchRecord]:
-    """Run every (matrix, scheme) cell of the suite.
+def run_suite(config: SuiteConfig) -> list[BenchRecord]:
+    """Run every (matrix, scheme) cell of the suite, one matrix at a time.
 
     Driver errors are recorded as NaN rows, never fatal; a spec whose
-    matrix cannot be generated raises :class:`ConfigError`.  With
-    ``parallel`` > 1 matrices are sharded over processes, one ledger per
-    task; record order is by task index either way.  ``config`` was
+    matrix cannot be generated raises :class:`ConfigError`.  Records are
+    in spec order, then in ``config.schemes`` order.  ``config`` was
     validated when it was built.
     """
-    specs = config.specs()
-    if parallel and parallel > 1 and len(specs) > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            chunks = list(pool.map(_run_task, [config] * len(specs), specs,
-                                   chunksize=max(1, len(specs) // (4 * parallel))))
-    else:
-        chunks = [_run_task(config, spec) for spec in specs]
-    return [row for chunk in chunks for row in chunk]
+    rows = []
+    for spec in config.specs():
+        W = gen_matrix(spec)
+        try:
+            ref = expm_reference(W)
+        except (MatrixError, ArithmeticError):
+            ref = None
+        for scheme in config.schemes:
+            try:
+                res = _run_scheme(W, scheme, config.eps)
+            except (MatrixError, ArithmeticError):
+                rows.append(BenchRecord(spec, scheme, 0, 0, 0, math.nan, 0.0))
+                continue
+            err = math.nan if ref is None else relative_error(res.value, ref)
+            rows.append(BenchRecord(spec, scheme, res.plan.m, res.plan.s,
+                                    res.mults, err, res.wall_time))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def _cmd_single(args) -> int:
 def _cmd_bench(args) -> int:
     with open(args.suite, "r", encoding="utf-8") as f:
         config = SuiteConfig.from_dict(json.load(f))
-    records = run_suite(config, parallel=args.parallel)
+    records = run_suite(config)
     profile = performance_profile(records, DEFAULT_PROFILE_ALPHAS)
     emit_reports(records, profile, args.csv, args.summary)
     failures = sum(1 for r in records if not math.isfinite(r.rel_err))
@@ -98,8 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--suite", required=True, help="suite config JSON")
     bench.add_argument("--csv", required=True, help="per-record CSV output")
     bench.add_argument("--summary", required=True, help="summary JSON output")
-    bench.add_argument("--parallel", type=int, default=None,
-                       help="shard matrices over this many processes")
     bench.set_defaults(func=_cmd_bench)
 
     profile = sub.add_parser("profile", help="performance profile from a CSV")

@@ -142,7 +142,7 @@ class MulLedger:
     """Counter of full matrix-matrix products.
 
     The ledger is an explicit parameter, never ambient state: each call
-    chain owns one ledger, so calls in parallel never share one.  It only
+    chain owns one ledger, so no two calls share a count.  It only
     ever increases, by exactly one per product.
     """
 

@@ -93,7 +93,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,7 +100,6 @@ from .matrix import Matrix, MatrixError, NonFiniteError, frobenius_norm, one_nor
 from .poly import ps_shape
 
 __all__ = [
-    "ErrorReport",
     "expm_reference",
     "poly_reference",
     "relative_error",
@@ -358,19 +356,11 @@ def poly_reference(A: Matrix, coeffs) -> Matrix:
     return Matrix(xh + xl)
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """Normwise relative error in the Frobenius norm."""
-
-    rel_err: float
-    norm_kind: str = "frobenius"
-
-
-def relative_error(X: Matrix, ref: Matrix) -> ErrorReport:
+def relative_error(X: Matrix, ref: Matrix) -> float:
     """||X - ref||_F / ||ref||_F; zero exactly when the operands match."""
     if X.n != ref.n:
         raise MatrixError(f"order mismatch: {X.n} vs {ref.n}")
     denom = frobenius_norm(ref)
     if denom == 0.0:
         raise MatrixError("reference matrix has zero norm")
-    return ErrorReport(rel_err=frobenius_norm(X - ref) / denom)
+    return frobenius_norm(X - ref) / denom

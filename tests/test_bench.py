@@ -176,17 +176,6 @@ def test_run_suite_example_diag_grid():
     assert all(r.rel_err <= 1e-7 for r in records)
 
 
-def test_run_suite_parallel_matches_serial():
-    cfg = small_config()
-    serial = run_suite(cfg)
-    parallel = run_suite(cfg, parallel=2)
-    assert len(serial) == len(parallel)
-    for a, b in zip(serial, parallel):
-        assert a.generator == b.generator
-        assert (a.scheme, a.m, a.s, a.square_mults) == (b.scheme, b.m, b.s, b.square_mults)
-        assert a.rel_err == b.rel_err  # bit-identical, wall time aside
-
-
 # ---------------------------------------------------------------------------
 # performance profile
 # ---------------------------------------------------------------------------

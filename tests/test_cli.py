@@ -176,6 +176,19 @@ def test_bench_bad_config(tmp_path, capsys):
         assert main(["bench", "--suite", str(bad), "--csv", str(tmp_path / "c.csv"),
                      "--summary", str(tmp_path / "s.json")]) == 2, overrides
         assert capsys.readouterr().err.startswith("error: ")
+    # a value of the wrong JSON type is rejected, not converted or iterated
+    for field, overrides in (("norms.max", {"norms": {**norms, "max": True}}),
+                             ("norms.min", {"norms": {**norms, "min": "0.01"}}),
+                             ("eps", {"eps": "1e-8"}),
+                             ("noise", {"noise": "0"}),
+                             ("kinds", {"kinds": {"diag": 1}}),
+                             ("kinds", {"kinds": "diag"}),
+                             ("schemes", {"schemes": "ps"})):
+        bad = suite_file(tmp_path, **overrides)
+        assert main(["bench", "--suite", str(bad), "--csv", str(tmp_path / "c.csv"),
+                     "--summary", str(tmp_path / "s.json")]) == 2, overrides
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err, (overrides, err)
     # files that are not UTF-8, or nest deeper than the JSON decoder recurses
     for data in (b'{"eps": "\xff"}', b"[" * 100000):
         bad = tmp_path / "raw.json"
@@ -217,10 +230,10 @@ def _suites(draw):
     return cfg
 
 
-@settings(max_examples=60, deadline=None)
+@settings(derandomize=True, max_examples=60, deadline=None)
 @given(cfg=_suites())
 def test_bench_exit_code_on_any_suite(cfg):
-    # serial, n <= 6 and at most 3 norms: no example allocates much or forks
+    # n <= 6 and at most 3 norms: no example allocates much
     with tempfile.TemporaryDirectory() as tmp:
         suite = os.path.join(tmp, "suite.json")
         with open(suite, "w") as f:
@@ -249,7 +262,7 @@ def _matrix_texts(draw):
     return "\n".join([order] + rows) + "\n"
 
 
-@settings(max_examples=60, deadline=None)
+@settings(derandomize=True, max_examples=60, deadline=None)
 @given(text=_matrix_texts(), eps=st.sampled_from(["1e-8", "1e-17", "nan", "inf", "-1"]),
        scheme=st.sampled_from(["baseline", "ps", "sastre"]))
 def test_single_exit_code_on_any_matrix(text, eps, scheme):

@@ -191,7 +191,7 @@ def test_expm_matches_reference():
         ref = expm_reference(W)
         for scheme in ("ps", "sastre"):
             res = expm(W, 1e-8, scheme)
-            assert relative_error(res.value, ref).rel_err <= 1e-7
+            assert relative_error(res.value, ref) <= 1e-7
 
 
 def test_expm_diagonal_entrywise():
@@ -285,7 +285,7 @@ def test_lowrank_matches_reference():
     pair = LowRankPair(a1, a2)
     res = expm_lowrank(pair, 1e-8)
     ref = expm_reference(Matrix(a1 @ a2))
-    assert relative_error(res.value, ref).rel_err <= 1e-7
+    assert relative_error(res.value, ref) <= 1e-7
     assert res.plan.m in LOWRANK_ORDERS
 
 

@@ -103,11 +103,10 @@ def test_poly_reference_matches_float_horner_loosely():
 def test_relative_error_examples():
     rng = np.random.default_rng(9)
     ref = Matrix(rng.uniform(-1, 1, (6, 6)))
-    assert relative_error(ref, ref).rel_err == 0.0
-    assert relative_error(2.0 * ref, ref).rel_err == pytest.approx(1.0, rel=1e-15)
+    assert relative_error(ref, ref) == 0.0
+    assert relative_error(2.0 * ref, ref) == pytest.approx(1.0, rel=1e-15)
     bump = Matrix(ref.a + 1e-8 * frobenius_norm(ref) / math.sqrt(36) * np.ones((6, 6)))
-    assert relative_error(bump, ref).rel_err == pytest.approx(1e-8, rel=1e-12)
-    assert relative_error(ref, ref).norm_kind == "frobenius"
+    assert relative_error(bump, ref) == pytest.approx(1e-8, rel=1e-12)
 
 
 @pytest.mark.parametrize("exp2", [664, -664])  # entries near 1e200 and 1e-200
@@ -117,10 +116,10 @@ def test_relative_error_is_scale_free(exp2):
     rng = np.random.default_rng(12)
     ref = rng.uniform(-1, 1, (5, 5))
     X = ref * (1.0 + 1e-9 * rng.uniform(-1, 1, (5, 5)))
-    want = relative_error(Matrix(X), Matrix(ref)).rel_err
+    want = relative_error(Matrix(X), Matrix(ref))
     assert 1e-11 < want < 1e-9
     got = relative_error(Matrix(np.ldexp(X, exp2)), Matrix(np.ldexp(ref, exp2)))
-    assert got.rel_err == want
+    assert got == want
 
 
 def test_relative_error_guards():
@@ -413,10 +412,11 @@ def test_reference_does_not_depend_on_memory_layout(norm):
             == expm_reference(Matrix(np.ascontiguousarray(arr.T))).a.tobytes())
 
 
-def test_import_expmkit_does_not_load_scipy():
+@pytest.mark.parametrize("package", ["scipy", "concurrent", "multiprocessing"])
+def test_import_expmkit_does_not_load_scipy(package):
     src = str(Path(expmkit.__file__).resolve().parents[1])
     code = ("import sys, expmkit; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
     assert out.stdout.strip() == "[]"

@@ -174,25 +174,24 @@ class SuiteConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "SuiteConfig":
         try:
-            norms = d["norms"]
-            cfg = cls(
+            d = _json_as(d, dict, "suite config")
+            norms = _json_as(d["norms"], dict, "norms")
+            seeds = _json_as(d.get("seeds", {}), dict, "seeds")
+            return cls(
                 eps=_json_number(d["eps"], "eps"),
-                sizes=tuple(_json_int(n, "sizes")
-                            for n in _json_list(d["sizes"], "sizes")),
-                kinds=tuple(_json_list(d["kinds"], "kinds")),
-                schemes=tuple(_json_list(d["schemes"], "schemes")),
+                sizes=tuple(_json_as(n, int, "sizes")
+                            for n in _json_as(d["sizes"], list, "sizes")),
+                kinds=tuple(_json_as(d["kinds"], list, "kinds")),
+                schemes=tuple(_json_as(d["schemes"], list, "schemes")),
                 norm_min=_json_number(norms["min"], "norms.min"),
                 norm_max=_json_number(norms["max"], "norms.max"),
-                norm_count=_json_int(norms["count"], "norms.count"),
-                norm_scale=str(norms.get("scale", "log")),
-                base_seed=_json_int(d.get("seeds", {}).get("base", 0), "seeds.base"),
-                noise=_json_number(d.get("noise", 1e-8), "noise"),
+                norm_count=_json_as(norms["count"], int, "norms.count"),
+                norm_scale=str(norms.get("scale", cls.norm_scale)),
+                base_seed=_json_as(seeds.get("base", cls.base_seed), int, "seeds.base"),
+                noise=_json_number(d.get("noise", cls.noise), "noise"),
             )
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-            raise ConfigError(f"bad suite config: {exc}") from exc
-        return cfg
+        except KeyError as exc:
+            raise ConfigError(f"bad suite config: missing field {exc}") from exc
 
     def validate(self):
         # Empty sizes/kinds/schemes are allowed and yield an empty suite.
@@ -247,46 +246,41 @@ class SuiteConfig:
         return out
 
 
-def _json_int(value, name: str) -> int:
-    """A JSON integer as is; a float (2.0 too), a string or a bool is
-    rejected rather than truncated."""
-    if type(value) is not int:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+def _json_as(value, kind: type, name: str):
+    """A JSON integer, array or object as is, if its type is exactly
+    ``kind``; anything else (a float, 2.0 too, or a bool for an integer, a
+    string for an array) is rejected rather than truncated or iterated."""
+    if type(value) is not kind:
+        raise ConfigError(f"{name} must be a JSON {kind.__name__}, got {value!r}")
     return value
 
 
 def _json_number(value, name: str) -> float:
-    """A JSON number (integer or float) as a float; a string or a bool is
-    rejected rather than converted."""
+    """A JSON number (integer or float) as a float; a string, a bool or an
+    integer beyond the binary64 range is rejected rather than converted."""
     if type(value) not in (int, float):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _json_list(value, name: str) -> list:
-    """A JSON array as is; a string or an object is rejected rather than
-    iterated."""
-    if type(value) is not list:
-        raise ConfigError(f"{name} must be a list, got {value!r}")
-    return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is an integer beyond the binary64 range") from None
 
 
 def _derive_seed(base: int, index: int) -> int:
     return int(np.random.SeedSequence([base, index]).generate_state(1, np.uint64)[0])
 
 
-def default_suite_config(eps: float = 1e-8, base_seed: int = 2024) -> SuiteConfig:
-    """The flow-norm regime suite: 300 matrices with 1-norms log-spaced
-    over [2.84e-4, 12.8] across orders 8..64."""
+def default_suite_config(base_seed: int = 2024) -> SuiteConfig:
+    """The flow-norm regime suite at eps 1e-8: 300 matrices with 1-norms
+    log-spaced over [2.84e-4, 12.8] across orders 8..64."""
     return SuiteConfig(
-        eps=eps,
+        eps=1e-8,
         sizes=(8, 16, 32, 64),
         kinds=(KIND_DIAG, KIND_DENSE, KIND_ROTATION),
         schemes=_SCHEMES,
         norm_min=2.84e-4,
         norm_max=12.8,
         norm_count=25,
-        norm_scale="log",
         base_seed=base_seed,
     )
 
@@ -444,7 +438,7 @@ def _quantiles(values) -> dict:
             "max": float(max(values))}
 
 
-def summarize(records, profile: ProfileTable | None = None) -> dict:
+def summarize(records, profile: ProfileTable) -> dict:
     """Per-scheme totals and quantiles; totals equal the CSV column sums."""
     schemes = sorted({r.scheme for r in records})
     per = {}
@@ -463,16 +457,14 @@ def summarize(records, profile: ProfileTable | None = None) -> dict:
             "s_quantiles": _quantiles([r.s for r in rows]),
             "total_wall_time_s": float(sum(r.wall_time for r in rows)),
         }
-    out = {
+    return {
         "records": len(records),
         "matrices": len({(r.generator.kind, r.generator.n,
                           r.generator.target_norm, r.generator.seed)
                          for r in records}),
         "schemes": per,
+        "profile": _profile_dict(profile),
     }
-    if profile is not None:
-        out["profile"] = _profile_dict(profile)
-    return out
 
 
 DEFAULT_PROFILE_ALPHAS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,

@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=[SCHEME_BASELINE, SCHEME_PS, SCHEME_SASTRE])
     single.add_argument("--out", help="write the result matrix here")
     single.add_argument("--stats", action="store_true",
-                        help="print norms, tail bounds and timing")
+                        help="print norms, unscaled tail bounds and timing")
     single.set_defaults(func=_cmd_single)
 
     bench = sub.add_parser("bench", help="run a benchmark suite")

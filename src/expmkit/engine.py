@@ -20,10 +20,10 @@ warning, and checks its result for finiteness once.  Its products are
 unchecked (selection, the evaluators of :mod:`expmkit.poly` and
 :func:`squaring` alike): finiteness is checked where the input enters
 (:class:`~expmkit.matrix.Matrix`, :class:`LowRankPair`), through the
-selector's power norms, and on the driver's output.  A non-finite entry
-never becomes finite again on the way (see :mod:`expmkit.matrix`), so an
-overflow raises :class:`~expmkit.matrix.NonFiniteError` and never a
-warning.
+selector's norms of W and its powers, and on the driver's output.  A
+non-finite entry never becomes finite again on the way (see
+:mod:`expmkit.matrix`), so an overflow raises
+:class:`~expmkit.matrix.NonFiniteError` and never a warning.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .matrix import (
 # (engine.mat_mul) to count squaring products; see expmkit.select.
 from .matrix import _mat_mul_unchecked as mat_mul
 from .poly import (
-    EXP_COEFFS,
     eval_low_order,
     eval_t8,
     eval_t15p,
@@ -92,6 +91,8 @@ class ExpmResult:
     ``mults`` counts square matrix-matrix products (polynomial evaluation
     plus exactly s squarings); rectangular factor products on the
     low-rank path are a different currency and live in ``rect_mults``.
+    ``plan.e1``/``plan.e2`` bound the truncation of the *unscaled* input;
+    the scaled bound is e1*2^(-s(m+1)) + e2*2^(-s(m+2)) (see EvalPlan).
     """
 
     value: Matrix
@@ -168,7 +169,6 @@ def expm(W: Matrix, eps: float, scheme: str = SCHEME_SASTRE) -> ExpmResult:
     the exact factors 2^(-s*p) instead of being recomputed, which keeps
     the total cost at the polynomial budget plus s.
     """
-    eps = check_tolerance(eps)
     t0 = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         ledger = MulLedger()
@@ -189,9 +189,9 @@ def expm(W: Matrix, eps: float, scheme: str = SCHEME_SASTRE) -> ExpmResult:
         elif plan.m in (1, 2, 4):
             X = eval_low_order(B, plan.m, ledger, a2=scaled.get(2))
         elif plan.m == 8:
-            X = eval_t8(B, EXP_COEFFS, ledger, a2=scaled.get(2))
+            X = eval_t8(B, ledger, a2=scaled.get(2))
         else:
-            X = eval_t15p(B, EXP_COEFFS, ledger, a2=scaled.get(2))
+            X = eval_t15p(B, ledger, a2=scaled.get(2))
         X = squaring(X, plan.s, ledger)
     return ExpmResult(check_finite(X), plan, ledger.count, time.perf_counter() - t0)
 
@@ -250,7 +250,6 @@ def expm_lowrank(pair: LowRankPair, eps: float) -> ExpmResult:
     three factor products (A2*A1 and the two assembly products) are
     reported in ``rect_mults``.
     """
-    eps = check_tolerance(eps)
     t0 = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         ledger = MulLedger()
@@ -259,7 +258,7 @@ def expm_lowrank(pair: LowRankPair, eps: float) -> ExpmResult:
         if plan.s > 0:
             raise LowRankOrderError(
                 f"||V||_1 = {plan.cached_norms[1]:.6g} admits no order <= "
-                f"{LOWRANK_ORDERS[-1]} at tolerance {eps:.3g}; the factored path "
+                f"{LOWRANK_ORDERS[-1]} at tolerance {float(eps):.3g}; the factored path "
                 "runs unscaled"
             )
         if plan.m == 0:

@@ -9,8 +9,8 @@ counts n-by-n products only.
 Finiteness is checked where values enter and leave the package, not on
 each temporary: the :class:`Matrix` constructor (and
 :class:`~expmkit.engine.LowRankPair`) rejects NaN and Inf entries,
-public :func:`mat_mul` checks its result, the selectors check a power
-they formed only when its 1-norm is not finite (a finite norm proves
+public :func:`mat_mul` checks its result, the selectors check W and each
+power they form only when its 1-norm is not finite (a finite norm proves
 every entry finite), and each driver of :mod:`expmkit.engine` checks its
 result once.  Inside a driver, products go through the unchecked
 :func:`_mat_mul_unchecked` under the driver's one ``np.errstate``.  That
@@ -142,22 +142,20 @@ class MulLedger:
     """Counter of full matrix-matrix products.
 
     The ledger is an explicit parameter, never ambient state: each call
-    chain owns one ledger, so no two calls share a count.  It only
-    ever increases, by exactly one per product.
+    chain owns one ledger, so no two calls share a count.  It starts at
+    0 and only ever increases, by exactly one per product.
     """
 
     __slots__ = ("count",)
 
-    def __init__(self, count: int = 0):
-        if count < 0:
-            raise ValueError("ledger count must be nonnegative")
-        self.count = int(count)
+    def __init__(self):
+        self.count = 0
 
     def charge(self) -> None:
         self.count += 1
 
     def __repr__(self):
-        return f"MulLedger(count={self.count})"
+        return f"<MulLedger count={self.count}>"
 
 
 def _mat_mul_unchecked(A: Matrix, B: Matrix, ledger: MulLedger) -> Matrix:

@@ -253,12 +253,12 @@ def eval_low_order(A: Matrix, m: int, ledger: MulLedger, a2: Matrix | None = Non
     raise MatrixError(f"unsupported low order {m}; expected 1, 2 or 4")
 
 
-def eval_t8(A: Matrix, coeffs: CoeffSet, ledger: MulLedger, a2: Matrix | None = None) -> Matrix:
+def eval_t8(A: Matrix, ledger: MulLedger, a2: Matrix | None = None) -> Matrix:
     """Order-8 Taylor value in three products (two with a cached A^2).
 
     Unchecked, like every evaluator here (see the module docstring).
     """
-    c = coeffs.t8
+    c = EXP_COEFFS.t8
     eye = identity(A.n)
     if a2 is None:
         a2 = mat_mul(A, A, ledger)
@@ -267,14 +267,14 @@ def eval_t8(A: Matrix, coeffs: CoeffSet, ledger: MulLedger, a2: Matrix | None = 
     return lincomb(prod, (c[5], y02), (0.5, a2), A, eye)
 
 
-def eval_t15p(A: Matrix, coeffs: CoeffSet, ledger: MulLedger, a2: Matrix | None = None) -> Matrix:
+def eval_t15p(A: Matrix, ledger: MulLedger, a2: Matrix | None = None) -> Matrix:
     """Order-15+ value in four products (three with a cached A^2).
 
     Matches the Taylor series through degree 15; the degree-16 term
-    carries coefficient ``coeffs.b16`` instead of 1/16!.  Unchecked, like
-    every evaluator here (see the module docstring).
+    carries coefficient ``EXP_COEFFS.b16`` instead of 1/16!.  Unchecked,
+    like every evaluator here (see the module docstring).
     """
-    c = coeffs.t15p
+    c = EXP_COEFFS.t15p
     eye = identity(A.n)
     if a2 is None:
         a2 = mat_mul(A, A, ledger)

@@ -16,11 +16,12 @@ All bound arithmetic runs in base-2 log domain so that high powers of
 large norms never overflow; values are exponentiated back only for
 reporting.
 
-Each power formed while bounding comes from the unchecked product; its
-1-norm doubles as the finiteness test.  A finite norm proves every entry
-finite, so only a power whose norm is Inf or NaN is scanned, and a
-non-finite entry raises :class:`~expmkit.matrix.NonFiniteError` there.
-A finite power whose column sums overflow goes on with an infinite bound.
+The 1-norm of W and of each power formed while bounding (by the
+unchecked product) doubles as the finiteness test.  A finite norm proves
+every entry finite, so only a matrix whose norm is Inf or NaN is scanned,
+and a non-finite entry raises :class:`~expmkit.matrix.NonFiniteError`
+there.  A finite matrix whose column sums overflow goes on with an
+infinite bound.
 """
 
 from __future__ import annotations
@@ -172,8 +173,10 @@ class EvalPlan:
     ``cached_powers`` holds the powers of the *unscaled* input formed
     while bounding (W^2, plus W^3/W^4 on the Paterson-Stockmeyer ladder);
     drivers rescale and reuse them so the advertised budgets hold.
-    ``e1``/``e2`` are the final two-term bounds (possibly 0 or inf; the
-    selection itself compares in log domain).
+    ``e1``/``e2`` bound the two remainder terms of the *unscaled* W at
+    order m (possibly 0 or inf; the selection itself compares in log
+    domain); after scaling the bound is e1*2^(-s(m+1)) + e2*2^(-s(m+2)).
+    It covers truncation only, not rounding amplified by the s squarings.
     """
 
     m: int
@@ -186,11 +189,11 @@ class EvalPlan:
 
 
 def _select(W: Matrix, eps: float, tables: SelectionTables, scheme: str,
-            ledger: MulLedger | None) -> EvalPlan:
+            ledger: MulLedger) -> EvalPlan:
     eps = check_tolerance(eps)
-    if ledger is None:
-        ledger = MulLedger()
     norm1 = one_norm(W)
+    if not math.isfinite(norm1):
+        check_finite(W)
     powers = {1: W}
     norms = {1: norm1}
     if norm1 == 0.0:
@@ -198,16 +201,12 @@ def _select(W: Matrix, eps: float, tables: SelectionTables, scheme: str,
 
     log_eps = math.log2(eps)
     lw = {1: _log2(norm1)}
-    l1 = l2 = math.inf
-    m = tables.orders[-1]
-    finished = False
-    for i, m_i in enumerate(tables.orders):
-        m = m_i
+    for i, m in enumerate(tables.orders):
         j = tables.block_pows[i]
         k = tables.block_counts[i]
         lc1 = tables.log_tails[2 * i]
         lc2 = tables.log_tails[2 * i + 1]
-        if m_i == 1:
+        if m == 1:
             l1 = lc1 + 2 * lw[1]
             l2 = lc2 + 3 * lw[1]
         else:
@@ -220,7 +219,7 @@ def _select(W: Matrix, eps: float, tables: SelectionTables, scheme: str,
                     lw[p] = _log2(norms[p])
             l1 = lc1 + k * lw[j]
             l2 = lc2 + k * lw[j]
-            if j * k == m_i:
+            if j * k == m:
                 l1 += lw[1]
                 l2 += lw[2]
             else:
@@ -230,24 +229,23 @@ def _select(W: Matrix, eps: float, tables: SelectionTables, scheme: str,
                 # ||W||_1 made the sums above -inf + inf = NaN.
                 l1 = l2 = -math.inf
         if _log2_sum(l1, l2) <= log_eps:
-            finished = True
-            break
+            return EvalPlan(m, 0, scheme, _exp2(l1), _exp2(l2), powers, norms)
 
+    # No order met eps unscaled, so the top one is scaled.  At the larger
+    # per-term ceiling each scaled term is within eps, so their sum is
+    # within 2 eps; one more step divides both by at least 4, so the
+    # smallest s meeting the sum is that ceiling or the next.  A +inf term
+    # takes the cap; a NaN one fails every test.
     s = 0
-    if not finished:
-        # At the larger per-term ceiling each scaled term is within eps, so
-        # their sum is within 2 eps; one more step divides both by at
-        # least 4, so the smallest s meeting the sum is that ceiling or
-        # the next.  A +inf term takes the cap; a NaN one fails every test.
-        for t, l in ((1, l1), (2, l2)):
-            if l > log_eps:
-                s = max(s, math.ceil(min((l - log_eps) / (m + t), MAX_SCALING)))
-        if s < MAX_SCALING and not _log2_sum(l1 - s * (m + 1), l2 - s * (m + 2)) <= log_eps:
-            s += 1
+    for t, l in ((1, l1), (2, l2)):
+        if l > log_eps:
+            s = max(s, math.ceil(min((l - log_eps) / (m + t), MAX_SCALING)))
+    if s < MAX_SCALING and not _log2_sum(l1 - s * (m + 1), l2 - s * (m + 2)) <= log_eps:
+        s += 1
     return EvalPlan(m, s, scheme, _exp2(l1), _exp2(l2), powers, norms)
 
 
-def select_ps(W: Matrix, eps: float, ledger: MulLedger | None = None) -> EvalPlan:
+def select_ps(W: Matrix, eps: float, ledger: MulLedger) -> EvalPlan:
     """Order/scale for the Paterson-Stockmeyer route (ladder up to 16).
 
     A 1-norm that overflows gives an infinite bound, not a warning.
@@ -256,7 +254,7 @@ def select_ps(W: Matrix, eps: float, ledger: MulLedger | None = None) -> EvalPla
         return _select(W, eps, PS_TABLES, SCHEME_PS, ledger)
 
 
-def select_sastre(W: Matrix, eps: float, ledger: MulLedger | None = None) -> EvalPlan:
+def select_sastre(W: Matrix, eps: float, ledger: MulLedger) -> EvalPlan:
     """Order/scale for the evaluation-formula route (ladder up to 15+).
 
     Only W^2 is ever formed; bounds for ||W^16|| and ||W^17|| use

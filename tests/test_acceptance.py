@@ -79,11 +79,11 @@ def test_criterion_02_scalar_polynomial_identities():
     for i in range(64):
         x = -2.0 + 4.0 * i / 63
         led = MulLedger()
-        got8 = eval_t8(Matrix([[x]]), EXP_COEFFS, led).a[0, 0]
+        got8 = eval_t8(Matrix([[x]]), led).a[0, 0]
         want8 = float(sum(Fraction(x) ** k / math.factorial(k) for k in range(9)))
         assert abs(got8 - want8) <= 1e-12 * max(1.0, math.exp(x))
 
-        got15 = eval_t15p(Matrix([[x]]), EXP_COEFFS, led).a[0, 0]
+        got15 = eval_t15p(Matrix([[x]]), led).a[0, 0]
         want15 = float(sum(Fraction(x) ** k / math.factorial(k) for k in range(16))
                        + Fraction(b16) * Fraction(x) ** 16)
         assert abs(got15 - want15) <= 1e-12 * math.exp(x)
@@ -103,10 +103,10 @@ def test_criterion_03_multiplication_budgets():
         eval_low_order(A, m, led)
         assert led.count == budget, f"low order {m}"
     led = MulLedger()
-    eval_t8(A, EXP_COEFFS, led)
+    eval_t8(A, led)
     assert led.count == 3
     led = MulLedger()
-    eval_t15p(A, EXP_COEFFS, led)
+    eval_t15p(A, led)
     assert led.count == 4
     for m, budget in ((6, 3), (9, 4), (12, 5), (16, 6)):
         led = MulLedger()
@@ -155,7 +155,7 @@ def test_criterion_05_tail_bound_dominance():
                                  seed=31000 + 1000 * k_idx + i)
             W = gen_matrix(spec)
             scheme = ("ps", "sastre")[(k_idx + i) % 2]
-            plan = (select_ps if scheme == "ps" else select_sastre)(W, eps)
+            plan = (select_ps if scheme == "ps" else select_sastre)(W, eps, MulLedger())
             assert plan.m >= 1
             B = scale_pow2(W, plan.s)
             if scheme == "sastre" and plan.m == 15:
@@ -178,7 +178,7 @@ def test_criterion_05_tail_bound_dominance():
 # ---------------------------------------------------------------------------
 
 def test_criterion_06_cost_ratios():
-    records = run_suite(default_suite_config(eps=1e-8, base_seed=2024))
+    records = run_suite(default_suite_config(base_seed=2024))
     assert len(records) == 900
     totals = {}
     for r in records:
@@ -202,12 +202,12 @@ def test_criterion_07_selector_sanity():
         n = int(rng.integers(1, 16))
         W = _random_with_norm(rng, n, float(10.0 ** rng.uniform(-6, 2)))
         for sel in (select_ps, select_sastre):
-            plan = sel(W, 1e-8)
+            plan = sel(W, 1e-8, MulLedger())
             assert 0 <= plan.s <= 20
             if plan.e1 + plan.e2 <= 1e-8:
                 assert plan.s == 0
     for sel in (select_ps, select_sastre):
-        assert sel(Matrix([[1e60]]), 1e-8).s == 20
+        assert sel(Matrix([[1e60]]), 1e-8, MulLedger()).s == 20
     for _ in range(10):
         n = int(rng.integers(2, 12))
         W = _random_with_norm(rng, n, float(10.0 ** rng.uniform(-3, 1.1)))

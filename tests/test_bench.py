@@ -244,11 +244,12 @@ def test_profile_validates_alpha_grid():
 def test_emit_reports_empty(tmp_path):
     csv_path = tmp_path / "r.csv"
     summary_path = tmp_path / "s.json"
-    emit_reports([], None, csv_path, summary_path)
+    emit_reports([], performance_profile([], [1.0, 2.0]), csv_path, summary_path)
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("generator_kind,")
     summary = json.loads(summary_path.read_text())
     assert summary["records"] == 0 and summary["schemes"] == {}
+    assert summary["profile"]["matrices"] == 0
 
 
 def test_csv_round_trip_exact(tmp_path):

@@ -157,8 +157,7 @@ def test_bench_bad_config(tmp_path, capsys):
     assert err.startswith("error: ") and "unit roundoff" in err
     # malformed values are rejected before the run, not met by a traceback
     norms = {"min": 1e-2, "max": 2.0, "count": 2}
-    for overrides in ({"seeds": 5},
-                      {"norms": {**norms, "count": math.inf}},
+    for overrides in ({"norms": {**norms, "count": math.inf}},
                       {"norms": {**norms, "max": math.inf}},
                       {"sizes": [1], "kinds": ["rotation_block"]},
                       {"seeds": {"base": -1}},
@@ -183,7 +182,14 @@ def test_bench_bad_config(tmp_path, capsys):
                              ("noise", {"noise": "0"}),
                              ("kinds", {"kinds": {"diag": 1}}),
                              ("kinds", {"kinds": "diag"}),
-                             ("schemes", {"schemes": "ps"})):
+                             ("schemes", {"schemes": "ps"}),
+                             ("seeds", {"seeds": 5}),
+                             ("seeds", {"seeds": [1]}),
+                             ("norms", {"norms": 5}),
+                             ("eps", {"eps": 10 ** 400}),
+                             ("norms.min", {"norms": {**norms, "min": 10 ** 400}}),
+                             ("norms.max", {"norms": {**norms, "max": 10 ** 400}}),
+                             ("noise", {"noise": 10 ** 400})):
         bad = suite_file(tmp_path, **overrides)
         assert main(["bench", "--suite", str(bad), "--csv", str(tmp_path / "c.csv"),
                      "--summary", str(tmp_path / "s.json")]) == 2, overrides

@@ -227,6 +227,18 @@ def test_expm_inverse_identity():
             assert rel <= 1e-10
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(1, 16), log10_norm=st.floats(-4.0, math.log10(2.0)),
+       seed=st.integers(0, 2 ** 32 - 1), scheme=st.sampled_from(("sastre", "ps")))
+def test_expm_inverse_identity_property(n, log10_norm, seed, scheme):
+    # exp(W) exp(-W) = I over the regime and bound of the fixed cases above
+    W = random_with_norm(np.random.default_rng(seed), n, 10.0 ** log10_norm)
+    fwd = expm(W, 1e-12, scheme).value
+    bwd = expm(-1.0 * W, 1e-12, scheme).value
+    rel = frobenius_norm(Matrix(fwd.a @ bwd.a) - identity(n)) / math.sqrt(n)
+    assert rel <= 1e-10
+
+
 def test_expm_logdet_equals_trace():
     rng = np.random.default_rng(43)
     checked = 0

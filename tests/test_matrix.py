@@ -80,9 +80,10 @@ def test_ledger_counts_products_only():
         assert led.count == k
 
 
-def test_ledger_rejects_negative_count():
-    with pytest.raises(ValueError):
-        MulLedger(-1)
+def test_ledger_starts_at_zero_and_takes_no_count():
+    assert MulLedger().count == 0
+    with pytest.raises(TypeError):
+        MulLedger(5)
 
 
 def test_construction_rejects_bad_shapes_and_values():

@@ -183,14 +183,14 @@ def test_b16_is_fourth_power_and_printed_digits():
 
 def test_t8_zero_matrix():
     led = MulLedger()
-    out = eval_t8(zeros(4), EXP_COEFFS, led)
+    out = eval_t8(zeros(4), led)
     assert np.array_equal(out.a, np.eye(4))
     assert led.count == 3
 
 
 def test_t8_scalar_one():
     led = MulLedger()
-    out = eval_t8(scalar(1.0), EXP_COEFFS, led)
+    out = eval_t8(scalar(1.0), led)
     target = exact_taylor(1.0, 8)
     assert abs(out.a[0, 0] - target) <= 5e-13 * target
     assert led.count == 3
@@ -200,13 +200,13 @@ def test_t8_scalar_probes():
     for i in range(64):
         x = -2.0 + 4.0 * i / 63
         led = MulLedger()
-        got = eval_t8(scalar(x), EXP_COEFFS, led).a[0, 0]
+        got = eval_t8(scalar(x), led).a[0, 0]
         assert abs(got - exact_taylor(x, 8)) <= 1e-12 * max(1.0, math.exp(x))
 
 
 def test_t15p_zero_matrix_gives_c16_identity():
     led = MulLedger()
-    out = eval_t15p(zeros(5), EXP_COEFFS, led)
+    out = eval_t15p(zeros(5), led)
     assert np.array_equal(out.a, np.eye(5))
     assert led.count == 4
 
@@ -215,7 +215,7 @@ def test_t15p_matches_perturbed_taylor():
     b16 = EXP_COEFFS.b16
     for x in (-2.0, -1.0, 1.0, 2.0):
         led = MulLedger()
-        got = eval_t15p(scalar(x), EXP_COEFFS, led).a[0, 0]
+        got = eval_t15p(scalar(x), led).a[0, 0]
         target = float(sum(Fraction(x) ** i / math.factorial(i) for i in range(16))
                        + Fraction(b16) * Fraction(x) ** 16)
         assert abs(got - target) <= 1e-12 * math.exp(x)
@@ -227,7 +227,7 @@ def test_t15p_scalar_probe_grid():
     for i in range(64):
         x = -2.0 + 4.0 * i / 63
         led = MulLedger()
-        got = eval_t15p(scalar(x), EXP_COEFFS, led).a[0, 0]
+        got = eval_t15p(scalar(x), led).a[0, 0]
         target = float(sum(Fraction(x) ** i / math.factorial(i) for i in range(16))
                        + Fraction(b16) * Fraction(x) ** 16)
         assert abs(got - target) <= 1e-12 * math.exp(x)
@@ -236,13 +236,13 @@ def test_t15p_scalar_probe_grid():
 def test_t8_diagonal_consistency():
     d = np.array([-1.5, -0.25, 0.0, 0.8, 2.0])
     led = MulLedger()
-    out = eval_t8(Matrix(np.diag(d)), EXP_COEFFS, led)
+    out = eval_t8(Matrix(np.diag(d)), led)
     off = out.a.copy()
     np.fill_diagonal(off, 0.0)
     assert not off.any()
     for i, x in enumerate(d):
         led_i = MulLedger()
-        want = eval_t8(scalar(float(x)), EXP_COEFFS, led_i).a[0, 0]
+        want = eval_t8(scalar(float(x)), led_i).a[0, 0]
         assert abs(out.a[i, i] - want) <= 1e-14 * max(1.0, abs(want))
 
 
@@ -307,8 +307,8 @@ def test_evaluators_round_like_the_chained_expressions(n):
     a = np.random.default_rng(n).uniform(-0.5, 0.5, (n, n))
     A = Matrix(a)
     cases = [(eval_low_order(A, m, MulLedger()), _chained_low_order(a, m)) for m in (2, 4)]
-    cases.append((eval_t8(A, EXP_COEFFS, MulLedger()), _chained_t8(a, EXP_COEFFS.t8)))
-    cases.append((eval_t15p(A, EXP_COEFFS, MulLedger()), _chained_t15p(a, EXP_COEFFS.t15p)))
+    cases.append((eval_t8(A, MulLedger()), _chained_t8(a, EXP_COEFFS.t8)))
+    cases.append((eval_t15p(A, MulLedger()), _chained_t15p(a, EXP_COEFFS.t15p)))
     for m in (6, 9, 16):
         cs = taylor_coeffs_exp(m)
         cases.append((ps_eval(cs, A, MulLedger()), _chained_ps(cs, a)))

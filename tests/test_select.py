@@ -70,13 +70,13 @@ def test_lowrank_table_structure():
 
 def test_zero_matrix_fast_path():
     for sel in (select_ps, select_sastre):
-        plan = sel(zeros(5), 1e-8)
+        plan = sel(zeros(5), 1e-8, MulLedger())
         assert (plan.m, plan.s) == (0, 0)
         assert plan.e1 == plan.e2 == 0.0
 
 
 def test_ps_diag_norm_one():
-    plan = select_ps(diag(1.0), 1e-8)
+    plan = select_ps(diag(1.0), 1e-8, MulLedger())
     assert (plan.m, plan.s) == (12, 0)
     assert plan.e1 == pytest.approx(inv_fact(13), rel=1e-12)
     assert plan.e2 == pytest.approx(inv_fact(14), rel=1e-12)
@@ -95,7 +95,7 @@ def test_ps_caches_only_needed_powers():
 def test_ps_diag_large_norm_scaling():
     eps = 1e-8
     norm = 12.57
-    plan = select_ps(diag(norm), eps)
+    plan = select_ps(diag(norm), eps, MulLedger())
     assert plan.m == 16
     assert plan.s >= 1
     # independent re-evaluation of the clamp arithmetic
@@ -108,14 +108,14 @@ def test_ps_diag_large_norm_scaling():
 
 
 def test_sastre_tiny_norm():
-    plan = select_sastre(diag(1e-5), 1e-8)
+    plan = select_sastre(diag(1e-5), 1e-8, MulLedger())
     assert (plan.m, plan.s) == (1, 0)
     assert plan.e1 == pytest.approx(0.5e-10, rel=1e-12)
     assert plan.e2 == pytest.approx((1e-5) ** 3 / 6, rel=1e-12)
 
 
 def test_sastre_diag_norm_one():
-    plan = select_sastre(diag(1.0), 1e-8)
+    plan = select_sastre(diag(1.0), 1e-8, MulLedger())
     assert (plan.m, plan.s) == (15, 0)
     assert plan.e1 == pytest.approx(2.1711086342891295e-14, rel=1e-12)
     assert plan.e2 == pytest.approx(inv_fact(17), rel=1e-12)
@@ -125,7 +125,7 @@ def test_sastre_diag_norm_one():
 def test_sastre_diag_large_norm_scaling():
     eps = 1e-8
     norm = 12.57
-    plan = select_sastre(diag(norm), eps)
+    plan = select_sastre(diag(norm), eps, MulLedger())
     assert plan.m == 15
     e1 = abs(inv_fact(16) - EXP_COEFFS.b16) * (norm ** 2) ** 8
     e2 = inv_fact(17) * (norm ** 2) ** 8 * norm
@@ -137,11 +137,11 @@ def test_sastre_diag_large_norm_scaling():
 def test_selection_tolerance_floor():
     for sel in (select_ps, select_sastre):
         with pytest.raises(ToleranceError):
-            sel(diag(1.0), 2.0 ** -54)
+            sel(diag(1.0), 2.0 ** -54, MulLedger())
         with pytest.raises(ToleranceError):
-            sel(diag(1.0), float("nan"))
-        sel(diag(1.0), 2.0 ** -53)  # the floor itself is admissible
-        sel(diag(1.0), math.nextafter(1.0, 0.0))  # and so is the largest eps below 1
+            sel(diag(1.0), float("nan"), MulLedger())
+        sel(diag(1.0), 2.0 ** -53, MulLedger())  # the floor itself is admissible
+        sel(diag(1.0), math.nextafter(1.0, 0.0), MulLedger())  # and so is the largest eps below 1
 
 
 @pytest.mark.parametrize("eps, rule", [(math.inf, "not below 1"), (1.0, "not below 1"),
@@ -153,12 +153,12 @@ def test_tolerance_outside_unit_interval_rejected(eps, rule):
     with pytest.raises(ToleranceError, match=rule):
         check_tolerance(eps)
     with pytest.raises(ToleranceError, match=rule):
-        select_ps(Matrix([[1.0, 2.0], [3.0, 4.0]]), eps)
+        select_ps(Matrix([[1.0, 2.0], [3.0, 4.0]]), eps, MulLedger())
 
 
 def test_scaling_capped_at_20():
     for sel in (select_ps, select_sastre):
-        plan = sel(diag(1e30), 1e-8)
+        plan = sel(diag(1e30), 1e-8, MulLedger())
         assert plan.s == 20
 
 
@@ -167,14 +167,19 @@ def test_bare_selectors_take_an_overflowed_norm_without_warning():
     # filter turns a RuntimeWarning into an error, so none may escape.
     nilpotent = np.zeros((3, 3))
     nilpotent[0, 2] = nilpotent[1, 2] = 1e308
+    # W^2 overflows, ||W||_1 or not; or W itself is NaN or Inf, whose NaN
+    # 1-norm once read as log2 = -inf, an exact order-1 plan
+    bad = [Matrix(np.full((2, 2), 1e308)), Matrix(np.full((2, 2), 1e200)),
+           Matrix([[1.0, 2.0], [0.0, 1.0]]) * math.nan,
+           Matrix([[1.0, 2.0], [3.0, 1.0]]) * math.inf]  # no 0 * inf: no warning
     for sel in (select_ps, select_sastre):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            plan = sel(Matrix(nilpotent), 1e-8)  # W^2 = 0 ends the series
+            plan = sel(Matrix(nilpotent), 1e-8, MulLedger())  # W^2 = 0 ends the series
             assert (plan.m, plan.s, plan.e1, plan.e2) == (2, 0, 0.0, 0.0)
-            for big in (1e308, 1e200):  # W^2 overflows, ||W||_1 or not
+            for W in bad:
                 with pytest.raises(NonFiniteError):
-                    sel(Matrix(np.full((2, 2), big)), 1e-8)
+                    sel(W, 1e-8, MulLedger())
 
 
 def test_early_termination_means_no_scaling():
@@ -194,7 +199,7 @@ def test_early_termination_means_no_scaling():
                 + plan.e2 * 2.0 ** (-s * (plan.m + 2)))
 
     for sel, W in cases:
-        plan = sel(W, 1e-8)
+        plan = sel(W, 1e-8, MulLedger())
         assert 0 <= plan.s <= MAX_SCALING
         if plan.e1 + plan.e2 <= 1e-8:
             assert plan.s == 0
@@ -203,7 +208,7 @@ def test_early_termination_means_no_scaling():
             assert scaled(plan, plan.s) <= 1e-8
         if plan.s > 0:
             assert scaled(plan, plan.s - 1) > 1e-8
-    assert [sel(W, 1e-8).s for sel, W in cases[:2]] == [1, 1]
+    assert [sel(W, 1e-8, MulLedger()).s for sel, W in cases[:2]] == [1, 1]
 
 
 def test_norm_halving_never_increases_s():
@@ -212,7 +217,7 @@ def test_norm_halving_never_increases_s():
         n = int(rng.integers(2, 10))
         W = Matrix(rng.uniform(-1, 1, (n, n)) * 10.0 ** rng.integers(-2, 3))
         for sel in (select_ps, select_sastre):
-            s_full = sel(W, 1e-8).s
-            s_half = sel(0.5 * W, 1e-8).s
+            s_full = sel(W, 1e-8, MulLedger()).s
+            s_half = sel(0.5 * W, 1e-8, MulLedger()).s
             assert s_half <= s_full
 

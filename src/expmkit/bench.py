@@ -173,25 +173,22 @@ class SuiteConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SuiteConfig":
-        try:
-            d = _json_as(d, dict, "suite config")
-            norms = _json_as(d["norms"], dict, "norms")
-            seeds = _json_as(d.get("seeds", {}), dict, "seeds")
-            return cls(
-                eps=_json_number(d["eps"], "eps"),
-                sizes=tuple(_json_as(n, int, "sizes")
-                            for n in _json_as(d["sizes"], list, "sizes")),
-                kinds=tuple(_json_as(d["kinds"], list, "kinds")),
-                schemes=tuple(_json_as(d["schemes"], list, "schemes")),
-                norm_min=_json_number(norms["min"], "norms.min"),
-                norm_max=_json_number(norms["max"], "norms.max"),
-                norm_count=_json_as(norms["count"], int, "norms.count"),
-                norm_scale=str(norms.get("scale", cls.norm_scale)),
-                base_seed=_json_as(seeds.get("base", cls.base_seed), int, "seeds.base"),
-                noise=_json_number(d.get("noise", cls.noise), "noise"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"bad suite config: missing field {exc}") from exc
+        d = _json_as(d, dict, "suite config")
+        norms = _json_as(_json_field(d, "norms"), dict, "norms")
+        seeds = _json_as(d.get("seeds", {}), dict, "seeds")
+        return cls(
+            eps=_json_number(_json_field(d, "eps"), "eps"),
+            sizes=tuple(_json_as(n, int, "sizes")
+                        for n in _json_as(_json_field(d, "sizes"), list, "sizes")),
+            kinds=tuple(_json_as(_json_field(d, "kinds"), list, "kinds")),
+            schemes=tuple(_json_as(_json_field(d, "schemes"), list, "schemes")),
+            norm_min=_json_number(_json_field(norms, "min", "norms."), "norms.min"),
+            norm_max=_json_number(_json_field(norms, "max", "norms."), "norms.max"),
+            norm_count=_json_as(_json_field(norms, "count", "norms."), int, "norms.count"),
+            norm_scale=str(norms.get("scale", cls.norm_scale)),
+            base_seed=_json_as(seeds.get("base", cls.base_seed), int, "seeds.base"),
+            noise=_json_number(d.get("noise", cls.noise), "noise"),
+        )
 
     def validate(self):
         # Empty sizes/kinds/schemes are allowed and yield an empty suite.
@@ -244,6 +241,15 @@ class SuiteConfig:
                         noise=self.noise))
                     index += 1
         return out
+
+
+def _json_field(obj: dict, key: str, parent: str = ""):
+    """obj[key]; a missing key is reported by its full name, such as
+    ``norms.min``."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ConfigError(f"bad suite config: missing field '{parent}{key}'") from None
 
 
 def _json_as(value, kind: type, name: str):

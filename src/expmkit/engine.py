@@ -39,6 +39,8 @@ from .matrix import (
     MatrixError,
     MulLedger,
     NonFiniteError,
+    _add_to_diagonal,
+    _wrap,
     check_finite,
     identity,
     one_norm,
@@ -143,17 +145,17 @@ def expm_baseline(W: Matrix, eps: float) -> ExpmResult:
         while math.ldexp(norm1, -s) >= 0.5:
             s += 1
         B = scale_pow2(W, s)
-        X = identity(W.n)
+        x = np.eye(W.n)
         Y = B
         k = 2
         # Y = B^(k-1)/(k-1)! with ||B||_1 < 1/2 stays below 2^-(k-1)/(k-1)!,
         # so the unchecked products here cannot overflow and the norm is
         # never NaN, which would end the loop as if it had converged.
         while one_norm(Y) > eps:
-            X = X + Y
-            Y = mat_mul(B, Y, ledger) / k
+            x += Y.a
+            Y = _wrap(mat_mul(B, Y, ledger).a / k)
             k += 1
-        X = squaring(X, s, ledger)
+        X = squaring(_wrap(x), s, ledger)
     plan = EvalPlan(m=k - 2, s=s, scheme=SCHEME_BASELINE,
                     e1=one_norm(Y), e2=0.0, cached_powers={}, cached_norms={})
     return ExpmResult(check_finite(X), plan, ledger.count, time.perf_counter() - t0)
@@ -180,7 +182,9 @@ def expm(W: Matrix, eps: float, scheme: str = SCHEME_SASTRE) -> ExpmResult:
             raise MatrixError(f"unknown scheme {scheme!r}; expected 'ps' or 'sastre'")
 
         # cached_powers always holds W itself as power 1.
-        scaled = {p: scale_pow2(P, plan.s * p) for p, P in plan.cached_powers.items()}
+        scaled = plan.cached_powers
+        if plan.s:
+            scaled = {p: scale_pow2(P, plan.s * p) for p, P in scaled.items()}
         B = scaled[1]
         if plan.m == 0:
             X = identity(W.n)
@@ -253,7 +257,7 @@ def expm_lowrank(pair: LowRankPair, eps: float) -> ExpmResult:
     t0 = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         ledger = MulLedger()
-        V = Matrix(pair.a2 @ pair.a1)
+        V = check_finite(_wrap(pair.a2 @ pair.a1))
         plan = _select(V, eps, LOWRANK_TABLES, SCHEME_LOWRANK, ledger)
         if plan.s > 0:
             raise LowRankOrderError(
@@ -265,6 +269,7 @@ def expm_lowrank(pair: LowRankPair, eps: float) -> ExpmResult:
             psi = identity(V.n)
         else:
             psi = ps_eval(phi1_coeffs(plan.m), V, ledger, powers=plan.cached_powers)
-        value = Matrix(np.eye(pair.n) + pair.a1 @ (psi.a @ pair.a2))
-    return ExpmResult(value, plan, ledger.count, time.perf_counter() - t0,
-                      rect_mults=3)
+        value = pair.a1 @ (psi.a @ pair.a2)
+        _add_to_diagonal(value, 1.0)  # I + value, on the diagonal only
+    return ExpmResult(check_finite(_wrap(value)), plan, ledger.count,
+                      time.perf_counter() - t0, rect_mults=3)

@@ -123,6 +123,15 @@ def _wrap(a: np.ndarray) -> Matrix:
     return m
 
 
+def _add_to_diagonal(a: np.ndarray, c) -> None:
+    """a += c*I in place, on the n diagonal entries only.
+
+    ``a`` is a contiguous square array, in C or Fortran order: its
+    diagonal is every (n+1)-th entry of the flat view in either order.
+    """
+    a.reshape(-1, order="A")[:: a.shape[0] + 1] += c
+
+
 def identity(n: int) -> Matrix:
     return _wrap(np.eye(n))
 
@@ -151,9 +160,6 @@ class MulLedger:
     def __init__(self):
         self.count = 0
 
-    def charge(self) -> None:
-        self.count += 1
-
     def __repr__(self):
         return f"<MulLedger count={self.count}>"
 
@@ -170,8 +176,12 @@ def _mat_mul_unchecked(A: Matrix, B: Matrix, ledger: MulLedger) -> Matrix:
     if A.n != B.n:
         raise MatrixError(f"order mismatch: {A.n} vs {B.n}")
     c = A.a @ B.a
-    ledger.charge()
-    return _wrap(c)
+    # The charge and _wrap(c), inlined: this runs once per product.
+    ledger.count += 1
+    c.setflags(write=False)
+    C = Matrix.__new__(Matrix)
+    C.a = c
+    return C
 
 
 def mat_mul(A: Matrix, B: Matrix, ledger: MulLedger) -> Matrix:

@@ -14,6 +14,11 @@ series through degree 15 and carries a perturbed degree-16 term whose
 coefficient is the fourth power of the leading table coefficient instead
 of 1/16!.
 
+Every linear combination goes through :func:`lincomb`, which sums in
+place and takes a constant term c*I as the scalar c, added to the n
+diagonal entries only (see it for the rounding and the sign of zero).
+The identity is built as a matrix only for an m = 0 result.
+
 The evaluators are unchecked building blocks: like the entrywise
 :class:`~expmkit.matrix.Matrix` operations and :func:`lincomb`, their
 products neither scan for NaN or Inf nor guard against floating-point
@@ -33,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix import Matrix, MatrixError, MulLedger, _wrap, identity
+from .matrix import Matrix, MatrixError, MulLedger, _add_to_diagonal, _wrap, identity
 # Unchecked product under the name perfbench/tracing.py wraps (poly.mat_mul)
 # to count evaluation products; see expmkit.select.
 from .matrix import _mat_mul_unchecked as mat_mul
@@ -86,30 +91,47 @@ def phi1_coeffs(m: int) -> list[float]:
 
 
 def lincomb(*terms) -> Matrix:
-    """Sum of the terms, each a Matrix X or a pair (c, X) standing for c*X.
+    """Sum of the terms, left to right, in one fresh array.
 
-    The sum is accumulated left to right in place in one fresh array, with
-    the same roundings as the chained expression ``X0 + c1*X1 + ...`` on
-    Matrix operands, so the result is bit for bit the same, without the
-    temporaries.  Like the Matrix operations it does not scan for
-    non-finite entries.
+    A term is a Matrix X, a pair (c, X) standing for c*X, or a scalar c
+    standing for c*I; one of the first two terms must hold a matrix.
+    Each c*X is rounded once and added in place, so each entry rounds as
+    in the chained expression ``X0 + c1*X1 + ...`` on Matrix operands,
+    without its temporaries.
+
+    A c*I term is added to the diagonal only, at its position in the sum.
+    A leading c*I is added right after the first matrix term, and a bare
+    leading Matrix followed by a pair is added onto that pair's c*X, which
+    saves a copy.  Both round the same, because binary64 addition
+    commutes: fl(c0 + fl(c1*x)) = fl(fl(c1*x) + c0).
+
+    Sign of zero: the chained form also adds the identity's off-diagonal
+    zeros, and -0 + 0 is +0, so an off-diagonal -0 that it turns into +0
+    stays -0 here.  No other bit differs.  Like the Matrix operations,
+    lincomb does not scan for non-finite entries.
     """
+    first = type(terms[0])
+    if first is not tuple and (type(terms[1]) is tuple or first is not Matrix):
+        terms = (terms[1], terms[0]) + terms[2:]
     acc = tmp = None
     for term in terms:
-        if isinstance(term, Matrix):
+        kind = type(term)
+        if kind is tuple:
+            c, X = term
             if acc is None:
-                acc = term.a.copy()
-            else:
-                acc += term.a
-            continue
-        c, X = term
-        if acc is None:
-            acc = X.a * c
-        else:
+                acc = X.a * c
+                continue
             if tmp is None:
                 tmp = np.empty_like(acc)
             np.multiply(X.a, c, out=tmp)
             acc += tmp
+        elif kind is Matrix:
+            if acc is None:
+                acc = term.a.copy()
+            else:
+                acc += term.a
+        else:
+            _add_to_diagonal(acc, term)
     return _wrap(acc)
 
 
@@ -206,9 +228,8 @@ def ps_eval(coeffs, A: Matrix, ledger: MulLedger, powers=None) -> Matrix:
     m = len(coeffs) - 1
     if m < 0:
         raise MatrixError("empty coefficient list")
-    eye = identity(A.n)
     if m == 0:
-        return coeffs[0] * eye
+        return coeffs[0] * identity(A.n)
     shape = ps_shape(m)
     j, k = shape.j, shape.k
     pw = {1: A} if powers is None else dict(powers)
@@ -217,8 +238,10 @@ def ps_eval(coeffs, A: Matrix, ledger: MulLedger, powers=None) -> Matrix:
         if p not in pw:
             pw[p] = mat_mul(pw[p - 1], A, ledger)
 
+    # A block's constant term is its c*I, which lincomb adds on the diagonal
+    # right after the block's first power.
     def block(lo, hi):
-        return [(coeffs[lo], eye)] + [(coeffs[lo + t], pw[t]) for t in range(1, hi - lo + 1)]
+        return [coeffs[lo]] + [(coeffs[lo + t], pw[t]) for t in range(1, hi - lo + 1)]
 
     # The top block may reach degree j itself (when m is a multiple of j);
     # that is what makes the k-1 Horner stages sufficient.  Each stage adds
@@ -239,17 +262,17 @@ def eval_low_order(A: Matrix, m: int, ledger: MulLedger, a2: Matrix | None = Non
 
     Unchecked, like every evaluator here (see the module docstring).
     """
-    eye = identity(A.n)
     if m == 1:
-        return lincomb(A, eye)
+        return lincomb(A, 1.0)
     if a2 is None and m in (2, 4):
         a2 = mat_mul(A, A, ledger)
     # Halving and quartering are exact, so x/2 and x/4 round as x*0.5 and x*0.25.
     if m == 2:
-        return lincomb((0.5, a2), A, eye)
+        return lincomb((0.5, a2), A, 1.0)
     if m == 4:
-        inner = lincomb((0.25, a2), A) / 3 + eye
-        return lincomb((0.5, mat_mul(inner, a2, ledger)), A, eye)
+        inner = lincomb((0.25, a2), A).a / 3
+        _add_to_diagonal(inner, 1.0)
+        return lincomb((0.5, mat_mul(_wrap(inner), a2, ledger)), A, 1.0)
     raise MatrixError(f"unsupported low order {m}; expected 1, 2 or 4")
 
 
@@ -259,12 +282,11 @@ def eval_t8(A: Matrix, ledger: MulLedger, a2: Matrix | None = None) -> Matrix:
     Unchecked, like every evaluator here (see the module docstring).
     """
     c = EXP_COEFFS.t8
-    eye = identity(A.n)
     if a2 is None:
         a2 = mat_mul(A, A, ledger)
     y02 = mat_mul(a2, lincomb((c[0], a2), (c[1], A)), ledger)
     prod = mat_mul(lincomb(y02, (c[2], a2), (c[3], A)), lincomb(y02, (c[4], a2)), ledger)
-    return lincomb(prod, (c[5], y02), (0.5, a2), A, eye)
+    return lincomb(prod, (c[5], y02), (0.5, a2), A, 1.0)
 
 
 def eval_t15p(A: Matrix, ledger: MulLedger, a2: Matrix | None = None) -> Matrix:
@@ -275,7 +297,6 @@ def eval_t15p(A: Matrix, ledger: MulLedger, a2: Matrix | None = None) -> Matrix:
     like every evaluator here (see the module docstring).
     """
     c = EXP_COEFFS.t15p
-    eye = identity(A.n)
     if a2 is None:
         a2 = mat_mul(A, A, ledger)
     y02 = mat_mul(a2, lincomb((c[0], a2), (c[1], A)), ledger)
@@ -283,7 +304,7 @@ def eval_t15p(A: Matrix, ledger: MulLedger, a2: Matrix | None = None) -> Matrix:
                   (c[5], y02), (c[6], a2))
     return lincomb(mat_mul(lincomb(y12, (c[7], a2), (c[8], A)),
                            lincomb(y12, (c[9], y02), (c[10], A)), ledger),
-                   (c[11], y12), (c[12], y02), (c[13], a2), (c[14], A), (c[15], eye))
+                   (c[11], y12), (c[12], y02), (c[13], a2), (c[14], A), c[15])
 
 
 _SASTRE_BUDGET = {1: 0, 2: 1, 4: 2, 8: 3, 15: 4}

@@ -1,0 +1,188 @@
+"""The in-place evaluators against the chained-Matrix formulas they replace.
+
+Each reference below spells an evaluator out with Matrix operators, one
+temporary per operation and the identity as a full matrix.  The library
+forms the same sums in place and adds c*I on the diagonal only, so every
+entry must round the same.  The one allowed difference is the sign of a
+zero off the diagonal: the chained form adds c*I to every entry, and
+0 + (-0) is +0.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from expmkit import (
+    EXP_COEFFS,
+    LOWRANK_ORDERS,
+    LowRankPair,
+    Matrix,
+    MulLedger,
+    eval_low_order,
+    eval_t8,
+    eval_t15p,
+    expm_baseline,
+    expm_lowrank,
+    identity,
+    mat_mul,
+    one_norm,
+    phi1_coeffs,
+    ps_eval,
+    ps_shape,
+    scale_pow2,
+    taylor_coeffs_exp,
+)
+
+KINDS = ("dense", "diag", "triangular", "nilpotent", "zero")
+
+
+def mm(X, Y):
+    return mat_mul(X, Y, MulLedger())
+
+
+def ref_ps_eval(coeffs, A):
+    m = len(coeffs) - 1
+    eye = identity(A.n)
+    if m == 0:
+        return coeffs[0] * eye
+    shape = ps_shape(m)
+    j, k = shape.j, shape.k
+    pw = {1: A}
+    for p in range(2, j + 1):
+        pw[p] = mm(pw[p - 1], A)
+
+    def block(lo, hi):
+        q = coeffs[lo] * eye
+        for t in range(1, hi - lo + 1):
+            q = q + coeffs[lo + t] * pw[t]
+        return q
+
+    q = block((k - 1) * j, m)
+    for r in range(k - 2, -1, -1):
+        q = block(r * j, r * j + j - 1) + mm(q, pw[j])
+    return q
+
+
+def ref_low_order(A, m):
+    eye = identity(A.n)
+    if m == 1:
+        return A + eye
+    a2 = mm(A, A)
+    if m == 2:
+        return 0.5 * a2 + A + eye
+    inner = (0.25 * a2 + A) / 3 + eye
+    return 0.5 * mm(inner, a2) + A + eye
+
+
+def ref_t8(A):
+    c = EXP_COEFFS.t8
+    a2 = mm(A, A)
+    y02 = mm(a2, c[0] * a2 + c[1] * A)
+    prod = mm(y02 + c[2] * a2 + c[3] * A, y02 + c[4] * a2)
+    return prod + c[5] * y02 + 0.5 * a2 + A + identity(A.n)
+
+
+def ref_t15p(A):
+    c = EXP_COEFFS.t15p
+    a2 = mm(A, A)
+    y02 = mm(a2, c[0] * a2 + c[1] * A)
+    y12 = mm(y02 + c[2] * a2 + c[3] * A, y02 + c[4] * a2) + c[5] * y02 + c[6] * a2
+    return (mm(y12 + c[7] * a2 + c[8] * A, y12 + c[9] * y02 + c[10] * A)
+            + c[11] * y12 + c[12] * y02 + c[13] * a2 + c[14] * A + c[15] * identity(A.n))
+
+
+def ref_baseline(W, eps):
+    norm1 = one_norm(W)
+    s = 0
+    while math.ldexp(norm1, -s) >= 0.5:
+        s += 1
+    B = scale_pow2(W, s)
+    X = identity(W.n)
+    Y = B
+    k = 2
+    while one_norm(Y) > eps:
+        X = X + Y
+        Y = mm(B, Y) / k
+        k += 1
+    for _ in range(s):
+        X = mm(X, X)
+    return X
+
+
+def ref_lowrank(pair, m):
+    V = Matrix(pair.a2 @ pair.a1)
+    psi = identity(V.n) if m == 0 else ref_ps_eval(phi1_coeffs(m), V)
+    return Matrix(np.eye(pair.n) + pair.a1 @ (psi.a @ pair.a2))
+
+
+def assert_same_bits(got: Matrix, want: Matrix, what):
+    g, w = got.a, want.a
+    assert g.shape == w.shape, what
+    # Byte for byte once -0 reads as +0 ...
+    assert (g + 0.0).tobytes() == (w + 0.0).tobytes(), what
+    # ... and a raw difference only in the sign of an off-diagonal zero.
+    rows, cols = np.nonzero(g.view(np.uint64) != w.view(np.uint64))
+    assert (g[rows, cols] == 0.0).all() and (rows != cols).all(), what
+
+
+@st.composite
+def _inputs(draw):
+    """A square input of a drawn kind, 1-norm at most 2; a negated input
+    holds -0 wherever it is zero, and a Fortran-ordered one takes the
+    other memory layout through every in-place sum."""
+    n = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.uniform(-1.0, 1.0, (n, n))
+    if kind == "diag":
+        a = np.diag(np.diag(a))
+    elif kind == "triangular":
+        a = np.triu(a)
+    elif kind == "nilpotent":
+        a = np.triu(a, 1)
+    elif kind == "zero":
+        a = np.zeros((n, n))
+    norm = float(np.abs(a).sum(axis=0).max())
+    if norm > 0.0:
+        a = a * (10.0 ** draw(st.floats(-4.0, math.log10(2.0))) / norm)
+    if draw(st.booleans()):
+        a = -a
+    if draw(st.booleans()):
+        a = np.asfortranarray(a)
+    return Matrix(a)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(A=_inputs())
+def test_evaluators_match_chained_matrix_formulas(A):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in (1, 2, 4):
+            assert_same_bits(eval_low_order(A, m, MulLedger()), ref_low_order(A, m),
+                             ("low order", m))
+        assert_same_bits(eval_t8(A, MulLedger()), ref_t8(A), "t8")
+        assert_same_bits(eval_t15p(A, MulLedger()), ref_t15p(A), "t15p")
+        for m in range(1, 17):
+            coeffs = taylor_coeffs_exp(m)
+            assert_same_bits(ps_eval(coeffs, A, MulLedger()), ref_ps_eval(coeffs, A),
+                             ("ps exp", m))
+        for m in LOWRANK_ORDERS:
+            coeffs = phi1_coeffs(m)
+            assert_same_bits(ps_eval(coeffs, A, MulLedger()), ref_ps_eval(coeffs, A),
+                             ("ps phi1", m))
+    assert_same_bits(expm_baseline(A, 1e-10).value, ref_baseline(A, 1e-10), "baseline")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(1, 16), data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+       log10_norm=st.floats(-4.0, math.log10(2.0)), negate=st.booleans())
+def test_lowrank_assembly_matches_chained_formula(n, data, seed, log10_norm, negate):
+    t = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+    a1 = rng.uniform(-1.0, 1.0, (n, t))
+    a2 = rng.uniform(-1.0, 1.0, (t, n))
+    v_norm = float(np.abs(a2 @ a1).sum(axis=0).max())
+    a2 *= 10.0 ** log10_norm / v_norm
+    pair = LowRankPair(-a1 if negate else a1, a2)
+    res = expm_lowrank(pair, 1e-10)
+    assert_same_bits(res.value, ref_lowrank(pair, res.plan.m), ("lowrank", res.plan.m))

@@ -189,7 +189,10 @@ def test_bench_bad_config(tmp_path, capsys):
                              ("eps", {"eps": 10 ** 400}),
                              ("norms.min", {"norms": {**norms, "min": 10 ** 400}}),
                              ("norms.max", {"norms": {**norms, "max": 10 ** 400}}),
-                             ("noise", {"noise": 10 ** 400})):
+                             ("noise", {"noise": 10 ** 400}),
+                             ("norms.min", {"norms": {"max": 1.0, "count": 1}}),
+                             ("norms.max", {"norms": {"min": 1e-2, "count": 1}}),
+                             ("norms.count", {"norms": {"min": 1e-2, "max": 1.0}})):
         bad = suite_file(tmp_path, **overrides)
         assert main(["bench", "--suite", str(bad), "--csv", str(tmp_path / "c.csv"),
                      "--summary", str(tmp_path / "s.json")]) == 2, overrides

@@ -1,0 +1,38 @@
+"""Smoke test of tools/fingerprint.py on a reduced call set."""
+
+import importlib.util
+from itertools import chain, islice
+from pathlib import Path
+
+import numpy as np
+
+from expmkit import LowRankPair, Matrix, SuiteConfig
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "fingerprint.py"
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("fingerprint", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fingerprint_repeats_within_one_process():
+    fp = _load_tool()
+    config = SuiteConfig(eps=1e-8, sizes=(4, 8), kinds=("diag", "random_dense"),
+                         schemes=("baseline", "ps", "sastre"), norm_min=1e-3,
+                         norm_max=50.0, norm_count=3, base_seed=5)
+    # ||V||_1 = 1e3 admits no unscaled low-rank order: a raised type.
+    too_big = LowRankPair(np.full((2, 1), 1e3), np.full((1, 2), 0.5))
+
+    def calls(eps=1e-8):
+        return chain(islice(fp.workload_calls("flow_small", 13), 0, None, 40),
+                     fp.suite_calls(config),
+                     [(too_big, "lowrank", 1e-8), (Matrix([[0.5]]), "sastre", eps)])
+
+    first = fp.fingerprint(calls())
+    assert first == fp.fingerprint(calls())
+    assert first["calls"] == 40 + 2 * 2 * 3 * 3 + 2
+    # A changed outcome changes the digest.
+    assert fp.fingerprint(calls(eps=1e-12))["sha256"] != first["sha256"]

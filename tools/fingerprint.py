@@ -1,0 +1,109 @@
+"""Digest of every driver outcome on a fixed call set.
+
+    python3 tools/fingerprint.py
+
+Run it from the root of a source checkout: expmkit is imported from
+./src, and the benchmark's call sets from perfbench/workloads.py.  The
+standard call set is every call of the ``flow_small`` and ``large_dense``
+workloads at seed 13, and every (matrix, scheme) cell of the default
+bench suite at seeds 2024 and 13.  Per call, the digest takes the value
+bytes, m, s, e1, e2, ``mults`` and ``rect_mults``, or the type of the
+exception raised.
+
+Two trees that compute the same values, plans and product counts print
+the same ``sha256``.  ``sha256_signless`` maps -0 to +0 first, so when
+only that one matches, the trees differ in signs of zero entries alone.
+The digests depend on the BLAS build, so compare them on one machine.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import os
+import sys
+from pathlib import Path
+
+# One BLAS thread, as in perfbench; set before numpy loads OpenBLAS.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+for _path in (ROOT / "src", ROOT / "perfbench"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
+
+from expmkit import bench, engine, select  # noqa: E402
+
+WORKLOAD_SEED = 13
+SUITE_SEEDS = (2024, 13)
+
+
+def workload_calls(name: str, seed: int):
+    """(input, scheme, eps) for each call of a perfbench call workload."""
+    import workloads  # perfbench/workloads.py
+
+    wl = getattr(workloads, name)(seed)
+    inputs = {}
+    for case in wl.cases:
+        if case.input not in inputs:
+            inputs[case.input] = bench.gen_matrix(wl.specs[case.input])
+        yield inputs[case.input], case.scheme, case.eps
+
+
+def suite_calls(config: bench.SuiteConfig):
+    """(input, scheme, eps) for each cell of a bench suite."""
+    for spec in config.specs():
+        W = bench.gen_matrix(spec)
+        for scheme in config.schemes:
+            yield W, scheme, config.eps
+
+
+def standard_calls():
+    return itertools.chain(
+        workload_calls("flow_small", WORKLOAD_SEED),
+        workload_calls("large_dense", WORKLOAD_SEED),
+        *(suite_calls(bench.default_suite_config(seed)) for seed in SUITE_SEEDS))
+
+
+def _run(W, scheme: str, eps: float):
+    if scheme == select.SCHEME_LOWRANK:
+        return engine.expm_lowrank(W, eps)
+    if scheme == select.SCHEME_BASELINE:
+        return engine.expm_baseline(W, eps)
+    return engine.expm(W, eps, scheme)
+
+
+def fingerprint(calls) -> dict:
+    """The two digests, the number of calls and of -0 entries in values."""
+    exact, signless = hashlib.sha256(), hashlib.sha256()
+    count = negative_zeros = 0
+    for W, scheme, eps in calls:
+        count += 1
+        try:
+            res = _run(W, scheme, eps)
+        except Exception as exc:  # the raised type is part of the outcome
+            record = repr(("raised", type(exc).__name__)).encode()
+            exact.update(record)
+            signless.update(record)
+            continue
+        plan = res.plan
+        record = repr((plan.m, plan.s, plan.e1, plan.e2, res.mults,
+                       res.rect_mults)).encode()
+        a = res.value.a
+        exact.update(record + a.tobytes())
+        signless.update(record + (a + 0.0).tobytes())
+        negative_zeros += int(np.count_nonzero((a == 0.0) & np.signbit(a)))
+    return {"sha256": exact.hexdigest(), "sha256_signless": signless.hexdigest(),
+            "calls": count, "negative_zeros": negative_zeros}
+
+
+def main() -> int:
+    for key, value in fingerprint(standard_calls()).items():
+        print(key, value)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -27,7 +27,6 @@ __all__ = [
     "ConfigError",
     "GeneratorSpec",
     "KINDS",
-    "ProfileTable",
     "SuiteConfig",
     "default_suite_config",
     "emit_reports",
@@ -341,19 +340,12 @@ def run_suite(config: SuiteConfig) -> list[BenchRecord]:
 # Performance profile
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProfileTable:
-    """Fraction of matrices per scheme whose error is within a factor
-    alpha of the per-matrix best, on an ascending alpha grid."""
-
-    alphas: tuple
-    fractions: dict
-    matrices: int
-    excluded: int
-
-
-def performance_profile(records, alphas) -> ProfileTable:
-    alphas = tuple(float(a) for a in alphas)
+def performance_profile(records, alphas) -> dict:
+    """The JSON object the bench summary and ``expm profile`` write:
+    ``fractions[scheme][i]`` is the fraction of matrices whose error is
+    within ``alphas[i]`` of the per-matrix best.  Matrices where a scheme
+    failed or is missing are ``excluded``."""
+    alphas = [float(a) for a in alphas]
     if not alphas or not all(1 <= a < math.inf for a in alphas):
         raise ConfigError("alpha grid must be nonempty with finite values >= 1")
     if any(b < a for a, b in zip(alphas, alphas[1:])):
@@ -361,9 +353,7 @@ def performance_profile(records, alphas) -> ProfileTable:
     schemes = sorted({r.scheme for r in records})
     by_matrix: dict = {}
     for r in records:
-        key = (r.generator.kind, r.generator.n, r.generator.target_norm,
-               r.generator.seed)
-        by_matrix.setdefault(key, {})[r.scheme] = r.rel_err
+        by_matrix.setdefault(r.generator, {})[r.scheme] = r.rel_err
     rows = []
     excluded = 0
     for errs in by_matrix.values():
@@ -380,19 +370,8 @@ def performance_profile(records, alphas) -> ProfileTable:
             hits = sum(1 for errs in rows
                        if errs[sch] <= alpha * min(errs.values()))
             fractions[sch].append(hits / len(rows))
-    return ProfileTable(alphas=alphas, fractions=fractions,
-                        matrices=len(rows), excluded=excluded)
-
-
-def _profile_dict(profile: ProfileTable) -> dict:
-    """The JSON form of a profile, shared by the bench summary and
-    ``expm profile``."""
-    return {
-        "alphas": list(profile.alphas),
-        "fractions": {k: list(v) for k, v in profile.fractions.items()},
-        "matrices": profile.matrices,
-        "excluded": profile.excluded,
-    }
+    return {"alphas": alphas, "fractions": fractions,
+            "matrices": len(rows), "excluded": excluded}
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +423,7 @@ def _quantiles(values) -> dict:
             "max": float(max(values))}
 
 
-def summarize(records, profile: ProfileTable) -> dict:
+def summarize(records, profile: dict) -> dict:
     """Per-scheme totals and quantiles; totals equal the CSV column sums."""
     schemes = sorted({r.scheme for r in records})
     per = {}
@@ -465,11 +444,9 @@ def summarize(records, profile: ProfileTable) -> dict:
         }
     return {
         "records": len(records),
-        "matrices": len({(r.generator.kind, r.generator.n,
-                          r.generator.target_norm, r.generator.seed)
-                         for r in records}),
+        "matrices": len({r.generator for r in records}),
         "schemes": per,
-        "profile": _profile_dict(profile),
+        "profile": profile,
     }
 
 

@@ -22,7 +22,6 @@ import sys
 from .bench import (
     DEFAULT_PROFILE_ALPHAS,
     SuiteConfig,
-    _profile_dict,
     _run_scheme,
     emit_reports,
     performance_profile,
@@ -71,9 +70,9 @@ def _cmd_profile(args) -> int:
     alphas = [float(tok) for tok in args.alphas.split(",") if tok.strip()]
     profile = performance_profile(records, alphas)
     with open(args.out, "w", encoding="ascii") as f:
-        json.dump(_profile_dict(profile), f, indent=2)
+        json.dump(profile, f, indent=2)
         f.write("\n")
-    print(f"profile over {profile.matrices} matrices -> {args.out}")
+    print(f"profile over {profile['matrices']} matrices -> {args.out}")
     return EXIT_OK
 
 

@@ -237,7 +237,7 @@ class LowRankPair:
         return self.a1.shape[1]
 
 
-LOWRANK_ORDERS = LOWRANK_TABLES.orders
+LOWRANK_ORDERS = tuple(rung.m for rung in LOWRANK_TABLES)
 
 
 def expm_lowrank(pair: LowRankPair, eps: float) -> ExpmResult:
@@ -257,7 +257,7 @@ def expm_lowrank(pair: LowRankPair, eps: float) -> ExpmResult:
     t0 = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         ledger = MulLedger()
-        V = check_finite(_wrap(pair.a2 @ pair.a1))
+        V = _wrap(pair.a2 @ pair.a1)  # _select scans V if its 1-norm is not finite
         plan = _select(V, eps, LOWRANK_TABLES, SCHEME_LOWRANK, ledger)
         if plan.s > 0:
             raise LowRankOrderError(

@@ -17,9 +17,10 @@ therefore costs (j - 1) + (k - 1) + s double-double products, at most
 15 + s.  That leaves well over ten guard digits beyond binary64, enough
 to adjudicate 1e-8-level tolerances with several orders of margin.
 
-:func:`poly_reference` evaluates an arbitrary polynomial in the same
-arithmetic, so truncation remainders can be measured directly against
-the series tail rather than against another binary64 evaluation.
+:func:`poly_reference` evaluates an arbitrary polynomial with the same
+routine, :func:`_dd_poly`, so truncation remainders can be measured
+directly against the series tail rather than against another binary64
+evaluation.
 
 Double-double matrix products run on BLAS through error-free slicing
 (Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012).  Each row
@@ -273,18 +274,61 @@ def _taylor_degree(b: float) -> int:
     return m
 
 
+def _dd_scalar(hi: float, lo: float = 0.0):
+    """The double-double scalar (hi, lo) with hi pre-split for
+    :func:`_dd_scale`."""
+    return hi, lo, *_dekker(hi)
+
+
 def _dd_inv_factorial(k: int):
-    """1/k! in double-double, hi and lo each correctly rounded, with hi
-    pre-split for :func:`_dd_scale`."""
+    """1/k! as a :func:`_dd_scalar`, hi and lo each correctly rounded."""
     f = math.factorial(k)
     hi = 1 / f  # int / int rounds correctly
     num, den = hi.as_integer_ratio()
-    return hi, (den - num * f) / (den * f), *_dekker(hi)
+    return _dd_scalar(hi, (den - num * f) / (den * f))
 
 
 # Every degree _expm_dd can pick: the tail bound grows with b <= 2^-4.
 _INV_FACTORIALS = tuple(map(_dd_inv_factorial,
                             range(_taylor_degree(_SCALE_TARGET) + 1)))
+
+
+def _dd_poly(bh, coeffs):
+    """sum_t coeffs[t] B^t for B = (bh, 0) and :func:`_dd_scalar`
+    coefficients, by Paterson-Stockmeyer in double-double: (j - 1) + (k - 1)
+    products for (j, k) = ps_shape(m) at degree m >= 1."""
+    n = bh.shape[0]
+    m = len(coeffs) - 1
+    if m == 0:
+        return coeffs[0][0] * np.eye(n), coeffs[0][1] * np.eye(n)
+    shape = ps_shape(m)
+    j, k = shape.j, shape.k
+    pw = {1: (bh, np.zeros((n, n)))}
+    if j > 1:
+        right = _split_right(bh)
+        for p in range(2, j + 1):
+            pw[p] = _dd_dot(*pw[p - 1], right)
+    # Each power the blocks scale, B^1 .. B^t with t the longest block, is
+    # Dekker-split once: the top block ends at m, the others at j - 1.
+    terms = {t: (*pw[t], *_dekker(pw[t][0]))
+             for t in range(1, max(m - (k - 1) * j, j - 1) + 1)}
+
+    def block(lo, hi):
+        # sum_t coeffs[lo + t] B^t for t = 0 .. hi - lo; hi > lo, since
+        # ps_shape gives j >= 2 whenever k > 1.
+        xh, xl = _dd_scale(terms[1], coeffs[lo + 1])
+        for t in range(2, hi - lo + 1):
+            xh, xl = _dd_add(xh, xl, *_dd_scale(terms[t], coeffs[lo + t]))
+        return _add_eye(xh, xl, *coeffs[lo][:2])
+
+    # Horner in B^j over the blocks, as in poly.ps_eval: the top block may
+    # reach degree j itself, so k - 1 products suffice.
+    xh, xl = block((k - 1) * j, m)
+    if k > 1:
+        right = _split_right(*pw[j])
+    for r in range(k - 2, -1, -1):
+        xh, xl = _dd_add(*_dd_dot(xh, xl, right), *block(r * j, r * j + j - 1))
+    return xh, xl
 
 
 def _expm_dd(A: Matrix):
@@ -295,40 +339,8 @@ def _expm_dd(A: Matrix):
     s = 0
     while math.ldexp(norm1, -s) > _SCALE_TARGET:
         s += 1
-    n = A.n
     m = _taylor_degree(math.ldexp(norm1, -s))
-    if m == 0:
-        xh, xl = np.eye(n), np.zeros((n, n))
-    else:
-        shape = ps_shape(m)
-        j, k = shape.j, shape.k
-        coeffs = _INV_FACTORIALS
-        bh = np.ldexp(A.a, -s)
-        pw = {1: (bh, np.zeros((n, n)))}
-        if j > 1:
-            right = _split_right(bh)
-            for p in range(2, j + 1):
-                pw[p] = _dd_dot(*pw[p - 1], right)
-        # Each power the blocks scale, B^1 .. B^t with t the longest block,
-        # is Dekker-split once: the top block ends at m, the others at j - 1.
-        terms = {t: (*pw[t], *_dekker(pw[t][0]))
-                 for t in range(1, max(m - (k - 1) * j, j - 1) + 1)}
-
-        def block(lo, hi):
-            # sum_t coeffs[lo + t] B^t for t = 0 .. hi - lo; hi > lo, since
-            # ps_shape gives j >= 2 whenever k > 1.
-            xh, xl = _dd_scale(terms[1], coeffs[lo + 1])
-            for t in range(2, hi - lo + 1):
-                xh, xl = _dd_add(xh, xl, *_dd_scale(terms[t], coeffs[lo + t]))
-            return _add_eye(xh, xl, *coeffs[lo][:2])
-
-        # Horner in B^j over the blocks, as in poly.ps_eval: the top block
-        # may reach degree j itself, so k - 1 products suffice.
-        xh, xl = block((k - 1) * j, m)
-        if k > 1:
-            right = _split_right(*pw[j])
-        for r in range(k - 2, -1, -1):
-            xh, xl = _dd_add(*_dd_dot(xh, xl, right), *block(r * j, r * j + j - 1))
+    xh, xl = _dd_poly(np.ldexp(A.a, -s), _INV_FACTORIALS[:m + 1])
     for _ in range(s):
         xh, xl = _dd_matmul(xh, xl, xh, xl)
         if not np.isfinite(xh).all():
@@ -344,15 +356,11 @@ def expm_reference(A: Matrix) -> Matrix:
 
 
 def poly_reference(A: Matrix, coeffs) -> Matrix:
-    """Evaluate sum_i coeffs[i] * A^i by Horner in double-double."""
+    """Evaluate sum_i coeffs[i] * A^i in double-double, by the same
+    Paterson-Stockmeyer routine as :func:`expm_reference`."""
     if len(coeffs) == 0:
         raise MatrixError("empty coefficient list")
-    n = A.n
-    right = _split_right(A.a)
-    xh = coeffs[-1] * np.eye(n)
-    xl = np.zeros((n, n))
-    for c in reversed(coeffs[:-1]):
-        xh, xl = _add_eye(*_dd_dot(xh, xl, right), c)
+    xh, xl = _dd_poly(A.a, [_dd_scalar(float(c)) for c in coeffs])
     return Matrix(xh + xl)
 
 

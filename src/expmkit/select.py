@@ -2,8 +2,9 @@
 
 One search, :func:`_select`, walks one of three order ladders
 (:data:`PS_TABLES`, :data:`SASTRE_TABLES` and, for the index-shifted
-series of the low-rank path, :data:`LOWRANK_TABLES`, all built by
-:func:`_ladder` from the Paterson-Stockmeyer block shape) and bounds the
+series of the low-rank path, :data:`LOWRANK_TABLES`: tuples of
+:class:`Rung` records, all built by :func:`_ladder` from the
+Paterson-Stockmeyer block shape) and bounds the
 first two remainder terms, E1 ~ c1 ||W^(m+1)|| and E2 ~ c2 ||W^(m+2)||,
 using products of 1-norms of the powers of W cached so far (never
 forming higher powers just to bound them).  The first order whose
@@ -27,7 +28,8 @@ infinite bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,12 +45,12 @@ __all__ = [
     "LOWRANK_TABLES",
     "MAX_SCALING",
     "PS_TABLES",
+    "Rung",
     "SASTRE_TABLES",
     "SCHEME_BASELINE",
     "SCHEME_LOWRANK",
     "SCHEME_PS",
     "SCHEME_SASTRE",
-    "SelectionTables",
     "ToleranceError",
     "UNIT_ROUNDOFF",
     "check_tolerance",
@@ -116,37 +118,29 @@ def _log2_sum(x: float, y: float) -> float:
     return d  # NaN
 
 
-@dataclass(frozen=True)
-class SelectionTables:
-    """Order ladder with its power/block shape and remainder-tail
-    coefficients (two per order: the m+1 and m+2 term weights)."""
+class Rung(NamedTuple):
+    """One order of a ladder: block power j, k = ceil(m/j) blocks, and the
+    log2 weights of the m+1 and m+2 remainder terms."""
 
-    orders: tuple
-    block_pows: tuple
-    block_counts: tuple
-    tails: tuple
-    log_tails: tuple = field(init=False)
-
-    def __post_init__(self):
-        if len(self.tails) != 2 * len(self.orders):
-            raise ValueError("need exactly two tail coefficients per order")
-        object.__setattr__(self, "log_tails", tuple(_log2(c) for c in self.tails))
+    m: int
+    j: int
+    k: int
+    log_c1: float
+    log_c2: float
 
 
-def _ladder(orders, cap=math.inf, shift=0, first_tails=None) -> SelectionTables:
-    """The ladder over ``orders``: block power j = min(ps_shape(m).j, cap)
-    with k = ceil(m/j) blocks, and tail weights 1/(m+1+shift)! and
-    1/(m+2+shift)!, unless ``first_tails`` replaces the first for an order."""
+def _ladder(orders, cap=math.inf, shift=0, first_tails=None) -> tuple[Rung, ...]:
+    """The rungs over ``orders``: j = min(ps_shape(m).j, cap), k = ceil(m/j),
+    and tail weights 1/(m+1+shift)! and 1/(m+2+shift)!, unless
+    ``first_tails`` replaces the first for an order."""
     first_tails = first_tails or {}
-    pows = tuple(min(ps_shape(m).j, cap) for m in orders)
-    return SelectionTables(
-        orders=tuple(orders),
-        block_pows=pows,
-        block_counts=tuple(-(-m // j) for m, j in zip(orders, pows)),
-        tails=tuple(c for m in orders for c in (
-            first_tails.get(m, inv_factorial(m + 1 + shift)),
-            inv_factorial(m + 2 + shift))),
-    )
+    rungs = []
+    for m in orders:
+        j = min(ps_shape(m).j, cap)
+        rungs.append(Rung(m, j, -(-m // j),
+                          _log2(first_tails.get(m, inv_factorial(m + 1 + shift))),
+                          _log2(inv_factorial(m + 2 + shift))))
+    return tuple(rungs)
 
 
 PS_TABLES = _ladder((1, 2, 4, 6, 9, 12, 16))
@@ -188,7 +182,7 @@ class EvalPlan:
     cached_norms: dict
 
 
-def _select(W: Matrix, eps: float, tables: SelectionTables, scheme: str,
+def _select(W: Matrix, eps: float, ladder: tuple[Rung, ...], scheme: str,
             ledger: MulLedger) -> EvalPlan:
     eps = check_tolerance(eps)
     norm1 = one_norm(W)
@@ -201,11 +195,7 @@ def _select(W: Matrix, eps: float, tables: SelectionTables, scheme: str,
 
     log_eps = math.log2(eps)
     lw = {1: _log2(norm1)}
-    for i, m in enumerate(tables.orders):
-        j = tables.block_pows[i]
-        k = tables.block_counts[i]
-        lc1 = tables.log_tails[2 * i]
-        lc2 = tables.log_tails[2 * i + 1]
+    for m, j, k, lc1, lc2 in ladder:
         if m == 1:
             l1 = lc1 + 2 * lw[1]
             l2 = lc2 + 3 * lw[1]

@@ -189,17 +189,17 @@ def test_profile_unique_minimum():
     records = [_record(0, "ps", 1e-10), _record(0, "sastre", 5e-10),
                _record(0, "baseline", 2e-9)]
     prof = performance_profile(records, [1.0, 6.0, 30.0])
-    assert prof.fractions["ps"] == [1.0, 1.0, 1.0]
-    assert prof.fractions["sastre"] == [0.0, 1.0, 1.0]
-    assert prof.fractions["baseline"] == [0.0, 0.0, 1.0]
-    assert prof.matrices == 1 and prof.excluded == 0
+    assert prof["fractions"]["ps"] == [1.0, 1.0, 1.0]
+    assert prof["fractions"]["sastre"] == [0.0, 1.0, 1.0]
+    assert prof["fractions"]["baseline"] == [0.0, 0.0, 1.0]
+    assert prof["matrices"] == 1 and prof["excluded"] == 0
 
 
 def test_profile_ties_count_for_everyone():
     records = [_record(0, "ps", 3e-9), _record(0, "sastre", 3e-9)]
     prof = performance_profile(records, [1.0])
-    assert prof.fractions["ps"] == [1.0]
-    assert prof.fractions["sastre"] == [1.0]
+    assert prof["fractions"]["ps"] == [1.0]
+    assert prof["fractions"]["sastre"] == [1.0]
 
 
 def test_profile_fractions_nondecreasing_and_reach_one():
@@ -211,7 +211,7 @@ def test_profile_fractions_nondecreasing_and_reach_one():
                     for sch, e in zip(("baseline", "ps", "sastre"), errs)]
     alphas = [1.0, 2.0, 10.0, 1e5, 1e12]
     prof = performance_profile(records, alphas)
-    for fr in prof.fractions.values():
+    for fr in prof["fractions"].values():
         assert all(b >= a for a, b in zip(fr, fr[1:]))
         assert fr[-1] == 1.0  # 1e12 exceeds any error ratio drawn above
 
@@ -220,11 +220,11 @@ def test_profile_excludes_incomplete_matrices():
     records = [_record(0, "ps", 1e-9), _record(0, "sastre", 1e-9),
                _record(1, "ps", 1e-9)]  # seed 1 lacks the sastre row
     prof = performance_profile(records, [1.0])
-    assert prof.matrices == 1
-    assert prof.excluded == 1
+    assert prof["matrices"] == 1
+    assert prof["excluded"] == 1
     nan_records = records[:2] + [_record(2, "ps", math.nan), _record(2, "sastre", 1e-9)]
     prof = performance_profile(nan_records, [1.0])
-    assert prof.excluded == 1
+    assert prof["excluded"] == 1
 
 
 def test_profile_validates_alpha_grid():

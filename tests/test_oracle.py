@@ -10,6 +10,7 @@ import pytest
 
 import expmkit
 from expmkit import (
+    EXP_COEFFS,
     Matrix,
     MatrixError,
     expm_reference,
@@ -379,6 +380,56 @@ def test_reference_cost_is_paterson_stockmeyer(monkeypatch):
         assert len(calls) == want, (norm1, m, s)
         if s_want == 4:  # b = 2^-4, the largest scaled norm
             assert len(calls) == 6 + s
+
+
+def _fraction_poly(arr, coeffs):
+    """sum_i coeffs[i] A^i exactly."""
+    n = arr.shape[0]
+    A = [[Fraction(x) for x in row] for row in arr]
+    X = [[Fraction(0)] * n for _ in range(n)]
+    P = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in coeffs:
+        X = [[x + Fraction(c) * p for x, p in zip(xr, pr)] for xr, pr in zip(X, P)]
+        P = _fraction_matmul(P, A)
+    return X
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_poly_reference_matches_exact_rational_polynomial(n, monkeypatch):
+    # The (hi, lo) pair behind poly_reference's binary64 result is compared
+    # with exact arithmetic, on Taylor coefficients (the sastre 15+ list
+    # too) and on the alternating ones of e^-x, which cancel.
+    pairs = []
+    dd_poly = oracle._dd_poly
+    monkeypatch.setattr(oracle, "_dd_poly", lambda *args: pairs.append(dd_poly(*args)) or pairs[-1])
+    coeff_lists = [taylor_coeffs_exp(m) for m in (1, 2, 3, 5, 8, 12, 16)]
+    coeff_lists.append(taylor_coeffs_exp(15) + [EXP_COEFFS.b16])
+    coeff_lists.append([(-1) ** i * c for i, c in enumerate(taylor_coeffs_exp(16))])
+    rng = np.random.default_rng(500 + n)
+    for norm in (0.05, 0.5, 2.0):
+        arr = rng.uniform(-1.0, 1.0, (n, n))
+        arr *= norm / np.abs(arr).sum(axis=0).max()
+        for coeffs in coeff_lists:
+            out = poly_reference(Matrix(arr), coeffs)
+            hi, lo = pairs[-1]
+            assert np.array_equal(out.a, hi + lo)
+            ref = _fraction_poly(arr, coeffs)
+            err = max(sum(abs(Fraction(hi[i, j]) + Fraction(lo[i, j]) - ref[i][j])
+                          for i in range(n)) for j in range(n))
+            ref_norm = max(sum(abs(ref[i][j]) for i in range(n)) for j in range(n))
+            assert err <= ref_norm * Fraction(2) ** -100, (norm, len(coeffs) - 1)
+
+
+def test_poly_reference_cost_is_paterson_stockmeyer(monkeypatch):
+    # (j - 1) + (k - 1) dd products, where Horner would spend one per degree.
+    calls = []
+    dd_dot = oracle._dd_dot
+    monkeypatch.setattr(oracle, "_dd_dot", lambda *args: calls.append(1) or dd_dot(*args))
+    A = Matrix(np.random.default_rng(19).uniform(-0.1, 0.1, (5, 5)))
+    for m in range(1, 17):
+        calls.clear()
+        poly_reference(A, taylor_coeffs_exp(m))
+        assert len(calls) == ps_shape(m).mults, m
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])

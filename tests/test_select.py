@@ -35,33 +35,39 @@ def diag(norm, n=4):
 # tables
 # ---------------------------------------------------------------------------
 
+def _log_tails(ladder):
+    return [c for rung in ladder for c in (rung.log_c1, rung.log_c2)]
+
+
 def test_ps_table_structure():
     t = PS_TABLES
-    assert t.orders == (1, 2, 4, 6, 9, 12, 16)
-    assert t.block_pows == tuple(math.ceil(math.sqrt(m)) for m in t.orders)
-    assert all(m == j * k for m, j, k in zip(t.orders, t.block_pows, t.block_counts))
+    orders = tuple(r.m for r in t)
+    assert orders == (1, 2, 4, 6, 9, 12, 16)
+    assert tuple(r.j for r in t) == tuple(math.ceil(math.sqrt(m)) for m in orders)
+    assert all(m == j * k for m, j, k, _, _ in t)
     want = [inv_fact(i) for i in (2, 3, 3, 4, 5, 6, 7, 8, 10, 11, 13, 14, 17, 18)]
-    assert list(t.tails) == want
+    assert _log_tails(t) == [math.log2(c) for c in want]
 
 
 def test_sastre_table_structure():
     t = SASTRE_TABLES
-    assert t.orders == (1, 2, 4, 8, 15)
-    assert t.block_pows == (1, 2, 2, 2, 2)
-    assert t.block_counts == tuple(math.ceil(m / j) for m, j in zip(t.orders, t.block_pows))
+    assert tuple(r.m for r in t) == (1, 2, 4, 8, 15)
+    assert tuple(r.j for r in t) == (1, 2, 2, 2, 2)
+    assert all(k == math.ceil(m / j) for m, j, k, _, _ in t)
     want = [inv_fact(i) for i in (2, 3, 3, 4, 5, 6, 9, 10)]
     want += [abs(inv_fact(16) - EXP_COEFFS.b16), inv_fact(17)]
-    assert list(t.tails) == want
+    assert _log_tails(t) == [math.log2(c) for c in want]
 
 
 def test_lowrank_table_structure():
     t = LOWRANK_TABLES
-    assert t.orders == LOWRANK_ORDERS == (1, 2, 4, 8, 15, 16, 20, 25, 30)
-    assert t.block_pows == tuple(min(m, 2) for m in t.orders)
-    assert t.block_counts == tuple(math.ceil(m / j) for m, j in zip(t.orders, t.block_pows))
+    orders = tuple(r.m for r in t)
+    assert orders == LOWRANK_ORDERS == (1, 2, 4, 8, 15, 16, 20, 25, 30)
+    assert tuple(r.j for r in t) == tuple(min(m, 2) for m in orders)
+    assert all(k == math.ceil(m / j) for m, j, k, _, _ in t)
     # the shifted series sum_i V^i/(i+1)! leaves 1/(m+2)! and 1/(m+3)!
-    want = [inv_fact(m + d) for m in t.orders for d in (2, 3)]
-    assert list(t.tails) == want
+    want = [inv_fact(m + d) for m in orders for d in (2, 3)]
+    assert _log_tails(t) == [math.log2(c) for c in want]
 
 
 # ---------------------------------------------------------------------------

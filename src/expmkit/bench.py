@@ -395,6 +395,8 @@ def write_records_csv(records, path) -> None:
 
 
 def read_records_csv(path) -> list[BenchRecord]:
+    """The records of a bench CSV.  It has no noise column, so each spec
+    takes the default noise 1e-8; the suite's is in the JSON summary."""
     with open(path, "r", newline="", encoding="ascii") as f:
         try:
             rows = list(csv.reader(f))
@@ -423,8 +425,8 @@ def _quantiles(values) -> dict:
             "max": float(max(values))}
 
 
-def summarize(records, profile: dict) -> dict:
-    """Per-scheme totals and quantiles; totals equal the CSV column sums."""
+def summarize(records, profile: dict, noise: float) -> dict:
+    """Per-scheme totals and quantiles (equal to the CSV column sums), and noise."""
     schemes = sorted({r.scheme for r in records})
     per = {}
     for sch in schemes:
@@ -445,6 +447,7 @@ def summarize(records, profile: dict) -> dict:
     return {
         "records": len(records),
         "matrices": len({r.generator for r in records}),
+        "noise": noise,
         "schemes": per,
         "profile": profile,
     }
@@ -454,9 +457,9 @@ DEFAULT_PROFILE_ALPHAS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
                           256.0, 512.0, 1024.0)
 
 
-def emit_reports(records, profile, csv_path, summary_path) -> None:
+def emit_reports(records, profile, noise, csv_path, summary_path) -> None:
     """Write the per-row CSV and the JSON summary."""
     write_records_csv(records, csv_path)
     with open(summary_path, "w", encoding="ascii") as f:
-        json.dump(summarize(records, profile), f, indent=2)
+        json.dump(summarize(records, profile, noise), f, indent=2)
         f.write("\n")

@@ -58,7 +58,7 @@ def _cmd_bench(args) -> int:
         config = SuiteConfig.from_dict(json.load(f))
     records = run_suite(config)
     profile = performance_profile(records, DEFAULT_PROFILE_ALPHAS)
-    emit_reports(records, profile, args.csv, args.summary)
+    emit_reports(records, profile, config.noise, args.csv, args.summary)
     failures = sum(1 for r in records if not math.isfinite(r.rel_err))
     print(f"records={len(records)} failures={failures} csv={args.csv} "
           f"summary={args.summary}")

@@ -14,16 +14,18 @@
   when ||V||_1 is too large for the unscaled series.
 
 Every driver owns one ledger per call; ``mults`` in the result is the
-full square-product count including the squaring phase.  Each driver runs
-under one ``np.errstate`` that keeps overflow in its temporaries from
-warning, and checks its result for finiteness once.  Its products are
-unchecked (selection, the evaluators of :mod:`expmkit.poly` and
-:func:`squaring` alike): finiteness is checked where the input enters
+full square-product count including the squaring phase.  Each driver
+enters one ``np.errstate``, for the whole call, that keeps overflow in
+its temporaries from warning, and checks its result for finiteness once.
+Its products are unchecked (selection, the evaluators of :mod:`expmkit.poly`
+and :func:`squaring` alike): finiteness is checked where the input enters
 (:class:`~expmkit.matrix.Matrix`, :class:`LowRankPair`), through the
 selector's norms of W and its powers, and on the driver's output.  A
 non-finite entry never becomes finite again on the way (see
 :mod:`expmkit.matrix`), so an overflow raises
-:class:`~expmkit.matrix.NonFiniteError` and never a warning.
+:class:`~expmkit.matrix.NonFiniteError` and never a warning.  A
+:class:`~expmkit.matrix.Matrix` carries the input, the selector's powers,
+each product's operands and the result; sums run on plain arrays.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ from .matrix import (
     one_norm,
     scale_pow2,
 )
-# Unchecked product under the name perfbench/tracing.py wraps
-# (engine.mat_mul) to count squaring products; see expmkit.select.
+# The unchecked product and selectors, under the names perfbench/tracing.py
+# wraps (engine.mat_mul, select_ps, select_sastre) to count products per
+# phase; the driver's one np.errstate covers them.  See expmkit.select.
 from .matrix import _mat_mul_unchecked as mat_mul
 from .poly import (
     eval_low_order,
@@ -66,9 +69,8 @@ from .select import (
     EvalPlan,
     _select,
     check_tolerance,
-    select_ps,
-    select_sastre,
 )
+from .select import _select_ps as select_ps, _select_sastre as select_sastre
 
 __all__ = [
     "ExpmResult",
@@ -175,9 +177,9 @@ def expm(W: Matrix, eps: float, scheme: str = SCHEME_SASTRE) -> ExpmResult:
     with np.errstate(over="ignore", invalid="ignore"):
         ledger = MulLedger()
         if scheme == SCHEME_PS:
-            plan = select_ps(W, eps, ledger=ledger)
+            plan = select_ps(W, eps, ledger)
         elif scheme == SCHEME_SASTRE:
-            plan = select_sastre(W, eps, ledger=ledger)
+            plan = select_sastre(W, eps, ledger)
         else:
             raise MatrixError(f"unknown scheme {scheme!r}; expected 'ps' or 'sastre'")
 
@@ -212,8 +214,8 @@ class LowRankPair:
     a2: np.ndarray
 
     def __post_init__(self):
-        a1 = np.array(self.a1, dtype=np.float64)
-        a2 = np.array(self.a2, dtype=np.float64)
+        a1 = np.array(self.a1, dtype=np.float64, order="C")  # see Matrix
+        a2 = np.array(self.a2, dtype=np.float64, order="C")
         if a1.ndim != 2 or a2.ndim != 2:
             raise MatrixError("low-rank factors must be 2-d arrays")
         n, t = a1.shape
@@ -258,17 +260,14 @@ def expm_lowrank(pair: LowRankPair, eps: float) -> ExpmResult:
     with np.errstate(over="ignore", invalid="ignore"):
         ledger = MulLedger()
         V = _wrap(pair.a2 @ pair.a1)  # _select scans V if its 1-norm is not finite
-        plan = _select(V, eps, LOWRANK_TABLES, SCHEME_LOWRANK, ledger)
+        plan = _select(LOWRANK_TABLES, SCHEME_LOWRANK, V, eps, ledger)
         if plan.s > 0:
             raise LowRankOrderError(
                 f"||V||_1 = {plan.cached_norms[1]:.6g} admits no order <= "
                 f"{LOWRANK_ORDERS[-1]} at tolerance {float(eps):.3g}; the factored path "
                 "runs unscaled"
             )
-        if plan.m == 0:
-            psi = identity(V.n)
-        else:
-            psi = ps_eval(phi1_coeffs(plan.m), V, ledger, powers=plan.cached_powers)
+        psi = ps_eval(phi1_coeffs(plan.m), V, ledger, powers=plan.cached_powers)
         value = pair.a1 @ (psi.a @ pair.a2)
         _add_to_diagonal(value, 1.0)  # I + value, on the diagonal only
     return ExpmResult(check_finite(_wrap(value)), plan, ledger.count,

@@ -13,7 +13,8 @@ public :func:`mat_mul` checks its result, the selectors check W and each
 power they form only when its 1-norm is not finite (a finite norm proves
 every entry finite), and each driver of :mod:`expmkit.engine` checks its
 result once.  Inside a driver, products go through the unchecked
-:func:`_mat_mul_unchecked` under the driver's one ``np.errstate``.  That
+:func:`_mat_mul_unchecked` under the driver's one ``np.errstate``, with
+a :class:`Matrix` around each operand and result only.  That
 is enough because a non-finite entry never becomes finite again under
 the operations in between: an addition, a finite scalar factor or an
 exact power-of-two scaling keeps it Inf or NaN, and a product spreads it
@@ -58,7 +59,8 @@ class NonFiniteError(MatrixError):
 class Matrix:
     """Immutable dense square real matrix in IEEE binary64.
 
-    Entries are validated to be finite on construction.  The entrywise
+    Entries are copied in C order, so that a Fortran-ordered input's norms
+    and products round the same, and validated to be finite.  The entrywise
     operations (``+ - * /``, negation) and :func:`identity`, :func:`zeros`
     and :func:`scale_pow2` do not scan their results: an entry that
     overflows stays non-finite until the next check (public
@@ -71,7 +73,7 @@ class Matrix:
     __slots__ = ("a",)
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=np.float64)
+        a = np.array(entries, dtype=np.float64, order="C")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise MatrixError(f"expected a square 2-d array, got shape {a.shape}")
         if a.shape[0] < 1:
@@ -115,20 +117,18 @@ class Matrix:
             raise MatrixError(f"order mismatch: {self.n} vs {other.n}")
 
 
-def _wrap(a: np.ndarray) -> Matrix:
-    """Wrap a freshly computed float64 square array without scanning it."""
-    a.setflags(write=False)
+def _wrap(a: np.ndarray, writeable: bool = False) -> Matrix:
+    """Wrap a freshly computed float64 square array without scanning it;
+    a writeable wrap is for a product operand the caller reuses after."""
+    a.setflags(write=writeable)
     m = Matrix.__new__(Matrix)
     m.a = a
     return m
 
 
 def _add_to_diagonal(a: np.ndarray, c) -> None:
-    """a += c*I in place, on the n diagonal entries only.
-
-    ``a`` is a contiguous square array, in C or Fortran order: its
-    diagonal is every (n+1)-th entry of the flat view in either order.
-    """
+    """a += c*I in place on the diagonal only, every (n+1)-th entry of a
+    contiguous square array in C or Fortran order."""
     a.reshape(-1, order="A")[:: a.shape[0] + 1] += c
 
 

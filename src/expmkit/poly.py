@@ -9,24 +9,23 @@ Two evaluation routes are provided with exact multiplication budgets:
   products (:func:`eval_t8`) and order 15+ in four (:func:`eval_t15p`),
   beating the Paterson-Stockmeyer budget for the same order.
 
-The order-15+ result is not the plain Taylor polynomial: it matches the
-series through degree 15 and carries a perturbed degree-16 term whose
-coefficient is the fourth power of the leading table coefficient instead
-of 1/16!.
+The evaluators sum in place on plain float64 arrays: a sum's first term
+c*X allocates it, each further c*X is rounded into one scratch buffer per
+call and added, and c*I goes on the n diagonal entries only.  So each
+entry rounds as in the chained expression ``X0 + c1*X1 + ...`` on Matrix
+operands (binary64 addition commutes, so the first two terms may swap),
+except that an off-diagonal -0 stays -0 where the chained form adds the
+identity's +0.  A :class:`~expmkit.matrix.Matrix` wraps only each
+charged product's operands, for the module's ``mat_mul``, and the result,
+which owns its array.  The identity is formed only for an m = 0 result.
 
-Every linear combination goes through :func:`lincomb`, which sums in
-place and takes a constant term c*I as the scalar c, added to the n
-diagonal entries only (see it for the rounding and the sign of zero).
-The identity is built as a matrix only for an m = 0 result.
-
-The evaluators are unchecked building blocks: like the entrywise
-:class:`~expmkit.matrix.Matrix` operations and :func:`lincomb`, their
-products neither scan for NaN or Inf nor guard against floating-point
-warnings.  Each driver of :mod:`expmkit.engine` calls them under its one
-``np.errstate(over="ignore", invalid="ignore")`` and checks its output,
-which an overflow here always reaches (see :mod:`expmkit.matrix` for
-where finiteness is checked); other callers run them under the same
-``errstate`` and check the result with
+The evaluators are unchecked building blocks: their products neither
+scan for NaN or Inf nor guard against floating-point warnings.  Each
+driver of :mod:`expmkit.engine` calls them under its one
+``np.errstate(over="ignore", invalid="ignore")``, the only one the call
+enters, and checks its output, which an overflow here always reaches
+(see :mod:`expmkit.matrix` for where finiteness is checked); other
+callers run them under the same ``errstate`` and check the result with
 :func:`~expmkit.matrix.check_finite`.
 """
 
@@ -88,51 +87,6 @@ def phi1_coeffs(m: int) -> list[float]:
     sum_i x^i/(i+1)! used on the low-rank path."""
     m = _check_order(m)
     return list(_INV_FACT[1:m + 2])
-
-
-def lincomb(*terms) -> Matrix:
-    """Sum of the terms, left to right, in one fresh array.
-
-    A term is a Matrix X, a pair (c, X) standing for c*X, or a scalar c
-    standing for c*I; one of the first two terms must hold a matrix.
-    Each c*X is rounded once and added in place, so each entry rounds as
-    in the chained expression ``X0 + c1*X1 + ...`` on Matrix operands,
-    without its temporaries.
-
-    A c*I term is added to the diagonal only, at its position in the sum.
-    A leading c*I is added right after the first matrix term, and a bare
-    leading Matrix followed by a pair is added onto that pair's c*X, which
-    saves a copy.  Both round the same, because binary64 addition
-    commutes: fl(c0 + fl(c1*x)) = fl(fl(c1*x) + c0).
-
-    Sign of zero: the chained form also adds the identity's off-diagonal
-    zeros, and -0 + 0 is +0, so an off-diagonal -0 that it turns into +0
-    stays -0 here.  No other bit differs.  Like the Matrix operations,
-    lincomb does not scan for non-finite entries.
-    """
-    first = type(terms[0])
-    if first is not tuple and (type(terms[1]) is tuple or first is not Matrix):
-        terms = (terms[1], terms[0]) + terms[2:]
-    acc = tmp = None
-    for term in terms:
-        kind = type(term)
-        if kind is tuple:
-            c, X = term
-            if acc is None:
-                acc = X.a * c
-                continue
-            if tmp is None:
-                tmp = np.empty_like(acc)
-            np.multiply(X.a, c, out=tmp)
-            acc += tmp
-        elif kind is Matrix:
-            if acc is None:
-                acc = term.a.copy()
-            else:
-                acc += term.a
-        else:
-            _add_to_diagonal(acc, term)
-    return _wrap(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -232,25 +186,30 @@ def ps_eval(coeffs, A: Matrix, ledger: MulLedger, powers=None) -> Matrix:
         return coeffs[0] * identity(A.n)
     shape = ps_shape(m)
     j, k = shape.j, shape.k
-    pw = {1: A} if powers is None else dict(powers)
-    pw[1] = A
+    pw = {**(powers or {}), 1: A}
     for p in range(2, j + 1):
         if p not in pw:
             pw[p] = mat_mul(pw[p - 1], A, ledger)
+    a = [None] + [pw[t].a for t in range(1, j + 1)]
+    q, tmp = np.empty_like(A.a), np.empty_like(A.a)
 
-    # A block's constant term is its c*I, which lincomb adds on the diagonal
-    # right after the block's first power.
+    # q = c_lo*I + c_(lo+1)*A + ... + c_hi*A^(hi-lo), in place.
     def block(lo, hi):
-        return [coeffs[lo]] + [(coeffs[lo + t], pw[t]) for t in range(1, hi - lo + 1)]
+        np.multiply(a[1], coeffs[lo + 1], out=q)
+        _add_to_diagonal(q, coeffs[lo])
+        for t in range(2, hi - lo + 1):
+            np.add(q, np.multiply(a[t], coeffs[lo + t], out=tmp), out=q)
 
     # The top block may reach degree j itself (when m is a multiple of j);
     # that is what makes the k-1 Horner stages sufficient.  Each stage adds
     # the product after the block's own sum, i.e. block + product, which
     # is bit for bit product + block since binary64 addition commutes.
-    q = lincomb(*block((k - 1) * j, m))
+    block((k - 1) * j, m)
     for r in range(k - 2, -1, -1):
-        q = lincomb(*block(r * j, r * j + j - 1), mat_mul(q, pw[j], ledger))
-    return q
+        prod = mat_mul(_wrap(q, writeable=True), pw[j], ledger).a
+        block(r * j, r * j + j - 1)
+        q += prod
+    return _wrap(q)
 
 
 # ---------------------------------------------------------------------------
@@ -262,31 +221,55 @@ def eval_low_order(A: Matrix, m: int, ledger: MulLedger, a2: Matrix | None = Non
 
     Unchecked, like every evaluator here (see the module docstring).
     """
+    if m not in (1, 2, 4):
+        raise MatrixError(f"unsupported low order {m}; expected 1, 2 or 4")
     if m == 1:
-        return lincomb(A, 1.0)
-    if a2 is None and m in (2, 4):
+        x = A.a.copy()
+    else:
+        if a2 is None:
+            a2 = mat_mul(A, A, ledger)
+        # Halving and quartering are exact, so x/2 and x/4 round as x*0.5 and x*0.25.
+        x = a2.a * (0.5 if m == 2 else 0.25)
+        if m == 4:
+            x += A.a
+            x /= 3
+            _add_to_diagonal(x, 1.0)
+            np.multiply(mat_mul(_wrap(x, writeable=True), a2, ledger).a, 0.5, out=x)
+        x += A.a
+    _add_to_diagonal(x, 1.0)
+    return _wrap(x)
+
+
+def _formula_head(A: Matrix, a2: Matrix | None, c, c6: float, ledger: MulLedger):
+    """x = c5 y02 + prod + c6 A2, the sum both evaluation formulas start
+    from, with y02 = A2 (c0 A2 + c1 A) and prod = (c2 A2 + y02 + c3 A)
+    (c4 A2 + y02).  Returns x, y02, A2 and the call's scratch buffer."""
+    if a2 is None:
         a2 = mat_mul(A, A, ledger)
-    # Halving and quartering are exact, so x/2 and x/4 round as x*0.5 and x*0.25.
-    if m == 2:
-        return lincomb((0.5, a2), A, 1.0)
-    if m == 4:
-        inner = lincomb((0.25, a2), A).a / 3
-        _add_to_diagonal(inner, 1.0)
-        return lincomb((0.5, mat_mul(_wrap(inner), a2, ledger)), A, 1.0)
-    raise MatrixError(f"unsupported low order {m}; expected 1, 2 or 4")
+    a, b = A.a, a2.a
+    tmp = np.empty_like(b)
+    x = b * c[0]
+    x += np.multiply(a, c[1], out=tmp)
+    y02 = mat_mul(a2, _wrap(x, writeable=True), ledger).a
+    np.multiply(b, c[2], out=x)
+    x += y02
+    x += np.multiply(a, c[3], out=tmp)
+    np.multiply(b, c[4], out=tmp)
+    tmp += y02
+    prod = mat_mul(_wrap(x, writeable=True), _wrap(tmp, writeable=True), ledger).a
+    np.multiply(y02, c[5], out=x)
+    x += prod
+    x += np.multiply(b, c6, out=tmp)
+    return x, y02, b, tmp
 
 
 def eval_t8(A: Matrix, ledger: MulLedger, a2: Matrix | None = None) -> Matrix:
-    """Order-8 Taylor value in three products (two with a cached A^2).
-
-    Unchecked, like every evaluator here (see the module docstring).
-    """
-    c = EXP_COEFFS.t8
-    if a2 is None:
-        a2 = mat_mul(A, A, ledger)
-    y02 = mat_mul(a2, lincomb((c[0], a2), (c[1], A)), ledger)
-    prod = mat_mul(lincomb(y02, (c[2], a2), (c[3], A)), lincomb(y02, (c[4], a2)), ledger)
-    return lincomb(prod, (c[5], y02), (0.5, a2), A, 1.0)
+    """Order-8 Taylor value in three products (two with a cached A^2): the
+    shared head with c6 = 1/2, plus A + I.  Unchecked (see the module docstring)."""
+    x = _formula_head(A, a2, EXP_COEFFS.t8, 0.5, ledger)[0]
+    x += A.a
+    _add_to_diagonal(x, 1.0)
+    return _wrap(x)
 
 
 def eval_t15p(A: Matrix, ledger: MulLedger, a2: Matrix | None = None) -> Matrix:
@@ -297,14 +280,23 @@ def eval_t15p(A: Matrix, ledger: MulLedger, a2: Matrix | None = None) -> Matrix:
     like every evaluator here (see the module docstring).
     """
     c = EXP_COEFFS.t15p
-    if a2 is None:
-        a2 = mat_mul(A, A, ledger)
-    y02 = mat_mul(a2, lincomb((c[0], a2), (c[1], A)), ledger)
-    y12 = lincomb(mat_mul(lincomb(y02, (c[2], a2), (c[3], A)), lincomb(y02, (c[4], a2)), ledger),
-                  (c[5], y02), (c[6], a2))
-    return lincomb(mat_mul(lincomb(y12, (c[7], a2), (c[8], A)),
-                           lincomb(y12, (c[9], y02), (c[10], A)), ledger),
-                   (c[11], y12), (c[12], y02), (c[13], a2), (c[14], A), c[15])
+    y12, y02, b, tmp = _formula_head(A, a2, c, c[6], ledger)
+    a = A.a
+    # (c7 A2 + y12 + c8 A) (c9 y02 + y12 + c10 A)
+    x = b * c[7]
+    x += y12
+    x += np.multiply(a, c[8], out=tmp)
+    r = y02 * c[9]
+    r += y12
+    r += np.multiply(a, c[10], out=tmp)
+    prod = mat_mul(_wrap(x, writeable=True), _wrap(r), ledger).a
+    # c11 y12 + prod + c12 y02 + c13 A2 + c14 A + c15 I
+    np.multiply(y12, c[11], out=x)
+    x += prod
+    for coeff, term in ((c[12], y02), (c[13], b), (c[14], a)):
+        x += np.multiply(term, coeff, out=tmp)
+    _add_to_diagonal(x, c[15])
+    return _wrap(x)
 
 
 _SASTRE_BUDGET = {1: 0, 2: 1, 4: 2, 8: 3, 15: 4}

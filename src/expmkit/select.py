@@ -27,6 +27,7 @@ infinite bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -182,7 +183,7 @@ class EvalPlan:
     cached_norms: dict
 
 
-def _select(W: Matrix, eps: float, ladder: tuple[Rung, ...], scheme: str,
+def _select(ladder: tuple[Rung, ...], scheme: str, W: Matrix, eps: float,
             ledger: MulLedger) -> EvalPlan:
     eps = check_tolerance(eps)
     norm1 = one_norm(W)
@@ -235,13 +236,18 @@ def _select(W: Matrix, eps: float, ladder: tuple[Rung, ...], scheme: str,
     return EvalPlan(m, s, scheme, _exp2(l1), _exp2(l2), powers, norms)
 
 
+# The two searches without a warning guard, for callers inside one already.
+_select_ps = functools.partial(_select, PS_TABLES, SCHEME_PS)
+_select_sastre = functools.partial(_select, SASTRE_TABLES, SCHEME_SASTRE)
+
+
 def select_ps(W: Matrix, eps: float, ledger: MulLedger) -> EvalPlan:
     """Order/scale for the Paterson-Stockmeyer route (ladder up to 16).
 
     A 1-norm that overflows gives an infinite bound, not a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _select(W, eps, PS_TABLES, SCHEME_PS, ledger)
+        return _select_ps(W, eps, ledger)
 
 
 def select_sastre(W: Matrix, eps: float, ledger: MulLedger) -> EvalPlan:
@@ -252,5 +258,4 @@ def select_sastre(W: Matrix, eps: float, ledger: MulLedger) -> EvalPlan:
     infinite bound, not a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _select(W, eps, SASTRE_TABLES, SCHEME_SASTRE, ledger)
-
+        return _select_sastre(W, eps, ledger)

@@ -244,12 +244,13 @@ def test_profile_validates_alpha_grid():
 def test_emit_reports_empty(tmp_path):
     csv_path = tmp_path / "r.csv"
     summary_path = tmp_path / "s.json"
-    emit_reports([], performance_profile([], [1.0, 2.0]), csv_path, summary_path)
+    emit_reports([], performance_profile([], [1.0, 2.0]), 0.5, csv_path, summary_path)
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("generator_kind,")
     summary = json.loads(summary_path.read_text())
     assert summary["records"] == 0 and summary["schemes"] == {}
     assert summary["profile"]["matrices"] == 0
+    assert summary["noise"] == 0.5
 
 
 def test_csv_round_trip_exact(tmp_path):
@@ -274,7 +275,7 @@ def test_summary_totals_match_csv(tmp_path):
     prof = performance_profile(records, [1.0, 2.0])
     path = tmp_path / "records.csv"
     write_records_csv(records, path)
-    summary = summarize(records, prof)
+    summary = summarize(records, prof, small_config().noise)
     by_scheme = {}
     with open(path) as f:
         for row in csv.DictReader(f):

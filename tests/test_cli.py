@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -101,6 +102,8 @@ def test_bench_and_profile_round_trip(tmp_path, capsys):
     summary = json.loads(summary_path.read_text())
     assert summary["records"] == 2 * 2 * 3
     assert set(summary["schemes"]) == {"baseline", "ps", "sastre"}
+
+    assert summary["noise"] == 1e-8  # the default, as the suite gave none
 
     prof_path = tmp_path / "prof.json"
     rc = main(["profile", "--csv", str(csv_path), "--alphas", "1,2,4,1e9",
@@ -323,3 +326,23 @@ def test_profile_bad_alphas(tmp_path, capsys):
     assert main(["profile", "--csv", str(huge), "--alphas", "1,2",
                  "--out", str(tmp_path / "p.json")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bench_summary_carries_the_noise_the_csv_lacks(tmp_path, capsys):
+    suite = suite_file(tmp_path, kinds=["nilpotent_perturbed"], noise=0)
+    csv_path, summary_path = tmp_path / "r.csv", tmp_path / "s.json"
+    assert main(["bench", "--suite", str(suite), "--csv", str(csv_path),
+                 "--summary", str(summary_path)]) == 0
+    noise = json.loads(summary_path.read_text())["noise"]
+    assert noise == 0.0 and type(noise) is float
+    # The CSV alone gives specs with the default noise; the summary's
+    # restores the run's matrices, which are exactly nilpotent.
+    config = expmkit.SuiteConfig.from_dict(json.loads(suite.read_text()))
+    back = expmkit.read_records_csv(csv_path)
+    assert back and all(r.generator.noise == 1e-8 for r in back)
+    for r, spec in zip(back[::3], config.specs()):
+        run = expmkit.gen_matrix(spec)
+        again = expmkit.gen_matrix(dataclasses.replace(r.generator, noise=noise))
+        assert again.a.tobytes() == run.a.tobytes()
+        assert not np.tril(run.a).any()
+        assert np.tril(expmkit.gen_matrix(r.generator).a, -1).any()

@@ -519,3 +519,32 @@ def test_dense_drivers_reject_inputs_with_non_finite_norm(make):
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError):
                 run()
+
+
+def _outcome(res):
+    plan = res.plan
+    return (plan.m, plan.s, plan.e1, plan.e2, res.mults, res.value.a.tobytes())
+
+
+def test_results_do_not_depend_on_the_callers_memory_layout():
+    # The inputs are stored in C order, so a Fortran-ordered copy of the
+    # same entries gets the same norms, plans and value bytes.
+    rng = np.random.default_rng(3)
+    for n in (5, 8, 16, 33, 64):
+        for norm in (1e-3, 0.5, 3.0, 40.0):
+            arr = rng.uniform(-1.0, 1.0, (n, n))
+            arr *= norm / np.abs(arr).sum(axis=0).max()
+            C, F = Matrix(arr), Matrix(np.asfortranarray(arr))
+            assert F.a.flags.c_contiguous
+            for scheme in ("sastre", "ps"):
+                assert _outcome(expm(C, 1e-8, scheme)) == _outcome(expm(F, 1e-8, scheme))
+            assert _outcome(expm_baseline(C, 1e-8)) == _outcome(expm_baseline(F, 1e-8))
+        t = max(1, n // 8)
+        for norm in (1e-3, 0.5, 3.0):
+            a1 = rng.uniform(-1.0, 1.0, (n, t))
+            a2 = rng.uniform(-1.0, 1.0, (t, n))
+            a2 *= norm / np.abs(a2 @ a1).sum(axis=0).max()
+            C = LowRankPair(a1, a2)
+            F = LowRankPair(np.asfortranarray(a1), np.asfortranarray(a2))
+            assert F.a1.flags.c_contiguous and F.a2.flags.c_contiguous
+            assert _outcome(expm_lowrank(C, 1e-8)) == _outcome(expm_lowrank(F, 1e-8))

@@ -314,3 +314,45 @@ def test_evaluators_round_like_the_chained_expressions(n):
         cases.append((ps_eval(cs, A, MulLedger()), _chained_ps(cs, a)))
     for got, want in cases:
         assert np.array_equal(got.a, want)
+
+
+def _evaluator_calls(A):
+    """(name, call, inputs) for each in-place evaluator; ``inputs`` are the
+    Matrix operands the call is handed."""
+    led = MulLedger()
+    a2 = mat_mul(A, A, led)
+    pw = {1: A, 2: a2, 3: mat_mul(a2, A, led), 4: mat_mul(mat_mul(a2, A, led), A, led)}
+    calls = []
+    for m in (1, 2, 4):
+        calls.append((f"low {m}", lambda m=m: eval_low_order(A, m, led), [A]))
+        if m > 1:
+            calls.append((f"low {m} a2", lambda m=m: eval_low_order(A, m, led, a2=a2),
+                          [A, a2]))
+    calls.append(("t8", lambda: eval_t8(A, led), [A]))
+    calls.append(("t8 a2", lambda: eval_t8(A, led, a2=a2), [A, a2]))
+    calls.append(("t15p", lambda: eval_t15p(A, led), [A]))
+    calls.append(("t15p a2", lambda: eval_t15p(A, led, a2=a2), [A, a2]))
+    for coeffs in (taylor_coeffs_exp(1), taylor_coeffs_exp(9), taylor_coeffs_exp(16),
+                   phi1_coeffs(2), phi1_coeffs(15)):
+        m = len(coeffs) - 1
+        given_pw = {p: P for p, P in pw.items() if p <= ps_shape(m).j}
+        calls.append((f"ps {m}", lambda c=coeffs: ps_eval(c, A, led), [A]))
+        calls.append((f"ps {m} powers",
+                      lambda c=coeffs, g=given_pw: ps_eval(c, A, led, powers=g),
+                      list(given_pw.values())))
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 6, 16])
+def test_evaluators_leave_their_operands_alone_and_own_their_result(n):
+    A = Matrix(np.random.default_rng(7 + n).uniform(-0.4, 0.4, (n, n)))
+    for name, call, inputs in _evaluator_calls(A):
+        before = [X.a.tobytes() for X in inputs]
+        out = call().a
+        assert [X.a.tobytes() for X in inputs] == before, name
+        assert not out.flags.writeable and out.flags.owndata, name
+        assert all(not np.shares_memory(out, X.a) for X in inputs), name
+        # A second call does not write into the first result.
+        first = out.tobytes()
+        call()
+        assert out.tobytes() == first, name

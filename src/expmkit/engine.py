@@ -2,7 +2,9 @@
 
 * :func:`expm_baseline` - the term-accumulation scheme: scale until the
   1-norm drops below 1/2, add Taylor terms until the next term's norm
-  falls under the tolerance, square back.
+  falls under the tolerance, square back.  A term's corner entry bounds
+  its 1-norm from below, so the norm is formed only for a term whose
+  corner is within the tolerance.
 * :func:`expm` - select (m, s) with one of the two selectors, evaluate
   the degree-m polynomial on the scaled matrix (reusing the powers the
   selector already formed, rescaled exactly by powers of two), square s
@@ -134,7 +136,10 @@ def expm_baseline(W: Matrix, eps: float) -> ExpmResult:
     The smallest s with ||W||_1 / 2^s < 1/2 is used; the term loop then
     charges one product per term formed, including the final term whose
     norm falls at or below the tolerance (that product is what detects
-    termination).
+    termination).  Since |y_00| <= ||Y||_1, a term whose corner entry
+    exceeds the tolerance continues the loop without its norm being
+    formed; the loop stops at the same term as one that forms every
+    norm.  ``plan.e1`` is the norm that ended the loop.
     """
     eps = check_tolerance(eps)
     t0 = time.perf_counter()
@@ -153,13 +158,13 @@ def expm_baseline(W: Matrix, eps: float) -> ExpmResult:
         # Y = B^(k-1)/(k-1)! with ||B||_1 < 1/2 stays below 2^-(k-1)/(k-1)!,
         # so the unchecked products here cannot overflow and the norm is
         # never NaN, which would end the loop as if it had converged.
-        while one_norm(Y) > eps:
+        while abs(Y.a[0, 0]) > eps or (e1 := one_norm(Y)) > eps:
             x += Y.a
             Y = _wrap(mat_mul(B, Y, ledger).a / k)
             k += 1
         X = squaring(_wrap(x), s, ledger)
     plan = EvalPlan(m=k - 2, s=s, scheme=SCHEME_BASELINE,
-                    e1=one_norm(Y), e2=0.0, cached_powers={}, cached_norms={})
+                    e1=e1, e2=0.0, cached_powers={}, cached_norms={})
     return ExpmResult(check_finite(X), plan, ledger.count, time.perf_counter() - t0)
 
 

@@ -20,7 +20,9 @@ the operations in between: an addition, a finite scalar factor or an
 exact power-of-two scaling keeps it Inf or NaN, and a product spreads it
 over a whole row or column of its result (0 * Inf is NaN).  So an
 overflow in any temporary reaches a selector's norm or a driver's output
-check and raises the same :class:`NonFiniteError`.
+check and raises the same :class:`NonFiniteError`.  :func:`one_norm`
+keeps that signal: it reads the maximum column sum at ``argmax``, which
+picks the first NaN, so a NaN or Inf entry gives a NaN or Inf norm.
 """
 
 from __future__ import annotations
@@ -196,10 +198,15 @@ def mat_mul(A: Matrix, B: Matrix, ledger: MulLedger) -> Matrix:
 
 
 def one_norm(A: Matrix) -> float:
-    """Maximum over columns of the sum of absolute entries."""
-    # The ufunc reductions that ``.sum(axis=0).max()`` dispatches to, called
-    # directly: the same bits without the method wrappers' overhead.
-    return float(np.maximum.reduce(np.add.reduce(np.abs(A.a), axis=0)))
+    """Maximum over columns of the sum of absolute entries.
+
+    The maximum is read at ``argmax``, which costs less than a second
+    reduction on small orders and gives the same float as ``.max()``:
+    the sums are never -0, and ``argmax`` picks the first NaN, so a NaN
+    or Inf entry gives a NaN or Inf norm.
+    """
+    sums = np.add.reduce(np.abs(A.a), axis=0)
+    return float(sums[sums.argmax()])
 
 
 def frobenius_norm(A: Matrix) -> float:

@@ -11,10 +11,12 @@ zero off the diagonal: the chained form adds c*I to every entry, and
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from expmkit import (
     EXP_COEFFS,
+    GeneratorSpec,
     LOWRANK_ORDERS,
     LowRankPair,
     Matrix,
@@ -24,6 +26,7 @@ from expmkit import (
     eval_t15p,
     expm_baseline,
     expm_lowrank,
+    gen_matrix,
     identity,
     mat_mul,
     one_norm,
@@ -93,6 +96,9 @@ def ref_t15p(A):
 
 
 def ref_baseline(W, eps):
+    """The term loop forming every term's norm: the value, s, the k the
+    loop ends at, the norm that ended it and the products charged."""
+    ledger = MulLedger()
     norm1 = one_norm(W)
     s = 0
     while math.ldexp(norm1, -s) >= 0.5:
@@ -101,13 +107,22 @@ def ref_baseline(W, eps):
     X = identity(W.n)
     Y = B
     k = 2
-    while one_norm(Y) > eps:
+    while (e1 := one_norm(Y)) > eps:
         X = X + Y
-        Y = mm(B, Y) / k
+        Y = mat_mul(B, Y, ledger) / k
         k += 1
     for _ in range(s):
-        X = mm(X, X)
-    return X
+        X = mat_mul(X, X, ledger)
+    return X, s, k, e1, ledger.count
+
+
+def assert_baseline_matches_reference(W, eps):
+    res = expm_baseline(W, eps)
+    X, s, k, e1, mults = ref_baseline(W, eps)
+    # No sum here adds c*I, so even the signs of zeros agree.
+    assert res.value.a.tobytes() == X.a.tobytes(), ("baseline", eps)
+    assert (res.plan.m, res.plan.s, res.plan.e1, res.plan.e2, res.mults) == \
+        (k - 2, s, e1, 0.0, mults), ("baseline", eps)
 
 
 def ref_lowrank(pair, m):
@@ -129,8 +144,9 @@ def assert_same_bits(got: Matrix, want: Matrix, what):
 @st.composite
 def _inputs(draw):
     """A square input of a drawn kind, 1-norm at most 2; a negated input
-    holds -0 wherever it is zero, and a Fortran-ordered one takes the
-    other memory layout through every in-place sum."""
+    holds -0 wherever it is zero.  An input drawn in Fortran order must
+    reach the evaluators in C order, which :class:`Matrix` stores, so
+    that the in-place sums see one layout whatever the caller's."""
     n = draw(st.integers(1, 16))
     kind = draw(st.sampled_from(KINDS))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -150,7 +166,9 @@ def _inputs(draw):
         a = -a
     if draw(st.booleans()):
         a = np.asfortranarray(a)
-    return Matrix(a)
+    A = Matrix(a)
+    assert A.a.flags.c_contiguous
+    return A
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -170,7 +188,33 @@ def test_evaluators_match_chained_matrix_formulas(A):
             coeffs = phi1_coeffs(m)
             assert_same_bits(ps_eval(coeffs, A, MulLedger()), ref_ps_eval(coeffs, A),
                              ("ps phi1", m))
-    assert_same_bits(expm_baseline(A, 1e-10).value, ref_baseline(A, 1e-10), "baseline")
+    assert_baseline_matches_reference(A, 1e-10)
+
+
+def _corner_inputs(kind, n, norm, rng):
+    """Inputs on which the baseline's corner test decides differently:
+    dense ones, whose corner entry mostly exceeds eps, and three kinds
+    whose corner stays at or below it on some or all terms."""
+    if kind == "rotation_block":  # odd powers have a zero diagonal
+        return gen_matrix(GeneratorSpec(kind, n, norm, int(rng.integers(2 ** 31))))
+    a = rng.uniform(-1.0, 1.0, (n, n))
+    if kind == "nilpotent":  # every power is strictly upper triangular
+        a = np.triu(a, 1)
+    elif kind == "tiny_corner_diag":
+        a = np.diag(np.diag(a))
+        a[0, 0] = 1e-300
+    return Matrix(a * (norm / np.abs(a).sum(axis=0).max()))
+
+
+@pytest.mark.parametrize("kind", ["dense", "rotation_block", "nilpotent", "tiny_corner_diag"])
+def test_baseline_matches_a_loop_that_forms_every_norm(kind):
+    rng = np.random.default_rng(15)
+    for n in (2, 3, 8, 17):
+        for norm in (1e-3, 0.3, 1.0, 5.0, 40.0):
+            W = _corner_inputs(kind, n, norm, rng)
+            for eps in (1e-4, 1e-8, 1e-12, 2.0 ** -53):
+                assert_baseline_matches_reference(W, eps)
+                assert_baseline_matches_reference(-W, eps)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -102,6 +102,32 @@ def test_baseline_cost_identity_random():
         assert math.ldexp(one_norm(W), -res.plan.s) < 0.5
 
 
+def test_baseline_forms_a_term_norm_only_where_the_corner_cannot_decide(monkeypatch):
+    # |y_00| <= ||Y||_1, so a term whose corner exceeds eps needs no norm
+    # to continue the loop; the norm that ends it is formed once.
+    seen = []
+
+    def counting_norm(A):
+        seen.append(A)
+        return one_norm(A)
+
+    monkeypatch.setattr(engine_mod, "one_norm", counting_norm)
+    rng = np.random.default_rng(15)
+    for n in (4, 8, 16):
+        W = random_with_norm(rng, n, 1.0)
+        seen.clear()
+        res = expm_baseline(W, 1e-8)
+        assert seen[0] is W
+        terms = seen[1:]
+        # The loop tests m + 1 terms; a dense input skips some norms ...
+        assert 1 <= len(terms) < res.plan.m + 1
+        assert all(abs(Y.a[0, 0]) <= 1e-8 for Y in terms)
+        # ... forms each term's norm at most once, and the last one
+        # formed is the norm that ended the loop.
+        assert len({id(Y) for Y in terms}) == len(terms)
+        assert res.plan.e1 == one_norm(terms[-1]) <= 1e-8
+
+
 def test_baseline_tolerance_floor():
     with pytest.raises(ToleranceError):
         expm_baseline(identity(2), 2.0 ** -60)

@@ -18,6 +18,7 @@ from expmkit import (
     scale_pow2,
     zeros,
 )
+from expmkit.matrix import _wrap
 
 
 def test_mat_mul_identity():
@@ -124,6 +125,43 @@ def test_one_norm_examples():
     big = Matrix(np.full((3, 3), 1e308))
     with np.errstate(over="ignore"):
         assert one_norm(big) == chained(big) == math.inf
+
+
+def test_one_norm_is_the_maximum_reduction_on_non_finite_entries():
+    # The maximum is read at argmax; it must be the float the second
+    # reduction gave, NaN and Inf included (the Matrix constructor rejects
+    # such entries, but unchecked temporaries hold them).
+    def reduced(a):
+        return float(np.maximum.reduce(np.add.reduce(np.abs(a), axis=0)))
+
+    def same(x, y):
+        return (math.isnan(x) and math.isnan(y)) or \
+            (x == y and math.copysign(1.0, x) == math.copysign(1.0, y))
+
+    rng = np.random.default_rng(15)
+    base = rng.uniform(-1.0, 1.0, (4, 4))
+    cases = [np.zeros((n, n)) for n in (1, 2, 5)]
+    cases += [np.full((n, n), -0.0) for n in (1, 3)]
+    cases += [np.array([[v]]) for v in (-3.0, math.nan, math.inf, -math.inf)]
+    for i in range(4):
+        for j in range(4):
+            a = base.copy()
+            a[i, j] = math.nan  # a NaN anywhere, the other sums finite
+            cases.append(a)
+            b = a.copy()
+            b[:, (j + 1) % 4] = -math.inf  # and an Inf column beside it
+            cases.append(b)
+    for j in range(4):
+        a = base.copy()
+        a[:, j] = math.inf
+        cases.append(a)
+    a = base.copy()
+    a[2, 1] = -math.inf
+    cases.append(a)
+    for a in cases:
+        got = one_norm(_wrap(a))
+        assert isinstance(got, float)
+        assert same(got, reduced(a)), a
 
 
 def test_frobenius_examples():

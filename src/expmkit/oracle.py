@@ -10,12 +10,13 @@ e^B is at most b^(m+1)/(m+1)! / (1 - b/(m+2)) in the 1-norm, and
 ||e^B||_1 >= 1/||e^-B||_1 >= e^-b, so the least m that brings that bound
 below 2^-106 e^-b truncates below 2^-106 relative to e^B (m = 15 at
 b = 2^-4).  With j = ceil(sqrt(m)) and k = ceil(m/j), B^2 .. B^j cost
-j - 1 double-double products and the Horner steps in B^j cost k - 1;
-the blocks between them are sums of double-double scalings.  A call
-therefore costs (j - 1) + (k - 1) + s double-double products, at most
-6 + s; summing the series term by term took one per term, up to about
-15 + s.  That leaves well over ten guard digits beyond binary64, enough
-to adjudicate 1e-8-level tolerances with several orders of margin.
+j - 1 double-double n-by-n products and the Horner steps in B^j cost
+k - 1; the k blocks between them come from one block product (below).
+A call therefore costs (j - 1) + (k - 1) + s n-by-n products, at most
+6 + s, and one block product; summing the series term by term took one
+product per term, up to about 15 + s.  That leaves well over ten guard
+digits beyond binary64, enough to adjudicate 1e-8-level tolerances with
+several orders of margin.
 
 :func:`poly_reference` evaluates an arbitrary polynomial with the same
 routine, :func:`_dd_poly`, so truncation remainders can be measured
@@ -23,11 +24,12 @@ directly against the series tail rather than against another binary64
 evaluation.
 
 Double-double matrix products run on BLAS through error-free slicing
-(Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012).  Each row
-of A and each column of B gets an exponent e, with its hi entries below
-2^e, and is cut into d slices of w bits: slice p is the row rounded to
-the grid 2^(e - (p+1) w), minus the slices before it.  The cut
-s = (r + sigma) - sigma with sigma = 0.75 * 2^(e + beta - p w) and
+(Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012).  For a
+product of an (r, q) matrix A and a (q, c) matrix B, each row of A and
+each column of B gets an exponent e, with its hi entries below 2^e, and
+is cut into d slices of w bits, (w, d) = _slicing(q): slice p is the row
+rounded to the grid 2^(e - (p+1) w), minus the slices before it.  The
+cut s = (r + sigma) - sigma with sigma = 0.75 * 2^(e + beta - p w) and
 beta = 53 - w rounds r to the nearest grid point exactly, and r - s is
 exact too; hi and lo are cut on the same grid, and each sigma is the
 previous one times 2^-w, exactly.  A slice entry is therefore an integer
@@ -39,16 +41,16 @@ while 2^(e-54) is at most half the grid unit, 2^(e - (p+1) w - 1).  The
 cut skips lo on those grids: hi's slice is never -0, so adding +0 to it
 and taking +0 from lo change no bit.  It skips while (p+1) w + 1 <= 51,
 which leaves a factor 8 of margin on lo.  Since 2 w + 1 <= 51 for every
-order (``_slicing`` asserts 2 w + 1 + ceil(log2(d n)) <= 53, and d n >= 3),
+q (``_slicing`` asserts 2 w + 1 + ceil(log2(d q)) <= 53, and d q >= 3),
 lo is cut only on the last grid when d = 3, and on the last two when
 d = 4.
 
 Level l gathers the slice pairs (p, l - p).  Their products share one
 unit per result entry, and the level is one BLAS call whose inner
-dimension is at most d n.  Each product of two slice entries is an
+dimension is at most d q.  Each product of two slice entries is an
 integer below 2^(2w+1) times that unit, so when
 
-    2 w + 1 + ceil(log2(d n)) <= 53
+    2 w + 1 + ceil(log2(d q)) <= 53
 
 every partial sum is an integer of at most 53 bits: the level is exact
 in binary64 in any summation order, with or without FMA.  w is the
@@ -62,31 +64,56 @@ is the remainder after j slices.  It is at most 2^(-d w) of the leading
 level and is formed in one more binary64 product (with B's lo part
 dropped from the last term, which moves it by less than 2^(-d w - 53));
 d is the fewest levels for which its rounding error is below about
-2^-106 n max|a_i:| max|b_:j|.  The tail and then the levels, smallest
+2^-106 q max|a_i:| max|b_:j|.  The tail and then the levels, smallest
 first, are summed with two_sum into (hi, lo).
 
-Up to order 85, d = 3 and w = 22 to 25: one double-double product costs
-d + 1 = 4 BLAS calls worth 10 binary64 products of order n (from order
-86 on, d = 4: 5 calls worth 15).  The error bound holds per row of A and
-column of B, not per entry, and assumes that nothing underflows or
-overflows.
+Up to q = 85, d = 3 and w = 22 to 25: an n-by-n product costs d + 1 = 4
+BLAS calls worth 10 binary64 products of order n (from n = 86 on, d = 4:
+5 calls worth 15).  The error bound holds per row of A and column of B,
+not per entry, and assumes that nothing underflows or overflows.
 
-One routine, :func:`_cut`, cuts every operand.  The right operand of
-every power and Horner product is fixed within a call (B, then B^j), so
-it is cut once into its BLAS layout (:func:`_split_right`): its columns
-are cut through a transposed view that writes each slice straight into
-its block.  Each product then cuts only its left operand
-(:func:`_dd_dot`).  B's lo part is zero and is not cut.  A squaring has
-no fixed operand: :func:`_dd_matmul` prepares its right operand the same
-way and then takes the same product.
+One routine, :func:`_cut`, cuts every operand: :func:`_split_left` cuts
+the rows of a left operand, :func:`_split_right` the columns of a right
+operand, and :func:`_dd_levels` sums the levels of any such pair.  The
+right operand of every power and Horner product is fixed within a call
+(B, then B^j), so it is split once; its columns are cut through a
+transposed view that writes each slice straight into its block.  Each
+n-by-n product (:func:`_dd_dot`) then cuts only its left operand.  B's
+lo part is zero and is not cut.  A squaring has no fixed operand:
+:func:`_dd_matmul` splits its right operand the same way and then takes
+the same product.
+
+The k Taylor blocks are c_rj I + sum_t c_(rj+t) B^t for t = 1 .. len_r,
+with len_r = j - 1 below the top block and m - (k-1) j in it.  They come
+from one rectangular double-double product: the (k, J) table whose row
+r holds c_(rj+1) .. c_(rj+len_r), padded with zeros, times the stacked
+powers [B; B^2; ..; B^J] seen as a (J, n^2) matrix, where
+J = max(m - (k-1) j, j - 1) <= j.  It runs through the same kernel with
+inner dimension q = J: J <= 4 up to degree 16, where _slicing(J) gives
+d = 3 and w = 24 or 25.  Each row of the table is cut on the grid of its
+largest coefficient, and each column of the stack on the grid of
+max_t |(B^t)_pq|, which a higher power sets wherever B_pq is small or
+zero.  So entry (r, pq) of the product is within about
+2^-106 J max_t |c_(rj+t)| max_t |(B^t)_pq| of the exact sum, plus the
+rounding of the pair itself; the powers' lo parts are normalized entry
+by entry, as the cut of lo needs.  c_rj I is then added on the k
+diagonals in double-double.  For e^B, where the 1/t! fall and
+||B^t||_1 <= 2^-4t, the blocks' errors sum to about 2^-105 of e^B in
+the 1-norm.  The product runs over panels of at most ``_PANEL`` columns
+of the stack, so that each panel's planes stay in cache; every column is
+cut on its own grid, so a panel changes no level, and only the tail's
+rounding could follow BLAS's order of summation.
 
 At small orders the cost of a product is numpy passes, not BLAS.  With
-d = 3, a product with a prepared right operand makes 4 BLAS calls and
-about 40 elementwise passes over n^2 entries: 15 to cut the left
-operand and 24 to sum the levels.  A squaring first cuts its right
-operand, which takes about 18 more.  In the Taylor blocks each power is
-Dekker-split once per call and each 1/k! comes pre-split from a table,
-so a term costs a scaling (16 passes) and a double-double addition (20).
+d = 3, an n-by-n product with a prepared right operand makes 4 BLAS
+calls and about 40 elementwise passes over n^2 entries: 15 to cut the
+left operand and 24 to sum the levels.  A squaring first cuts its right
+operand, which takes about 18 more.  The block product makes about 20
+passes over the J n^2 stacked entries to cut them and about 25 over the
+k n^2 results to sum the levels: about 160 passes over n^2 entries at
+m = 15, in about 120 numpy calls.  Summed term by term, the same blocks
+took a double-double scaling (16 passes) per term and an addition (20)
+per term after a block's first: about 350 passes in about 450 calls.
 """
 
 from __future__ import annotations
@@ -106,10 +133,14 @@ __all__ = [
     "relative_error",
 ]
 
-_SPLITTER = 134217729.0  # 2^27 + 1, exact in binary64
 _NORM_CAP = 2.0 ** 64
 _SCALE_TARGET = 2.0 ** -4
 _DD_BITS = 106
+# Columns of [B; ..; B^J] per panel of the block product: a panel's 2 d + 1
+# planes of J rows and its k result rows stay within about 200 KB, in cache.
+# In one panel of n^2 = 4096 columns the block sums were slower than the
+# term-by-term ones at n = 64 (BENCH_16.json).
+_PANEL = 1024
 
 
 def _two_sum(a, b):
@@ -123,13 +154,6 @@ def _quick_two_sum(a, b):
     return s, b - (s - a)
 
 
-def _dekker(a):
-    """Dekker's split of a into halves of at most 26 bits: a = ah + al."""
-    c = _SPLITTER * a
-    ah = c - (c - a)
-    return ah, a - ah
-
-
 def _dd_add(xh, xl, yh, yl):
     sh, se = _two_sum(xh, yh)
     th, te = _two_sum(xl, yl)
@@ -139,28 +163,19 @@ def _dd_add(xh, xl, yh, yl):
     return _quick_two_sum(sh, se)
 
 
-def _dd_scale(x, c):
-    """(xh, xl) c for a double-double scalar c, both given with xh and ch
-    pre-split: x = (xh, xl, *_dekker(xh)) and c = (ch, cl, *_dekker(ch))."""
-    xh, xl, ah, al = x
-    ch, cl, bh, bl = c
-    p = xh * ch  # two_prod(xh, ch) = (p, its exact error)
-    pe = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return _quick_two_sum(p, pe + (xh * cl + xl * ch))
-
-
 @functools.cache
-def _slicing(n: int):
-    """Slice width w (bits) and number of exact levels d for order n."""
+def _slicing(q: int):
+    """Slice width w (bits) and number of exact levels d for a product
+    with inner dimension q."""
     for depth in itertools.count(1):
-        width = (52 - math.ceil(math.log2(depth * n))) // 2
-        # The tail's (d+1) n products per entry, each below 2^(-d w) of a
-        # leading-level product, round to at most (d+1)^2 n 2^(-d w - 53)
-        # of n max|a_i:| max|b_:j|.
-        tail_terms = (depth + 1) ** 2 * n
+        width = (52 - math.ceil(math.log2(depth * q))) // 2
+        # The tail's (d+1) q products per entry, each below 2^(-d w) of a
+        # leading-level product, round to at most (d+1)^2 q 2^(-d w - 53)
+        # of q max|a_i:| max|b_:j|.
+        tail_terms = (depth + 1) ** 2 * q
         if depth * width + 53 - math.ceil(math.log2(tail_terms)) >= _DD_BITS:
             break
-    assert 2 * width + 1 + math.ceil(math.log2(depth * n)) <= 53
+    assert 2 * width + 1 + math.ceil(math.log2(depth * q)) <= 53
     return width, depth
 
 
@@ -206,42 +221,56 @@ def _cut(hi, lo, width: int, depth: int, slices, rems=None):
 
 
 def _split_right(bh, bl=None):
-    """Column-split the right operand of a product into its BLAS layout.
+    """Column-split the (q, c) right operand of a product into its BLAS layout.
 
     Returns ``(b_col, b_tail)``: b_col = [B_d-1; ..; B_0] and
     b_tail = [R_d(B); ..; R_1(B); hi of B], the slices and remainders of
-    B's columns stacked row-block-wise.  A right operand that is fixed
-    over many products is split once; ``bl=None`` means lo is zero.
-    B's columns are cut through transposed views, so the slices land in
-    their blocks without a copy.
+    B's columns stacked row-block-wise, with (w, d) = _slicing(q).  A
+    right operand that is fixed over many products is split once;
+    ``bl=None`` means lo is zero.  B's columns are cut through transposed
+    views, so the slices land in their blocks without a copy.
     """
-    n = bh.shape[0]
-    width, depth = _slicing(n)
-    b_col = np.empty((depth, n, n))
-    b_tail = np.empty((depth + 1, n, n))
+    q, c = bh.shape
+    width, depth = _slicing(q)
+    b_col = np.empty((depth, q, c))
+    b_tail = np.empty((depth + 1, q, c))
     _cut(bh.T, None if bl is None else bl.T, width, depth,
          b_col[::-1].transpose(0, 2, 1), b_tail[depth - 1::-1].transpose(0, 2, 1))
     b_tail[depth] = bh
-    return b_col.reshape(depth * n, n), b_tail.reshape((depth + 1) * n, n)
+    return b_col.reshape(depth * q, c), b_tail.reshape((depth + 1) * q, c)
 
 
-def _dd_dot(ah, al, right):
-    """Double-double product of (ah, al) and a right operand prepared by
-    :func:`_split_right`; only the left operand is cut here."""
-    n = ah.shape[0]
-    width, depth = _slicing(n)
-    b_col, b_tail = right
-    # a_row = [A_0 .. A_d-1  R_d(A)].  Level l is the first l + 1 blocks of
-    # a_row times the last l + 1 of b_col; the tail is a_row times b_tail.
-    a_row = np.empty((n, depth + 1, n))
+def _split_left(ah, al):
+    """Row-split the (r, q) left operand of a product into its BLAS layout:
+    a_row = [A_0 .. A_d-1  R_d(A)], the slices and the remainder of A's
+    rows side by side, with (w, d) = _slicing(q)."""
+    r, q = ah.shape
+    width, depth = _slicing(q)
+    a_row = np.empty((r, depth + 1, q))
     _cut(ah, al, width, depth, a_row.transpose(1, 0, 2))
-    a_row = a_row.reshape(n, (depth + 1) * n)
+    return a_row.reshape(r, (depth + 1) * q)
+
+
+def _dd_levels(a_row, right):
+    """Double-double product of a left operand split by :func:`_split_left`
+    and a right operand split by :func:`_split_right`."""
+    b_col, b_tail = right
+    q = b_tail.shape[0] - b_col.shape[0]  # (d + 1) q rows against d q
+    depth = b_col.shape[0] // q
+    # Level l is the first l + 1 blocks of a_row times the last l + 1 of
+    # b_col; the tail is a_row times b_tail.
     ch, cl = a_row @ b_tail, 0.0
     for lev in reversed(range(depth)):
-        level = a_row[:, :(lev + 1) * n] @ b_col[(depth - 1 - lev) * n:]
+        level = a_row[:, :(lev + 1) * q] @ b_col[(depth - 1 - lev) * q:]
         ch, err = _two_sum(ch, level)
         cl = cl + err
     return _quick_two_sum(ch, cl)
+
+
+def _dd_dot(ah, al, right):
+    """Double-double n-by-n product of (ah, al) and a right operand prepared
+    by :func:`_split_right`; only the left operand is cut here."""
+    return _dd_levels(_split_left(ah, al), right)
 
 
 def _dd_matmul(ah, al, bh, bl):
@@ -252,11 +281,13 @@ def _dd_matmul(ah, al, bh, bl):
 def _add_eye(xh, xl, ch, cl=0.0):
     """(xh, xl) + (ch, cl) I in double-double, in place on the diagonal.
 
-    The diagonals are written through ``einsum('ii->i')`` views, which
-    stay views of the pair in any memory layout.
+    (xh, xl) may be a stack of matrices, with (ch, cl) broadcast against
+    the stack of diagonals.  The diagonals are written through
+    ``einsum('...ii->...i')`` views, which stay views of the pair in any
+    memory layout.
     """
-    dh, dl = np.einsum("ii->i", xh), np.einsum("ii->i", xl)
-    dh[:], dl[:] = _dd_add(dh, dl, ch, cl)
+    dh, dl = np.einsum("...ii->...i", xh), np.einsum("...ii->...i", xl)
+    dh[...], dl[...] = _dd_add(dh, dl, ch, cl)
     return xh, xl
 
 
@@ -274,60 +305,63 @@ def _taylor_degree(b: float) -> int:
     return m
 
 
-def _dd_scalar(hi: float, lo: float = 0.0):
-    """The double-double scalar (hi, lo) with hi pre-split for
-    :func:`_dd_scale`."""
-    return hi, lo, *_dekker(hi)
-
-
 def _dd_inv_factorial(k: int):
-    """1/k! as a :func:`_dd_scalar`, hi and lo each correctly rounded."""
+    """1/k! as a double-double (hi, lo), hi and lo each correctly rounded."""
     f = math.factorial(k)
     hi = 1 / f  # int / int rounds correctly
     num, den = hi.as_integer_ratio()
-    return _dd_scalar(hi, (den - num * f) / (den * f))
+    return hi, (den - num * f) / (den * f)
 
 
-# Every degree _expm_dd can pick: the tail bound grows with b <= 2^-4.
-_INV_FACTORIALS = tuple(map(_dd_inv_factorial,
-                            range(_taylor_degree(_SCALE_TARGET) + 1)))
+# Every degree _expm_dd can pick, as hi and lo rows: the tail bound grows
+# with b <= 2^-4.
+_INV_FACTORIALS = np.array(
+    [_dd_inv_factorial(t) for t in range(_taylor_degree(_SCALE_TARGET) + 1)]).T
 
 
 def _dd_poly(bh, coeffs):
-    """sum_t coeffs[t] B^t for B = (bh, 0) and :func:`_dd_scalar`
-    coefficients, by Paterson-Stockmeyer in double-double: (j - 1) + (k - 1)
-    products for (j, k) = ps_shape(m) at degree m >= 1."""
+    """sum_t coeffs[:, t] B^t for B = (bh, 0) and the (2, m + 1) array of
+    coefficient hi and lo rows, by Paterson-Stockmeyer in double-double:
+    (j - 1) + (k - 1) n-by-n products for (j, k) = ps_shape(m) at degree
+    m >= 1, and one block product."""
     n = bh.shape[0]
-    m = len(coeffs) - 1
+    m = coeffs.shape[1] - 1
     if m == 0:
-        return coeffs[0][0] * np.eye(n), coeffs[0][1] * np.eye(n)
+        return coeffs[0, 0] * np.eye(n), coeffs[1, 0] * np.eye(n)
     shape = ps_shape(m)
     j, k = shape.j, shape.k
-    pw = {1: (bh, np.zeros((n, n)))}
+    # The top block holds c_(k-1)j .. c_m, the others j terms each, so the
+    # blocks need B .. B^J; J <= j, and B^j is formed for the Horner steps.
+    inner = max(m - (k - 1) * j, j - 1)
+    pw = np.zeros((2, j, n, n))
+    pw[0, 0] = bh
     if j > 1:
         right = _split_right(bh)
-        for p in range(2, j + 1):
-            pw[p] = _dd_dot(*pw[p - 1], right)
-    # Each power the blocks scale, B^1 .. B^t with t the longest block, is
-    # Dekker-split once: the top block ends at m, the others at j - 1.
-    terms = {t: (*pw[t], *_dekker(pw[t][0]))
-             for t in range(1, max(m - (k - 1) * j, j - 1) + 1)}
-
-    def block(lo, hi):
-        # sum_t coeffs[lo + t] B^t for t = 0 .. hi - lo; hi > lo, since
-        # ps_shape gives j >= 2 whenever k > 1.
-        xh, xl = _dd_scale(terms[1], coeffs[lo + 1])
-        for t in range(2, hi - lo + 1):
-            xh, xl = _dd_add(xh, xl, *_dd_scale(terms[t], coeffs[lo + t]))
-        return _add_eye(xh, xl, *coeffs[lo][:2])
+        for p in range(1, j):
+            pw[:, p] = _dd_dot(*pw[:, p - 1], right)
+    # Row r of the table holds c_rj+1 .. c_rj+len_r, padded with zeros; its
+    # product with [B; ..; B^J] as a (J, n^2) matrix gives the k blocks
+    # (gh, gl) but their identity terms c_rj I, added on the diagonals.
+    table = np.zeros((2, k, inner))
+    for r in range(k):
+        end = m + 1 if r == k - 1 else (r + 1) * j
+        table[:, r, :end - r * j - 1] = coeffs[:, r * j + 1:end]
+    stack = pw[:, :inner].reshape(2, inner, n * n)
+    left = _split_left(*table)
+    gh, gl = np.empty((2, k, n * n))
+    for c in range(0, n * n, _PANEL):
+        gh[:, c:c + _PANEL], gl[:, c:c + _PANEL] = _dd_levels(
+            left, _split_right(*stack[:, :, c:c + _PANEL]))
+    gh, gl = _add_eye(gh.reshape(k, n, n), gl.reshape(k, n, n),
+                      *coeffs[:, :(k - 1) * j + 1:j, None])
 
     # Horner in B^j over the blocks, as in poly.ps_eval: the top block may
     # reach degree j itself, so k - 1 products suffice.
-    xh, xl = block((k - 1) * j, m)
+    xh, xl = gh[k - 1], gl[k - 1]
     if k > 1:
-        right = _split_right(*pw[j])
+        right = _split_right(*pw[:, j - 1])
     for r in range(k - 2, -1, -1):
-        xh, xl = _dd_add(*_dd_dot(xh, xl, right), *block(r * j, r * j + j - 1))
+        xh, xl = _dd_add(*_dd_dot(xh, xl, right), gh[r], gl[r])
     return xh, xl
 
 
@@ -340,7 +374,7 @@ def _expm_dd(A: Matrix):
     while math.ldexp(norm1, -s) > _SCALE_TARGET:
         s += 1
     m = _taylor_degree(math.ldexp(norm1, -s))
-    xh, xl = _dd_poly(np.ldexp(A.a, -s), _INV_FACTORIALS[:m + 1])
+    xh, xl = _dd_poly(np.ldexp(A.a, -s), _INV_FACTORIALS[:, :m + 1])
     for _ in range(s):
         xh, xl = _dd_matmul(xh, xl, xh, xl)
         if not np.isfinite(xh).all():
@@ -360,7 +394,8 @@ def poly_reference(A: Matrix, coeffs) -> Matrix:
     Paterson-Stockmeyer routine as :func:`expm_reference`."""
     if len(coeffs) == 0:
         raise MatrixError("empty coefficient list")
-    xh, xl = _dd_poly(A.a, [_dd_scalar(float(c)) for c in coeffs])
+    hi = np.array([float(c) for c in coeffs])
+    xh, xl = _dd_poly(A.a, np.stack((hi, np.zeros_like(hi))))
     return Matrix(xh + xl)
 
 

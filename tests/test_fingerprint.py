@@ -36,3 +36,24 @@ def test_fingerprint_repeats_within_one_process():
     assert first["calls"] == 40 + 2 * 2 * 3 * 3 + 2
     # A changed outcome changes the digest.
     assert fp.fingerprint(calls(eps=1e-12))["sha256"] != first["sha256"]
+
+
+def test_oracle_fingerprint_repeats_within_one_process():
+    fp = _load_tool()
+    config = SuiteConfig(eps=1e-8, sizes=(4, 8), kinds=("diag", "rotation_block"),
+                         schemes=("ps",), norm_min=1e-3, norm_max=50.0, norm_count=2,
+                         base_seed=5)
+    # A 1-norm above 2^64 is refused by the reference path: a raised type.
+    too_big = Matrix([[2.0 ** 65]])
+
+    def matrices(last=0.5):
+        return chain(fp.suite_matrices(config), [too_big, Matrix([[last]])])
+
+    first = fp.oracle_fingerprint(matrices())
+    assert first == fp.oracle_fingerprint(matrices())
+    assert first["oracle_matrices"] == 2 * 2 * 2 + 2
+    # A changed matrix changes both digests; they digest different bytes.
+    second = fp.oracle_fingerprint(matrices(last=0.25))
+    assert second["oracle_sha256"] != first["oracle_sha256"]
+    assert second["oracle_pair_sha256"] != first["oracle_pair_sha256"]
+    assert first["oracle_sha256"] != first["oracle_pair_sha256"]

@@ -26,8 +26,8 @@ from expmkit import (
     zeros,
 )
 from expmkit import oracle
-from expmkit.oracle import (_cut, _dd_dot, _dd_matmul, _expm_dd, _quick_two_sum, _slicing,
-                            _split_right, _two_sum)
+from expmkit.oracle import (_cut, _dd_dot, _dd_levels, _dd_matmul, _expm_dd, _quick_two_sum,
+                            _slicing, _split_left, _split_right, _two_sum)
 
 
 def test_zero_gives_identity():
@@ -244,36 +244,38 @@ def _ref_split(x, width, depth):
 
 
 def _ref_split_right(bh, bl=None):
-    n = bh.shape[0]
-    width, depth = _slicing(n)
+    q, c = bh.shape
+    width, depth = _slicing(q)
     x = bh.T[None] if bl is None else np.stack((bh.T, bl.T))
     slices, rems = _ref_split(x, width, depth)
-    b_col = slices[::-1].transpose(0, 2, 1).reshape(depth * n, n)
-    b_rems = rems[::-1].transpose(0, 2, 1).reshape(depth * n, n)
+    b_col = slices[::-1].transpose(0, 2, 1).reshape(depth * q, c)
+    b_rems = rems[::-1].transpose(0, 2, 1).reshape(depth * q, c)
     return b_col, np.concatenate((b_rems, bh))
 
 
 def _ref_dd_dot(ah, al, right):
-    n = ah.shape[0]
-    width, depth = _slicing(n)
+    q = ah.shape[1]
+    width, depth = _slicing(q)
     slices, rems = _ref_split(np.stack((ah, al)), width, depth)
     a_row = np.hstack((*slices, rems[-1]))
     b_col, b_tail = right
     ch, cl = a_row @ b_tail, 0.0
     for lev in reversed(range(depth)):
-        level = a_row[:, :(lev + 1) * n] @ b_col[(depth - 1 - lev) * n:]
+        level = a_row[:, :(lev + 1) * q] @ b_col[(depth - 1 - lev) * q:]
         ch, err = _two_sum(ch, level)
         cl = cl + err
     return _quick_two_sum(ch, cl)
 
 
-def _tight_pair(rng, n):
-    """Normalized pair with |lo| exactly ulp(hi)/2, 2^+-40 row and column
-    scales, and (from order 2) a zero row and a zero column."""
-    hi = rng.uniform(-1.0, 1.0, (n, n)) * _pow2(rng, n)[:, None] * _pow2(rng, n)[None, :]
-    lo = np.spacing(np.abs(hi)) / 2 * rng.choice([-1.0, 1.0], (n, n))
-    if n > 1:
-        i, j = rng.integers(n, size=2)
+def _tight_pair(rng, n, c=None):
+    """Normalized (n, c) pair, square by default, with |lo| exactly
+    ulp(hi)/2, 2^+-40 row and column scales, and (from order 2) a zero row
+    and a zero column."""
+    c = n if c is None else c
+    hi = rng.uniform(-1.0, 1.0, (n, c)) * _pow2(rng, n)[:, None] * _pow2(rng, c)[None, :]
+    lo = np.spacing(np.abs(hi)) / 2 * rng.choice([-1.0, 1.0], (n, c))
+    if min(n, c) > 1:
+        i, j = rng.integers((n, c))
         hi[i], lo[i], hi[:, j], lo[:, j] = 0.0, 0.0, 0.0, 0.0
     return hi, lo
 
@@ -297,6 +299,18 @@ def test_kernels_match_two_plane_reference_bytes(n):
         assert _same_bytes(_dd_matmul(ah, al, bh, bl), _ref_dd_dot(ah, al, right))
         assert _same_bytes(_dd_matmul(ah, al, ah, al),
                            _ref_dd_dot(ah, al, _ref_split_right(ah, al)))
+
+
+# (r, q, c): block-product shapes (k, J) by (J, n^2), and degenerate ones
+@pytest.mark.parametrize("r, q, c", [(4, 3, 64), (3, 4, 25), (2, 1, 9), (1, 2, 1), (5, 90, 3)])
+def test_rectangular_kernels_match_two_plane_reference_bytes(r, q, c):
+    rng = np.random.default_rng(600 + r * q * c)
+    for _ in range(3):
+        ah, al = _tight_pair(rng, r, q)
+        bh, bl = _tight_pair(rng, q, c)
+        right = _ref_split_right(bh, bl)
+        assert _same_bytes(_split_right(bh, bl), right)
+        assert _same_bytes(_dd_levels(_split_left(ah, al), right), _ref_dd_dot(ah, al, right))
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +341,15 @@ def _fraction_expm(arr, s):
     return X
 
 
+def _assert_within_2_100(hi, lo, ref, info):
+    """||(hi + lo) - ref||_1 <= 2^-100 ||ref||_1, exactly."""
+    n = len(ref)
+    err = max(sum(abs(Fraction(hi[i, j]) + Fraction(lo[i, j]) - ref[i][j])
+                  for i in range(n)) for j in range(n))
+    ref_norm = max(sum(abs(ref[i][j]) for i in range(n)) for j in range(n))
+    assert err <= ref_norm * Fraction(2) ** -100, info
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_reference_matches_exact_rational_exponential(n):
     rng = np.random.default_rng(300 + n)
@@ -336,12 +359,35 @@ def test_reference_matches_exact_rational_exponential(n):
     for norm, s in cases:
         arr = rng.uniform(-1.0, 1.0, (n, n))
         arr *= norm / np.abs(arr).sum(axis=0).max()
-        hi, lo = _expm_dd(Matrix(arr))
-        ref = _fraction_expm(arr, s)
-        err = max(sum(abs(Fraction(hi[i, j]) + Fraction(lo[i, j]) - ref[i][j])
-                      for i in range(n)) for j in range(n))
-        ref_norm = max(sum(abs(ref[i][j]) for i in range(n)) for j in range(n))
-        assert err <= ref_norm * Fraction(2) ** -100, (n, s)
+        _assert_within_2_100(*_expm_dd(Matrix(arr)), _fraction_expm(arr, s), (n, s))
+
+
+def _block_case(kind, rng, n):
+    """A matrix of 1-norm one whose block product is a corner case."""
+    if kind == "upper":
+        # On the second superdiagonal B_pq = 0 (or, at (0, 2), 2^-40 of the
+        # rest) while (B^2)_pq is not: a higher power sets the column's grid.
+        arr = np.diag(rng.uniform(0.5, 1.0, n - 1) * rng.choice([-1.0, 1.0], n - 1), k=1)
+        if n > 2:
+            arr[0, 2] = 2.0 ** -40
+    elif kind == "diag":
+        arr = np.diag(rng.uniform(-1.0, 1.0, n))
+    else:
+        arr = rng.uniform(-1.0, 1.0, (n, n))
+    return arr / np.abs(arr).sum(axis=0).max()
+
+
+# The top block holds c_(k-1)j .. c_m: one term past its identity at m = 13
+# (j = k = 4), two at m = 10 (j = 4, k = 3), three at m = 15.
+@pytest.mark.parametrize("norm, s, m", [(0.005, 0, 10), (0.025, 0, 13), (0.126, 2, 13),
+                                        (0.9, 4, 15)])
+@pytest.mark.parametrize("kind, n", [("upper", 4), ("diag", 3), ("dense", 3), ("dense", 1)])
+def test_reference_blocks_match_exact_rational_exponential(kind, n, norm, s, m):
+    # The block product cuts each column of [B; B^2; ..; B^J] on the grid
+    # of its largest entry, which comes from a higher power where B_pq = 0.
+    arr = norm * _block_case(kind, np.random.default_rng(700 + n), n)
+    assert _ps_degree(math.ldexp(one_norm(Matrix(arr)), -s)) == m
+    _assert_within_2_100(*_expm_dd(Matrix(arr)), _fraction_expm(arr, s), (kind, n, m))
 
 
 def _ps_degree(b):
@@ -402,22 +448,21 @@ def test_poly_reference_matches_exact_rational_polynomial(n, monkeypatch):
     pairs = []
     dd_poly = oracle._dd_poly
     monkeypatch.setattr(oracle, "_dd_poly", lambda *args: pairs.append(dd_poly(*args)) or pairs[-1])
-    coeff_lists = [taylor_coeffs_exp(m) for m in (1, 2, 3, 5, 8, 12, 16)]
+    # Degrees 10 and 13 leave two terms and one term in the top block.
+    coeff_lists = [taylor_coeffs_exp(m) for m in (1, 2, 3, 5, 8, 10, 12, 13, 16)]
     coeff_lists.append(taylor_coeffs_exp(15) + [EXP_COEFFS.b16])
     coeff_lists.append([(-1) ** i * c for i, c in enumerate(taylor_coeffs_exp(16))])
     rng = np.random.default_rng(500 + n)
-    for norm in (0.05, 0.5, 2.0):
-        arr = rng.uniform(-1.0, 1.0, (n, n))
-        arr *= norm / np.abs(arr).sum(axis=0).max()
+    arrays = [norm * _block_case("dense", rng, n) for norm in (0.05, 0.5, 2.0)]
+    if n > 1:
+        arrays += [2.0 * _block_case(kind, rng, n) for kind in ("upper", "diag")]
+    for arr in arrays:
         for coeffs in coeff_lists:
             out = poly_reference(Matrix(arr), coeffs)
             hi, lo = pairs[-1]
             assert np.array_equal(out.a, hi + lo)
-            ref = _fraction_poly(arr, coeffs)
-            err = max(sum(abs(Fraction(hi[i, j]) + Fraction(lo[i, j]) - ref[i][j])
-                          for i in range(n)) for j in range(n))
-            ref_norm = max(sum(abs(ref[i][j]) for i in range(n)) for j in range(n))
-            assert err <= ref_norm * Fraction(2) ** -100, (norm, len(coeffs) - 1)
+            _assert_within_2_100(hi, lo, _fraction_poly(arr, coeffs),
+                                 (one_norm(Matrix(arr)), len(coeffs) - 1))
 
 
 def test_poly_reference_cost_is_paterson_stockmeyer(monkeypatch):
@@ -430,6 +475,63 @@ def test_poly_reference_cost_is_paterson_stockmeyer(monkeypatch):
         calls.clear()
         poly_reference(A, taylor_coeffs_exp(m))
         assert len(calls) == ps_shape(m).mults, m
+
+
+def test_one_block_product_per_polynomial(monkeypatch):
+    # Besides its (j - 1) + (k - 1) n-by-n products, a call at degree m >= 1
+    # sums all k Taylor blocks in one (k, J) by (J, n^2) product, with
+    # J = max(m - (k - 1) j, j - 1); n^2 = 25 columns make one panel.
+    shapes = []
+    dd_levels = oracle._dd_levels
+
+    def record(a_row, right):
+        b_col, b_tail = right
+        shapes.append((a_row.shape[0], b_tail.shape[0] - b_col.shape[0], b_tail.shape[1]))
+        return dd_levels(a_row, right)
+
+    monkeypatch.setattr(oracle, "_dd_levels", record)
+    n = 5
+    A = Matrix(np.random.default_rng(23).uniform(-0.1, 0.1, (n, n)))
+    for m in range(17):
+        shapes.clear()
+        poly_reference(A, taylor_coeffs_exp(m))
+        if m == 0:
+            assert shapes == []
+            continue
+        shape = ps_shape(m)
+        j, k = shape.j, shape.k
+        blocks = [sh for sh in shapes if sh[2] == n * n]
+        assert blocks == [(k, max(m - (k - 1) * j, j - 1), n * n)], m
+        assert len(shapes) == shape.mults + 1, m
+    for norm in (1e-9, 0.025, 12.8):  # m = 3, 13 and 15, the last after 8 squarings
+        shapes.clear()
+        expm_reference(Matrix(A.a * (norm / one_norm(A))))
+        assert sum(sh[2] == n * n for sh in shapes) == 1, norm
+
+
+@pytest.mark.parametrize("panel", [7, 1024])
+def test_block_product_panels_agree_with_one_panel(panel, monkeypatch):
+    # n^2 = 1600 columns of [B; ..; B^J]: 229 panels of 7, the last one
+    # ragged, or two of 1024 and 576 against one of 1600.
+    n = 40
+    rng = np.random.default_rng(29)
+    bh = rng.uniform(-1.0, 1.0, (n, n))
+    bh *= 2.0 ** -4 / np.abs(bh).sum(axis=0).max()
+    monkeypatch.setattr(oracle, "_PANEL", n * n)
+    want = oracle._dd_poly(bh, oracle._INV_FACTORIALS)
+    shapes = []
+    dd_levels = oracle._dd_levels
+    monkeypatch.setattr(oracle, "_dd_levels",
+                        lambda a_row, right: shapes.append(right[0].shape[1])
+                        or dd_levels(a_row, right))
+    monkeypatch.setattr(oracle, "_PANEL", panel)
+    got = oracle._dd_poly(bh, oracle._INV_FACTORIALS)
+    panels = [c for c in shapes if c != n]
+    assert len(panels) == -(-n * n // panel) and sum(panels) == n * n
+    # Each column is cut on its own grid, so panels change no level; the
+    # tail's rounding alone could follow BLAS's order of summation.
+    diff = np.abs((got[0] - want[0]) + (got[1] - want[1])).sum(axis=0).max()
+    assert diff <= 2.0 ** -104 * np.abs(want[0]).sum(axis=0).max()
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])

@@ -1,4 +1,5 @@
-"""Digest of every driver outcome on a fixed call set.
+"""Digests of every driver outcome on a fixed call set, and of the
+reference exponential on a fixed matrix set.
 
     python3 tools/fingerprint.py
 
@@ -9,6 +10,12 @@ workloads at seed 13, and every (matrix, scheme) cell of the default
 bench suite at seeds 2024 and 13.  Per call, the digest takes the value
 bytes, m, s, e1, e2, ``mults`` and ``rect_mults``, or the type of the
 exception raised.
+
+The oracle digests cover every matrix of the default bench suite at
+seeds 2024 and 13: ``oracle_sha256`` takes the binary64 bytes that
+``expm_reference`` returns, and ``oracle_pair_sha256`` the bytes of the
+double-double pair (hi, lo) behind them, or the type of the exception
+raised.
 
 Two trees that compute the same values, plans and product counts print
 the same ``sha256``.  ``sha256_signless`` maps -0 to +0 first, so when
@@ -34,7 +41,7 @@ for _path in (ROOT / "src", ROOT / "perfbench"):
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
 
-from expmkit import bench, engine, select  # noqa: E402
+from expmkit import bench, engine, oracle, select  # noqa: E402
 
 WORKLOAD_SEED = 13
 SUITE_SEEDS = (2024, 13)
@@ -58,6 +65,11 @@ def suite_calls(config: bench.SuiteConfig):
         W = bench.gen_matrix(spec)
         for scheme in config.schemes:
             yield W, scheme, config.eps
+
+
+def suite_matrices(config: bench.SuiteConfig):
+    """Each matrix of a bench suite, once."""
+    return map(bench.gen_matrix, config.specs())
 
 
 def standard_calls():
@@ -99,8 +111,35 @@ def fingerprint(calls) -> dict:
             "calls": count, "negative_zeros": negative_zeros}
 
 
+def standard_matrices():
+    return itertools.chain(
+        *(suite_matrices(bench.default_suite_config(seed)) for seed in SUITE_SEEDS))
+
+
+def oracle_fingerprint(matrices) -> dict:
+    """The binary64 and (hi, lo) digests of the oracle, and the number of
+    matrices."""
+    value, pair = hashlib.sha256(), hashlib.sha256()
+    count = 0
+    for W in matrices:
+        count += 1
+        try:
+            ref = oracle.expm_reference(W)
+            hi, lo = oracle._expm_dd(W)
+        except Exception as exc:  # the raised type is part of the outcome
+            record = repr(("raised", type(exc).__name__)).encode()
+            value.update(record)
+            pair.update(record)
+            continue
+        value.update(ref.a.tobytes())
+        pair.update(hi.tobytes() + lo.tobytes())
+    return {"oracle_sha256": value.hexdigest(), "oracle_pair_sha256": pair.hexdigest(),
+            "oracle_matrices": count}
+
+
 def main() -> int:
-    for key, value in fingerprint(standard_calls()).items():
+    digests = {**fingerprint(standard_calls()), **oracle_fingerprint(standard_matrices())}
+    for key, value in digests.items():
         print(key, value)
     return 0
 

@@ -221,8 +221,7 @@ class SuiteConfig:
                 GeneratorSpec(kind, n, self.norm_max, self.base_seed, self.noise)
 
     def norm_grid(self) -> np.ndarray:
-        if self.norm_count == 1:
-            return np.array([self.norm_min])
+        # One point is exactly [norm_min]: numpy sets the first to the start.
         if self.norm_scale == "log":
             return np.geomspace(self.norm_min, self.norm_max, self.norm_count)
         return np.linspace(self.norm_min, self.norm_max, self.norm_count)

@@ -213,7 +213,7 @@ def expm(W: Matrix, eps: float, scheme: str = SCHEME_SASTRE) -> ExpmResult:
 
 @dataclass(frozen=True)
 class LowRankPair:
-    """Factored weight W = A1 A2 with A1 (n x t) and A2 (t x n), t <= n."""
+    """Factored weight W = A1 A2 with A1 (n x t) and A2 (t x n), 1 <= t <= n."""
 
     a1: np.ndarray
     a2: np.ndarray
@@ -226,8 +226,8 @@ class LowRankPair:
         n, t = a1.shape
         if a2.shape != (t, n):
             raise MatrixError(f"factor shapes incompatible: {a1.shape} and {a2.shape}")
-        if t > n:
-            raise MatrixError(f"inner rank {t} exceeds order {n}")
+        if not 1 <= t <= n:
+            raise MatrixError(f"inner rank {t} is not between 1 and the order {n}")
         if not (np.isfinite(a1).all() and np.isfinite(a2).all()):
             raise NonFiniteError("low-rank factors must be finite")
         a1.setflags(write=False)

@@ -46,7 +46,6 @@ __all__ = [
     "parse_matrix",
     "save_matrix",
     "scale_pow2",
-    "zeros",
 ]
 
 
@@ -62,14 +61,13 @@ class Matrix:
     """Immutable dense square real matrix in IEEE binary64.
 
     Entries are copied in C order, so that a Fortran-ordered input's norms
-    and products round the same, and validated to be finite.  The entrywise
-    operations (``+ - * /``, negation) and :func:`identity`, :func:`zeros`
-    and :func:`scale_pow2` do not scan their results: an entry that
-    overflows stays non-finite until the next check (public
-    :func:`mat_mul`, a selector's power norm or a driver's output) raises
-    :class:`NonFiniteError` on it (see the module docstring),
-    and :func:`check_finite` checks a matrix on demand.  The entry array is
-    read-only; instances may be shared freely across threads.
+    and products round the same, and validated to be finite.  A Matrix
+    holds values, not algebra: arithmetic runs on the read-only array
+    ``.a``.  One from this constructor, :func:`load_matrix`,
+    :func:`identity`, :func:`scale_pow2`, public :func:`mat_mul` or a
+    driver is finite; only the unchecked building blocks (``ps_eval``, the
+    ``eval_*`` formulas, ``squaring``) can return one that is not, and
+    :func:`check_finite` checks it.  Instances may be shared across threads.
     """
 
     __slots__ = ("a",)
@@ -92,32 +90,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix(n={self.n})"
 
-    # Entrywise algebra is O(n^2) work and is never charged to a ledger.
-    def __add__(self, other):
-        self._check_same_order(other)
-        return _wrap(self.a + other.a)
-
-    def __sub__(self, other):
-        self._check_same_order(other)
-        return _wrap(self.a - other.a)
-
-    def __mul__(self, c):
-        return _wrap(self.a * float(c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, c):
-        return _wrap(self.a / float(c))
-
-    def __neg__(self):
-        return _wrap(-self.a)
-
-    def _check_same_order(self, other):
-        if not isinstance(other, Matrix):
-            raise MatrixError(f"expected a Matrix operand, got {type(other).__name__}")
-        if self.n != other.n:
-            raise MatrixError(f"order mismatch: {self.n} vs {other.n}")
-
 
 def _wrap(a: np.ndarray, writeable: bool = False) -> Matrix:
     """Wrap a freshly computed float64 square array without scanning it;
@@ -136,10 +108,6 @@ def _add_to_diagonal(a: np.ndarray, c) -> None:
 
 def identity(n: int) -> Matrix:
     return _wrap(np.eye(n))
-
-
-def zeros(n: int) -> Matrix:
-    return _wrap(np.zeros((n, n)))
 
 
 def check_finite(A: Matrix) -> Matrix:

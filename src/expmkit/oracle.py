@@ -21,7 +21,9 @@ several orders of margin.
 :func:`poly_reference` evaluates an arbitrary polynomial with the same
 routine, :func:`_dd_poly`, so truncation remainders can be measured
 directly against the series tail rather than against another binary64
-evaluation.
+evaluation.  Each of the two enters one ``np.errstate`` for the whole
+call, as the drivers do: an overflow raises :class:`NonFiniteError`, from
+the check after each squaring or on the result, never a warning.
 
 Double-double matrix products run on BLAS through error-free slicing
 (Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012).  For a
@@ -96,8 +98,9 @@ max_t |(B^t)_pq|, which a higher power sets wherever B_pq is small or
 zero.  So entry (r, pq) of the product is within about
 2^-106 J max_t |c_(rj+t)| max_t |(B^t)_pq| of the exact sum, plus the
 rounding of the pair itself; the powers' lo parts are normalized entry
-by entry, as the cut of lo needs.  c_rj I is then added on the k
-diagonals in double-double.  For e^B, where the 1/t! fall and
+by entry, as the cut of lo needs.  c_rj I is then added in place, in
+double-double, on the k diagonals: every (n+1)-th column of the (k, n^2)
+result.  For e^B, where the 1/t! fall and
 ||B^t||_1 <= 2^-4t, the blocks' errors sum to about 2^-105 of e^B in
 the 1-norm.  The product runs over panels of at most ``_PANEL`` columns
 of the stack, so that each panel's planes stay in cache; every column is
@@ -111,9 +114,7 @@ left operand and 24 to sum the levels.  A squaring first cuts its right
 operand, which takes about 18 more.  The block product makes about 20
 passes over the J n^2 stacked entries to cut them and about 25 over the
 k n^2 results to sum the levels: about 160 passes over n^2 entries at
-m = 15, in about 120 numpy calls.  Summed term by term, the same blocks
-took a double-double scaling (16 passes) per term and an addition (20)
-per term after a block's first: about 350 passes in about 450 calls.
+m = 15, in about 120 numpy calls.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ import math
 
 import numpy as np
 
-from .matrix import Matrix, MatrixError, NonFiniteError, frobenius_norm, one_norm
+from .matrix import Matrix, MatrixError, NonFiniteError, _wrap, frobenius_norm, one_norm
 from .poly import ps_shape
 
 __all__ = [
@@ -278,19 +279,6 @@ def _dd_matmul(ah, al, bh, bl):
     return _dd_dot(ah, al, _split_right(bh, bl))
 
 
-def _add_eye(xh, xl, ch, cl=0.0):
-    """(xh, xl) + (ch, cl) I in double-double, in place on the diagonal.
-
-    (xh, xl) may be a stack of matrices, with (ch, cl) broadcast against
-    the stack of diagonals.  The diagonals are written through
-    ``einsum('...ii->...i')`` views, which stay views of the pair in any
-    memory layout.
-    """
-    dh, dl = np.einsum("...ii->...i", xh), np.einsum("...ii->...i", xl)
-    dh[...], dl[...] = _dd_add(dh, dl, ch, cl)
-    return xh, xl
-
-
 def _taylor_degree(b: float) -> int:
     """Smallest m whose Taylor tail bound meets 2^-106 relative to e^B.
 
@@ -352,8 +340,10 @@ def _dd_poly(bh, coeffs):
     for c in range(0, n * n, _PANEL):
         gh[:, c:c + _PANEL], gl[:, c:c + _PANEL] = _dd_levels(
             left, _split_right(*stack[:, :, c:c + _PANEL]))
-    gh, gl = _add_eye(gh.reshape(k, n, n), gl.reshape(k, n, n),
-                      *coeffs[:, :(k - 1) * j + 1:j, None])
+    # c_rj I on the k diagonals: every (n+1)-th column of the blocks.
+    gh[:, ::n + 1], gl[:, ::n + 1] = _dd_add(gh[:, ::n + 1], gl[:, ::n + 1],
+                                             *coeffs[:, :(k - 1) * j + 1:j, None])
+    gh, gl = gh.reshape(k, n, n), gl.reshape(k, n, n)
 
     # Horner in B^j over the blocks, as in poly.ps_eval: the top block may
     # reach degree j itself, so k - 1 products suffice.
@@ -385,8 +375,9 @@ def _expm_dd(A: Matrix):
 def expm_reference(A: Matrix) -> Matrix:
     """High-accuracy e^A; at least ~1e-19 relative on well-conditioned
     inputs, i.e. several digits past binary64 roundoff."""
-    xh, xl = _expm_dd(A)
-    return Matrix(xh + xl)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xh, xl = _expm_dd(A)
+        return Matrix(xh + xl)
 
 
 def poly_reference(A: Matrix, coeffs) -> Matrix:
@@ -395,8 +386,9 @@ def poly_reference(A: Matrix, coeffs) -> Matrix:
     if len(coeffs) == 0:
         raise MatrixError("empty coefficient list")
     hi = np.array([float(c) for c in coeffs])
-    xh, xl = _dd_poly(A.a, np.stack((hi, np.zeros_like(hi))))
-    return Matrix(xh + xl)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xh, xl = _dd_poly(A.a, np.stack((hi, np.zeros_like(hi))))
+        return Matrix(xh + xl)
 
 
 def relative_error(X: Matrix, ref: Matrix) -> float:
@@ -406,4 +398,4 @@ def relative_error(X: Matrix, ref: Matrix) -> float:
     denom = frobenius_norm(ref)
     if denom == 0.0:
         raise MatrixError("reference matrix has zero norm")
-    return frobenius_norm(X - ref) / denom
+    return frobenius_norm(_wrap(X.a - ref.a)) / denom

@@ -12,10 +12,10 @@ Two evaluation routes are provided with exact multiplication budgets:
 The evaluators sum in place on plain float64 arrays: a sum's first term
 c*X allocates it, each further c*X is rounded into one scratch buffer per
 call and added, and c*I goes on the n diagonal entries only.  So each
-entry rounds as in the chained expression ``X0 + c1*X1 + ...`` on Matrix
-operands (binary64 addition commutes, so the first two terms may swap),
-except that an off-diagonal -0 stays -0 where the chained form adds the
-identity's +0.  A :class:`~expmkit.matrix.Matrix` wraps only each
+entry rounds as in the chained expression ``X0 + c1*X1 + ...`` on the
+operands' arrays (binary64 addition commutes, so the first two terms may
+swap), except that an off-diagonal -0 stays -0 where the chained form
+adds the identity's +0.  A :class:`~expmkit.matrix.Matrix` wraps only each
 charged product's operands, for the module's ``mat_mul``, and the result,
 which owns its array.  The identity is formed only for an m = 0 result.
 
@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix import Matrix, MatrixError, MulLedger, _add_to_diagonal, _wrap, identity
+from .matrix import Matrix, MatrixError, MulLedger, _add_to_diagonal, _wrap
 # Unchecked product under the name perfbench/tracing.py wraps (poly.mat_mul)
 # to count evaluation products; see expmkit.select.
 from .matrix import _mat_mul_unchecked as mat_mul
@@ -183,7 +183,7 @@ def ps_eval(coeffs, A: Matrix, ledger: MulLedger, powers=None) -> Matrix:
     if m < 0:
         raise MatrixError("empty coefficient list")
     if m == 0:
-        return coeffs[0] * identity(A.n)
+        return _wrap(np.eye(A.n) * float(coeffs[0]))
     shape = ps_shape(m)
     j, k = shape.j, shape.k
     pw = {**(powers or {}), 1: A}

@@ -302,6 +302,15 @@ def test_suite_determinism_modulo_wall_time(tmp_path):
     assert strip_wall(p1) == strip_wall(p2)
 
 
+@pytest.mark.parametrize("scale", ["log", "linear"])
+@pytest.mark.parametrize("lo, hi", [(1e-3, 4.0), (2.5, 2.5), (1.1e-300, 12.8),
+                                    (1.1e-300, 1.1e-300), (3e-300, 7e300)])
+def test_one_point_norm_grid_is_exactly_the_minimum(scale, lo, hi):
+    # numpy sets the first point of geomspace and linspace to the start.
+    cfg = small_config(norm_min=lo, norm_max=hi, norm_count=1, norm_scale=scale)
+    assert np.array_equal(cfg.norm_grid(), [lo])
+
+
 def test_default_suite_config_shape():
     cfg = default_suite_config()
     specs = cfg.specs()

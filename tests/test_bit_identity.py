@@ -1,6 +1,6 @@
-"""The in-place evaluators against the chained-Matrix formulas they replace.
+"""The in-place evaluators against the chained array formulas they replace.
 
-Each reference below spells an evaluator out with Matrix operators, one
+Each reference below spells an evaluator out with array operators, one
 temporary per operation and the identity as a full matrix.  The library
 forms the same sums in place and adds c*I on the diagonal only, so every
 entry must round the same.  The one allowed difference is the sign of a
@@ -27,7 +27,6 @@ from expmkit import (
     expm_baseline,
     expm_lowrank,
     gen_matrix,
-    identity,
     mat_mul,
     one_norm,
     phi1_coeffs,
@@ -40,20 +39,22 @@ from expmkit import (
 KINDS = ("dense", "diag", "triangular", "nilpotent", "zero")
 
 
-def mm(X, Y):
-    return mat_mul(X, Y, MulLedger())
+def mm(x, y, ledger=None):
+    """x @ y as the library's charged product forms it."""
+    return mat_mul(Matrix(x), Matrix(y), MulLedger() if ledger is None else ledger).a
 
 
 def ref_ps_eval(coeffs, A):
+    a = A.a
     m = len(coeffs) - 1
-    eye = identity(A.n)
+    eye = np.eye(A.n)
     if m == 0:
         return coeffs[0] * eye
     shape = ps_shape(m)
     j, k = shape.j, shape.k
-    pw = {1: A}
+    pw = {1: a}
     for p in range(2, j + 1):
-        pw[p] = mm(pw[p - 1], A)
+        pw[p] = mm(pw[p - 1], a)
 
     def block(lo, hi):
         q = coeffs[lo] * eye
@@ -68,31 +69,31 @@ def ref_ps_eval(coeffs, A):
 
 
 def ref_low_order(A, m):
-    eye = identity(A.n)
+    a, eye = A.a, np.eye(A.n)
     if m == 1:
-        return A + eye
-    a2 = mm(A, A)
+        return a + eye
+    a2 = mm(a, a)
     if m == 2:
-        return 0.5 * a2 + A + eye
-    inner = (0.25 * a2 + A) / 3 + eye
-    return 0.5 * mm(inner, a2) + A + eye
+        return 0.5 * a2 + a + eye
+    inner = (0.25 * a2 + a) / 3 + eye
+    return 0.5 * mm(inner, a2) + a + eye
 
 
 def ref_t8(A):
-    c = EXP_COEFFS.t8
-    a2 = mm(A, A)
-    y02 = mm(a2, c[0] * a2 + c[1] * A)
-    prod = mm(y02 + c[2] * a2 + c[3] * A, y02 + c[4] * a2)
-    return prod + c[5] * y02 + 0.5 * a2 + A + identity(A.n)
+    c, a = EXP_COEFFS.t8, A.a
+    a2 = mm(a, a)
+    y02 = mm(a2, c[0] * a2 + c[1] * a)
+    prod = mm(y02 + c[2] * a2 + c[3] * a, y02 + c[4] * a2)
+    return prod + c[5] * y02 + 0.5 * a2 + a + np.eye(A.n)
 
 
 def ref_t15p(A):
-    c = EXP_COEFFS.t15p
-    a2 = mm(A, A)
-    y02 = mm(a2, c[0] * a2 + c[1] * A)
-    y12 = mm(y02 + c[2] * a2 + c[3] * A, y02 + c[4] * a2) + c[5] * y02 + c[6] * a2
-    return (mm(y12 + c[7] * a2 + c[8] * A, y12 + c[9] * y02 + c[10] * A)
-            + c[11] * y12 + c[12] * y02 + c[13] * a2 + c[14] * A + c[15] * identity(A.n))
+    c, a = EXP_COEFFS.t15p, A.a
+    a2 = mm(a, a)
+    y02 = mm(a2, c[0] * a2 + c[1] * a)
+    y12 = mm(y02 + c[2] * a2 + c[3] * a, y02 + c[4] * a2) + c[5] * y02 + c[6] * a2
+    return (mm(y12 + c[7] * a2 + c[8] * a, y12 + c[9] * y02 + c[10] * a)
+            + c[11] * y12 + c[12] * y02 + c[13] * a2 + c[14] * a + c[15] * np.eye(A.n))
 
 
 def ref_baseline(W, eps):
@@ -103,36 +104,36 @@ def ref_baseline(W, eps):
     s = 0
     while math.ldexp(norm1, -s) >= 0.5:
         s += 1
-    B = scale_pow2(W, s)
-    X = identity(W.n)
-    Y = B
+    b = scale_pow2(W, s).a
+    x = np.eye(W.n)
+    y = b
     k = 2
-    while (e1 := one_norm(Y)) > eps:
-        X = X + Y
-        Y = mat_mul(B, Y, ledger) / k
+    while (e1 := one_norm(Matrix(y))) > eps:
+        x = x + y
+        y = mm(b, y, ledger) / k
         k += 1
     for _ in range(s):
-        X = mat_mul(X, X, ledger)
-    return X, s, k, e1, ledger.count
+        x = mm(x, x, ledger)
+    return x, s, k, e1, ledger.count
 
 
 def assert_baseline_matches_reference(W, eps):
     res = expm_baseline(W, eps)
-    X, s, k, e1, mults = ref_baseline(W, eps)
+    x, s, k, e1, mults = ref_baseline(W, eps)
     # No sum here adds c*I, so even the signs of zeros agree.
-    assert res.value.a.tobytes() == X.a.tobytes(), ("baseline", eps)
+    assert res.value.a.tobytes() == x.tobytes(), ("baseline", eps)
     assert (res.plan.m, res.plan.s, res.plan.e1, res.plan.e2, res.mults) == \
         (k - 2, s, e1, 0.0, mults), ("baseline", eps)
 
 
 def ref_lowrank(pair, m):
     V = Matrix(pair.a2 @ pair.a1)
-    psi = identity(V.n) if m == 0 else ref_ps_eval(phi1_coeffs(m), V)
-    return Matrix(np.eye(pair.n) + pair.a1 @ (psi.a @ pair.a2))
+    psi = np.eye(V.n) if m == 0 else ref_ps_eval(phi1_coeffs(m), V)
+    return np.eye(pair.n) + pair.a1 @ (psi @ pair.a2)
 
 
-def assert_same_bits(got: Matrix, want: Matrix, what):
-    g, w = got.a, want.a
+def assert_same_bits(got: Matrix, w: np.ndarray, what):
+    g = got.a
     assert g.shape == w.shape, what
     # Byte for byte once -0 reads as +0 ...
     assert (g + 0.0).tobytes() == (w + 0.0).tobytes(), what
@@ -214,7 +215,7 @@ def test_baseline_matches_a_loop_that_forms_every_norm(kind):
             W = _corner_inputs(kind, n, norm, rng)
             for eps in (1e-4, 1e-8, 1e-12, 2.0 ** -53):
                 assert_baseline_matches_reference(W, eps)
-                assert_baseline_matches_reference(-W, eps)
+                assert_baseline_matches_reference(Matrix(-W.a), eps)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

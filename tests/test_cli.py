@@ -144,6 +144,22 @@ def test_bench_huge_exponentials_are_measured(tmp_path, capsys):
     assert all(0.0 < float(r["rel_err"]) < 1e-8 for r in rows)
 
 
+def test_bench_reference_overflow_fails_without_warning(tmp_path):
+    # e^800 overflows binary64, in the reference as in the driver: the row
+    # fails and the run exits 3.  A fresh interpreter prints any
+    # floating-point warning to stderr; none may appear.
+    suite = suite_file(tmp_path, sizes=[2], kinds=["diag"], schemes=["ps"],
+                       norms={"min": 800, "max": 800, "count": 1}, seeds={"base": 0})
+    src = str(Path(expmkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "expmkit.cli", "bench", "--suite", str(suite),
+                           "--csv", str(tmp_path / "c.csv"), "--summary", str(tmp_path / "s.json")],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 3, proc.stderr
+    assert "records=1 failures=1" in proc.stdout
+    assert "Warning" not in proc.stderr, proc.stderr
+
+
 def test_bench_bad_config(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["bench", "--suite", str(missing), "--csv", str(tmp_path / "c.csv"),

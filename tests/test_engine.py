@@ -25,11 +25,10 @@ from expmkit import (
     relative_error,
     sastre_budget,
     squaring,
-    zeros,
 )
 
 
-from expmkit import engine as engine_mod, poly as poly_mod, select as select_mod
+from expmkit import engine as engine_mod, matrix as matrix_mod, poly as poly_mod, select as select_mod
 
 
 def random_with_norm(rng, n, target):
@@ -50,7 +49,7 @@ def test_squaring_noop():
 
 def test_squaring_scaled_identity():
     led = MulLedger()
-    out = squaring(2.0 * identity(3), 3, led)
+    out = squaring(Matrix(2.0 * np.eye(3)), 3, led)
     assert np.array_equal(out.a, 256.0 * np.eye(3))
     assert led.count == 3
 
@@ -74,7 +73,7 @@ def test_squaring_rejects_negative():
 # ---------------------------------------------------------------------------
 
 def test_baseline_zero():
-    res = expm_baseline(zeros(3), 1e-8)
+    res = expm_baseline(Matrix(np.zeros((3, 3))), 1e-8)
     assert np.array_equal(res.value.a, np.eye(3))
     assert res.mults == 0 and res.plan.s == 0
 
@@ -139,7 +138,7 @@ def test_baseline_tolerance_floor():
 
 def test_expm_zero():
     for scheme in ("ps", "sastre"):
-        res = expm(zeros(4), 1e-8, scheme)
+        res = expm(Matrix(np.zeros((4, 4))), 1e-8, scheme)
         assert np.array_equal(res.value.a, np.eye(4))
         assert (res.plan.m, res.plan.s, res.mults) == (0, 0, 0)
 
@@ -247,9 +246,8 @@ def test_expm_inverse_identity():
         W = random_with_norm(rng, n, float(rng.uniform(0.1, 2.0)))
         for scheme in ("ps", "sastre"):
             fwd = expm(W, 1e-12, scheme).value
-            bwd = expm(-1.0 * W, 1e-12, scheme).value
-            prod = Matrix(fwd.a @ bwd.a)
-            rel = frobenius_norm(prod - identity(n)) / math.sqrt(n)
+            bwd = expm(Matrix(-1.0 * W.a), 1e-12, scheme).value
+            rel = frobenius_norm(Matrix(fwd.a @ bwd.a - np.eye(n))) / math.sqrt(n)
             assert rel <= 1e-10
 
 
@@ -260,8 +258,8 @@ def test_expm_inverse_identity_property(n, log10_norm, seed, scheme):
     # exp(W) exp(-W) = I over the regime and bound of the fixed cases above
     W = random_with_norm(np.random.default_rng(seed), n, 10.0 ** log10_norm)
     fwd = expm(W, 1e-12, scheme).value
-    bwd = expm(-1.0 * W, 1e-12, scheme).value
-    rel = frobenius_norm(Matrix(fwd.a @ bwd.a) - identity(n)) / math.sqrt(n)
+    bwd = expm(Matrix(-1.0 * W.a), 1e-12, scheme).value
+    rel = frobenius_norm(Matrix(fwd.a @ bwd.a - np.eye(n))) / math.sqrt(n)
     assert rel <= 1e-10
 
 
@@ -382,6 +380,8 @@ def test_lowrank_pair_validation():
         LowRankPair(np.zeros((4, 2)), np.zeros((3, 4)))
     with pytest.raises(MatrixError):
         LowRankPair(np.zeros((2, 4)), np.zeros((4, 2)))  # t > n
+    with pytest.raises(MatrixError):
+        LowRankPair(np.zeros((3, 0)), np.zeros((0, 3)))  # t < 1
     with pytest.raises(NonFiniteError):
         LowRankPair(np.full((4, 2), np.nan), np.zeros((2, 4)))
     with pytest.raises(NonFiniteError):
@@ -533,8 +533,9 @@ def test_non_finite_bound_takes_a_typed_path():
 
 @pytest.mark.parametrize("make", [
     lambda: Matrix(np.full((2, 2), 1e308)),         # finite, but the 1-norm overflows
-    lambda: Matrix([[1e308, 0.0], [0.0, 1.0]]) * 10.0,  # Inf from an unchecked operation
-    lambda: Matrix([[1.0, 0.0], [0.0, 1.0]]) * math.nan,
+    # Inf from an unchecked building block, and a NaN input wrapped unscanned
+    lambda: squaring(Matrix([[1e308, 0.0], [0.0, 1.0]]), 1, MulLedger()),
+    lambda: matrix_mod._wrap(np.eye(2) * math.nan),
 ])
 def test_dense_drivers_reject_inputs_with_non_finite_norm(make):
     with np.errstate(over="ignore"):

@@ -16,7 +16,7 @@ from expmkit import (
     one_norm,
     parse_matrix,
     scale_pow2,
-    zeros,
+    squaring,
 )
 from expmkit.matrix import _wrap
 
@@ -41,7 +41,7 @@ def test_mat_mul_hand_arithmetic():
 def test_mat_mul_zero_annihilates():
     led = MulLedger()
     X = Matrix([[1.0, 2.0], [3.0, 4.0]])
-    out = mat_mul(zeros(2), X, led)
+    out = mat_mul(Matrix(np.zeros((2, 2))), X, led)
     assert not out.a.any()
     assert led.count == 1
 
@@ -60,9 +60,11 @@ def test_mat_mul_overflow_surfaces():
 
 
 def test_entrywise_overflow_surfaces_at_the_next_check():
+    # An unchecked building block may return an Inf entry; the next check
+    # raises on it.
     led = MulLedger()
     with np.errstate(over="ignore"):
-        big = Matrix([[1e308, 0.0], [0.0, 1.0]]) * 10.0
+        big = squaring(Matrix([[1e308, 0.0], [0.0, 1.0]]), 1, led)
     with pytest.raises(NonFiniteError):
         check_finite(big)
     with pytest.raises(NonFiniteError):
@@ -75,10 +77,19 @@ def test_ledger_counts_products_only():
     for k in range(1, 8):
         _ = one_norm(A)
         _ = frobenius_norm(A)
-        _ = A + A
-        _ = 3.0 * A
+        _ = scale_pow2(A, 1)
+        _ = check_finite(A)
         A = mat_mul(A, A, led)
         assert led.count == k
+
+
+def test_matrix_has_no_entrywise_algebra():
+    # Arithmetic runs on .a; a Matrix holds only finite, checked values.
+    A = Matrix([[1e308, 0.0], [0.0, 1.0]])
+    for op in (lambda: A * 10.0, lambda: 10.0 * A, lambda: A + A, lambda: A - A,
+               lambda: A / 2.0, lambda: -A):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_ledger_starts_at_zero_and_takes_no_count():
@@ -107,7 +118,7 @@ def test_entries_are_read_only():
 def test_one_norm_examples():
     assert one_norm(Matrix([[1.0, -2.0], [3.0, 4.0]])) == 6.0
     assert one_norm(identity(7)) == 1.0
-    assert one_norm(zeros(5)) == 0.0
+    assert one_norm(Matrix(np.zeros((5, 5)))) == 0.0
 
     # Bit for bit the method-chain formula, summation order included.
     def chained(A):
@@ -166,12 +177,13 @@ def test_one_norm_is_the_maximum_reduction_on_non_finite_entries():
 
 def test_frobenius_examples():
     assert frobenius_norm(identity(4)) == 2.0
-    assert frobenius_norm(zeros(3)) == 0.0
+    assert frobenius_norm(Matrix(np.zeros((3, 3)))) == 0.0
     assert frobenius_norm(Matrix([[3.0, 4.0], [0.0, 0.0]])) == 5.0
     # squares of entries near 1e200 overflow and near 1e-200 vanish;
     # tier-1 turns the overflow warning into an error
     for exp2 in (664, -664):
-        assert frobenius_norm(Matrix([[3.0, 4.0], [0.0, 0.0]]) * 2.0 ** exp2) == 5.0 * 2.0 ** exp2
+        big = Matrix(np.array([[3.0, 4.0], [0.0, 0.0]]) * 2.0 ** exp2)
+        assert frobenius_norm(big) == 5.0 * 2.0 ** exp2
 
 
 def test_scale_pow2_exactness():
@@ -194,7 +206,7 @@ def test_mat_mul_associative_within_tolerance():
         C = Matrix(rng.uniform(-1, 1, (n, n)))
         left = mat_mul(mat_mul(A, B, led), C, led)
         right = mat_mul(A, mat_mul(B, C, led), led)
-        rel = frobenius_norm(left - right) / frobenius_norm(left)
+        rel = frobenius_norm(Matrix(left.a - right.a)) / frobenius_norm(left)
         assert rel <= 1e-12
         assert led.count == 4
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,12 +19,12 @@ from expmkit import (
     identity,
     mat_mul,
     MulLedger,
+    NonFiniteError,
     one_norm,
     poly_reference,
     ps_shape,
     relative_error,
     taylor_coeffs_exp,
-    zeros,
 )
 from expmkit import oracle
 from expmkit.oracle import (_cut, _dd_dot, _dd_levels, _dd_matmul, _expm_dd, _quick_two_sum,
@@ -31,7 +32,7 @@ from expmkit.oracle import (_cut, _dd_dot, _dd_levels, _dd_matmul, _expm_dd, _qu
 
 
 def test_zero_gives_identity():
-    out = expm_reference(zeros(4))
+    out = expm_reference(Matrix(np.zeros((4, 4))))
     assert np.array_equal(out.a, np.eye(4))
 
 
@@ -70,8 +71,7 @@ def test_inverse_self_consistency():
         n = int(rng.integers(2, 12))
         arr = rng.uniform(-1, 1, (n, n))
         arr *= rng.uniform(0.5, 4.0) / np.abs(arr).sum(axis=0).max()
-        A = Matrix(arr)
-        prod = expm_reference(A).a @ expm_reference(-1.0 * A).a
+        prod = expm_reference(Matrix(arr)).a @ expm_reference(Matrix(-1.0 * arr)).a
         rel = np.linalg.norm(prod - np.eye(n)) / math.sqrt(n)
         assert rel <= 1e-13
 
@@ -95,17 +95,29 @@ def test_poly_reference_matches_float_horner_loosely():
     coeffs = taylor_coeffs_exp(8)
     ref = poly_reference(A, coeffs)
     led = MulLedger()
-    x = coeffs[-1] * identity(5)
+    x = coeffs[-1] * np.eye(5)
     for c in reversed(coeffs[:-1]):
-        x = mat_mul(x, A, led) + c * identity(5)
-    assert frobenius_norm(ref - x) / frobenius_norm(ref) <= 1e-14
+        x = mat_mul(Matrix(x), A, led).a + c * np.eye(5)
+    assert frobenius_norm(Matrix(ref.a - x)) / frobenius_norm(ref) <= 1e-14
+
+
+@pytest.mark.parametrize("call", [
+    lambda: expm_reference(Matrix([[710.0]])),  # e^710 is past the binary64 range
+    lambda: expm_reference(Matrix([[800.0]])),
+    lambda: poly_reference(Matrix([[1e200]]), [1.0, 1.0, 1.0]),
+])
+def test_reference_overflow_raises_without_warning(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            call()
 
 
 def test_relative_error_examples():
     rng = np.random.default_rng(9)
     ref = Matrix(rng.uniform(-1, 1, (6, 6)))
     assert relative_error(ref, ref) == 0.0
-    assert relative_error(2.0 * ref, ref) == pytest.approx(1.0, rel=1e-15)
+    assert relative_error(Matrix(2.0 * ref.a), ref) == pytest.approx(1.0, rel=1e-15)
     bump = Matrix(ref.a + 1e-8 * frobenius_norm(ref) / math.sqrt(36) * np.ones((6, 6)))
     assert relative_error(bump, ref) == pytest.approx(1e-8, rel=1e-12)
 
@@ -125,7 +137,7 @@ def test_relative_error_is_scale_free(exp2):
 
 def test_relative_error_guards():
     with pytest.raises(MatrixError):
-        relative_error(identity(2), zeros(2))
+        relative_error(identity(2), Matrix(np.zeros((2, 2))))
     with pytest.raises(MatrixError):
         relative_error(identity(2), identity(3))
 
@@ -410,7 +422,7 @@ def test_reference_cost_is_paterson_stockmeyer(monkeypatch):
     monkeypatch.setattr(oracle, "_dd_dot", lambda *args: calls.append(1) or dd_dot(*args))
     rng = np.random.default_rng(17)
     signs = np.where(rng.uniform(size=(4, 4)) < 0.5, -0.25, 0.25)  # 1-norm exactly 1
-    cases = [(zeros(4), 0, 0), (Matrix(signs), 4, 15)]
+    cases = [(Matrix(np.zeros((4, 4))), 0, 0), (Matrix(signs), 4, 15)]
     for norm in (1e-40, 1e-9, 3e-3, 0.05, 0.7, 12.8):
         arr = rng.uniform(-1.0, 1.0, (6, 6))
         cases.append((Matrix(arr * (norm / np.abs(arr).sum(axis=0).max())), None, None))
@@ -532,21 +544,6 @@ def test_block_product_panels_agree_with_one_panel(panel, monkeypatch):
     # tail's rounding alone could follow BLAS's order of summation.
     diff = np.abs((got[0] - want[0]) + (got[1] - want[1])).sum(axis=0).max()
     assert diff <= 2.0 ** -104 * np.abs(want[0]).sum(axis=0).max()
-
-
-@pytest.mark.parametrize("layout", ["C", "F", "strided"])
-def test_add_eye_writes_the_diagonal_in_any_layout(layout):
-    rng = np.random.default_rng(43)
-    big = rng.uniform(-1.0, 1.0, (2, 10, 10))
-    big[1] *= 2.0 ** -60
-    xh, xl = {"C": big[:, :5, :5].copy(), "F": np.asfortranarray(big[:, :5, :5]),
-              "strided": big[:, ::2, ::2]}[layout]
-    want_h, want_l = xh.copy(), xl.copy()
-    diag = np.diag_indices(5)
-    want_h[diag], want_l[diag] = oracle._dd_add(want_h[diag], want_l[diag], 1 / 3, 2.0 ** -56)
-    got = oracle._add_eye(xh, xl, 1 / 3, 2.0 ** -56)
-    assert got[0] is xh and got[1] is xl  # in place
-    assert _same_bytes(got, (want_h, want_l))
 
 
 @pytest.mark.parametrize("norm", [1e-9, 1e-7, 1e-5, 0.025])  # m = 3, 4, 5, 13

@@ -184,10 +184,13 @@ def frobenius_norm(A: Matrix) -> float:
     they are squared, and the norm is scaled back.  Both scalings are
     exact barring subnormals, so the result is the plain formula's
     wherever that neither overflows (from about 1.3e154 on) nor
-    underflows.
+    underflows.  A norm beyond binary64 is inf.
     """
     e = math.frexp(float(np.maximum.reduce(np.abs(A.a), axis=None)))[1]
-    return math.ldexp(float(np.linalg.norm(np.ldexp(A.a, -e))), e)
+    try:
+        return math.ldexp(float(np.linalg.norm(np.ldexp(A.a, -e))), e)
+    except OverflowError:
+        return math.inf
 
 
 def scale_pow2(A: Matrix, s: int) -> Matrix:

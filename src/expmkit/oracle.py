@@ -1,22 +1,28 @@
 """Reference exponential in compensated (double-double) arithmetic.
 
 Matrices are carried as (hi, lo) array pairs worth ~106 bits.  The
-reference path picks the least s with b = ||B||_1 <= 2^-4 for
-B = 2^-s A, evaluates the degree-m Taylor polynomial of B with
-Paterson-Stockmeyer, then squares back s times, all in double-double.
+reference path picks the least s with b = ||B||_1 <= 1 for B = 2^-s A,
+s = max(0, ceil(log2 ||A||_1)), evaluates the degree-m Taylor polynomial
+of B with Paterson-Stockmeyer, then squares back s times, all in
+double-double.
 
 The degree is fixed before any product.  Past degree m the series of
 e^B is at most b^(m+1)/(m+1)! / (1 - b/(m+2)) in the 1-norm, and
 ||e^B||_1 >= 1/||e^-B||_1 >= e^-b, so the least m that brings that bound
-below 2^-106 e^-b truncates below 2^-106 relative to e^B (m = 15 at
-b = 2^-4).  With j = ceil(sqrt(m)) and k = ceil(m/j), B^2 .. B^j cost
+below 2^-106 e^-b truncates below 2^-106 relative to e^B (m = 29 at
+b = 1).  With j = ceil(sqrt(m)) and k = ceil(m/j), B^2 .. B^j cost
 j - 1 double-double n-by-n products and the Horner steps in B^j cost
 k - 1; the k blocks between them come from one block product (below).
 A call therefore costs (j - 1) + (k - 1) + s n-by-n products, at most
-6 + s, and one block product; summing the series term by term took one
-product per term, up to about 15 + s.  That leaves well over ten guard
-digits beyond binary64, enough to adjudicate 1e-8-level tolerances with
-several orders of margin.
+9 + s, and one block product; summing the series term by term took one
+product per term, up to about 29 + s.  Halving b once more would save
+at most one Paterson-Stockmeyer product (m = 29, 24 and 20 cost 9, 8
+and 7) for one more squaring, whose error the squarings after it carry
+(overscaling, Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31(3),
+2009): at ||A||_1 = 12.8, b <= 2^-4 took s = 8 and m = 15, 14 products,
+where b <= 1 takes s = 4 and m = 28, 13.  That leaves well over ten
+guard digits beyond binary64, enough to adjudicate 1e-8-level tolerances
+with several orders of margin.
 
 :func:`poly_reference` evaluates an arbitrary polynomial with the same
 routine, :func:`_dd_poly`, so truncation remainders can be measured
@@ -91,21 +97,30 @@ from one rectangular double-double product: the (k, J) table whose row
 r holds c_(rj+1) .. c_(rj+len_r), padded with zeros, times the stacked
 powers [B; B^2; ..; B^J] seen as a (J, n^2) matrix, where
 J = max(m - (k-1) j, j - 1) <= j.  It runs through the same kernel with
-inner dimension q = J: J <= 4 up to degree 16, where _slicing(J) gives
-d = 3 and w = 24 or 25.  Each row of the table is cut on the grid of its
-largest coefficient, and each column of the stack on the grid of
-max_t |(B^t)_pq|, which a higher power sets wherever B_pq is small or
-zero.  So entry (r, pq) of the product is within about
-2^-106 J max_t |c_(rj+t)| max_t |(B^t)_pq| of the exact sum, plus the
-rounding of the pair itself; the powers' lo parts are normalized entry
-by entry, as the cut of lo needs.  c_rj I is then added in place, in
-double-double, on the k diagonals: every (n+1)-th column of the (k, n^2)
-result.  For e^B, where the 1/t! fall and
-||B^t||_1 <= 2^-4t, the blocks' errors sum to about 2^-105 of e^B in
-the 1-norm.  The product runs over panels of at most ``_PANEL`` columns
-of the stack, so that each panel's planes stay in cache; every column is
-cut on its own grid, so a panel changes no level, and only the tail's
-rounding could follow BLAS's order of summation.
+inner dimension q = J: J <= 5 up to degree 29, where _slicing(J) gives
+d = 3 and w = 24 or 25 (_slicing(5) = (24, 3)).  Each row of the table
+is cut on the grid of its largest coefficient, and each column of the
+stack on the grid of max_t |(B^t)_pq|, which a higher power sets
+wherever B_pq is small or zero.  So entry (r, pq) of the product is
+within about 2^-106 J max_t |c_(rj+t)| max_t |(B^t)_pq| of the exact
+sum, plus the rounding of the pair itself; the powers' lo parts are
+normalized entry by entry, as the cut of lo needs.  c_rj I is then added
+in place, in double-double, on the k diagonals: every (n+1)-th column of
+the (k, n^2) result.  For e^B, ||B^t||_1 <= 1, so the columns of
+max_t |(B^t)_pq| sum to at most sum_t ||B^t||_1 <= J, and block r, whose
+coefficients are at most 1/(rj+1)! and which Horner multiplies by
+B^(rj), adds at most about 2^-106 J^2 / (rj+1)! to the 1-norm error:
+about 2^-101.3 in all at J = 5, or 2^-99.9 of e^B, as ||e^B||_1 >= e^-1.
+That bound is loose: at J <= 5 the tail term is 12 bits below it
+(d w + 53 - ceil(log2((d+1)^2 J)) = 118 in ``_slicing``), and what is
+left is the pairs' own rounding, a few 2^-106 of
+sum_t |c_(rj+t)| |(B^t)_pq| entry by entry, whose columns sum to at most
+e - 1 over all blocks: a few 2^-103.8 of e^B.  The table depends on the
+coefficients alone, so :func:`_expm_dd` cuts each degree's table once
+(:func:`_taylor_table`).  The product runs over panels of at most
+``_PANEL`` columns of the stack, so that each panel's planes stay in
+cache; every column is cut on its own grid, so a panel changes no level,
+and only the tail's rounding could follow BLAS's order of summation.
 
 At small orders the cost of a product is numpy passes, not BLAS.  With
 d = 3, an n-by-n product with a prepared right operand makes 4 BLAS
@@ -113,8 +128,8 @@ calls and about 40 elementwise passes over n^2 entries: 15 to cut the
 left operand and 24 to sum the levels.  A squaring first cuts its right
 operand, which takes about 18 more.  The block product makes about 20
 passes over the J n^2 stacked entries to cut them and about 25 over the
-k n^2 results to sum the levels: about 160 passes over n^2 entries at
-m = 15, in about 120 numpy calls.
+k n^2 results to sum the levels: about 225 passes over n^2 entries at
+m = 29 (J = k = 5).
 """
 
 from __future__ import annotations
@@ -135,12 +150,13 @@ __all__ = [
 ]
 
 _NORM_CAP = 2.0 ** 64
-_SCALE_TARGET = 2.0 ** -4
+_SCALE_TARGET = 1.0
 _DD_BITS = 106
-# Columns of [B; ..; B^J] per panel of the block product: a panel's 2 d + 1
-# planes of J rows and its k result rows stay within about 200 KB, in cache.
-# In one panel of n^2 = 4096 columns the block sums were slower than the
-# term-by-term ones at n = 64 (BENCH_16.json).
+# Columns of [B; ..; B^J] per panel of the block product: at J = k = 5
+# (m = 29) a panel's 2 d + 1 = 7 planes of J rows take 280 KB and its k
+# result rows 40 KB each, within L2.  In one panel of n^2 = 4096 columns
+# the block sums were slower than the term-by-term ones at n = 64
+# (BENCH_16.json).
 _PANEL = 1024
 
 
@@ -302,47 +318,70 @@ def _dd_inv_factorial(k: int):
 
 
 # Every degree _expm_dd can pick, as hi and lo rows: the tail bound grows
-# with b <= 2^-4.
+# with b <= 1.
 _INV_FACTORIALS = np.array(
     [_dd_inv_factorial(t) for t in range(_taylor_degree(_SCALE_TARGET) + 1)]).T
 
 
-def _dd_poly(bh, coeffs):
-    """sum_t coeffs[:, t] B^t for B = (bh, 0) and the (2, m + 1) array of
-    coefficient hi and lo rows, by Paterson-Stockmeyer in double-double:
-    (j - 1) + (k - 1) n-by-n products for (j, k) = ps_shape(m) at degree
-    m >= 1, and one block product."""
-    n = bh.shape[0]
+def _cut_table(coeffs):
+    """The operand of :func:`_dd_poly` for the (2, m + 1) array of
+    coefficient hi and lo rows: ``(j, J, left, eye)``, where left is the
+    (k, J) table of the k blocks' coefficients c_rj+1 .. c_rj+len_r, padded
+    with zeros and cut by :func:`_split_left`, and eye the (2, k) identity
+    terms c_rj, for (j, k) = ps_shape(m).  At m = 0 left is None."""
     m = coeffs.shape[1] - 1
     if m == 0:
-        return coeffs[0, 0] * np.eye(n), coeffs[1, 0] * np.eye(n)
+        return 0, 0, None, coeffs[:, :1]
     shape = ps_shape(m)
     j, k = shape.j, shape.k
     # The top block holds c_(k-1)j .. c_m, the others j terms each, so the
     # blocks need B .. B^J; J <= j, and B^j is formed for the Horner steps.
     inner = max(m - (k - 1) * j, j - 1)
+    table = np.zeros((2, k, inner))
+    for r in range(k):
+        end = m + 1 if r == k - 1 else (r + 1) * j
+        table[:, r, :end - r * j - 1] = coeffs[:, r * j + 1:end]
+    return j, inner, _split_left(*table), coeffs[:, :(k - 1) * j + 1:j]
+
+
+@functools.cache
+def _taylor_table(m: int):
+    """:func:`_cut_table` of the degree-m Taylor coefficients of e^x, cut
+    once per degree; the arrays are read-only."""
+    table = _cut_table(_INV_FACTORIALS[:, :m + 1])
+    for a in table[2:]:
+        if a is not None:
+            a.flags.writeable = False
+    return table
+
+
+def _dd_poly(bh, table):
+    """sum_t c_t B^t for B = (bh, 0) and the coefficients as cut by
+    :func:`_cut_table`, by Paterson-Stockmeyer in double-double:
+    (j - 1) + (k - 1) n-by-n products for (j, k) = ps_shape(m) at degree
+    m >= 1, and one block product."""
+    n = bh.shape[0]
+    j, inner, left, eye = table
+    if left is None:
+        return eye[0, 0] * np.eye(n), eye[1, 0] * np.eye(n)
+    k = eye.shape[1]
     pw = np.zeros((2, j, n, n))
     pw[0, 0] = bh
     if j > 1:
         right = _split_right(bh)
         for p in range(1, j):
             pw[:, p] = _dd_dot(*pw[:, p - 1], right)
-    # Row r of the table holds c_rj+1 .. c_rj+len_r, padded with zeros; its
-    # product with [B; ..; B^J] as a (J, n^2) matrix gives the k blocks
-    # (gh, gl) but their identity terms c_rj I, added on the diagonals.
-    table = np.zeros((2, k, inner))
-    for r in range(k):
-        end = m + 1 if r == k - 1 else (r + 1) * j
-        table[:, r, :end - r * j - 1] = coeffs[:, r * j + 1:end]
+    # Row r of the table times [B; ..; B^J] as a (J, n^2) matrix gives the
+    # k blocks (gh, gl) but their identity terms c_rj I, added on the
+    # diagonals.
     stack = pw[:, :inner].reshape(2, inner, n * n)
-    left = _split_left(*table)
     gh, gl = np.empty((2, k, n * n))
     for c in range(0, n * n, _PANEL):
         gh[:, c:c + _PANEL], gl[:, c:c + _PANEL] = _dd_levels(
             left, _split_right(*stack[:, :, c:c + _PANEL]))
     # c_rj I on the k diagonals: every (n+1)-th column of the blocks.
     gh[:, ::n + 1], gl[:, ::n + 1] = _dd_add(gh[:, ::n + 1], gl[:, ::n + 1],
-                                             *coeffs[:, :(k - 1) * j + 1:j, None])
+                                             *eye[:, :, None])
     gh, gl = gh.reshape(k, n, n), gl.reshape(k, n, n)
 
     # Horner in B^j over the blocks, as in poly.ps_eval: the top block may
@@ -364,7 +403,7 @@ def _expm_dd(A: Matrix):
     while math.ldexp(norm1, -s) > _SCALE_TARGET:
         s += 1
     m = _taylor_degree(math.ldexp(norm1, -s))
-    xh, xl = _dd_poly(np.ldexp(A.a, -s), _INV_FACTORIALS[:, :m + 1])
+    xh, xl = _dd_poly(np.ldexp(A.a, -s), _taylor_table(m))
     for _ in range(s):
         xh, xl = _dd_matmul(xh, xl, xh, xl)
         if not np.isfinite(xh).all():
@@ -387,15 +426,17 @@ def poly_reference(A: Matrix, coeffs) -> Matrix:
         raise MatrixError("empty coefficient list")
     hi = np.array([float(c) for c in coeffs])
     with np.errstate(over="ignore", invalid="ignore"):
-        xh, xl = _dd_poly(A.a, np.stack((hi, np.zeros_like(hi))))
+        xh, xl = _dd_poly(A.a, _cut_table(np.stack((hi, np.zeros_like(hi)))))
         return Matrix(xh + xl)
 
 
 def relative_error(X: Matrix, ref: Matrix) -> float:
-    """||X - ref||_F / ||ref||_F; zero exactly when the operands match."""
+    """||X - ref||_F / ||ref||_F; zero exactly when the operands match,
+    inf when the difference is beyond binary64."""
     if X.n != ref.n:
         raise MatrixError(f"order mismatch: {X.n} vs {ref.n}")
     denom = frobenius_norm(ref)
     if denom == 0.0:
         raise MatrixError("reference matrix has zero norm")
-    return frobenius_norm(_wrap(X.a - ref.a)) / denom
+    with np.errstate(over="ignore", invalid="ignore"):
+        return frobenius_norm(_wrap(X.a - ref.a)) / denom

@@ -184,6 +184,8 @@ def test_frobenius_examples():
     for exp2 in (664, -664):
         big = Matrix(np.array([[3.0, 4.0], [0.0, 0.0]]) * 2.0 ** exp2)
         assert frobenius_norm(big) == 5.0 * 2.0 ** exp2
+    # a norm beyond binary64 is inf, not an OverflowError from scaling back
+    assert frobenius_norm(Matrix(np.full((2, 2), 1e308))) == math.inf
 
 
 def test_scale_pow2_exactness():

@@ -135,6 +135,17 @@ def test_relative_error_is_scale_free(exp2):
     assert got == want
 
 
+def test_relative_error_beyond_binary64_is_inf():
+    # The difference's norm past binary64 (from about 1.3e308), or the
+    # difference itself: inf, with no OverflowError and no warning, which
+    # tier-1 would turn into an error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert relative_error(Matrix(np.full((2, 2), 1e308)),
+                              Matrix(np.full((2, 2), 1e-300))) == math.inf
+        assert relative_error(Matrix([[1.7e308]]), Matrix([[-1.7e308]])) == math.inf
+
+
 def test_relative_error_guards():
     with pytest.raises(MatrixError):
         relative_error(identity(2), Matrix(np.zeros((2, 2))))
@@ -339,7 +350,7 @@ def _fraction_expm(arr, s):
     n = arr.shape[0]
     B = [[Fraction(x) / 2 ** s for x in row] for row in arr]
     b = max(sum(abs(B[i][j]) for i in range(n)) for j in range(n))
-    assert b <= Fraction(1, 16)
+    assert b <= 1
     X = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     T = X
     k, tail = 0, Fraction(1)  # tail = b^(k+1)/(k+1)!, and the rest is below 2 tail
@@ -367,7 +378,7 @@ def test_reference_matches_exact_rational_exponential(n):
     rng = np.random.default_rng(300 + n)
     cases = [(0.05, 0), (0.2, 2), (0.9, 4)]
     if n == 2:
-        cases += [(3.2, 6), (6.4, 7)]  # six and seven squarings, about 1.5 s
+        cases += [(3.2, 6), (6.4, 7)]  # the exact value squares six and seven times
     for norm, s in cases:
         arr = rng.uniform(-1.0, 1.0, (n, n))
         arr *= norm / np.abs(arr).sum(axis=0).max()
@@ -390,9 +401,10 @@ def _block_case(kind, rng, n):
 
 
 # The top block holds c_(k-1)j .. c_m: one term past its identity at m = 13
-# (j = k = 4), two at m = 10 (j = 4, k = 3), three at m = 15.
-@pytest.mark.parametrize("norm, s, m", [(0.005, 0, 10), (0.025, 0, 13), (0.126, 2, 13),
-                                        (0.9, 4, 15)])
+# (j = k = 4), two at m = 10 (j = 4, k = 3), three at m = 27 (j = 6, k = 5)
+# and five at m = 29, the largest degree, with J = j - 1 = 5.
+@pytest.mark.parametrize("norm, s, m", [(0.005, 0, 10), (0.025, 0, 13), (1.4, 1, 27),
+                                        (3.6, 2, 29)])
 @pytest.mark.parametrize("kind, n", [("upper", 4), ("diag", 3), ("dense", 3), ("dense", 1)])
 def test_reference_blocks_match_exact_rational_exponential(kind, n, norm, s, m):
     # The block product cuts each column of [B; B^2; ..; B^J] on the grid
@@ -416,28 +428,29 @@ def _ps_degree(b):
 def test_reference_cost_is_paterson_stockmeyer(monkeypatch):
     # One dd product per power B^2 .. B^j, per Horner step in B^j and per
     # squaring: (j - 1) + (k - 1) + s, where term-by-term summation would
-    # spend one per Taylor term.
+    # spend one per Taylor term.  s is the least with ||2^-s A||_1 <= 1.
     calls = []
     dd_dot = oracle._dd_dot
     monkeypatch.setattr(oracle, "_dd_dot", lambda *args: calls.append(1) or dd_dot(*args))
     rng = np.random.default_rng(17)
     signs = np.where(rng.uniform(size=(4, 4)) < 0.5, -0.25, 0.25)  # 1-norm exactly 1
-    cases = [(Matrix(np.zeros((4, 4))), 0, 0), (Matrix(signs), 4, 15)]
-    for norm in (1e-40, 1e-9, 3e-3, 0.05, 0.7, 12.8):
+    cases = [(Matrix(np.zeros((4, 4))), 0, 0), (Matrix(signs), 0, 29),
+             (Matrix(4.0 * signs), 2, 29)]
+    for norm in (1e-40, 1e-9, 3e-3, 0.05, 0.7, 1.5, 12.8, 1e3):
         arr = rng.uniform(-1.0, 1.0, (6, 6))
         cases.append((Matrix(arr * (norm / np.abs(arr).sum(axis=0).max())), None, None))
     for A, s_want, m_want in cases:
         norm1 = one_norm(A)
-        s = max(0, math.ceil(math.log2(norm1) + 4)) if norm1 > 0 else 0
+        s = max(0, math.ceil(math.log2(norm1))) if norm1 > 0 else 0
         m = _ps_degree(math.ldexp(norm1, -s))
         if s_want is not None:
             assert (s, m) == (s_want, m_want)
         want = (ps_shape(m).mults if m else 0) + s
         calls.clear()
         expm_reference(A)
-        assert len(calls) == want, (norm1, m, s)
-        if s_want == 4:  # b = 2^-4, the largest scaled norm
-            assert len(calls) == 6 + s
+        assert len(calls) == want <= 9 + s, (norm1, m, s)
+        if m_want == 29:  # b = 1, the largest scaled norm
+            assert len(calls) == 9 + s
 
 
 def _fraction_poly(arr, coeffs):
@@ -475,6 +488,31 @@ def test_poly_reference_matches_exact_rational_polynomial(n, monkeypatch):
             assert np.array_equal(out.a, hi + lo)
             _assert_within_2_100(hi, lo, _fraction_poly(arr, coeffs),
                                  (one_norm(Matrix(arr)), len(coeffs) - 1))
+
+
+def test_taylor_table_is_cut_once_per_degree(monkeypatch):
+    # expm_reference cuts the (k, J) table of 1/t! pairs once per degree;
+    # poly_reference cuts one from the coefficients it is given, so a
+    # non-Taylor list of the same degree is not read from that cache.
+    tables, pairs = [], []
+    split_left, dd_poly = oracle._split_left, oracle._dd_poly
+    monkeypatch.setattr(oracle, "_split_left",
+                        lambda ah, al: tables.append(ah.shape) or split_left(ah, al))
+    monkeypatch.setattr(oracle, "_dd_poly", lambda *args: pairs.append(dd_poly(*args)) or pairs[-1])
+    oracle._taylor_table.cache_clear()
+    n = 3
+    arr = 0.9 * _block_case("dense", np.random.default_rng(37), n)  # m = 29: (k, J) = (5, 5)
+    for cuts in (1, 0):
+        tables.clear()
+        expm_reference(Matrix(arr))
+        assert [sh for sh in tables if sh != (n, n)] == [(5, 5)] * cuts
+    coeffs = [(-1) ** i * c for i, c in enumerate(taylor_coeffs_exp(29))]
+    tables.clear()
+    out = poly_reference(Matrix(arr), coeffs)
+    assert [sh for sh in tables if sh != (n, n)] == [(5, 5)]
+    hi, lo = pairs[-1]
+    assert np.array_equal(out.a, hi + lo)
+    _assert_within_2_100(hi, lo, _fraction_poly(arr, coeffs), 29)
 
 
 def test_poly_reference_cost_is_paterson_stockmeyer(monkeypatch):
@@ -515,7 +553,7 @@ def test_one_block_product_per_polynomial(monkeypatch):
         blocks = [sh for sh in shapes if sh[2] == n * n]
         assert blocks == [(k, max(m - (k - 1) * j, j - 1), n * n)], m
         assert len(shapes) == shape.mults + 1, m
-    for norm in (1e-9, 0.025, 12.8):  # m = 3, 13 and 15, the last after 8 squarings
+    for norm in (1e-9, 0.025, 12.8):  # m = 3, 13 and 28, the last after 4 squarings
         shapes.clear()
         expm_reference(Matrix(A.a * (norm / one_norm(A))))
         assert sum(sh[2] == n * n for sh in shapes) == 1, norm
@@ -528,16 +566,17 @@ def test_block_product_panels_agree_with_one_panel(panel, monkeypatch):
     n = 40
     rng = np.random.default_rng(29)
     bh = rng.uniform(-1.0, 1.0, (n, n))
-    bh *= 2.0 ** -4 / np.abs(bh).sum(axis=0).max()
+    bh /= np.abs(bh).sum(axis=0).max()  # b = 1, m = 29 and J = 5
+    table = oracle._taylor_table(29)
     monkeypatch.setattr(oracle, "_PANEL", n * n)
-    want = oracle._dd_poly(bh, oracle._INV_FACTORIALS)
+    want = oracle._dd_poly(bh, table)
     shapes = []
     dd_levels = oracle._dd_levels
     monkeypatch.setattr(oracle, "_dd_levels",
                         lambda a_row, right: shapes.append(right[0].shape[1])
                         or dd_levels(a_row, right))
     monkeypatch.setattr(oracle, "_PANEL", panel)
-    got = oracle._dd_poly(bh, oracle._INV_FACTORIALS)
+    got = oracle._dd_poly(bh, table)
     panels = [c for c in shapes if c != n]
     assert len(panels) == -(-n * n // panel) and sum(panels) == n * n
     # Each column is cut on its own grid, so panels change no level; the

@@ -14,7 +14,9 @@ b = 1).  With j = ceil(sqrt(m)) and k = ceil(m/j), B^2 .. B^j cost
 j - 1 double-double n-by-n products and the Horner steps in B^j cost
 k - 1; the k blocks between them come from one block product (below).
 A call therefore costs (j - 1) + (k - 1) + s n-by-n products, at most
-9 + s, and one block product; summing the series term by term took one
+9 + s, and one block product, with the powers and Horner steps cut only
+as deep as their share of the error needs (below); summing the series
+term by term took one
 product per term, up to about 29 + s.  Halving b once more would save
 at most one Paterson-Stockmeyer product (m = 29, 24 and 20 cost 9, 8
 and 7) for one more squaring, whose error the squarings after it carry
@@ -122,18 +124,61 @@ coefficients alone, so :func:`_expm_dd` cuts each degree's table once
 cache; every column is cut on its own grid, so a panel changes no level,
 and only the tail's rounding could follow BLAS's order of summation.
 
-At small orders the cost of a product is numpy passes, not BLAS.  With
-d = 3, an n-by-n product with a prepared right operand makes 4 BLAS
-calls and about 40 elementwise passes over n^2 entries: 15 to cut the
-left operand and 24 to sum the levels.  A squaring first cuts its right
-operand, which takes about 18 more.  The block product makes about 20
-passes over the J n^2 stacked entries to cut them and about 25 over the
-k n^2 results to sum the levels: about 225 passes over n^2 entries at
-m = 29 (J = k = 5).
+The powers and Horner steps of :func:`_expm_dd` are cut only as deep as
+their share of the error budget needs.  A depth-d product, d <= D for
+(w, D) = _slicing(q), cuts d slices of A's rows and sums levels 0 .. d-1
+and the tail sum_p A_p R_(d-p)(B) + R_d(A) B; at d = 0 it is the
+binary64 product of the hi parts.  Its error is below about
+2^-bits(d) q max|a_i:| max|b_:j|, bits(d) = d w + 53 -
+ceil(log2((d+1)^2 q)) (:func:`_depth_bits`, the bound that sets D), and
+at most 4 times that: the grids 2^e are up to twice the row and column
+maxima, and the factor also covers the lo parts that d = 0 drops.  The
+pair's own rounding, about 2^-106 of (|A||B|)_ij, comes on top.  The
+width stays w at every depth, so B's slices do not depend on d: one
+split right operand serves every depth, a depth-d product reading the
+last d blocks of b_col and the last d + 1 of b_tail.
+
+An error of relative size eps in a product moves e^B by about eps times
+the product's weight.  B^p = B^(p-1) B, of norm b^p, is a factor of every
+term B^t/t! with t >= p, and sum_(t>=p) b^(t-p)/t! <= e^b/p!, so its
+weight is b^p/p! e^b.  Horner step r forms X_(r+1) B^j, where
+||X_(r+1)||_1 is about 1/((r+1)j)! and ||B^j||_1 <= b^j, and (B^j)^r
+carries it to the result, so its weight is b^((r+1)j)/((r+1)j)!.
+:func:`_taylor_depths` gives each product the fewest d with
+2^-bits(d) weight <= 2^-(106 + _DEPTH_MARGIN) e^-b, a quarter of the
+2^-106 budget relative to ||e^B||_1 >= e^-b; the margin also covers the
+constant factors of "about" (the grids above, and a power's error
+reaching term t up to t/j + 1 times).  The depth never rises as the
+weight falls, and B^2 and the last Horner step (r = 0) weigh most.  At
+n = 8, b = 2.8e-4 (m = 7) cuts B^2 and B^3 at depths 2 and 1 and the
+Horner steps r = 1, 0 at 0 and 1; b = 0.01 (m = 11) gives 3, 2, 2 and 0,
+2; b = 1 (m = 29) gives 3 to all five powers and 0, 1, 2, 3 to the
+Horner steps.  By the loose bound the at most nine cut products add at
+most about 9 2^-108, or 2^-104.8, of e^B, below the block product's
+2^-99.9; the pairs' own rounding still dominates, and the worst error
+against exact fixed point over the seed-2024 and seed-13 default suites
+(2^-102.3 and 2^-101.9, ``tools/oracle_error.py``) did not move when the
+cut came in.  Squarings, the block product and every product of
+:func:`poly_reference`, whose coefficients are arbitrary, keep depth D.
+
+At small orders the cost of a product is numpy passes, not BLAS.  An
+n-by-n product with a prepared right operand at depth d makes d + 1
+BLAS calls worth (d + 1)(d + 2)/2 binary64 products of order n, and
+about 39, 25, 15 and 3 elementwise passes over n^2 entries at d = 3, 2,
+1 and 0: 15, 8, 5 and 0 to cut the left operand (lo is cut only on the
+last grid at d = 3) and 24, 17, 10 and 3 to sum the levels.  A squaring,
+always at d = D = 3, first cuts its right operand, which takes about 18
+more.  The nine Taylor products at m = 29 make about 277 passes where
+depth 3 throughout made 351, and the four at m = 7 (b = 2.8e-4, n = 8)
+58 where they made 156.  The block product makes about 20 passes over
+the J n^2 stacked entries to cut them and about 25 over the k n^2
+results to sum the levels: about 225 passes over n^2 entries at m = 29
+(J = k = 5).
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -152,6 +197,9 @@ __all__ = [
 _NORM_CAP = 2.0 ** 64
 _SCALE_TARGET = 1.0
 _DD_BITS = 106
+# Bits by which each Taylor power and Horner product of the reference
+# stays inside its share of the 2^-106 e^-b budget (_taylor_depths).
+_DEPTH_MARGIN = 2
 # Columns of [B; ..; B^J] per panel of the block product: at J = k = 5
 # (m = 29) a panel's 2 d + 1 = 7 planes of J rows take 280 KB and its k
 # result rows 40 KB each, within L2.  In one panel of n^2 = 4096 columns
@@ -180,20 +228,38 @@ def _dd_add(xh, xl, yh, yl):
     return _quick_two_sum(sh, se)
 
 
+def _depth_bits(q: int, width: int, depth: int) -> int:
+    """Bits of a product with inner dimension q cut into ``depth`` slices of
+    ``width`` bits: its error is below about 2^-bits q max|a_i:| max|b_:j|,
+    and within a factor 4 of that (see the module docstring).
+
+    The tail's (d+1) q products per entry, each below 2^(-d w) of a
+    leading-level product, round to at most (d+1)^2 q 2^(-d w - 53) of
+    q max|a_i:| max|b_:j|; at d = 0 the tail is the binary64 product of
+    the hi parts.
+    """
+    return depth * width + 53 - math.ceil(math.log2((depth + 1) ** 2 * q))
+
+
 @functools.cache
 def _slicing(q: int):
     """Slice width w (bits) and number of exact levels d for a product
-    with inner dimension q."""
+    with inner dimension q: the fewest levels with 106 bits."""
     for depth in itertools.count(1):
         width = (52 - math.ceil(math.log2(depth * q))) // 2
-        # The tail's (d+1) q products per entry, each below 2^(-d w) of a
-        # leading-level product, round to at most (d+1)^2 q 2^(-d w - 53)
-        # of q max|a_i:| max|b_:j|.
-        tail_terms = (depth + 1) ** 2 * q
-        if depth * width + 53 - math.ceil(math.log2(tail_terms)) >= _DD_BITS:
+        if _depth_bits(q, width, depth) >= _DD_BITS:
             break
     assert 2 * width + 1 + math.ceil(math.log2(depth * q)) <= 53
     return width, depth
+
+
+@functools.cache
+def _depth_ladder(q: int):
+    """``_depth_bits`` at ``_slicing(q)``'s width for each depth below the
+    full one, increasing: bisecting it for a number of bits gives the
+    fewest levels that keep them, or the full depth if none below does."""
+    width, full = _slicing(q)
+    return tuple(_depth_bits(q, width, d) for d in range(full))
 
 
 # A normalized lo (|lo| <= 2^(e-54)) has zero slices, with a factor 8 to
@@ -257,12 +323,16 @@ def _split_right(bh, bl=None):
     return b_col.reshape(depth * q, c), b_tail.reshape((depth + 1) * q, c)
 
 
-def _split_left(ah, al):
+def _split_left(ah, al, depth=None):
     """Row-split the (r, q) left operand of a product into its BLAS layout:
     a_row = [A_0 .. A_d-1  R_d(A)], the slices and the remainder of A's
-    rows side by side, with (w, d) = _slicing(q)."""
+    rows side by side, with (w, D) = _slicing(q) and d = D by default.
+    At d = 0 a_row is hi alone, R_0(A) rounded to binary64."""
     r, q = ah.shape
-    width, depth = _slicing(q)
+    width, full = _slicing(q)
+    depth = full if depth is None else depth
+    if depth == 0:
+        return ah
     a_row = np.empty((r, depth + 1, q))
     _cut(ah, al, width, depth, a_row.transpose(1, 0, 2))
     return a_row.reshape(r, (depth + 1) * q)
@@ -270,24 +340,27 @@ def _split_left(ah, al):
 
 def _dd_levels(a_row, right):
     """Double-double product of a left operand split by :func:`_split_left`
-    and a right operand split by :func:`_split_right`."""
+    and a right operand split by :func:`_split_right`, at the depth d of
+    the left operand: its width is (d + 1) q."""
     b_col, b_tail = right
-    q = b_tail.shape[0] - b_col.shape[0]  # (d + 1) q rows against d q
-    depth = b_col.shape[0] // q
+    q = b_tail.shape[0] - b_col.shape[0]  # (D + 1) q rows against D q
+    depth = a_row.shape[1] // q - 1
     # Level l is the first l + 1 blocks of a_row times the last l + 1 of
-    # b_col; the tail is a_row times b_tail.
-    ch, cl = a_row @ b_tail, 0.0
+    # b_col; the tail is a_row times the last d + 1 blocks of b_tail,
+    # [R_d(B); ..; R_1(B); hi of B].
+    ch, cl = a_row @ b_tail[b_tail.shape[0] - (depth + 1) * q:], 0.0
     for lev in reversed(range(depth)):
-        level = a_row[:, :(lev + 1) * q] @ b_col[(depth - 1 - lev) * q:]
+        level = a_row[:, :(lev + 1) * q] @ b_col[b_col.shape[0] - (lev + 1) * q:]
         ch, err = _two_sum(ch, level)
         cl = cl + err
     return _quick_two_sum(ch, cl)
 
 
-def _dd_dot(ah, al, right):
+def _dd_dot(ah, al, right, depth=None):
     """Double-double n-by-n product of (ah, al) and a right operand prepared
-    by :func:`_split_right`; only the left operand is cut here."""
-    return _dd_levels(_split_left(ah, al), right)
+    by :func:`_split_right`, at ``depth`` levels (full by default); only
+    the left operand is cut here."""
+    return _dd_levels(_split_left(ah, al, depth), right)
 
 
 def _dd_matmul(ah, al, bh, bl):
@@ -355,13 +428,43 @@ def _taylor_table(m: int):
     return table
 
 
-def _dd_poly(bh, table):
+def _taylor_depths(b: float, m: int, n: int):
+    """The slicing depth of each n-by-n product that :func:`_dd_poly` makes
+    for e^B at degree m with ||B||_1 = b, in the order it makes them:
+    B^2 .. B^j, then the Horner steps r = k - 2 .. 0.
+
+    Each is the fewest levels whose error, times the product's weight on
+    e^B, stays 2^-_DEPTH_MARGIN inside 2^-106 e^-b: weight
+    b^p/p! e^b for B^p and b^((r+1)j)/((r+1)j)! for Horner step r (see
+    the module docstring).
+    """
+    if m < 2:
+        return ()
+    shape = ps_shape(m)
+    j, k = shape.j, shape.k
+    log2_eb = b * math.log2(math.e)
+    budget = _DD_BITS + _DEPTH_MARGIN + log2_eb
+    log2_b = math.log2(b)
+
+    def log2_weight(t):  # log2(b^t/t!)
+        return t * log2_b - math.lgamma(t + 1) / math.log(2)
+
+    weights = [log2_weight(p) + log2_eb for p in range(2, j + 1)]
+    weights += [log2_weight((r + 1) * j) for r in range(k - 2, -1, -1)]
+    ladder = _depth_ladder(n)
+    return tuple(bisect.bisect_left(ladder, budget + w) for w in weights)
+
+
+def _dd_poly(bh, table, depths=()):
     """sum_t c_t B^t for B = (bh, 0) and the coefficients as cut by
     :func:`_cut_table`, by Paterson-Stockmeyer in double-double:
     (j - 1) + (k - 1) n-by-n products for (j, k) = ps_shape(m) at degree
-    m >= 1, and one block product."""
+    m >= 1, and one block product.  ``depths`` gives the slicing depth of
+    the n-by-n products in the order they are made (see
+    :func:`_taylor_depths`); those it does not give run at full depth."""
     n = bh.shape[0]
     j, inner, left, eye = table
+    depths = iter(depths)
     if left is None:
         return eye[0, 0] * np.eye(n), eye[1, 0] * np.eye(n)
     k = eye.shape[1]
@@ -370,7 +473,7 @@ def _dd_poly(bh, table):
     if j > 1:
         right = _split_right(bh)
         for p in range(1, j):
-            pw[:, p] = _dd_dot(*pw[:, p - 1], right)
+            pw[:, p] = _dd_dot(*pw[:, p - 1], right, next(depths, None))
     # Row r of the table times [B; ..; B^J] as a (J, n^2) matrix gives the
     # k blocks (gh, gl) but their identity terms c_rj I, added on the
     # diagonals.
@@ -390,7 +493,7 @@ def _dd_poly(bh, table):
     if k > 1:
         right = _split_right(*pw[:, j - 1])
     for r in range(k - 2, -1, -1):
-        xh, xl = _dd_add(*_dd_dot(xh, xl, right), gh[r], gl[r])
+        xh, xl = _dd_add(*_dd_dot(xh, xl, right, next(depths, None)), gh[r], gl[r])
     return xh, xl
 
 
@@ -402,8 +505,9 @@ def _expm_dd(A: Matrix):
     s = 0
     while math.ldexp(norm1, -s) > _SCALE_TARGET:
         s += 1
-    m = _taylor_degree(math.ldexp(norm1, -s))
-    xh, xl = _dd_poly(np.ldexp(A.a, -s), _taylor_table(m))
+    b = math.ldexp(norm1, -s)
+    m = _taylor_degree(b)
+    xh, xl = _dd_poly(np.ldexp(A.a, -s), _taylor_table(m), _taylor_depths(b, m, A.n))
     for _ in range(s):
         xh, xl = _dd_matmul(xh, xl, xh, xl)
         if not np.isfinite(xh).all():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -27,8 +28,8 @@ from expmkit import (
     taylor_coeffs_exp,
 )
 from expmkit import oracle
-from expmkit.oracle import (_cut, _dd_dot, _dd_levels, _dd_matmul, _expm_dd, _quick_two_sum,
-                            _slicing, _split_left, _split_right, _two_sum)
+from expmkit.oracle import (_cut, _dd_dot, _dd_levels, _dd_matmul, _depth_bits, _expm_dd,
+                            _quick_two_sum, _slicing, _split_left, _split_right, _two_sum)
 
 
 def test_zero_gives_identity():
@@ -336,6 +337,53 @@ def test_rectangular_kernels_match_two_plane_reference_bytes(r, q, c):
         assert _same_bytes(_dd_levels(_split_left(ah, al), right), _ref_dd_dot(ah, al, right))
 
 
+def _ints(arr, bits=400):
+    """x 2^bits of each entry as a Python int, asserting that it is exact."""
+    out = np.empty(arr.shape, dtype=object)
+    for idx, x in np.ndenumerate(arr):
+        num, den = float(x).as_integer_ratio()
+        assert (num << bits) % den == 0
+        out[idx] = (num << bits) // den
+    return out
+
+
+def _assert_every_depth_accurate(ah, al, bh, bl):
+    """Each depth d = 0 .. D of the kernel within its bound of the exact
+    product, and depth 0 the binary64 product of the hi parts."""
+    q = ah.shape[1]
+    width, full = _slicing(q)
+    exact = (_ints(ah) + _ints(al)) @ (_ints(bh) + _ints(bl))  # times 2^800
+    row_max, col_max = _ints(np.abs(ah).max(axis=1)), _ints(np.abs(bh).max(axis=0))
+    pair_bound = _ints(np.abs(ah)) @ _ints(np.abs(bh))  # |A||B|
+    right = _split_right(bh, bl)
+    for depth in range(full + 1):
+        ch, cl = _dd_levels(_split_left(ah, al, depth), right)
+        err = np.abs(((_ints(ch) + _ints(cl)) << 400) - exact)
+        # 2^-bits(d) q 2^(e_i + e_j) bounds the levels' error, with the
+        # grids 2^e below twice the maxima, which also covers the lo parts
+        # that depth 0 drops; the pair's own rounding comes on top, and at
+        # full depth it dominates.
+        bound = ((np.outer(row_max, col_max) * q) >> (_depth_bits(q, width, depth) - 2)
+                 ) + (pair_bound >> 104)
+        assert (err <= bound).all(), (q, depth)
+        if depth == 0:
+            assert _same_bytes((ch, cl), (ah @ bh, np.zeros_like(ch)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 16, 64, 90])
+def test_kernel_at_every_depth_matches_exact_product(n):
+    rng = np.random.default_rng(800 + n)
+    for _ in range(2 if n < 64 else 1):  # the exact products dominate at n = 90
+        _assert_every_depth_accurate(*_tight_pair(rng, n), *_tight_pair(rng, n))
+
+
+@pytest.mark.parametrize("r, q, c", [(4, 3, 64), (3, 4, 25), (2, 1, 9), (1, 2, 1), (5, 90, 3)])
+def test_rectangular_kernel_at_every_depth_matches_exact_product(r, q, c):
+    rng = np.random.default_rng(900 + r * q * c)
+    for _ in range(2):
+        _assert_every_depth_accurate(*_tight_pair(rng, r, q), *_tight_pair(rng, q, c))
+
+
 # ---------------------------------------------------------------------------
 # the reference exponential against exact rational arithmetic, and its cost
 # ---------------------------------------------------------------------------
@@ -453,6 +501,74 @@ def test_reference_cost_is_paterson_stockmeyer(monkeypatch):
             assert len(calls) == 9 + s
 
 
+def _record_depths(monkeypatch):
+    """(depth, full depth) of each n-by-n product, in the order made."""
+    depths = []
+    dd_levels = oracle._dd_levels
+
+    def record(a_row, right):
+        b_col, b_tail = right
+        q = b_tail.shape[0] - b_col.shape[0]
+        if a_row.shape[0] == q == b_tail.shape[1]:  # not the (k, J) by (J, n^2) block product
+            depths.append((a_row.shape[1] // q - 1, b_col.shape[0] // q))
+        return dd_levels(a_row, right)
+
+    monkeypatch.setattr(oracle, "_dd_levels", record)
+    return depths
+
+
+def _product_weights(b, m):
+    """log2 of each Taylor product's weight on e^B, in the order made:
+    b^p/p! e^b for B^2 .. B^j, then b^((r+1)j)/((r+1)j)! for the Horner
+    steps r = k - 2 .. 0."""
+    j, k = ps_shape(m).j, ps_shape(m).k
+
+    def log2_term(t):
+        return t * math.log2(b) - math.lgamma(t + 1) / math.log(2)
+
+    return ([log2_term(p) + b * math.log2(math.e) for p in range(2, j + 1)]
+            + [log2_term((r + 1) * j) for r in range(k - 2, -1, -1)])
+
+
+def test_reference_products_cut_by_their_weight(monkeypatch):
+    # Powers and Horner steps take the fewest levels that keep their share
+    # of the 2^-106 e^-b budget; depth never rises as the weight falls, and
+    # the squarings take all levels.
+    depths = _record_depths(monkeypatch)
+    rng = np.random.default_rng(31)
+    for n in (8, 64):
+        signs = rng.choice([-1.0, 1.0], (n, n)) / n  # 1-norm exactly 1
+        for norm in (1e-9, 2.8e-4, 0.01, 0.3, 1.0, 12.8):
+            A = Matrix(norm * signs)
+            s = max(0, math.ceil(math.log2(one_norm(A))))
+            b = math.ldexp(one_norm(A), -s)
+            m = _ps_degree(b)
+            depths.clear()
+            expm_reference(A)
+            taylor, squarings = depths[:len(depths) - s], depths[len(depths) - s:]
+            assert squarings == [(3, 3)] * s
+            weights = _product_weights(b, m)
+            assert len(taylor) == len(weights)
+            got = [d for d, _ in taylor]
+            for (w1, d1), (w2, d2) in itertools.combinations(zip(weights, got), 2):
+                assert (d1 - d2) * (w1 - w2) >= 0, (n, norm, weights, got)
+            if m == 29:  # b = 1: B^2 and the last Horner step keep every level
+                assert taylor[0] == taylor[-1] == (3, 3)
+            if n == 8 and norm in (2.8e-4, 0.01, 1.0):
+                assert got == {2.8e-4: [2, 1, 0, 1], 0.01: [3, 2, 2, 0, 2],
+                               1.0: [3] * 5 + [0, 1, 2, 3]}[norm]
+
+
+def test_poly_reference_products_keep_every_level(monkeypatch):
+    # poly_reference's coefficients are arbitrary, so no product is cut.
+    depths = _record_depths(monkeypatch)
+    A = Matrix(np.random.default_rng(37).uniform(-0.3, 0.3, (6, 6)))
+    for m in (2, 7, 11, 29):
+        depths.clear()
+        poly_reference(A, taylor_coeffs_exp(m))
+        assert depths == [(3, 3)] * ps_shape(m).mults, m
+
+
 def _fraction_poly(arr, coeffs):
     """sum_i coeffs[i] A^i exactly."""
     n = arr.shape[0]
@@ -497,7 +613,7 @@ def test_taylor_table_is_cut_once_per_degree(monkeypatch):
     tables, pairs = [], []
     split_left, dd_poly = oracle._split_left, oracle._dd_poly
     monkeypatch.setattr(oracle, "_split_left",
-                        lambda ah, al: tables.append(ah.shape) or split_left(ah, al))
+                        lambda ah, al, *rest: tables.append(ah.shape) or split_left(ah, al, *rest))
     monkeypatch.setattr(oracle, "_dd_poly", lambda *args: pairs.append(dd_poly(*args)) or pairs[-1])
     oracle._taylor_table.cache_clear()
     n = 3

@@ -22,6 +22,7 @@ import sys
 from .bench import (
     DEFAULT_PROFILE_ALPHAS,
     SuiteConfig,
+    _SCHEMES,
     _run_scheme,
     emit_reports,
     performance_profile,
@@ -29,7 +30,6 @@ from .bench import (
     run_suite,
 )
 from .matrix import NonFiniteError, load_matrix, one_norm, save_matrix
-from .select import SCHEME_BASELINE, SCHEME_PS, SCHEME_SASTRE
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -86,8 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     single.add_argument("--in", dest="infile", required=True,
                         help="matrix text file (first line n, then n rows)")
     single.add_argument("--eps", type=float, required=True, help="error tolerance")
-    single.add_argument("--scheme", required=True,
-                        choices=[SCHEME_BASELINE, SCHEME_PS, SCHEME_SASTRE])
+    single.add_argument("--scheme", required=True, choices=_SCHEMES)
     single.add_argument("--out", help="write the result matrix here")
     single.add_argument("--stats", action="store_true",
                         help="print norms, unscaled tail bounds and timing")

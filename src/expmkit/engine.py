@@ -33,6 +33,7 @@ each product's operands and the result; sums run on plain arrays.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -117,7 +118,7 @@ def squaring(X: Matrix, s: int, ledger: MulLedger) -> Matrix:
     the loop stops early and returns the non-finite matrix, charged only
     for the products it formed.
     """
-    s = int(s)
+    s = operator.index(s)
     if s < 0:
         raise MatrixError("squaring count must be nonnegative")
     for _ in range(s):

@@ -28,6 +28,7 @@ picks the first NaN, so a NaN or Inf entry gives a NaN or Inf norm.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -196,7 +197,7 @@ def frobenius_norm(A: Matrix) -> float:
 def scale_pow2(A: Matrix, s: int) -> Matrix:
     """A * 2^(-s) with s >= 0; the scale factor is an exact power of two,
     so each entry is rescaled without rounding."""
-    s = int(s)
+    s = operator.index(s)
     if s < 0:
         raise MatrixError("scaling exponent must be nonnegative")
     if s == 0:

@@ -15,16 +15,13 @@ j - 1 double-double n-by-n products and the Horner steps in B^j cost
 k - 1; the k blocks between them come from one block product (below).
 A call therefore costs (j - 1) + (k - 1) + s n-by-n products, at most
 9 + s, and one block product, with the powers and Horner steps cut only
-as deep as their share of the error needs (below); summing the series
-term by term took one
-product per term, up to about 29 + s.  Halving b once more would save
-at most one Paterson-Stockmeyer product (m = 29, 24 and 20 cost 9, 8
-and 7) for one more squaring, whose error the squarings after it carry
-(overscaling, Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31(3),
-2009): at ||A||_1 = 12.8, b <= 2^-4 took s = 8 and m = 15, 14 products,
-where b <= 1 takes s = 4 and m = 28, 13.  That leaves well over ten
-guard digits beyond binary64, enough to adjudicate 1e-8-level tolerances
-with several orders of margin.
+as deep as their share of the error needs (below).  The target is b <= 1
+because halving b once more would save at most one Paterson-Stockmeyer
+product (m = 29, 24 and 20 cost 9, 8 and 7) for one more squaring, whose
+error the squarings after it carry (overscaling, Al-Mohy and Higham,
+SIAM J. Matrix Anal. Appl. 31(3), 2009).  The 2^-106 truncation leaves
+well over ten guard digits beyond binary64, enough to adjudicate
+1e-8-level tolerances with several orders of margin.
 
 :func:`poly_reference` evaluates an arbitrary polynomial with the same
 routine, :func:`_dd_poly`, so truncation remainders can be measured
@@ -84,14 +81,15 @@ not per entry, and assumes that nothing underflows or overflows.
 
 One routine, :func:`_cut`, cuts every operand: :func:`_split_left` cuts
 the rows of a left operand, :func:`_split_right` the columns of a right
-operand, and :func:`_dd_levels` sums the levels of any such pair.  The
-right operand of every power and Horner product is fixed within a call
-(B, then B^j), so it is split once; its columns are cut through a
-transposed view that writes each slice straight into its block.  Each
-n-by-n product (:func:`_dd_dot`) then cuts only its left operand.  B's
-lo part is zero and is not cut.  A squaring has no fixed operand:
-:func:`_dd_matmul` splits its right operand the same way and then takes
-the same product.
+operand, and :func:`_dd_levels` sums the levels of any such pair.  Every
+product of the oracle, and so every BLAS call it makes, is one call
+``_dd_levels(_split_left(..), right)``.  The right operand of every
+power and Horner product is fixed within a call (B, then B^j), so it is
+split once, and each of those products cuts only its left operand; B's
+columns are cut through a transposed view that writes each slice
+straight into its block, and B's lo part is zero and is not cut.  A
+squaring has no fixed operand: :func:`_dd_matmul` splits both of its
+operands.
 
 The k Taylor blocks are c_rj I + sum_t c_(rj+t) B^t for t = 1 .. len_r,
 with len_r = j - 1 below the top block and m - (k-1) j in it.  They come
@@ -168,12 +166,11 @@ about 39, 25, 15 and 3 elementwise passes over n^2 entries at d = 3, 2,
 1 and 0: 15, 8, 5 and 0 to cut the left operand (lo is cut only on the
 last grid at d = 3) and 24, 17, 10 and 3 to sum the levels.  A squaring,
 always at d = D = 3, first cuts its right operand, which takes about 18
-more.  The nine Taylor products at m = 29 make about 277 passes where
-depth 3 throughout made 351, and the four at m = 7 (b = 2.8e-4, n = 8)
-58 where they made 156.  The block product makes about 20 passes over
-the J n^2 stacked entries to cut them and about 25 over the k n^2
-results to sum the levels: about 225 passes over n^2 entries at m = 29
-(J = k = 5).
+more.  The nine Taylor products at m = 29 make about 277 passes, and the
+four at m = 7 (b = 2.8e-4, n = 8) about 58.  The block product makes
+about 20 passes over the J n^2 stacked entries to cut them and about 25
+over the k n^2 results to sum the levels: about 225 passes over n^2
+entries at m = 29 (J = k = 5).
 """
 
 from __future__ import annotations
@@ -186,7 +183,7 @@ import math
 import numpy as np
 
 from .matrix import Matrix, MatrixError, NonFiniteError, _wrap, frobenius_norm, one_norm
-from .poly import ps_shape
+from .poly import inv_factorial, ps_shape
 
 __all__ = [
     "expm_reference",
@@ -356,16 +353,9 @@ def _dd_levels(a_row, right):
     return _quick_two_sum(ch, cl)
 
 
-def _dd_dot(ah, al, right, depth=None):
-    """Double-double n-by-n product of (ah, al) and a right operand prepared
-    by :func:`_split_right`, at ``depth`` levels (full by default); only
-    the left operand is cut here."""
-    return _dd_levels(_split_left(ah, al, depth), right)
-
-
 def _dd_matmul(ah, al, bh, bl):
-    """Double-double product of two (hi, lo) square matrices."""
-    return _dd_dot(ah, al, _split_right(bh, bl))
+    """Double-double product of two (hi, lo) matrices at full depth."""
+    return _dd_levels(_split_left(ah, al), _split_right(bh, bl))
 
 
 def _taylor_degree(b: float) -> int:
@@ -385,15 +375,9 @@ def _taylor_degree(b: float) -> int:
 def _dd_inv_factorial(k: int):
     """1/k! as a double-double (hi, lo), hi and lo each correctly rounded."""
     f = math.factorial(k)
-    hi = 1 / f  # int / int rounds correctly
+    hi = inv_factorial(k)
     num, den = hi.as_integer_ratio()
     return hi, (den - num * f) / (den * f)
-
-
-# Every degree _expm_dd can pick, as hi and lo rows: the tail bound grows
-# with b <= 1.
-_INV_FACTORIALS = np.array(
-    [_dd_inv_factorial(t) for t in range(_taylor_degree(_SCALE_TARGET) + 1)]).T
 
 
 def _cut_table(coeffs):
@@ -419,9 +403,9 @@ def _cut_table(coeffs):
 
 @functools.cache
 def _taylor_table(m: int):
-    """:func:`_cut_table` of the degree-m Taylor coefficients of e^x, cut
-    once per degree; the arrays are read-only."""
-    table = _cut_table(_INV_FACTORIALS[:, :m + 1])
+    """:func:`_cut_table` of the degree-m Taylor coefficients of e^x as
+    (hi, lo) pairs, cut once per degree; the arrays are read-only."""
+    table = _cut_table(np.array([_dd_inv_factorial(t) for t in range(m + 1)]).T)
     for a in table[2:]:
         if a is not None:
             a.flags.writeable = False
@@ -473,7 +457,7 @@ def _dd_poly(bh, table, depths=()):
     if j > 1:
         right = _split_right(bh)
         for p in range(1, j):
-            pw[:, p] = _dd_dot(*pw[:, p - 1], right, next(depths, None))
+            pw[:, p] = _dd_levels(_split_left(*pw[:, p - 1], next(depths, None)), right)
     # Row r of the table times [B; ..; B^J] as a (J, n^2) matrix gives the
     # k blocks (gh, gl) but their identity terms c_rj I, added on the
     # diagonals.
@@ -493,7 +477,8 @@ def _dd_poly(bh, table, depths=()):
     if k > 1:
         right = _split_right(*pw[:, j - 1])
     for r in range(k - 2, -1, -1):
-        xh, xl = _dd_add(*_dd_dot(xh, xl, right, next(depths, None)), gh[r], gl[r])
+        xh, xl = _dd_add(*_dd_levels(_split_left(xh, xl, next(depths, None)), right),
+                         gh[r], gl[r])
     return xh, xl
 
 

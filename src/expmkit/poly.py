@@ -7,7 +7,10 @@ Two evaluation routes are provided with exact multiplication budgets:
   powers and k block-Horner stages, and
 * fixed-coefficient evaluation formulas that reach order 8 in three
   products (:func:`eval_t8`) and order 15+ in four (:func:`eval_t15p`),
-  beating the Paterson-Stockmeyer budget for the same order.
+  beating the Paterson-Stockmeyer budget for the same order.  With the
+  direct formulas of :func:`eval_low_order` they make the ladder of
+  orders ``SASTRE_ORDERS``, each one product dearer than the one before,
+  so :func:`sastre_budget` is an order's index in it.
 
 The evaluators sum in place on plain float64 arrays: a sum's first term
 c*X allocates it, each further c*X is rounded into one scratch buffer per
@@ -32,8 +35,8 @@ callers run them under the same ``errstate`` and check the result with
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -61,8 +64,8 @@ MAX_ORDER = 30
 
 
 def inv_factorial(n: int) -> float:
-    """1/n! correctly rounded to binary64."""
-    return float(Fraction(1, math.factorial(n)))
+    """1/n! correctly rounded to binary64 (int / int rounds correctly)."""
+    return 1 / math.factorial(n)
 
 
 # 1/i! for i = 0..MAX_ORDER+1, the most either coefficient list needs.
@@ -70,7 +73,7 @@ _INV_FACT = tuple(inv_factorial(i) for i in range(MAX_ORDER + 2))
 
 
 def _check_order(m) -> int:
-    m = int(m)
+    m = operator.index(m)
     if not 0 <= m <= MAX_ORDER:
         raise MatrixError(f"order {m} outside supported range 0..{MAX_ORDER}")
     return m
@@ -299,12 +302,14 @@ def eval_t15p(A: Matrix, ledger: MulLedger, a2: Matrix | None = None) -> Matrix:
     return _wrap(x)
 
 
-_SASTRE_BUDGET = {1: 0, 2: 1, 4: 2, 8: 3, 15: 4}
+# eval_low_order at 1, 2 and 4, eval_t8 and eval_t15p (see the module docstring).
+SASTRE_ORDERS = (1, 2, 4, 8, 15)
 
 
 def sastre_budget(m: int) -> int:
-    """Product budget of the evaluation-formula route for a fresh call."""
+    """Product budget of the evaluation-formula route for a fresh call:
+    the index of m in ``SASTRE_ORDERS``."""
     try:
-        return _SASTRE_BUDGET[m]
-    except KeyError:
+        return SASTRE_ORDERS.index(m)
+    except ValueError:
         raise MatrixError(f"no evaluation formula for order {m}") from None

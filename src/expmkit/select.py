@@ -39,7 +39,7 @@ from .matrix import Matrix, MulLedger, check_finite, one_norm
 # products per phase by wrapping the module attributes select.mat_mul,
 # poly.mat_mul and engine.mat_mul.
 from .matrix import _mat_mul_unchecked as mat_mul
-from .poly import EXP_COEFFS, inv_factorial, ps_shape
+from .poly import EXP_COEFFS, SASTRE_ORDERS, inv_factorial, ps_shape
 
 __all__ = [
     "EvalPlan",
@@ -150,7 +150,7 @@ PS_TABLES = _ladder((1, 2, 4, 6, 9, 12, 16))
 # the 15+ route is |1/16! - b16|: the degree-16 coefficient of the
 # evaluated polynomial is b16, not 1/16!, so that is the remainder weight
 # actually left at degree 16.
-SASTRE_TABLES = _ladder((1, 2, 4, 8, 15), cap=2,
+SASTRE_TABLES = _ladder(SASTRE_ORDERS, cap=2,
                         first_tails={15: abs(inv_factorial(16) - EXP_COEFFS.b16)})
 
 # The low-rank path evaluates sum_i V^i/(i+1)!, so the tail weights are
@@ -158,7 +158,7 @@ SASTRE_TABLES = _ladder((1, 2, 4, 8, 15), cap=2,
 # ladder extended by Paterson-Stockmeyer degrees, but the shifted series
 # has no published formula coefficients, so every order here is
 # evaluated by ps_eval; only V^2 is formed while bounding.
-LOWRANK_TABLES = _ladder((1, 2, 4, 8, 15, 16, 20, 25, 30), cap=2, shift=1)
+LOWRANK_TABLES = _ladder(SASTRE_ORDERS + (16, 20, 25, 30), cap=2, shift=1)
 
 
 @dataclass

@@ -66,6 +66,10 @@ def test_squaring_diagonal_powers():
 def test_squaring_rejects_negative():
     with pytest.raises(MatrixError):
         squaring(identity(2), -1, MulLedger())
+    ledger = MulLedger()
+    with pytest.raises(TypeError):  # not truncated to one squaring
+        squaring(identity(2), 1.5, ledger)
+    assert ledger.count == 0
 
 
 # ---------------------------------------------------------------------------

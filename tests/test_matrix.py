@@ -192,11 +192,13 @@ def test_scale_pow2_exactness():
     rng = np.random.default_rng(5)
     A = Matrix(rng.uniform(-3, 3, (6, 6)))
     assert scale_pow2(A, 0) is A
-    assert np.array_equal(scale_pow2(identity(4), 3).a, 0.125 * np.eye(4))
+    assert np.array_equal(scale_pow2(identity(4), np.int64(3)).a, 0.125 * np.eye(4))
     for s in (1, 2, 7, 20):
         assert one_norm(scale_pow2(A, s)) == math.ldexp(one_norm(A), -s)
     with pytest.raises(MatrixError):
         scale_pow2(A, -1)
+    with pytest.raises(TypeError):  # no exact power of two, not truncated to s = 0
+        scale_pow2(A, 0.5)
 
 
 def test_mat_mul_associative_within_tolerance():

@@ -28,7 +28,7 @@ from expmkit import (
     taylor_coeffs_exp,
 )
 from expmkit import oracle
-from expmkit.oracle import (_cut, _dd_dot, _dd_levels, _dd_matmul, _depth_bits, _expm_dd,
+from expmkit.oracle import (_cut, _dd_levels, _dd_matmul, _depth_bits, _expm_dd,
                             _quick_two_sum, _slicing, _split_left, _split_right, _two_sum)
 
 
@@ -277,7 +277,7 @@ def _ref_split_right(bh, bl=None):
     return b_col, np.concatenate((b_rems, bh))
 
 
-def _ref_dd_dot(ah, al, right):
+def _ref_product(ah, al, right):
     q = ah.shape[1]
     width, depth = _slicing(q)
     slices, rems = _ref_split(np.stack((ah, al)), width, depth)
@@ -308,33 +308,41 @@ def _same_bytes(got, want):
     return all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 8, 16, 64, 90])  # d = 4 from order 86 on
-def test_kernels_match_two_plane_reference_bytes(n):
+def _kernel_operands(seed, r, q, c, rounds):
+    """``rounds`` tight (r, q) and (q, c) operand pairs drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(rounds):
+        yield _tight_pair(rng, r, q) + _tight_pair(rng, q, c)
+
+
+# Operand shapes (r, q) by (q, c): the square orders n, run as (n, n, n), and
+# block-product shapes (k, J) by (J, n^2) with degenerate ones.
+_ORDERS = [1, 2, 5, 8, 16, 64, 90]  # d = 4 from order 86 on
+_RECT_SHAPES = [(4, 3, 64), (3, 4, 25), (2, 1, 9), (1, 2, 1), (5, 90, 3)]
+
+
+def _assert_kernels_match_reference_bytes(seed, r, q, c):
     # lo is cut only where its slices can be nonzero; this pins that the
     # skipped cuts change no bit of (hi, lo)
-    rng = np.random.default_rng(500 + n)
-    for _ in range(3):
-        ah, al = _tight_pair(rng, n)
-        bh, bl = _tight_pair(rng, n)
+    for ah, al, bh, bl in _kernel_operands(seed, r, q, c, 3):
         right = _ref_split_right(bh, bl)
         assert _same_bytes(_split_right(bh, bl), right)
         assert _same_bytes(_split_right(bh), _ref_split_right(bh))
-        assert _same_bytes(_dd_dot(ah, al, _split_right(bh, bl)), _ref_dd_dot(ah, al, right))
-        assert _same_bytes(_dd_matmul(ah, al, bh, bl), _ref_dd_dot(ah, al, right))
-        assert _same_bytes(_dd_matmul(ah, al, ah, al),
-                           _ref_dd_dot(ah, al, _ref_split_right(ah, al)))
+        assert _same_bytes(_dd_levels(_split_left(ah, al), right), _ref_product(ah, al, right))
+        assert _same_bytes(_dd_matmul(ah, al, bh, bl), _ref_product(ah, al, right))
+        if r == q == c:
+            assert _same_bytes(_dd_matmul(ah, al, ah, al),
+                               _ref_product(ah, al, _ref_split_right(ah, al)))
 
 
-# (r, q, c): block-product shapes (k, J) by (J, n^2), and degenerate ones
-@pytest.mark.parametrize("r, q, c", [(4, 3, 64), (3, 4, 25), (2, 1, 9), (1, 2, 1), (5, 90, 3)])
+@pytest.mark.parametrize("n", _ORDERS)
+def test_kernels_match_two_plane_reference_bytes(n):
+    _assert_kernels_match_reference_bytes(500 + n, n, n, n)
+
+
+@pytest.mark.parametrize("r, q, c", _RECT_SHAPES)
 def test_rectangular_kernels_match_two_plane_reference_bytes(r, q, c):
-    rng = np.random.default_rng(600 + r * q * c)
-    for _ in range(3):
-        ah, al = _tight_pair(rng, r, q)
-        bh, bl = _tight_pair(rng, q, c)
-        right = _ref_split_right(bh, bl)
-        assert _same_bytes(_split_right(bh, bl), right)
-        assert _same_bytes(_dd_levels(_split_left(ah, al), right), _ref_dd_dot(ah, al, right))
+    _assert_kernels_match_reference_bytes(600 + r * q * c, r, q, c)
 
 
 def _ints(arr, bits=400):
@@ -370,18 +378,17 @@ def _assert_every_depth_accurate(ah, al, bh, bl):
             assert _same_bytes((ch, cl), (ah @ bh, np.zeros_like(ch)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 8, 16, 64, 90])
+@pytest.mark.parametrize("n", _ORDERS)
 def test_kernel_at_every_depth_matches_exact_product(n):
-    rng = np.random.default_rng(800 + n)
-    for _ in range(2 if n < 64 else 1):  # the exact products dominate at n = 90
-        _assert_every_depth_accurate(*_tight_pair(rng, n), *_tight_pair(rng, n))
+    # one pair from order 64 on: the exact products dominate at n = 90
+    for operands in _kernel_operands(800 + n, n, n, n, 2 if n < 64 else 1):
+        _assert_every_depth_accurate(*operands)
 
 
-@pytest.mark.parametrize("r, q, c", [(4, 3, 64), (3, 4, 25), (2, 1, 9), (1, 2, 1), (5, 90, 3)])
+@pytest.mark.parametrize("r, q, c", _RECT_SHAPES)
 def test_rectangular_kernel_at_every_depth_matches_exact_product(r, q, c):
-    rng = np.random.default_rng(900 + r * q * c)
-    for _ in range(2):
-        _assert_every_depth_accurate(*_tight_pair(rng, r, q), *_tight_pair(rng, q, c))
+    for operands in _kernel_operands(900 + r * q * c, r, q, c, 2):
+        _assert_every_depth_accurate(*operands)
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +480,33 @@ def _ps_degree(b):
     return m
 
 
-def test_reference_cost_is_paterson_stockmeyer(monkeypatch):
+@pytest.fixture
+def products(monkeypatch):
+    """(rows, inner dimension, columns, left depth, right depth) of each
+    ``_dd_levels`` call, in the order made."""
+    calls = []
+    dd_levels = oracle._dd_levels
+
+    def record(a_row, right):
+        b_col, b_tail = right
+        q = b_tail.shape[0] - b_col.shape[0]  # (D + 1) q rows against D q
+        calls.append((a_row.shape[0], q, b_tail.shape[1], a_row.shape[1] // q - 1,
+                       b_col.shape[0] // q))
+        return dd_levels(a_row, right)
+
+    monkeypatch.setattr(oracle, "_dd_levels", record)
+    return calls
+
+
+def _square_depths(products, n):
+    """(left depth, right depth) of each n-by-n product recorded."""
+    return [p[3:] for p in products if p[:3] == (n, n, n)]
+
+
+def test_reference_cost_is_paterson_stockmeyer(products):
     # One dd product per power B^2 .. B^j, per Horner step in B^j and per
     # squaring: (j - 1) + (k - 1) + s, where term-by-term summation would
     # spend one per Taylor term.  s is the least with ||2^-s A||_1 <= 1.
-    calls = []
-    dd_dot = oracle._dd_dot
-    monkeypatch.setattr(oracle, "_dd_dot", lambda *args: calls.append(1) or dd_dot(*args))
     rng = np.random.default_rng(17)
     signs = np.where(rng.uniform(size=(4, 4)) < 0.5, -0.25, 0.25)  # 1-norm exactly 1
     cases = [(Matrix(np.zeros((4, 4))), 0, 0), (Matrix(signs), 0, 29),
@@ -494,27 +521,12 @@ def test_reference_cost_is_paterson_stockmeyer(monkeypatch):
         if s_want is not None:
             assert (s, m) == (s_want, m_want)
         want = (ps_shape(m).mults if m else 0) + s
-        calls.clear()
+        products.clear()
         expm_reference(A)
-        assert len(calls) == want <= 9 + s, (norm1, m, s)
+        calls = len(_square_depths(products, A.n))
+        assert calls == want <= 9 + s, (norm1, m, s)
         if m_want == 29:  # b = 1, the largest scaled norm
-            assert len(calls) == 9 + s
-
-
-def _record_depths(monkeypatch):
-    """(depth, full depth) of each n-by-n product, in the order made."""
-    depths = []
-    dd_levels = oracle._dd_levels
-
-    def record(a_row, right):
-        b_col, b_tail = right
-        q = b_tail.shape[0] - b_col.shape[0]
-        if a_row.shape[0] == q == b_tail.shape[1]:  # not the (k, J) by (J, n^2) block product
-            depths.append((a_row.shape[1] // q - 1, b_col.shape[0] // q))
-        return dd_levels(a_row, right)
-
-    monkeypatch.setattr(oracle, "_dd_levels", record)
-    return depths
+            assert calls == 9 + s
 
 
 def _product_weights(b, m):
@@ -530,11 +542,10 @@ def _product_weights(b, m):
             + [log2_term((r + 1) * j) for r in range(k - 2, -1, -1)])
 
 
-def test_reference_products_cut_by_their_weight(monkeypatch):
+def test_reference_products_cut_by_their_weight(products):
     # Powers and Horner steps take the fewest levels that keep their share
     # of the 2^-106 e^-b budget; depth never rises as the weight falls, and
     # the squarings take all levels.
-    depths = _record_depths(monkeypatch)
     rng = np.random.default_rng(31)
     for n in (8, 64):
         signs = rng.choice([-1.0, 1.0], (n, n)) / n  # 1-norm exactly 1
@@ -543,8 +554,9 @@ def test_reference_products_cut_by_their_weight(monkeypatch):
             s = max(0, math.ceil(math.log2(one_norm(A))))
             b = math.ldexp(one_norm(A), -s)
             m = _ps_degree(b)
-            depths.clear()
+            products.clear()
             expm_reference(A)
+            depths = _square_depths(products, n)
             taylor, squarings = depths[:len(depths) - s], depths[len(depths) - s:]
             assert squarings == [(3, 3)] * s
             weights = _product_weights(b, m)
@@ -559,14 +571,13 @@ def test_reference_products_cut_by_their_weight(monkeypatch):
                                1.0: [3] * 5 + [0, 1, 2, 3]}[norm]
 
 
-def test_poly_reference_products_keep_every_level(monkeypatch):
+def test_poly_reference_products_keep_every_level(products):
     # poly_reference's coefficients are arbitrary, so no product is cut.
-    depths = _record_depths(monkeypatch)
     A = Matrix(np.random.default_rng(37).uniform(-0.3, 0.3, (6, 6)))
     for m in (2, 7, 11, 29):
-        depths.clear()
+        products.clear()
         poly_reference(A, taylor_coeffs_exp(m))
-        assert depths == [(3, 3)] * ps_shape(m).mults, m
+        assert _square_depths(products, 6) == [(3, 3)] * ps_shape(m).mults, m
 
 
 def _fraction_poly(arr, coeffs):
@@ -631,36 +642,25 @@ def test_taylor_table_is_cut_once_per_degree(monkeypatch):
     _assert_within_2_100(hi, lo, _fraction_poly(arr, coeffs), 29)
 
 
-def test_poly_reference_cost_is_paterson_stockmeyer(monkeypatch):
+def test_poly_reference_cost_is_paterson_stockmeyer(products):
     # (j - 1) + (k - 1) dd products, where Horner would spend one per degree.
-    calls = []
-    dd_dot = oracle._dd_dot
-    monkeypatch.setattr(oracle, "_dd_dot", lambda *args: calls.append(1) or dd_dot(*args))
     A = Matrix(np.random.default_rng(19).uniform(-0.1, 0.1, (5, 5)))
     for m in range(1, 17):
-        calls.clear()
+        products.clear()
         poly_reference(A, taylor_coeffs_exp(m))
-        assert len(calls) == ps_shape(m).mults, m
+        assert len(_square_depths(products, 5)) == ps_shape(m).mults, m
 
 
-def test_one_block_product_per_polynomial(monkeypatch):
+def test_one_block_product_per_polynomial(products):
     # Besides its (j - 1) + (k - 1) n-by-n products, a call at degree m >= 1
     # sums all k Taylor blocks in one (k, J) by (J, n^2) product, with
     # J = max(m - (k - 1) j, j - 1); n^2 = 25 columns make one panel.
-    shapes = []
-    dd_levels = oracle._dd_levels
-
-    def record(a_row, right):
-        b_col, b_tail = right
-        shapes.append((a_row.shape[0], b_tail.shape[0] - b_col.shape[0], b_tail.shape[1]))
-        return dd_levels(a_row, right)
-
-    monkeypatch.setattr(oracle, "_dd_levels", record)
     n = 5
     A = Matrix(np.random.default_rng(23).uniform(-0.1, 0.1, (n, n)))
     for m in range(17):
-        shapes.clear()
+        products.clear()
         poly_reference(A, taylor_coeffs_exp(m))
+        shapes = [p[:3] for p in products]
         if m == 0:
             assert shapes == []
             continue
@@ -670,13 +670,13 @@ def test_one_block_product_per_polynomial(monkeypatch):
         assert blocks == [(k, max(m - (k - 1) * j, j - 1), n * n)], m
         assert len(shapes) == shape.mults + 1, m
     for norm in (1e-9, 0.025, 12.8):  # m = 3, 13 and 28, the last after 4 squarings
-        shapes.clear()
+        products.clear()
         expm_reference(Matrix(A.a * (norm / one_norm(A))))
-        assert sum(sh[2] == n * n for sh in shapes) == 1, norm
+        assert sum(p[2] == n * n for p in products) == 1, norm
 
 
 @pytest.mark.parametrize("panel", [7, 1024])
-def test_block_product_panels_agree_with_one_panel(panel, monkeypatch):
+def test_block_product_panels_agree_with_one_panel(panel, monkeypatch, products):
     # n^2 = 1600 columns of [B; ..; B^J]: 229 panels of 7, the last one
     # ragged, or two of 1024 and 576 against one of 1600.
     n = 40
@@ -686,14 +686,10 @@ def test_block_product_panels_agree_with_one_panel(panel, monkeypatch):
     table = oracle._taylor_table(29)
     monkeypatch.setattr(oracle, "_PANEL", n * n)
     want = oracle._dd_poly(bh, table)
-    shapes = []
-    dd_levels = oracle._dd_levels
-    monkeypatch.setattr(oracle, "_dd_levels",
-                        lambda a_row, right: shapes.append(right[0].shape[1])
-                        or dd_levels(a_row, right))
     monkeypatch.setattr(oracle, "_PANEL", panel)
+    products.clear()
     got = oracle._dd_poly(bh, table)
-    panels = [c for c in shapes if c != n]
+    panels = [p[2] for p in products if p[2] != n]
     assert len(panels) == -(-n * n // panel) and sum(panels) == n * n
     # Each column is cut on its own grid, so panels change no level; the
     # tail's rounding alone could follow BLAS's order of summation.

@@ -17,17 +17,14 @@
 
 Every driver owns one ledger per call; ``mults`` in the result is the
 full square-product count including the squaring phase.  Each driver
-enters one ``np.errstate``, for the whole call, that keeps overflow in
-its temporaries from warning, and checks its result for finiteness once.
-Its products are unchecked (selection, the evaluators of :mod:`expmkit.poly`
-and :func:`squaring` alike): finiteness is checked where the input enters
-(:class:`~expmkit.matrix.Matrix`, :class:`LowRankPair`), through the
-selector's norms of W and its powers, and on the driver's output.  A
-non-finite entry never becomes finite again on the way (see
-:mod:`expmkit.matrix`), so an overflow raises
-:class:`~expmkit.matrix.NonFiniteError` and never a warning.  A
-:class:`~expmkit.matrix.Matrix` carries the input, the selector's powers,
-each product's operands and the result; sums run on plain arrays.
+enters one ``np.errstate`` for the whole call, so that an overflow in a
+temporary never warns, and runs its products unchecked (selection, the
+evaluators of :mod:`expmkit.poly` and :func:`squaring` alike); where
+finiteness is checked instead, and why an overflow still raises
+:class:`~expmkit.matrix.NonFiniteError`, is stated in
+:mod:`expmkit.matrix`.  A :class:`~expmkit.matrix.Matrix` carries the
+input, the selector's powers, each product's operands and the result;
+sums run on plain arrays.
 """
 
 from __future__ import annotations
@@ -45,6 +42,7 @@ from .matrix import (
     MulLedger,
     NonFiniteError,
     _add_to_diagonal,
+    _entries,
     _wrap,
     check_finite,
     identity,
@@ -212,27 +210,21 @@ def expm(W: Matrix, eps: float, scheme: str = SCHEME_SASTRE) -> ExpmResult:
 # Low-rank path
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LowRankPair:
-    """Factored weight W = A1 A2 with A1 (n x t) and A2 (t x n), 1 <= t <= n."""
+    """Factored weight W = A1 A2 with A1 (n x t) and A2 (t x n), 1 <= t <= n;
+    the factors pass the input gate of :mod:`expmkit.matrix`."""
 
     a1: np.ndarray
     a2: np.ndarray
 
     def __post_init__(self):
-        a1 = np.array(self.a1, dtype=np.float64, order="C")  # see Matrix
-        a2 = np.array(self.a2, dtype=np.float64, order="C")
-        if a1.ndim != 2 or a2.ndim != 2:
-            raise MatrixError("low-rank factors must be 2-d arrays")
+        a1, a2 = (_entries(a, "low-rank factors") for a in (self.a1, self.a2))
         n, t = a1.shape
         if a2.shape != (t, n):
             raise MatrixError(f"factor shapes incompatible: {a1.shape} and {a2.shape}")
-        if not 1 <= t <= n:
-            raise MatrixError(f"inner rank {t} is not between 1 and the order {n}")
-        if not (np.isfinite(a1).all() and np.isfinite(a2).all()):
-            raise NonFiniteError("low-rank factors must be finite")
-        a1.setflags(write=False)
-        a2.setflags(write=False)
+        if t > n:
+            raise MatrixError(f"inner rank {t} exceeds the order {n}")
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
 

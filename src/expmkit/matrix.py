@@ -6,17 +6,22 @@ charging exactly one unit to a :class:`MulLedger`.
 Norms, additions and scalar scalings are never charged: the cost model
 counts n-by-n products only.
 
-Finiteness is checked where values enter and leave the package, not on
-each temporary: the :class:`Matrix` constructor (and
-:class:`~expmkit.engine.LowRankPair`) rejects NaN and Inf entries,
-public :func:`mat_mul` checks its result, the selectors check W and each
-power they form only when its 1-norm is not finite (a finite norm proves
-every entry finite), and each driver of :mod:`expmkit.engine` checks its
-result once.  Inside a driver, products go through the unchecked
+Values enter the package through one gate, ``_entries``, which
+:class:`Matrix` and :class:`~expmkit.engine.LowRankPair` both call: it
+copies the caller's data to a read-only float64 array and refuses, with
+a :class:`MatrixError`, data that is not a nonempty 2-d array, has a NaN
+or Inf entry (:class:`NonFiniteError`), or is complex, text or boolean,
+whose imaginary part the cast would drop, or which it would parse or
+read as 0 and 1.  Results leave
+through :func:`check_finite`, once at each driver's exit, the oracle's
+exit and public :func:`mat_mul`'s.  In between, only the selectors' norm
+test checks anything: a selector scans W or a power it forms only when
+its 1-norm is not finite (a finite norm proves every entry finite).
+Inside a driver, products go through the unchecked
 :func:`_mat_mul_unchecked` under the driver's one ``np.errstate``, with
-a :class:`Matrix` around each operand and result only.  That
-is enough because a non-finite entry never becomes finite again under
-the operations in between: an addition, a finite scalar factor or an
+a :class:`Matrix` around each operand and result only.  That is enough
+because a non-finite entry never becomes finite again under the
+operations in between: an addition, a finite scalar factor or an
 exact power-of-two scaling keeps it Inf or NaN, and a product spreads it
 over a whole row or column of its result (0 * Inf is NaN).  So an
 overflow in any temporary reaches a selector's norm or a driver's output
@@ -58,13 +63,29 @@ class NonFiniteError(MatrixError):
     """An operation received or produced NaN/Inf entries."""
 
 
+def _entries(data, what: str) -> np.ndarray:
+    """A copy of the caller's data past the input gate (module docstring):
+    2-d, C-ordered, finite, float64 and read-only.  Integer and object
+    input is cast; ``[[10**30]]`` arrives as an object array."""
+    a = np.asarray(data)
+    if a.dtype.kind in "bcSU":
+        raise MatrixError(f"{what} must be real numbers, got dtype {a.dtype}")
+    a = np.array(a, dtype=np.float64, order="C")
+    if a.ndim != 2 or a.size == 0:
+        raise MatrixError(f"{what} must be a nonempty 2-d array, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"{what} must be finite")
+    a.setflags(write=False)
+    return a
+
+
 class Matrix:
     """Immutable dense square real matrix in IEEE binary64.
 
-    Entries are copied in C order, so that a Fortran-ordered input's norms
-    and products round the same, and validated to be finite.  A Matrix
-    holds values, not algebra: arithmetic runs on the read-only array
-    ``.a``.  One from this constructor, :func:`load_matrix`,
+    Entries pass the input gate (see the module docstring) and are copied
+    in C order, so that a Fortran-ordered input's norms and products round
+    the same.  A Matrix holds values, not algebra: arithmetic runs on the
+    read-only array ``.a``.  One from this constructor, :func:`load_matrix`,
     :func:`identity`, :func:`scale_pow2`, public :func:`mat_mul` or a
     driver is finite; only the unchecked building blocks (``ps_eval``, the
     ``eval_*`` formulas, ``squaring``) can return one that is not, and
@@ -74,14 +95,9 @@ class Matrix:
     __slots__ = ("a",)
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=np.float64, order="C")
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        a = _entries(entries, "matrix entries")
+        if a.shape[0] != a.shape[1]:
             raise MatrixError(f"expected a square 2-d array, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise MatrixError("matrix order must be at least 1")
-        if not np.isfinite(a).all():
-            raise NonFiniteError("matrix entries must be finite")
-        a.setflags(write=False)
         self.a = a
 
     @property
@@ -227,8 +243,6 @@ def parse_matrix(text: str) -> Matrix:
         n = int(lines[0].strip())
     except ValueError as exc:
         raise MatrixError(f"bad order line {lines[0]!r}") from exc
-    if n < 1:
-        raise MatrixError("matrix order must be at least 1")
     if len(lines) != n + 1:
         raise MatrixError(f"expected {n} rows, found {len(lines) - 1}")
     rows = []

@@ -27,8 +27,11 @@ well over ten guard digits beyond binary64, enough to adjudicate
 routine, :func:`_dd_poly`, so truncation remainders can be measured
 directly against the series tail rather than against another binary64
 evaluation.  Each of the two enters one ``np.errstate`` for the whole
-call, as the drivers do: an overflow raises :class:`NonFiniteError`, from
-the check after each squaring or on the result, never a warning.
+call and checks its result once, as the drivers do (see
+:mod:`expmkit.matrix`): an overflow raises
+:class:`~expmkit.matrix.NonFiniteError`, never a warning.  The squarings
+stop early once the corner entry is not finite, as
+:func:`~expmkit.engine.squaring` does.
 
 Double-double matrix products run on BLAS through error-free slicing
 (Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012).  For a
@@ -147,30 +150,18 @@ carries it to the result, so its weight is b^((r+1)j)/((r+1)j)!.
 2^-106 budget relative to ||e^B||_1 >= e^-b; the margin also covers the
 constant factors of "about" (the grids above, and a power's error
 reaching term t up to t/j + 1 times).  The depth never rises as the
-weight falls, and B^2 and the last Horner step (r = 0) weigh most.  At
-n = 8, b = 2.8e-4 (m = 7) cuts B^2 and B^3 at depths 2 and 1 and the
-Horner steps r = 1, 0 at 0 and 1; b = 0.01 (m = 11) gives 3, 2, 2 and 0,
-2; b = 1 (m = 29) gives 3 to all five powers and 0, 1, 2, 3 to the
-Horner steps.  By the loose bound the at most nine cut products add at
-most about 9 2^-108, or 2^-104.8, of e^B, below the block product's
-2^-99.9; the pairs' own rounding still dominates, and the worst error
-against exact fixed point over the seed-2024 and seed-13 default suites
-(2^-102.3 and 2^-101.9, ``tools/oracle_error.py``) did not move when the
-cut came in.  Squarings, the block product and every product of
-:func:`poly_reference`, whose coefficients are arbitrary, keep depth D.
+weight falls, and B^2 and the last Horner step (r = 0) weigh most.  By
+the loose bound the at most nine cut products add at most about
+9 2^-108, or 2^-104.8, of e^B, below the block product's 2^-99.9; the
+pairs' own rounding still dominates (``tools/oracle_error.py`` measures
+the whole against exact fixed point).  Squarings, the block product and
+every product of :func:`poly_reference`, whose coefficients are
+arbitrary, keep depth D.
 
-At small orders the cost of a product is numpy passes, not BLAS.  An
-n-by-n product with a prepared right operand at depth d makes d + 1
-BLAS calls worth (d + 1)(d + 2)/2 binary64 products of order n, and
-about 39, 25, 15 and 3 elementwise passes over n^2 entries at d = 3, 2,
-1 and 0: 15, 8, 5 and 0 to cut the left operand (lo is cut only on the
-last grid at d = 3) and 24, 17, 10 and 3 to sum the levels.  A squaring,
-always at d = D = 3, first cuts its right operand, which takes about 18
-more.  The nine Taylor products at m = 29 make about 277 passes, and the
-four at m = 7 (b = 2.8e-4, n = 8) about 58.  The block product makes
-about 20 passes over the J n^2 stacked entries to cut them and about 25
-over the k n^2 results to sum the levels: about 225 passes over n^2
-entries at m = 29 (J = k = 5).
+At small orders the cost of a product is numpy's elementwise passes, not
+BLAS: an n-by-n product with a prepared right operand at depth d makes
+d + 1 BLAS calls worth (d + 1)(d + 2)/2 binary64 products of order n,
+and cutting fewer slices saves passes as well as BLAS work.
 """
 
 from __future__ import annotations
@@ -182,7 +173,7 @@ import math
 
 import numpy as np
 
-from .matrix import Matrix, MatrixError, NonFiniteError, _wrap, frobenius_norm, one_norm
+from .matrix import Matrix, MatrixError, _wrap, check_finite, frobenius_norm, one_norm
 from .poly import inv_factorial, ps_shape
 
 __all__ = [
@@ -495,8 +486,10 @@ def _expm_dd(A: Matrix):
     xh, xl = _dd_poly(np.ldexp(A.a, -s), _taylor_table(m), _taylor_depths(b, m, A.n))
     for _ in range(s):
         xh, xl = _dd_matmul(xh, xl, xh, xl)
-        if not np.isfinite(xh).all():
-            raise NonFiniteError("overflow while squaring the reference value")
+        # A non-finite entry's NaN remainder spreads over its row and column
+        # of the next product: two more reach the corner (engine.squaring).
+        if not math.isfinite(xh[0, 0]):
+            break
     return xh, xl
 
 
@@ -505,7 +498,7 @@ def expm_reference(A: Matrix) -> Matrix:
     inputs, i.e. several digits past binary64 roundoff."""
     with np.errstate(over="ignore", invalid="ignore"):
         xh, xl = _expm_dd(A)
-        return Matrix(xh + xl)
+        return check_finite(_wrap(xh + xl))
 
 
 def poly_reference(A: Matrix, coeffs) -> Matrix:
@@ -516,7 +509,7 @@ def poly_reference(A: Matrix, coeffs) -> Matrix:
     hi = np.array([float(c) for c in coeffs])
     with np.errstate(over="ignore", invalid="ignore"):
         xh, xl = _dd_poly(A.a, _cut_table(np.stack((hi, np.zeros_like(hi)))))
-        return Matrix(xh + xl)
+        return check_finite(_wrap(xh + xl))
 
 
 def relative_error(X: Matrix, ref: Matrix) -> float:

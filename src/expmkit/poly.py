@@ -23,13 +23,11 @@ charged product's operands, for the module's ``mat_mul``, and the result,
 which owns its array.  The identity is formed only for an m = 0 result.
 
 The evaluators are unchecked building blocks: their products neither
-scan for NaN or Inf nor guard against floating-point warnings.  Each
-driver of :mod:`expmkit.engine` calls them under its one
-``np.errstate(over="ignore", invalid="ignore")``, the only one the call
-enters, and checks its output, which an overflow here always reaches
-(see :mod:`expmkit.matrix` for where finiteness is checked); other
-callers run them under the same ``errstate`` and check the result with
-:func:`~expmkit.matrix.check_finite`.
+scan for NaN or Inf nor guard against floating-point warnings.  Run
+them under ``np.errstate(over="ignore", invalid="ignore")`` and check
+the result with :func:`~expmkit.matrix.check_finite`, as each driver of
+:mod:`expmkit.engine` does; :mod:`expmkit.matrix` states where
+finiteness is checked and why that is enough.
 """
 
 from __future__ import annotations

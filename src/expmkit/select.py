@@ -74,7 +74,9 @@ class ToleranceError(ValueError):
 
 
 def check_tolerance(eps: float) -> float:
-    """eps as a float, if it is a relative tolerance in [u, 1)."""
+    """eps as a float, if it is a relative tolerance in [u, 1), not text."""
+    if isinstance(eps, (str, bytes)):
+        raise ToleranceError(f"tolerance {eps!r} is text, not a number")
     eps = float(eps)
     if math.isnan(eps):
         raise ToleranceError(f"tolerance {eps!r} is not a number")

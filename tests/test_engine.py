@@ -392,6 +392,40 @@ def test_lowrank_pair_validation():
         LowRankPair(np.zeros((4, 2)), np.full((2, 4), np.inf))
 
 
+def test_lowrank_pair_refuses_complex_text_and_boolean_factors():
+    # As for Matrix: no imaginary part dropped, no text parsed, no True
+    # read as 1.
+    for a1, a2 in ((np.array([[1j], [1.0]]), np.array([[1.0, 2.0 + 3j]])),
+                   ([["1"], ["2"]], [["1", "2"]]),
+                   (np.ones((2, 1), dtype=bool), np.ones((1, 2))),
+                   (np.ones((2, 1)), np.ones((1, 2), dtype=bool))):
+        with pytest.raises(MatrixError, match="real numbers"):
+            LowRankPair(a1, a2)
+    assert LowRankPair([[10**30]], [[1]]).a1[0, 0] == 1e30
+
+
+@pytest.mark.parametrize("bad", [
+    np.ones(3), np.array([[np.nan]]), np.array([[np.inf]]), np.array([[1j]]),
+    np.array([["1"]]), np.array([[b"1"]]), np.array([[True]]),
+])
+def test_matrix_and_lowrank_pair_share_one_input_gate(bad):
+    # The same bad data raises the same type through either constructor,
+    # in either factor.
+    with pytest.raises(MatrixError) as matrix_error:
+        Matrix(bad)
+    for a1, a2 in ((bad, np.ones((1, 1))), (np.ones((1, 1)), bad)):
+        with pytest.raises(MatrixError) as pair_error:
+            LowRankPair(a1, a2)
+        assert type(pair_error.value) is type(matrix_error.value)
+
+
+def test_lowrank_pairs_compare_and_hash_by_identity():
+    p, q = (LowRankPair(np.ones((4, 2)), np.ones((2, 4))) for _ in range(2))
+    assert p == p and p != q
+    assert hash(p) == hash(p)
+    assert len({p, q, p}) == 2
+
+
 def test_lowrank_psi_series_value():
     # 1x1 factors: psi(v) = (e^v - 1)/v must be reproduced through the ladder
     v = 1.5

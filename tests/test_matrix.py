@@ -109,6 +109,18 @@ def test_construction_rejects_bad_shapes_and_values():
         Matrix([[float("inf"), 0.0], [0.0, 1.0]])
 
 
+def test_construction_refuses_complex_text_and_boolean_input():
+    # The float64 cast would drop the imaginary part (e^1 for e^(1+2i)),
+    # parse the text or read True as 1; each is refused before it.
+    for data in (np.array([[1 + 2j]]), [[1 + 2j]], [["1.5", "2"], ["3", "4"]],
+                 np.array([[b"1"]]), np.eye(2, dtype=bool)):
+        with pytest.raises(MatrixError, match="real numbers"):
+            Matrix(data)
+    # Integers too large for int64 arrive as an object array and are kept.
+    assert Matrix([[10**30]]).a[0, 0] == 1e30
+    assert Matrix(np.eye(2, dtype=np.int32)).a.dtype == np.float64
+
+
 def test_entries_are_read_only():
     A = Matrix([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
@@ -247,3 +259,6 @@ def test_parse_matrix_errors():
         parse_matrix("2\n1.0 2.0\n3.0\n")
     with pytest.raises(MatrixError):
         parse_matrix("1\nfoo\n")
+    for order in ("0\n", "-1\n"):  # the constructor refuses an empty order
+        with pytest.raises(MatrixError):
+            parse_matrix(order)

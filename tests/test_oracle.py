@@ -114,6 +114,42 @@ def test_reference_overflow_raises_without_warning(call):
             call()
 
 
+def test_reference_squarings_stop_once_the_corner_is_not_finite(monkeypatch):
+    # diag(1, 2^20) scales by s = 20.  e^(2^k) passes binary64 near k = 10,
+    # while the corner entry stays near e until the NaN of the overflowed
+    # entry reaches it: at most two more squarings, then the exit check.
+    finite = []
+    dd_matmul = oracle._dd_matmul
+
+    def record(ah, al, bh, bl):
+        xh, xl = dd_matmul(ah, al, bh, bl)
+        finite.append(bool(np.isfinite(xh).all() and np.isfinite(xl).all()))
+        return xh, xl
+
+    monkeypatch.setattr(oracle, "_dd_matmul", record)
+    A = Matrix(np.diag([1.0, 2.0 ** 20]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            expm_reference(A)
+        with pytest.raises(NonFiniteError):  # 2^(20 t) overflows from t = 52 on
+            poly_reference(A, [1.0] * 60)
+    assert False in finite
+    assert len(finite) - 1 - finite.index(False) <= 2
+    assert len(finite) < 20
+
+
+def test_reference_results_are_read_only_and_c_ordered():
+    rng = np.random.default_rng(8)
+    A = Matrix(np.asfortranarray(rng.uniform(-1.0, 1.0, (5, 5))))
+    zero = Matrix(np.zeros((3, 3)))  # degree 0: the identity alone
+    for X in (expm_reference(A), expm_reference(Matrix(4.0 * A.a)), expm_reference(zero),
+              poly_reference(A, [1.0, 0.5, 0.25]), poly_reference(A, [2.0])):
+        assert X.a.flags.c_contiguous and not X.a.flags.writeable
+        with pytest.raises(ValueError):
+            X.a[0, 0] = 1.0
+
+
 def test_relative_error_examples():
     rng = np.random.default_rng(9)
     ref = Matrix(rng.uniform(-1, 1, (6, 6)))

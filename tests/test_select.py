@@ -153,10 +153,13 @@ def test_selection_tolerance_floor():
 
 @pytest.mark.parametrize("eps, rule", [(math.inf, "not below 1"), (1.0, "not below 1"),
                                        (math.nan, "not a number"),
-                                       (-math.inf, "below unit roundoff")])
+                                       (-math.inf, "below unit roundoff"),
+                                       ("1e-8", "not a number"),
+                                       (b"1e-8", "not a number")])
 def test_tolerance_outside_unit_interval_rejected(eps, rule):
     # an unbounded eps would let order 1 with no scaling stand for e^W at
-    # 1-norm 6; the message names the rule that failed
+    # 1-norm 6, and text is refused, not parsed; the message names the
+    # rule that failed
     with pytest.raises(ToleranceError, match=rule):
         check_tolerance(eps)
     with pytest.raises(ToleranceError, match=rule):

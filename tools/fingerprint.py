@@ -4,8 +4,9 @@ reference exponential on a fixed matrix set.
     python3 tools/fingerprint.py
 
 Run it from the root of a source checkout: expmkit is imported from
-./src, and the benchmark's call sets from perfbench/workloads.py.  The
-standard call set is every call of the ``flow_small`` and ``large_dense``
+./src, and the benchmark's call sets and its map from a scheme to a
+driver (``workloads._call``) from perfbench/workloads.py.  The standard
+call set is every call of the ``flow_small`` and ``large_dense``
 workloads at seed 13, and every (matrix, scheme) cell of the default
 bench suite at seeds 2024 and 13.  Per call, the digest takes the value
 bytes, m, s, e1, e2, ``mults`` and ``rect_mults``, or the type of the
@@ -41,7 +42,8 @@ for _path in (ROOT / "src", ROOT / "perfbench"):
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
 
-from expmkit import bench, engine, oracle, select  # noqa: E402
+import workloads  # noqa: E402  (perfbench/workloads.py)
+from expmkit import bench, oracle  # noqa: E402
 
 WORKLOAD_SEED = 13
 SUITE_SEEDS = (2024, 13)
@@ -49,8 +51,6 @@ SUITE_SEEDS = (2024, 13)
 
 def workload_calls(name: str, seed: int):
     """(input, scheme, eps) for each call of a perfbench call workload."""
-    import workloads  # perfbench/workloads.py
-
     wl = getattr(workloads, name)(seed)
     inputs = {}
     for case in wl.cases:
@@ -79,14 +79,6 @@ def standard_calls():
         *(suite_calls(bench.default_suite_config(seed)) for seed in SUITE_SEEDS))
 
 
-def _run(W, scheme: str, eps: float):
-    if scheme == select.SCHEME_LOWRANK:
-        return engine.expm_lowrank(W, eps)
-    if scheme == select.SCHEME_BASELINE:
-        return engine.expm_baseline(W, eps)
-    return engine.expm(W, eps, scheme)
-
-
 def fingerprint(calls) -> dict:
     """The two digests, the number of calls and of -0 entries in values."""
     exact, signless = hashlib.sha256(), hashlib.sha256()
@@ -94,7 +86,7 @@ def fingerprint(calls) -> dict:
     for W, scheme, eps in calls:
         count += 1
         try:
-            res = _run(W, scheme, eps)
+            res = workloads._call(W, scheme, eps)
         except Exception as exc:  # the raised type is part of the outcome
             record = repr(("raised", type(exc).__name__)).encode()
             exact.update(record)

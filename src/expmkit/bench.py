@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,14 +76,39 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown generator kind {self.kind!r}")
-        if self.n < 1:
+        if _integer(self.n, "order") < 1:
             raise ConfigError("order must be at least 1")
         if self.kind in (KIND_NILPOTENT, KIND_ROTATION) and self.n < 2:
             raise ConfigError(f"{self.kind} needs order >= 2")
-        if not self.target_norm > 0:
+        if not _number(self.target_norm, "target norm") > 0:
             raise ConfigError("target norm must be positive")
-        if not 0 <= self.noise < math.inf:
+        if _integer(self.seed, "seed") < 0:
+            raise ConfigError("seed must be nonnegative")
+        if not 0 <= _number(self.noise, "noise") < math.inf:
             raise ConfigError("noise must be finite and nonnegative")
+
+
+def _integer(value, name: str) -> int:
+    """value as ``operator.index`` takes it, numpy integers too; a bool, a
+    float (2.0 too) or text is refused rather than truncated or parsed."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _number(value, name: str) -> float:
+    """A real number (an int or float, numpy's too) as a float; a bool,
+    text or an integer beyond the binary64 range is refused rather than
+    converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is an integer beyond the binary64 range") from None
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -176,22 +203,23 @@ class SuiteConfig:
         norms = _json_as(_json_field(d, "norms"), dict, "norms")
         seeds = _json_as(d.get("seeds", {}), dict, "seeds")
         return cls(
-            eps=_json_number(_json_field(d, "eps"), "eps"),
-            sizes=tuple(_json_as(n, int, "sizes")
-                        for n in _json_as(_json_field(d, "sizes"), list, "sizes")),
+            eps=_number(_json_field(d, "eps"), "eps"),
+            sizes=tuple(_json_as(_json_field(d, "sizes"), list, "sizes")),
             kinds=tuple(_json_as(_json_field(d, "kinds"), list, "kinds")),
             schemes=tuple(_json_as(_json_field(d, "schemes"), list, "schemes")),
-            norm_min=_json_number(_json_field(norms, "min", "norms."), "norms.min"),
-            norm_max=_json_number(_json_field(norms, "max", "norms."), "norms.max"),
-            norm_count=_json_as(_json_field(norms, "count", "norms."), int, "norms.count"),
+            norm_min=_number(_json_field(norms, "min", "norms."), "norms.min"),
+            norm_max=_number(_json_field(norms, "max", "norms."), "norms.max"),
+            norm_count=_json_field(norms, "count", "norms."),
             norm_scale=str(norms.get("scale", cls.norm_scale)),
-            base_seed=_json_as(seeds.get("base", cls.base_seed), int, "seeds.base"),
-            noise=_json_number(d.get("noise", cls.noise), "noise"),
+            base_seed=seeds.get("base", cls.base_seed),
+            noise=_number(d.get("noise", cls.noise), "noise"),
         )
 
     def validate(self):
+        """The rules of both paths, the JSON reader's and the constructor's;
+        messages name the JSON fields."""
         # Empty sizes/kinds/schemes are allowed and yield an empty suite.
-        if any(n < 1 for n in self.sizes):
+        if any(_integer(n, "sizes") < 1 for n in self.sizes):
             raise ConfigError("sizes must be positive")
         for kind in self.kinds:
             if kind not in KINDS:
@@ -203,16 +231,18 @@ class SuiteConfig:
         for scheme in self.schemes:
             if scheme not in _SCHEMES:
                 raise ConfigError(f"unknown scheme {scheme!r}")
-        if not (0 < self.norm_min <= self.norm_max < math.inf):
+        if not (0 < _number(self.norm_min, "norms.min")
+                <= _number(self.norm_max, "norms.max") < math.inf):
             raise ConfigError("need 0 < norms.min <= norms.max < inf")
-        if self.norm_count < 1:
+        if _integer(self.norm_count, "norms.count") < 1:
             raise ConfigError("norms.count must be at least 1")
         if self.norm_scale not in ("log", "linear"):
             raise ConfigError("norms.scale must be 'log' or 'linear'")
-        if self.base_seed < 0:
+        if _integer(self.base_seed, "seeds.base") < 0:
             raise ConfigError("seeds.base must be nonnegative")
+        _number(self.noise, "noise")
         try:
-            check_tolerance(self.eps)
+            check_tolerance(_number(self.eps, "eps"))
         except ToleranceError as exc:
             raise ConfigError(str(exc)) from exc
         # GeneratorSpec holds the per-kind rules (minimum order, noise).
@@ -234,7 +264,7 @@ class SuiteConfig:
             for n in self.sizes:
                 for target in grid:
                     out.append(GeneratorSpec(
-                        kind=kind, n=int(n), target_norm=float(target),
+                        kind=kind, n=n, target_norm=float(target),
                         seed=_derive_seed(self.base_seed, index),
                         noise=self.noise))
                     index += 1
@@ -251,23 +281,12 @@ def _json_field(obj: dict, key: str, parent: str = ""):
 
 
 def _json_as(value, kind: type, name: str):
-    """A JSON integer, array or object as is, if its type is exactly
-    ``kind``; anything else (a float, 2.0 too, or a bool for an integer, a
-    string for an array) is rejected rather than truncated or iterated."""
+    """A JSON array or object as is, if its type is exactly ``kind``;
+    anything else (a string for an array) is rejected rather than
+    iterated."""
     if type(value) is not kind:
         raise ConfigError(f"{name} must be a JSON {kind.__name__}, got {value!r}")
     return value
-
-
-def _json_number(value, name: str) -> float:
-    """A JSON number (integer or float) as a float; a string, a bool or an
-    integer beyond the binary64 range is rejected rather than converted."""
-    if type(value) not in (int, float):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{name} is an integer beyond the binary64 range") from None
 
 
 def _derive_seed(base: int, index: int) -> int:
@@ -311,7 +330,8 @@ def _run_scheme(W: Matrix, scheme: str, eps: float) -> ExpmResult:
 def run_suite(config: SuiteConfig) -> list[BenchRecord]:
     """Run every (matrix, scheme) cell of the suite, one matrix at a time.
 
-    Driver errors are recorded as NaN rows, never fatal; a spec whose
+    Driver errors, and errors that cannot be formed against the reference,
+    are recorded as NaN rows, never fatal; a spec whose
     matrix cannot be generated raises :class:`ConfigError`.  Records are
     in spec order, then in ``config.schemes`` order.  ``config`` was
     validated when it was built.
@@ -329,7 +349,10 @@ def run_suite(config: SuiteConfig) -> list[BenchRecord]:
             except (MatrixError, ArithmeticError):
                 rows.append(BenchRecord(spec, scheme, 0, 0, 0, math.nan, 0.0))
                 continue
-            err = math.nan if ref is None else relative_error(res.value, ref)
+            try:
+                err = math.nan if ref is None else relative_error(res.value, ref)
+            except MatrixError:  # an error that cannot be formed fails the row
+                err = math.nan
             rows.append(BenchRecord(spec, scheme, res.plan.m, res.plan.s,
                                     res.mults, err, res.wall_time))
     return rows

@@ -17,12 +17,11 @@
 
 Every driver owns one ledger per call; ``mults`` in the result is the
 full square-product count including the squaring phase.  Each driver
-enters one ``np.errstate`` for the whole call, so that an overflow in a
-temporary never warns, and runs its products unchecked (selection, the
-evaluators of :mod:`expmkit.poly` and :func:`squaring` alike); where
-finiteness is checked instead, and why an overflow still raises
-:class:`~expmkit.matrix.NonFiniteError`, is stated in
-:mod:`expmkit.matrix`.  A :class:`~expmkit.matrix.Matrix` carries the
+runs the unguarded building blocks (the selectors, the evaluators of
+:mod:`expmkit.poly` and :func:`squaring`) under one ``np.errstate`` and
+checks its result; :mod:`expmkit.matrix` states that contract and why
+an overflow still raises :class:`~expmkit.matrix.NonFiniteError`.
+A :class:`~expmkit.matrix.Matrix` carries the
 input, the selector's powers, each product's operands and the result;
 sums run on plain arrays.
 """
@@ -49,9 +48,8 @@ from .matrix import (
     one_norm,
     scale_pow2,
 )
-# The unchecked product and selectors, under the names perfbench/tracing.py
-# wraps (engine.mat_mul, select_ps, select_sastre) to count products per
-# phase; the driver's one np.errstate covers them.  See expmkit.select.
+# perfbench/tracing.py counts products per phase by wrapping engine.mat_mul
+# (the unchecked product), select_ps and select_sastre, so those names stay.
 from .matrix import _mat_mul_unchecked as mat_mul
 from .poly import (
     eval_low_order,
@@ -70,8 +68,9 @@ from .select import (
     EvalPlan,
     _select,
     check_tolerance,
+    select_ps,
+    select_sastre,
 )
-from .select import _select_ps as select_ps, _select_sastre as select_sastre
 
 __all__ = [
     "ExpmResult",
@@ -111,10 +110,9 @@ def squaring(X: Matrix, s: int, ledger: MulLedger) -> Matrix:
     """X^(2^s) by s repeated squarings; charges exactly s products when
     the result is finite.
 
-    Unchecked: run it under ``np.errstate(over="ignore", invalid="ignore")``
-    and check the result, as the drivers do.  Once the squarings overflow,
-    the loop stops early and returns the non-finite matrix, charged only
-    for the products it formed.
+    An unguarded building block (see :mod:`expmkit.matrix`).  Once the
+    squarings overflow, the loop stops early and returns the non-finite
+    matrix, charged only for the products it formed.
     """
     s = operator.index(s)
     if s < 0:

@@ -14,12 +14,18 @@ or Inf entry (:class:`NonFiniteError`), or is complex, text or boolean,
 whose imaginary part the cast would drop, or which it would parse or
 read as 0 and 1.  Results leave
 through :func:`check_finite`, once at each driver's exit, the oracle's
-exit and public :func:`mat_mul`'s.  In between, only the selectors' norm
-test checks anything: a selector scans W or a power it forms only when
-its 1-norm is not finite (a finite norm proves every entry finite).
-Inside a driver, products go through the unchecked
-:func:`_mat_mul_unchecked` under the driver's one ``np.errstate``, with
-a :class:`Matrix` around each operand and result only.  That is enough
+exit and public :func:`mat_mul`'s.
+
+The building blocks are unguarded: the selectors ``select_ps`` and
+``select_sastre``, ``ps_eval``, the ``eval_*`` formulas and ``squaring``
+enter no ``np.errstate``, the last three check nothing they return, and
+their products go through the unchecked :func:`_mat_mul_unchecked`,
+with a :class:`Matrix` around each operand and result only.  The drivers
+and the oracle guard and check: each call runs under one
+``np.errstate(over="ignore", invalid="ignore")`` and checks its result.
+In between, only the selectors' norm test checks anything: a selector
+scans W or a power it forms only when its 1-norm is not finite (a
+finite norm proves every entry finite).  That is enough
 because a non-finite entry never becomes finite again under the
 operations in between: an addition, a finite scalar factor or an
 exact power-of-two scaling keeps it Inf or NaN, and a product spreads it
@@ -63,14 +69,26 @@ class NonFiniteError(MatrixError):
     """An operation received or produced NaN/Inf entries."""
 
 
+# What an object array may not hold: the elements of dtype kinds b, c, S and U.
+_NOT_REAL = (bool, np.bool_, complex, np.complexfloating, str, bytes)
+
+
 def _entries(data, what: str) -> np.ndarray:
     """A copy of the caller's data past the input gate (module docstring):
     2-d, C-ordered, finite, float64 and read-only.  Integer and object
-    input is cast; ``[[10**30]]`` arrives as an object array."""
-    a = np.asarray(data)
-    if a.dtype.kind in "bcSU":
+    input is cast; ``[[10**30]]`` arrives as an object array, whose
+    elements are checked one by one."""
+    try:
+        a = np.asarray(data)
+    except ValueError as exc:  # a ragged list
+        raise MatrixError(f"{what} must be a rectangular array: {exc}") from exc
+    if a.dtype.kind in "bcSU" or (
+            a.dtype.kind == "O" and any(isinstance(x, _NOT_REAL) for x in a.flat)):
         raise MatrixError(f"{what} must be real numbers, got dtype {a.dtype}")
-    a = np.array(a, dtype=np.float64, order="C")
+    try:
+        a = np.array(a, dtype=np.float64, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:  # an element with no float
+        raise MatrixError(f"{what} must be real numbers: {exc}") from exc
     if a.ndim != 2 or a.size == 0:
         raise MatrixError(f"{what} must be a nonempty 2-d array, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -87,9 +105,9 @@ class Matrix:
     the same.  A Matrix holds values, not algebra: arithmetic runs on the
     read-only array ``.a``.  One from this constructor, :func:`load_matrix`,
     :func:`identity`, :func:`scale_pow2`, public :func:`mat_mul` or a
-    driver is finite; only the unchecked building blocks (``ps_eval``, the
-    ``eval_*`` formulas, ``squaring``) can return one that is not, and
-    :func:`check_finite` checks it.  Instances may be shared across threads.
+    driver is finite; only an unguarded building block (module docstring)
+    can return one that is not, and :func:`check_finite` checks it.
+    Instances may be shared across threads.
     """
 
     __slots__ = ("a",)

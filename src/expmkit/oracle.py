@@ -519,6 +519,8 @@ def relative_error(X: Matrix, ref: Matrix) -> float:
         raise MatrixError(f"order mismatch: {X.n} vs {ref.n}")
     denom = frobenius_norm(ref)
     if denom == 0.0:
+        if not X.a.any():
+            return 0.0
         raise MatrixError("reference matrix has zero norm")
     with np.errstate(over="ignore", invalid="ignore"):
         return frobenius_norm(_wrap(X.a - ref.a)) / denom

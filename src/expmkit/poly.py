@@ -22,12 +22,8 @@ adds the identity's +0.  A :class:`~expmkit.matrix.Matrix` wraps only each
 charged product's operands, for the module's ``mat_mul``, and the result,
 which owns its array.  The identity is formed only for an m = 0 result.
 
-The evaluators are unchecked building blocks: their products neither
-scan for NaN or Inf nor guard against floating-point warnings.  Run
-them under ``np.errstate(over="ignore", invalid="ignore")`` and check
-the result with :func:`~expmkit.matrix.check_finite`, as each driver of
-:mod:`expmkit.engine` does; :mod:`expmkit.matrix` states where
-finiteness is checked and why that is enough.
+The evaluators are unguarded building blocks; :mod:`expmkit.matrix`
+states that contract.
 """
 
 from __future__ import annotations

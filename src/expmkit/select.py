@@ -17,12 +17,10 @@ All bound arithmetic runs in base-2 log domain so that high powers of
 large norms never overflow; values are exponentiated back only for
 reporting.
 
-The 1-norm of W and of each power formed while bounding (by the
-unchecked product) doubles as the finiteness test.  A finite norm proves
-every entry finite, so only a matrix whose norm is Inf or NaN is scanned,
-and a non-finite entry raises :class:`~expmkit.matrix.NonFiniteError`
-there.  A finite matrix whose column sums overflow goes on with an
-infinite bound.
+The 1-norm of W and of each power formed while bounding doubles as the
+finiteness test, and a finite matrix whose column sums overflow goes on
+with an infinite bound.  The searches are unguarded building blocks;
+:mod:`expmkit.matrix` states that contract and why the test suffices.
 """
 
 from __future__ import annotations
@@ -238,26 +236,8 @@ def _select(ladder: tuple[Rung, ...], scheme: str, W: Matrix, eps: float,
     return EvalPlan(m, s, scheme, _exp2(l1), _exp2(l2), powers, norms)
 
 
-# The two searches without a warning guard, for callers inside one already.
-_select_ps = functools.partial(_select, PS_TABLES, SCHEME_PS)
-_select_sastre = functools.partial(_select, SASTRE_TABLES, SCHEME_SASTRE)
-
-
-def select_ps(W: Matrix, eps: float, ledger: MulLedger) -> EvalPlan:
-    """Order/scale for the Paterson-Stockmeyer route (ladder up to 16).
-
-    A 1-norm that overflows gives an infinite bound, not a warning.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _select_ps(W, eps, ledger)
-
-
-def select_sastre(W: Matrix, eps: float, ledger: MulLedger) -> EvalPlan:
-    """Order/scale for the evaluation-formula route (ladder up to 15+).
-
-    Only W^2 is ever formed; bounds for ||W^16|| and ||W^17|| use
-    ||W^2||^8 and ||W^2||^8 * ||W||.  A 1-norm that overflows gives an
-    infinite bound, not a warning.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _select_sastre(W, eps, ledger)
+# The two searches, unguarded building blocks like the evaluators (see
+# expmkit.matrix).  select_sastre forms only W^2: its bounds for ||W^16||
+# and ||W^17|| use ||W^2||^8 and ||W^2||^8 * ||W||.
+select_ps = functools.partial(_select, PS_TABLES, SCHEME_PS)
+select_sastre = functools.partial(_select, SASTRE_TABLES, SCHEME_SASTRE)

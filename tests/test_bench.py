@@ -96,6 +96,16 @@ def test_generator_spec_validation():
         GeneratorSpec(kind="diag", n=4, target_norm=0.0, seed=0)
     with pytest.raises(ConfigError):
         GeneratorSpec(kind="rotation_block", n=1, target_norm=1.0, seed=0)
+    # the suite reader's type rules hold for a spec built in Python too
+    for bad in (dict(n=2.5), dict(n=True), dict(n="4"), dict(seed=1.5), dict(seed=True),
+                dict(seed=-1), dict(target_norm="1"), dict(target_norm=True),
+                dict(noise="x"), dict(noise=False)):
+        with pytest.raises(ConfigError):
+            GeneratorSpec(**{**dict(kind="diag", n=4, target_norm=1.0, seed=0), **bad})
+    # numpy integers and floats are numbers
+    spec = GeneratorSpec(kind="diag", n=np.int64(4), target_norm=np.float32(2.0),
+                         seed=np.uint64(3))
+    assert gen_matrix(spec).n == 4
 
 
 @pytest.mark.parametrize("kind", ["rotation_block", "nonnormal_triangular",
@@ -143,6 +153,14 @@ def test_config_rejects_garbage():
         small_config(sizes=(0,))
     with pytest.raises(ConfigError):
         small_config(eps=2.0 ** -54)
+    # the JSON reader's type rules hold for a config built in Python too
+    for bad in (dict(sizes=(2.9,)), dict(sizes=(True,)), dict(norm_count=2.5),
+                dict(norm_count=True), dict(base_seed=1.5), dict(base_seed=True),
+                dict(noise="x"), dict(norm_max="4"), dict(eps=10 ** 400)):
+        with pytest.raises(ConfigError):
+            small_config(**bad)
+    cfg = small_config(sizes=(np.int64(4),), norm_count=np.int64(2), base_seed=np.uint64(5))
+    assert [spec.n for spec in cfg.specs()] == [4] * 4
 
 
 def test_run_suite_empty_config():

@@ -144,6 +144,21 @@ def test_bench_huge_exponentials_are_measured(tmp_path, capsys):
     assert all(0.0 < float(r["rel_err"]) < 1e-8 for r in rows)
 
 
+def test_bench_measures_an_exponential_that_underflows_to_zero(tmp_path, capsys):
+    # e^-800 rounds to 0.0 in every driver and in the reference: the
+    # error is 0, not an invalid reference
+    suite = suite_file(tmp_path, sizes=[1], kinds=["diag"],
+                       norms={"min": 800.0, "max": 800.0, "count": 1})
+    csv_path = tmp_path / "records.csv"
+    rc = main(["bench", "--suite", str(suite), "--csv", str(csv_path),
+               "--summary", str(tmp_path / "summary.json")])
+    assert rc == 0, capsys.readouterr().err
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["scheme"] for r in rows] == ["baseline", "ps", "sastre"]
+    assert all(float(r["rel_err"]) == 0.0 for r in rows)
+
+
 def test_bench_reference_overflow_fails_without_warning(tmp_path):
     # e^800 overflows binary64, in the reference as in the driver: the row
     # fails and the run exits 3.  A fresh interpreter prints any

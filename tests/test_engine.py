@@ -407,6 +407,9 @@ def test_lowrank_pair_refuses_complex_text_and_boolean_factors():
 @pytest.mark.parametrize("bad", [
     np.ones(3), np.array([[np.nan]]), np.array([[np.inf]]), np.array([[1j]]),
     np.array([["1"]]), np.array([[b"1"]]), np.array([[True]]),
+    np.array([["1.5"]], dtype=object), np.array([[b"1"]], dtype=object),
+    np.array([[True]], dtype=object), np.array([[1 + 2j]], dtype=object),
+    [[1, 2], [3]], [[10**400]],
 ])
 def test_matrix_and_lowrank_pair_share_one_input_gate(bad):
     # The same bad data raises the same type through either constructor,

@@ -186,6 +186,9 @@ def test_relative_error_beyond_binary64_is_inf():
 def test_relative_error_guards():
     with pytest.raises(MatrixError):
         relative_error(identity(2), Matrix(np.zeros((2, 2))))
+    # but an exponential that underflows to 0 matches a reference that does
+    zero = Matrix(np.zeros((2, 2)))
+    assert relative_error(zero, zero) == relative_error(Matrix(-zero.a), zero) == 0.0
     with pytest.raises(MatrixError):
         relative_error(identity(2), identity(3))
 

@@ -16,6 +16,9 @@ from expmkit import (
     PS_TABLES,
     SASTRE_TABLES,
     ToleranceError,
+    engine,
+    expm,
+    select,
     select_ps,
     select_sastre,
     squaring,
@@ -172,27 +175,56 @@ def test_scaling_capped_at_20():
         assert plan.s == 20
 
 
-def test_bare_selectors_take_an_overflowed_norm_without_warning():
-    # Both inputs are finite, but their column sums overflow.  The tier-1
-    # filter turns a RuntimeWarning into an error, so none may escape.
+def _overflowing_inputs():
+    """A nilpotent W whose column sums overflow, and four inputs that
+    overflow or are not finite."""
+    # Both finite inputs' column sums overflow.  W^2 overflows, ||W||_1
+    # or not; or W itself is NaN or Inf, whose NaN 1-norm once read as
+    # log2 = -inf, an exact order-1 plan.  The Inf one comes from an
+    # unchecked building block; it holds no 0 * inf, so no warning.
     nilpotent = np.zeros((3, 3))
     nilpotent[0, 2] = nilpotent[1, 2] = 1e308
-    # W^2 overflows, ||W||_1 or not; or W itself is NaN or Inf, whose NaN
-    # 1-norm once read as log2 = -inf, an exact order-1 plan.  The Inf one
-    # comes from an unchecked building block; it holds no 0 * inf, so no
-    # warning.
     with np.errstate(over="ignore"):
         inf = squaring(Matrix(np.full((2, 2), 1e200)), 1, MulLedger())
     bad = [Matrix(np.full((2, 2), 1e308)), Matrix(np.full((2, 2), 1e200)),
            _wrap(np.array([[1.0, 2.0], [0.0, 1.0]]) * math.nan), inf]
+    return Matrix(nilpotent), bad
+
+
+def test_bare_selectors_take_an_overflowed_norm_without_warning():
+    # The selectors are unguarded building blocks, so they run here under
+    # the drivers' np.errstate; inside it, no warning may escape.
+    nilpotent, bad = _overflowing_inputs()
     for sel in (select_ps, select_sastre):
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
             warnings.simplefilter("error")
-            plan = sel(Matrix(nilpotent), 1e-8, MulLedger())  # W^2 = 0 ends the series
+            plan = sel(nilpotent, 1e-8, MulLedger())  # W^2 = 0 ends the series
             assert (plan.m, plan.s, plan.e1, plan.e2) == (2, 0, 0.0, 0.0)
             for W in bad:
                 with pytest.raises(NonFiniteError):
                     sel(W, 1e-8, MulLedger())
+
+
+def test_drivers_take_an_overflowed_norm_without_warning():
+    # The guard lives in the drivers: the same inputs through expm, with
+    # no np.errstate of the caller's, warn nowhere.
+    nilpotent, bad = _overflowing_inputs()
+    for scheme in ("ps", "sastre"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = expm(nilpotent, 1e-8, scheme)
+            assert res.plan.m == 2 and np.isfinite(res.value.a).all()
+            for W in bad:
+                with pytest.raises(NonFiniteError):
+                    expm(W, 1e-8, scheme)
+
+
+def test_engine_calls_the_public_selectors():
+    # One function per selector: the names the drivers call (and the
+    # benchmark tracer wraps) are select's own, with no private twins.
+    assert engine.select_ps is select.select_ps
+    assert engine.select_sastre is select.select_sastre
+    assert not hasattr(select, "_select_ps") and not hasattr(select, "_select_sastre")
 
 
 def test_early_termination_means_no_scaling():

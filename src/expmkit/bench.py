@@ -52,6 +52,11 @@ KINDS = (KIND_DIAG, KIND_DENSE, KIND_TRIANGULAR, KIND_NILPOTENT,
 
 _SCHEMES = (SCHEME_BASELINE, SCHEME_PS, SCHEME_SASTRE)
 
+# Largest norms.count a suite may ask for: far more targets per (kind,
+# order) than a benchmark needs, and few enough that the grid and the
+# spec list always fit in memory.
+MAX_NORM_COUNT = 10_000
+
 
 class ConfigError(ValueError):
     """Invalid generator spec or suite configuration."""
@@ -234,18 +239,20 @@ class SuiteConfig:
         if not (0 < _number(self.norm_min, "norms.min")
                 <= _number(self.norm_max, "norms.max") < math.inf):
             raise ConfigError("need 0 < norms.min <= norms.max < inf")
-        if _integer(self.norm_count, "norms.count") < 1:
-            raise ConfigError("norms.count must be at least 1")
+        if not 1 <= _integer(self.norm_count, "norms.count") <= MAX_NORM_COUNT:
+            raise ConfigError(f"norms.count must be from 1 to {MAX_NORM_COUNT}")
         if self.norm_scale not in ("log", "linear"):
             raise ConfigError("norms.scale must be 'log' or 'linear'")
         if _integer(self.base_seed, "seeds.base") < 0:
             raise ConfigError("seeds.base must be nonnegative")
-        _number(self.noise, "noise")
+        # Checked here too, since GeneratorSpec never runs on an empty suite.
+        if not 0 <= _number(self.noise, "noise") < math.inf:
+            raise ConfigError("noise must be finite and nonnegative")
         try:
             check_tolerance(_number(self.eps, "eps"))
         except ToleranceError as exc:
             raise ConfigError(str(exc)) from exc
-        # GeneratorSpec holds the per-kind rules (minimum order, noise).
+        # GeneratorSpec holds the per-kind rules (minimum order).
         for kind in self.kinds:
             for n in self.sizes:
                 GeneratorSpec(kind, n, self.norm_max, self.base_seed, self.noise)

@@ -42,6 +42,7 @@ from .matrix import (
     NonFiniteError,
     _add_to_diagonal,
     _entries,
+    _eye,
     _wrap,
     check_finite,
     identity,
@@ -149,7 +150,7 @@ def expm_baseline(W: Matrix, eps: float) -> ExpmResult:
         while math.ldexp(norm1, -s) >= 0.5:
             s += 1
         B = scale_pow2(W, s)
-        x = np.eye(W.n)
+        x = _eye(W.n)
         Y = B
         k = 2
         # Y = B^(k-1)/(k-1)! with ||B||_1 < 1/2 stays below 2^-(k-1)/(k-1)!,

@@ -28,13 +28,14 @@ states that contract.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import Matrix, MatrixError, MulLedger, _add_to_diagonal, _wrap
+from .matrix import Matrix, MatrixError, MulLedger, _add_to_diagonal, _eye, _wrap
 # Unchecked product under the name perfbench/tracing.py wraps (poly.mat_mul)
 # to count evaluation products; see expmkit.select.
 from .matrix import _mat_mul_unchecked as mat_mul
@@ -156,6 +157,7 @@ class PsShape:
         return (self.j - 1) + (self.k - 1)
 
 
+@functools.cache
 def ps_shape(m: int) -> PsShape:
     if m < 1:
         raise MatrixError("Paterson-Stockmeyer shape needs degree >= 1")
@@ -180,7 +182,7 @@ def ps_eval(coeffs, A: Matrix, ledger: MulLedger, powers=None) -> Matrix:
     if m < 0:
         raise MatrixError("empty coefficient list")
     if m == 0:
-        return _wrap(np.eye(A.n) * float(coeffs[0]))
+        return _wrap(_eye(A.n) * float(coeffs[0]))
     shape = ps_shape(m)
     j, k = shape.j, shape.k
     pw = {**(powers or {}), 1: A}
@@ -188,24 +190,26 @@ def ps_eval(coeffs, A: Matrix, ledger: MulLedger, powers=None) -> Matrix:
         if p not in pw:
             pw[p] = mat_mul(pw[p - 1], A, ledger)
     a = [None] + [pw[t].a for t in range(1, j + 1)]
-    q, tmp = np.empty_like(A.a), np.empty_like(A.a)
-
-    # q = c_lo*I + c_(lo+1)*A + ... + c_hi*A^(hi-lo), in place.
-    def block(lo, hi):
-        np.multiply(a[1], coeffs[lo + 1], out=q)
+    tmp = np.empty_like(A.a)
+    q = prod = None
+    # Blocks from the top down.  The top block may reach degree j itself
+    # (when m is a multiple of j); that is what makes the k-1 Horner
+    # stages sufficient.  Each stage adds the product after the block's
+    # own sum, i.e. block + product, which is bit for bit product + block
+    # since binary64 addition commutes.
+    for r in range(k - 1, -1, -1):
+        lo = r * j
+        hi = m if r == k - 1 else lo + j - 1
+        # q = c_lo*I + c_(lo+1)*A + ... + c_hi*A^(hi-lo), in place after
+        # the first block.
+        q = np.multiply(a[1], coeffs[lo + 1], out=q)
         _add_to_diagonal(q, coeffs[lo])
         for t in range(2, hi - lo + 1):
-            np.add(q, np.multiply(a[t], coeffs[lo + t], out=tmp), out=q)
-
-    # The top block may reach degree j itself (when m is a multiple of j);
-    # that is what makes the k-1 Horner stages sufficient.  Each stage adds
-    # the product after the block's own sum, i.e. block + product, which
-    # is bit for bit product + block since binary64 addition commutes.
-    block((k - 1) * j, m)
-    for r in range(k - 2, -1, -1):
-        prod = mat_mul(_wrap(q, writeable=True), pw[j], ledger).a
-        block(r * j, r * j + j - 1)
-        q += prod
+            q += np.multiply(a[t], coeffs[lo + t], out=tmp)
+        if prod is not None:
+            q += prod
+        if r:
+            prod = mat_mul(_wrap(q, writeable=True), pw[j], ledger).a
     return _wrap(q)
 
 

@@ -201,8 +201,8 @@ def _select(ladder: tuple[Rung, ...], scheme: str, W: Matrix, eps: float,
             l1 = lc1 + 2 * lw[1]
             l2 = lc2 + 3 * lw[1]
         else:
-            for p in range(2, j + 1):
-                if p not in powers:
+            if j not in powers:  # powers holds W^1..W^len(powers)
+                for p in range(len(powers) + 1, j + 1):
                     powers[p] = mat_mul(powers[p - 1], W, ledger)
                     norms[p] = one_norm(powers[p])
                     if not math.isfinite(norms[p]):
@@ -219,7 +219,9 @@ def _select(ladder: tuple[Rung, ...], scheme: str, W: Matrix, eps: float,
                 # W^j = 0: both terms vanish, also where an overflowed
                 # ||W||_1 made the sums above -inf + inf = NaN.
                 l1 = l2 = -math.inf
-        if _log2_sum(l1, l2) <= log_eps:
+        # The sum is at least either term, so a term above eps fails it
+        # without the call; a NaN term fails both tests.
+        if l1 <= log_eps and l2 <= log_eps and _log2_sum(l1, l2) <= log_eps:
             return EvalPlan(m, 0, scheme, _exp2(l1), _exp2(l2), powers, norms)
 
     # No order met eps unscaled, so the top one is scaled.  At the larger

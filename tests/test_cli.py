@@ -226,7 +226,10 @@ def test_bench_bad_config(tmp_path, capsys):
                              ("noise", {"noise": 10 ** 400}),
                              ("norms.min", {"norms": {"max": 1.0, "count": 1}}),
                              ("norms.max", {"norms": {"min": 1e-2, "count": 1}}),
-                             ("norms.count", {"norms": {"min": 1e-2, "max": 1.0}})):
+                             ("norms.count", {"norms": {"min": 1e-2, "max": 1.0}}),
+                             # a count whose grid could not be allocated
+                             ("norms.count", {"norms": {**norms, "count": 10 ** 13}}),
+                             ("norms.count", {"norms": {**norms, "count": 10_001}})):
         bad = suite_file(tmp_path, **overrides)
         assert main(["bench", "--suite", str(bad), "--csv", str(tmp_path / "c.csv"),
                      "--summary", str(tmp_path / "s.json")]) == 2, overrides
@@ -239,6 +242,19 @@ def test_bench_bad_config(tmp_path, capsys):
         assert main(["bench", "--suite", str(bad), "--csv", str(tmp_path / "c.csv"),
                      "--summary", str(tmp_path / "s.json")]) == 2, data[:8]
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("noise", [math.nan, math.inf, -1.0])
+def test_bench_refuses_bad_noise_on_an_empty_suite(tmp_path, capsys, noise):
+    # No generator spec is built for an empty suite, so the config itself
+    # refuses a noise that would reach the summary (NaN is not JSON).
+    summary = tmp_path / "s.json"
+    bad = suite_file(tmp_path, sizes=[], noise=noise)
+    assert main(["bench", "--suite", str(bad), "--csv", str(tmp_path / "c.csv"),
+                 "--summary", str(summary)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "noise" in err, err
+    assert not summary.exists()
 
 
 _MISSING = object()

@@ -4,21 +4,26 @@ import numpy as np
 import pytest
 
 from expmkit import (
+    LowRankPair,
     Matrix,
     MatrixError,
     MulLedger,
     NonFiniteError,
     check_finite,
+    expm,
+    expm_baseline,
+    expm_lowrank,
     format_matrix,
     frobenius_norm,
     identity,
     mat_mul,
     one_norm,
     parse_matrix,
+    ps_eval,
     scale_pow2,
     squaring,
 )
-from expmkit.matrix import _wrap
+from expmkit.matrix import _mat_mul_unchecked, _wrap
 
 
 def test_mat_mul_identity():
@@ -262,3 +267,79 @@ def test_parse_matrix_errors():
     for order in ("0\n", "-1\n"):  # the constructor refuses an empty order
         with pytest.raises(MatrixError):
             parse_matrix(order)
+
+
+# The charged product calls np.dot on C-ordered square float64 arrays of
+# order 2 and up, which costs less per call than the @ operator; the
+# expmkit.matrix docstring relies on the two giving the same bytes.  These
+# orders and scales pin it, so a numpy or BLAS build where they differ
+# fails here.  At order 1, np.dot returns the rounded product itself, -0
+# for 0 * -x, where @ adds it to +0; the kernel keeps @ there.
+_DOT_ORDERS = tuple(range(1, 71)) + (128, 256)
+
+
+def _kernel_operands(n, rng):
+    """Operand pairs of order n: plain, scaled by 2^600 and 2^-600 in
+    every combination (overflow to Inf and NaN, underflow to subnormals
+    and zero), with subnormal entries, and with +0 and -0 entries."""
+    a, b = rng.uniform(-1.0, 1.0, (2, n, n))
+    big, small = np.ldexp(a, 600), np.ldexp(b, -600)
+    zeros = b.copy()
+    zeros[rng.random((n, n)) < 0.3] = 0.0
+    zeros[rng.random((n, n)) < 0.2] = -0.0
+    sub = np.ldexp(a, -1060)
+    return [(a, b), (big, small), (small, big), (big, np.ldexp(b, 600)),
+            (small, np.ldexp(b, -600)), (sub, b), (sub, np.ldexp(b, 600)),
+            (zeros, a), (a, zeros), (zeros, sub)]
+
+
+def test_dot_gives_the_bytes_of_matmul_on_the_products_operands():
+    rng = np.random.default_rng(23)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in _DOT_ORDERS:
+            for a, b in _kernel_operands(n, rng):
+                want = a @ b
+                if n > 1:
+                    assert np.dot(a, b).tobytes() == want.tobytes(), n
+                    assert np.dot(a, a).tobytes() == (a @ a).tobytes(), n
+                A, B = _wrap(a), _wrap(b)
+                got = _mat_mul_unchecked(A, B, MulLedger())
+                assert got.a.tobytes() == want.tobytes(), n
+                assert _mat_mul_unchecked(A, A, MulLedger()).a.tobytes() == (a @ a).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_check_finite_finds_a_non_finite_entry_at_every_position(n):
+    base = np.random.default_rng(n).uniform(-1.0, 1.0, (n, n))
+    for bad in (math.nan, math.inf, -math.inf):
+        for i in range(n * n):
+            a = base.copy()
+            a.flat[i] = bad
+            with pytest.raises(NonFiniteError):
+                check_finite(_wrap(a))
+
+
+def test_check_finite_passes_negative_zero_and_subnormals():
+    for entries in ([[-0.0]], [[5e-324]], [[-0.0, 5e-324], [-2.0 ** -1070, 0.0]]):
+        A = _wrap(np.array(entries))
+        assert check_finite(A) is A
+
+
+def test_every_matrix_carries_its_order():
+    rng = np.random.default_rng(5)
+    arr = rng.uniform(-1.0, 1.0, (6, 6))
+    W = Matrix(arr)
+    big = scale_pow2(Matrix(arr * 64.0), 0)  # scaled and squared by the drivers
+    pair = LowRankPair(rng.uniform(-0.5, 0.5, (6, 2)), rng.uniform(-0.5, 0.5, (2, 6)))
+    made = [W, Matrix(np.asfortranarray(arr)), Matrix([[2.0]]), identity(4),
+            scale_pow2(W, 3), mat_mul(W, W, MulLedger()),
+            _mat_mul_unchecked(W, W, MulLedger()), squaring(W, 2, MulLedger()),
+            ps_eval([2.0], W, MulLedger()), ps_eval([1.0, 1.0, 0.5, 0.25], W, MulLedger()),
+            expm_baseline(W, 1e-8).value, expm_baseline(big, 1e-8).value,
+            expm_lowrank(pair, 1e-8).value,
+            expm(Matrix(np.zeros((3, 3))), 1e-8, "ps").value]
+    for scheme in ("ps", "sastre"):
+        for X in (W, big):
+            made.append(expm(X, 1e-8, scheme).value)
+    for M in made:
+        assert M.n == M.a.shape[0] == M.a.shape[1], M.a.shape

@@ -747,6 +747,7 @@ def test_reference_does_not_depend_on_memory_layout(norm):
     assert Matrix(arr.T).a.flags.c_contiguous
     fortran = Matrix.__new__(Matrix)
     fortran.a = np.asfortranarray(arr.T)
+    fortran.n = 5
     assert fortran.a.flags.f_contiguous and not fortran.a.flags.c_contiguous
     want = _expm_dd(Matrix(np.ascontiguousarray(arr.T)))
     assert _same_bytes(_expm_dd(fortran), want)

@@ -125,6 +125,9 @@ class Matrix:
     public :func:`mat_mul` or a driver is finite; only an unguarded
     building block (module docstring) can return one that is not, and
     :func:`check_finite` checks it.
+    ``.a`` and ``.n`` are plain slots, for speed on the product path:
+    never reassign either, since the product checks operand orders on
+    ``.n`` alone.
     Instances may be shared across threads.
     """
 

@@ -143,6 +143,9 @@ EXP_COEFFS = CoeffSet(t8=_T8_COEFFS, t15p=_T15P_COEFFS, b16=_T15P_COEFFS[0] ** 4
 # Paterson-Stockmeyer
 # ---------------------------------------------------------------------------
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 @dataclass(frozen=True)
 class PsShape:
     """Block schedule for degree m: powers A^2..A^j are cached and k
@@ -157,7 +160,6 @@ class PsShape:
         return (self.j - 1) + (self.k - 1)
 
 
-@functools.cache
 def ps_shape(m: int) -> PsShape:
     if m < 1:
         raise MatrixError("Paterson-Stockmeyer shape needs degree >= 1")
@@ -166,6 +168,11 @@ def ps_shape(m: int) -> PsShape:
         j += 1
     k = -(-m // j)
     return PsShape(m=m, j=j, k=k)
+
+
+# ps_eval's copy, keyed by the int len(coeffs) - 1 only, so that no 2.0
+# or True shares an entry with 2 or 1; 64 entries hold every ladder order.
+_ps_shape = functools.lru_cache(maxsize=64)(ps_shape)
 
 
 def ps_eval(coeffs, A: Matrix, ledger: MulLedger, powers=None) -> Matrix:
@@ -183,7 +190,7 @@ def ps_eval(coeffs, A: Matrix, ledger: MulLedger, powers=None) -> Matrix:
         raise MatrixError("empty coefficient list")
     if m == 0:
         return _wrap(_eye(A.n) * float(coeffs[0]))
-    shape = ps_shape(m)
+    shape = _ps_shape(m)
     j, k = shape.j, shape.k
     pw = {**(powers or {}), 1: A}
     for p in range(2, j + 1):
@@ -201,8 +208,13 @@ def ps_eval(coeffs, A: Matrix, ledger: MulLedger, powers=None) -> Matrix:
         lo = r * j
         hi = m if r == k - 1 else lo + j - 1
         # q = c_lo*I + c_(lo+1)*A + ... + c_hi*A^(hi-lo), in place after
-        # the first block.
+        # the first block, whose first write allocates q.  A coefficient
+        # that promotes past float64 is rounded into it there, as the
+        # float64 buffers do after, and a complex or object one is refused
+        # (TypeError), so q is binary64 whatever the coefficients' type.
         q = np.multiply(a[1], coeffs[lo + 1], out=q)
+        if q.dtype is not _FLOAT64:
+            q = q.astype(_FLOAT64, casting="same_kind", copy=False)
         _add_to_diagonal(q, coeffs[lo])
         for t in range(2, hi - lo + 1):
             q += np.multiply(a[t], coeffs[lo + t], out=tmp)

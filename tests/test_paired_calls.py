@@ -40,3 +40,22 @@ def test_identical_trees_time_every_driver_and_agree_on_every_call():
         assert side["parent_cost_mean"] > 0 and side["change_cost_mean"] > 0
         assert math.isfinite(side["ratio_change_over_parent"])
         assert 0 <= side["change_faster"] <= side["calls"]
+
+
+def test_the_call_map_matches_workloads(monkeypatch):
+    """tools/paired_calls.call and perfbench's workloads._call send each
+    scheme to the same driver with the same arguments."""
+    tool = _load_tool()
+    engine = tool.expmkit.engine
+    seen = []
+    for name in ("expm", "expm_lowrank", "expm_baseline"):
+        monkeypatch.setattr(engine, name,
+                            lambda *args, _name=name: seen.append((_name, args)))
+    schemes = {case.scheme for case in tool.workloads.make("flow_small", 3, "").cases}
+    assert schemes == {"sastre", "ps", "baseline", "lowrank"}
+    W = tool.expmkit.Matrix([[0.5]])
+    for scheme in sorted(schemes):
+        seen.clear()
+        tool.workloads._call(W, scheme, 1e-8)
+        tool.call(tool.expmkit, W, scheme, 1e-8)
+        assert len(seen) == 2 and seen[0] == seen[1]

@@ -16,6 +16,7 @@ from expmkit import (
     identity,
     mat_mul,
     phi1_coeffs,
+    poly,
     ps_eval,
     ps_shape,
     sastre_budget,
@@ -71,6 +72,34 @@ def test_ps_shape_invariants():
         sh = ps_shape(m)
         assert sh.j == math.ceil(math.sqrt(m))
         assert m <= sh.j * sh.k < m + sh.j
+
+
+def test_ps_shape_cache_is_bounded_and_private_to_ps_eval():
+    assert poly._ps_shape.cache_info().maxsize == 64
+    ps_eval(taylor_coeffs_exp(2), identity(3), MulLedger())
+    assert poly._ps_shape(2) == ps_shape(2)
+    with pytest.raises(TypeError):  # the public one shares no entry with 2
+        ps_shape(2.0)
+
+
+@pytest.mark.parametrize("m", [1, 6])
+def test_ps_eval_result_is_binary64_whatever_the_coefficients(m):
+    A = Matrix(np.random.default_rng(m).uniform(-0.2, 0.2, (4, 4)))
+    with pytest.raises(TypeError):  # complex does not cast into float64
+        ps_eval([1.0, 1j] + [0.5] * (m - 1), A, MulLedger())
+    coeffs = [np.longdouble(1) / (i + 3) for i in range(m + 1)]
+    out = ps_eval(coeffs, A, MulLedger())
+    assert out.a.dtype == np.float64 and out.n == 4
+    assert np.allclose(out.a, ps_eval([float(c) for c in coeffs], A, MulLedger()).a,
+                       rtol=1e-15, atol=1e-16)
+
+
+def test_ps_eval_rounds_each_long_double_step_into_binary64():
+    c0, c1 = np.longdouble(1) / 3, np.longdouble(2) / 3
+    x = np.float64(np.longdouble(5.0) * c1)  # the block's first write
+    want = np.float64(np.longdouble(x) + c0)  # then the diagonal's
+    out = ps_eval([c0, c1], Matrix([[5.0]]), MulLedger())
+    assert out.a.dtype == np.float64 and out.a[0, 0] == want
 
 
 @pytest.mark.parametrize("m,budget", [(2, 1), (4, 2), (6, 3), (9, 4), (12, 5), (16, 6)])

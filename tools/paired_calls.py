@@ -75,7 +75,11 @@ def as_input(package, W):
 
 
 def call(package, W, scheme: str, eps: float):
-    """The driver workloads._call picks for ``scheme``, on ``package``."""
+    """The driver workloads._call picks for ``scheme``, on ``package``.
+
+    A copy of that map, since workloads._call calls the drivers of the
+    ``expmkit`` it imports; keep the two in step (tests/test_paired_calls.py
+    checks that they agree on every scheme)."""
     engine = package.engine
     if scheme == package.select.SCHEME_LOWRANK:
         return engine.expm_lowrank(W, eps)
@@ -152,17 +156,15 @@ def main(argv=None) -> int:
     p.add_argument("--workload", choices=WORKLOADS, default="flow_small")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--passes", type=int, default=7)
-    p.add_argument("--every", type=int, default=1, help="time every k-th call only")
     args = p.parse_args(argv)
-    if args.passes < 1 or args.every < 1:
-        p.error("--passes and --every must be at least 1")
+    if args.passes < 1:
+        p.error("--passes must be at least 1")
 
-    calls = calls_of(args.workload, args.seed, args.every)
+    calls = calls_of(args.workload, args.seed)
     with tempfile.TemporaryDirectory(prefix="paired-calls-parent-") as tmp:
         extract(args.parent, Path(tmp))
         parent = load_package(Path(tmp) / "src", PARENT_PACKAGE)
-        summary = {"workload": args.workload, "seed": args.seed, "parent": args.parent,
-                   "every": args.every}
+        summary = {"workload": args.workload, "seed": args.seed, "parent": args.parent}
         summary.update(compare((parent, expmkit), calls, args.passes, args.seed))
     print(json.dumps(summary, indent=1))
     return 0

@@ -46,12 +46,10 @@ from .matrix import (
     _wrap,
     check_finite,
     identity,
+    mat_mul,  # perfbench/tracing.py wraps engine.mat_mul to count squarings
     one_norm,
     scale_pow2,
 )
-# perfbench/tracing.py counts products per phase by wrapping engine.mat_mul
-# (the unchecked product), select_ps and select_sastre, so those names stay.
-from .matrix import _mat_mul_unchecked as mat_mul
 from .poly import (
     eval_low_order,
     eval_t8,
@@ -60,6 +58,8 @@ from .poly import (
     ps_eval,
     taylor_coeffs_exp,
 )
+# perfbench/tracing.py wraps engine.select_ps and engine.select_sastre too,
+# so expm calls them by these names.
 from .select import (
     LOWRANK_TABLES,
     SCHEME_BASELINE,

@@ -1,20 +1,19 @@
 """Dense square-matrix arithmetic with explicit multiplication accounting.
 
 Every full matrix-matrix product in this package goes through
-:func:`mat_mul` or its unchecked core :func:`_mat_mul_unchecked`, each
-charging exactly one unit to a :class:`MulLedger`.
+:func:`mat_mul`, charging exactly one unit to a :class:`MulLedger`.
 Norms, additions and scalar scalings are never charged: the cost model
 counts n-by-n products only.
 
-The core multiplies with ``np.dot``, not the ``@`` operator, from order 2
-up.  On the C-ordered float64 square arrays it gets, both call the same
-BLAS ``dgemm`` and give the same bytes, but ``np.dot`` costs about a
-third less per call at n = 8 with OpenBLAS; from n = 64 on, where the
-flops dominate, the two cost the same.  At order 1, ``np.dot`` returns
-the rounded product itself, -0 for 0 * -x, where ``@`` adds it to +0,
-so the core keeps ``@`` there.  ``tests/test_matrix.py`` pins the bytes
-at orders 1-70, 128 and 256, at scales 2^600 and 2^-600, with subnormal
-and signed-zero entries and with one array as both operands.  The
+:func:`mat_mul` multiplies with ``np.dot``, not the ``@`` operator, from
+order 2 up.  On the C-ordered float64 square arrays it gets, both call
+the same BLAS ``dgemm`` and give the same bytes, but ``np.dot`` costs
+about a third less per call at n = 8 with OpenBLAS; from n = 64 on,
+where the flops dominate, the two cost the same.  At order 1, ``np.dot``
+returns the rounded product itself, -0 for 0 * -x, where ``@`` adds it
+to +0, so ``mat_mul`` keeps ``@`` there.  ``tests/test_matrix.py`` pins
+the bytes at orders 1-70, 128 and 256, at scales 2^600 and 2^-600, with
+subnormal and signed-zero entries and with one array as both operands.  The
 low-rank path's rectangular products stay ``@``.
 
 Values enter the package through one gate, ``_entries``, which
@@ -23,14 +22,13 @@ copies the caller's data to a read-only float64 array and refuses, with
 a :class:`MatrixError`, data that is not a nonempty 2-d array, has a NaN
 or Inf entry (:class:`NonFiniteError`), or is complex, text or boolean,
 whose imaginary part the cast would drop, or which it would parse or
-read as 0 and 1.  Results leave
-through :func:`check_finite`, once at each driver's exit, the oracle's
-exit and public :func:`mat_mul`'s.
+read as 0 and 1.  Results leave through :func:`check_finite`, once at
+each driver's exit and the oracle's.
 
-The building blocks are unguarded: the selectors ``select_ps`` and
-``select_sastre``, ``ps_eval``, the ``eval_*`` formulas and ``squaring``
-enter no ``np.errstate``, the last three check nothing they return, and
-their products go through the unchecked :func:`_mat_mul_unchecked`,
+The building blocks are unguarded: :func:`mat_mul`, the selectors
+``select_ps`` and ``select_sastre``, ``ps_eval``, the ``eval_*`` formulas
+and ``squaring`` enter no ``np.errstate``, and all but the selectors
+check nothing they return.  Their products go through :func:`mat_mul`,
 with a :class:`Matrix` around each operand and result only.  The drivers
 and the oracle guard and check: each call runs under one
 ``np.errstate(over="ignore", invalid="ignore")`` and checks its result.
@@ -121,10 +119,10 @@ class Matrix:
     in C order, so that a Fortran-ordered input's norms and products round
     the same.  A Matrix holds values, not algebra: arithmetic runs on the
     read-only array ``.a``, whose order is ``.n``.  One from this
-    constructor, :func:`load_matrix`, :func:`identity`, :func:`scale_pow2`,
-    public :func:`mat_mul` or a driver is finite; only an unguarded
-    building block (module docstring) can return one that is not, and
-    :func:`check_finite` checks it.
+    constructor, :func:`load_matrix`, :func:`identity`, :func:`scale_pow2`
+    or a driver is finite; only an unguarded building block (module
+    docstring), :func:`mat_mul` among them, can return one that is not,
+    and :func:`check_finite` checks it.
     ``.a`` and ``.n`` are plain slots, for speed on the product path:
     never reassign either, since the product checks operand orders on
     ``.n`` alone.
@@ -199,14 +197,12 @@ class MulLedger:
         return f"<MulLedger count={self.count}>"
 
 
-def _mat_mul_unchecked(A: Matrix, B: Matrix, ledger: MulLedger) -> Matrix:
-    """Full product A @ B, charging exactly one multiplication, with no
-    finiteness check and no warning guard of its own.
+def mat_mul(A: Matrix, B: Matrix, ledger: MulLedger) -> Matrix:
+    """Full product A @ B, charging exactly one multiplication.
 
-    Precondition: the caller runs it under
-    ``np.errstate(over="ignore", invalid="ignore")`` and checks the values
-    it depends on downstream (see the module docstring).  The drivers'
-    building blocks use it; everything else uses :func:`mat_mul`.
+    Unguarded (see the module docstring): run it under
+    ``np.errstate(over="ignore", invalid="ignore")`` and check the values
+    that depend on it, with :func:`check_finite` or a selector's norm test.
     """
     n = A.n
     if n != B.n:
@@ -220,17 +216,6 @@ def _mat_mul_unchecked(A: Matrix, B: Matrix, ledger: MulLedger) -> Matrix:
     C.a = c
     C.n = n
     return C
-
-
-def mat_mul(A: Matrix, B: Matrix, ledger: MulLedger) -> Matrix:
-    """Full product A @ B, charging exactly one multiplication.
-
-    Raises :class:`NonFiniteError` when the product has a NaN or Inf
-    entry, without a floating-point warning.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        C = _mat_mul_unchecked(A, B, ledger)
-    return check_finite(C)
 
 
 def one_norm(A: Matrix) -> float:

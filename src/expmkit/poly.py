@@ -36,9 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import Matrix, MatrixError, MulLedger, _add_to_diagonal, _eye, _wrap
-# Unchecked product under the name perfbench/tracing.py wraps (poly.mat_mul)
-# to count evaluation products; see expmkit.select.
-from .matrix import _mat_mul_unchecked as mat_mul
+# perfbench/tracing.py wraps poly.mat_mul to count evaluation products.
+from .matrix import mat_mul
 
 __all__ = [
     "CoeffSet",
@@ -160,6 +159,9 @@ class PsShape:
         return (self.j - 1) + (self.k - 1)
 
 
+# Typed keys keep 2.0 and True off the entries for 2 and 1, so a float
+# degree still raises TypeError; 64 entries hold every ladder order.
+@functools.lru_cache(maxsize=64, typed=True)
 def ps_shape(m: int) -> PsShape:
     if m < 1:
         raise MatrixError("Paterson-Stockmeyer shape needs degree >= 1")
@@ -168,11 +170,6 @@ def ps_shape(m: int) -> PsShape:
         j += 1
     k = -(-m // j)
     return PsShape(m=m, j=j, k=k)
-
-
-# ps_eval's copy, keyed by the int len(coeffs) - 1 only, so that no 2.0
-# or True shares an entry with 2 or 1; 64 entries hold every ladder order.
-_ps_shape = functools.lru_cache(maxsize=64)(ps_shape)
 
 
 def ps_eval(coeffs, A: Matrix, ledger: MulLedger, powers=None) -> Matrix:
@@ -190,7 +187,7 @@ def ps_eval(coeffs, A: Matrix, ledger: MulLedger, powers=None) -> Matrix:
         raise MatrixError("empty coefficient list")
     if m == 0:
         return _wrap(_eye(A.n) * float(coeffs[0]))
-    shape = _ps_shape(m)
+    shape = ps_shape(m)
     j, k = shape.j, shape.k
     pw = {**(powers or {}), 1: A}
     for p in range(2, j + 1):

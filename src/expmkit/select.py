@@ -33,10 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .matrix import Matrix, MulLedger, check_finite, one_norm
-# The unchecked product keeps the name mat_mul: perfbench/tracing.py counts
-# products per phase by wrapping the module attributes select.mat_mul,
-# poly.mat_mul and engine.mat_mul.
-from .matrix import _mat_mul_unchecked as mat_mul
+# perfbench/tracing.py wraps select.mat_mul to count selection products.
+from .matrix import mat_mul
 from .poly import EXP_COEFFS, SASTRE_ORDERS, inv_factorial, ps_shape
 
 __all__ = [

@@ -23,7 +23,7 @@ from expmkit import (
     scale_pow2,
     squaring,
 )
-from expmkit.matrix import _mat_mul_unchecked, _wrap
+from expmkit.matrix import _wrap
 
 
 def test_mat_mul_identity():
@@ -58,10 +58,15 @@ def test_mat_mul_dimension_mismatch():
 
 
 def test_mat_mul_overflow_surfaces():
+    # The product is unguarded: it returns the overflowed value, charged
+    # once, and the next check raises on it.
     led = MulLedger()
     big = Matrix(np.full((2, 2), 1e200))
+    with np.errstate(over="ignore"):
+        C = mat_mul(big, big, led)
+    assert np.isposinf(C.a).all() and led.count == 1
     with pytest.raises(NonFiniteError):
-        mat_mul(big, big, led)
+        check_finite(C)
 
 
 def test_entrywise_overflow_surfaces_at_the_next_check():
@@ -72,8 +77,11 @@ def test_entrywise_overflow_surfaces_at_the_next_check():
         big = squaring(Matrix([[1e308, 0.0], [0.0, 1.0]]), 1, led)
     with pytest.raises(NonFiniteError):
         check_finite(big)
+    with np.errstate(invalid="ignore"):
+        spread = mat_mul(big, identity(2), led)
+    assert led.count == 2
     with pytest.raises(NonFiniteError):
-        mat_mul(big, identity(2), led)
+        check_finite(spread)
 
 
 def test_ledger_counts_products_only():
@@ -303,9 +311,9 @@ def test_dot_gives_the_bytes_of_matmul_on_the_products_operands():
                     assert np.dot(a, b).tobytes() == want.tobytes(), n
                     assert np.dot(a, a).tobytes() == (a @ a).tobytes(), n
                 A, B = _wrap(a), _wrap(b)
-                got = _mat_mul_unchecked(A, B, MulLedger())
+                got = mat_mul(A, B, MulLedger())
                 assert got.a.tobytes() == want.tobytes(), n
-                assert _mat_mul_unchecked(A, A, MulLedger()).a.tobytes() == (a @ a).tobytes()
+                assert mat_mul(A, A, MulLedger()).a.tobytes() == (a @ a).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])
@@ -332,8 +340,7 @@ def test_every_matrix_carries_its_order():
     big = scale_pow2(Matrix(arr * 64.0), 0)  # scaled and squared by the drivers
     pair = LowRankPair(rng.uniform(-0.5, 0.5, (6, 2)), rng.uniform(-0.5, 0.5, (2, 6)))
     made = [W, Matrix(np.asfortranarray(arr)), Matrix([[2.0]]), identity(4),
-            scale_pow2(W, 3), mat_mul(W, W, MulLedger()),
-            _mat_mul_unchecked(W, W, MulLedger()), squaring(W, 2, MulLedger()),
+            scale_pow2(W, 3), mat_mul(W, W, MulLedger()), squaring(W, 2, MulLedger()),
             ps_eval([2.0], W, MulLedger()), ps_eval([1.0, 1.0, 0.5, 0.25], W, MulLedger()),
             expm_baseline(W, 1e-8).value, expm_baseline(big, 1e-8).value,
             expm_lowrank(pair, 1e-8).value,

@@ -16,7 +16,6 @@ from expmkit import (
     identity,
     mat_mul,
     phi1_coeffs,
-    poly,
     ps_eval,
     ps_shape,
     sastre_budget,
@@ -74,11 +73,13 @@ def test_ps_shape_invariants():
         assert m <= sh.j * sh.k < m + sh.j
 
 
-def test_ps_shape_cache_is_bounded_and_private_to_ps_eval():
-    assert poly._ps_shape.cache_info().maxsize == 64
+def test_ps_shape_cache_is_bounded_and_typed():
+    assert ps_shape.cache_info().maxsize == 64
+    ps_shape.cache_clear()
     ps_eval(taylor_coeffs_exp(2), identity(3), MulLedger())
-    assert poly._ps_shape(2) == ps_shape(2)
-    with pytest.raises(TypeError):  # the public one shares no entry with 2
+    assert ps_shape.cache_info().currsize == 1
+    assert ps_shape(2) == ps_shape(2) and ps_shape.cache_info().hits == 2
+    with pytest.raises(TypeError):  # 2.0 shares no entry with 2
         ps_shape(2.0)
 
 

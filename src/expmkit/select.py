@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,15 +66,20 @@ SCHEME_LOWRANK = "lowrank"
 
 
 class ToleranceError(ValueError):
-    """Requested tolerance not a number, below the unit roundoff, or not
-    below 1."""
+    """Requested tolerance not a real number, below the unit roundoff, or
+    not below 1."""
 
 
 def check_tolerance(eps: float) -> float:
-    """eps as a float, if it is a relative tolerance in [u, 1), not text."""
-    if isinstance(eps, (str, bytes)):
-        raise ToleranceError(f"tolerance {eps!r} is text, not a number")
-    eps = float(eps)
+    """eps as a float, if it is a real relative tolerance in [u, 1); text,
+    complex numbers and other objects are refused, not cast."""
+    if type(eps) is not float:  # a Python float (what perfbench and the CLI pass) skips the tests
+        if isinstance(eps, (str, bytes)):
+            raise ToleranceError(f"tolerance {eps!r} is text, not a number")
+        if not isinstance(eps, numbers.Real):
+            raise ToleranceError(
+                f"tolerance {eps!r} of type {type(eps).__name__} is not a real number")
+        eps = float(eps)
     if math.isnan(eps):
         raise ToleranceError(f"tolerance {eps!r} is not a number")
     if eps < UNIT_ROUNDOFF:

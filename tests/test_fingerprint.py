@@ -1,25 +1,14 @@
 """Smoke test of tools/fingerprint.py on a reduced call set."""
 
-import importlib.util
 from itertools import chain, islice
-from pathlib import Path
 
+import fingerprint as fp
 import numpy as np
 
 from expmkit import LowRankPair, Matrix, SuiteConfig
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "fingerprint.py"
-
-
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("fingerprint", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 def test_fingerprint_repeats_within_one_process():
-    fp = _load_tool()
     config = SuiteConfig(eps=1e-8, sizes=(4, 8), kinds=("diag", "random_dense"),
                          schemes=("baseline", "ps", "sastre"), norm_min=1e-3,
                          norm_max=50.0, norm_count=3, base_seed=5)
@@ -39,7 +28,6 @@ def test_fingerprint_repeats_within_one_process():
 
 
 def test_oracle_fingerprint_repeats_within_one_process():
-    fp = _load_tool()
     config = SuiteConfig(eps=1e-8, sizes=(4, 8), kinds=("diag", "rotation_block"),
                          schemes=("ps",), norm_min=1e-3, norm_max=50.0, norm_count=2,
                          base_seed=5)

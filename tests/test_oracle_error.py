@@ -1,30 +1,19 @@
 """Smoke test of tools/oracle_error.py on a tiny suite."""
 
 import decimal
-import importlib.util
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
+import oracle_error as tool
 import pytest
 
 from expmkit import SuiteConfig, oracle
-
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "oracle_error.py"
-
-
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("oracle_error", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_fixed_reference_matches_decimal_exponentials():
     # e^D = diag(e^d) and e^N = I + N + N^2/2 for N nilpotent of index 3,
     # to within 2^-380 of their 1-norms.
-    tool = _load_tool()
     d = [-12.8, -0.7, 1e-3, 3.25]
     got = tool.fixed_expm(np.diag(d))
     with decimal.localcontext(decimal.Context(prec=140)):
@@ -38,7 +27,6 @@ def test_fixed_reference_matches_decimal_exponentials():
 
 
 def test_oracle_error_on_a_tiny_suite():
-    tool = _load_tool()
     config = SuiteConfig(eps=1e-8, sizes=(2, 5), kinds=("diag", "random_dense", "rotation_block"),
                          schemes=("ps",), norm_min=2.84e-4, norm_max=12.8, norm_count=3,
                          base_seed=19)
@@ -51,7 +39,6 @@ def test_oracle_error_on_a_tiny_suite():
 
 def test_oracle_error_exit_code(monkeypatch, capsys):
     # Order 8 of one seed passes; a pair moved by 2^-90 of itself fails.
-    tool = _load_tool()
     assert tool.main(["--seeds", "13", "--orders", "8"]) == 0
     assert capsys.readouterr().out.splitlines()[-1].startswith("ok: worst error 2^-10")
     expm_dd = oracle._expm_dd
@@ -68,4 +55,4 @@ def test_oracle_error_exit_code(monkeypatch, capsys):
 
 @pytest.mark.parametrize("x", [0.0, 1.5, -2.0 ** -1074, 2.0 ** 60 + 2.0 ** 8, -0.1])
 def test_to_fixed_is_exact_when_the_grid_holds_the_entry(x):
-    assert _load_tool().to_fixed(np.array([x]), 1100)[0] == Fraction(x) * 2 ** 1100
+    assert tool.to_fixed(np.array([x]), 1100)[0] == Fraction(x) * 2 ** 1100

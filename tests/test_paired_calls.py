@@ -1,23 +1,14 @@
 """tools/paired_calls.py on a reduced flow_small call set, with the
 working tree's package loaded a second time as the parent."""
 
-import importlib.util
 import math
 import sys
-from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "paired_calls.py"
-
-
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("paired_calls", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+import paired_calls as tool
+import workloads
 
 
 def test_a_second_copy_of_the_package_shares_no_module():
-    tool = _load_tool()
     twin = tool.load_package(tool.ROOT / "src", "expmkit_twin")
     assert sys.modules["expmkit_twin.matrix"] is twin.matrix
     assert twin.matrix is not tool.expmkit.matrix
@@ -27,10 +18,12 @@ def test_a_second_copy_of_the_package_shares_no_module():
 
 
 def test_identical_trees_time_every_driver_and_agree_on_every_call():
-    tool = _load_tool()
     twin = tool.load_package(tool.ROOT / "src", "expmkit_twin")
-    calls = tool.calls_of("flow_small", 3, every=40)
+    calls = tool.calls_of("flow_small", 3)[::40]
     assert len(calls) == 40  # 1,600 calls, every 40th
+    # A call's cost is over one product of the order perfbench divides by.
+    wl = workloads.flow_small(3)
+    assert [c[3] for c in calls] == [wl.product_order(case) for case in wl.cases[::40]]
     out = tool.compare((twin, tool.expmkit), calls, passes=2, seed=3)
     assert out["calls"] == 40 and out["passes"] == 2
     assert out["differing_calls"] == 0
@@ -42,20 +35,24 @@ def test_identical_trees_time_every_driver_and_agree_on_every_call():
         assert 0 <= side["change_faster"] <= side["calls"]
 
 
-def test_the_call_map_matches_workloads(monkeypatch):
-    """tools/paired_calls.call and perfbench's workloads._call send each
-    scheme to the same driver with the same arguments."""
-    tool = _load_tool()
-    engine = tool.expmkit.engine
+def test_each_tree_runs_its_own_drivers(monkeypatch):
+    """The driver map built for a twin package sends each scheme to the
+    twin's driver, and workloads._call to the working tree's, with the
+    same arguments."""
+    twin = tool.load_package(tool.ROOT / "src", "expmkit_twin")
+    run_twin = tool.driver_map(twin)
     seen = []
-    for name in ("expm", "expm_lowrank", "expm_baseline"):
-        monkeypatch.setattr(engine, name,
-                            lambda *args, _name=name: seen.append((_name, args)))
-    schemes = {case.scheme for case in tool.workloads.make("flow_small", 3, "").cases}
+    for package in (twin, tool.expmkit):
+        for name in ("expm", "expm_lowrank", "expm_baseline"):
+            monkeypatch.setattr(package.engine, name,
+                                lambda *args, _tree=package.__name__, _name=name:
+                                seen.append((_tree, _name, args)))
+    schemes = {case.scheme for case in workloads.flow_small(3).cases}
     assert schemes == {"sastre", "ps", "baseline", "lowrank"}
     W = tool.expmkit.Matrix([[0.5]])
     for scheme in sorted(schemes):
         seen.clear()
-        tool.workloads._call(W, scheme, 1e-8)
-        tool.call(tool.expmkit, W, scheme, 1e-8)
-        assert len(seen) == 2 and seen[0] == seen[1]
+        run_twin(W, scheme, 1e-8)
+        workloads._call(W, scheme, 1e-8)
+        assert [tree for tree, _, _ in seen] == ["expmkit_twin", "expmkit"]
+        assert seen[0][1:] == seen[1][1:]

@@ -1,25 +1,15 @@
 """The summary of tools/pairs.py on canned benchmark outputs."""
 
-import importlib.util
 import json
-from pathlib import Path
 
+import pairs as tool
 import pytest
-
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
 
 SPEC = [
     {"name": "item_cost_mean", "unit": "products", "better": "lower", "bound": 0.2},
     {"name": "ok_frac", "unit": "ratio", "better": "higher", "bound": 0.02},
     {"name": "poly.self_s", "unit": "s", "better": "lower"},
 ]
-
-
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("pairs", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _stdout(cost, ok, self_s, correct=True):
@@ -34,23 +24,21 @@ def _stdout(cost, ok, self_s, correct=True):
 
 
 def _runs(pairs):
-    tool = _load_tool()
     runs = []
     for seed, (parent, change) in zip(range(101, 101 + len(pairs)), pairs):
         runs.append({"seed": seed, "first": tool.first_tree(seed),
                      "parent": tool.parse_output(_stdout(*parent)),
                      "change": tool.parse_output(_stdout(*change))})
-    return tool, runs
+    return runs
 
 
 def test_order_alternates_with_the_change_first_on_odd_seeds():
-    tool = _load_tool()
     assert [tool.first_tree(s) for s in (1, 2, 13, 9402)] == [
         "change", "parent", "change", "parent"]
 
 
 def test_parse_output_reads_the_last_line():
-    got = _load_tool().parse_output(_stdout(30.5, 0.99, 0.04, correct=False))
+    got = tool.parse_output(_stdout(30.5, 0.99, 0.04, correct=False))
     assert got["correct"] is False and (got["attempted"], got["failed"]) == (100, 1)
     assert got["metrics"] == {"item_cost_mean": 30.5, "ok_frac": 0.99, "poly.self_s": 0.04}
     assert got["units"]["ok_frac"] == "ratio"
@@ -58,7 +46,7 @@ def test_parse_output_reads_the_last_line():
 
 def test_summary_counts_wins_in_each_metrics_direction():
     # (cost, ok_frac, poly.self_s) for the parent, then the change.
-    tool, runs = _runs([
+    runs = _runs([
         ((34.0, 0.99, 0.050), (31.0, 0.99, 0.040)),
         ((33.0, 0.98, 0.040), (32.0, 0.99, 0.045)),
         ((35.0, 0.99, 0.060), (36.0, 0.97, 0.050)),
@@ -95,7 +83,7 @@ def test_summary_counts_wins_in_each_metrics_direction():
 
 
 def test_summary_flags_a_metric_beyond_its_bound_and_a_failed_gate():
-    tool, runs = _runs([((10.0, 1.0, 0.01), (13.0, 0.9, 0.01, False))])
+    runs = _runs([((10.0, 1.0, 0.01), (13.0, 0.9, 0.01, False))])
     out = tool.summarize(runs, SPEC)
     assert out["correct"] is False
     cost = out["metrics"]["item_cost_mean"]

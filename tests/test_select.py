@@ -158,10 +158,17 @@ def test_selection_tolerance_floor():
                                        (math.nan, "not a number"),
                                        (-math.inf, "below unit roundoff"),
                                        ("1e-8", "not a number"),
-                                       (b"1e-8", "not a number")])
+                                       (b"1e-8", "not a number"),
+                                       (1e-8 + 0j, "not a real number"),
+                                       (np.complex128(1e-8 + 1j), "not a real number"),
+                                       (np.complex64(1e-3), "not a real number"),
+                                       (np.array(1e-8 + 1j), "not a real number"),
+                                       (None, "not a real number"),
+                                       ([1e-8], "not a real number")])
 def test_tolerance_outside_unit_interval_rejected(eps, rule):
     # an unbounded eps would let order 1 with no scaling stand for e^W at
-    # 1-norm 6, and text is refused, not parsed; the message names the
+    # 1-norm 6, text is refused, not parsed, and a complex tolerance is
+    # refused, not stripped of its imaginary part; the message names the
     # rule that failed
     with pytest.raises(ToleranceError, match=rule):
         check_tolerance(eps)

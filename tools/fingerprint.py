@@ -79,6 +79,19 @@ def standard_calls():
         *(suite_calls(bench.default_suite_config(seed)) for seed in SUITE_SEEDS))
 
 
+def record(res) -> tuple[bytes, np.ndarray]:
+    """The outcome of a driver call that returned: the bytes of its plan
+    (m, s, e1, e2) and product counts, and its value array."""
+    plan = res.plan
+    counts = (plan.m, plan.s, plan.e1, plan.e2, res.mults, res.rect_mults)
+    return repr(counts).encode(), res.value.a
+
+
+def raised(exc: Exception) -> bytes:
+    """The outcome of a driver call that raised: the exception's type."""
+    return repr(("raised", type(exc).__name__)).encode()
+
+
 def fingerprint(calls) -> dict:
     """The two digests, the number of calls and of -0 entries in values."""
     exact, signless = hashlib.sha256(), hashlib.sha256()
@@ -88,16 +101,13 @@ def fingerprint(calls) -> dict:
         try:
             res = workloads._call(W, scheme, eps)
         except Exception as exc:  # the raised type is part of the outcome
-            record = repr(("raised", type(exc).__name__)).encode()
-            exact.update(record)
-            signless.update(record)
+            failed = raised(exc)
+            exact.update(failed)
+            signless.update(failed)
             continue
-        plan = res.plan
-        record = repr((plan.m, plan.s, plan.e1, plan.e2, res.mults,
-                       res.rect_mults)).encode()
-        a = res.value.a
-        exact.update(record + a.tobytes())
-        signless.update(record + (a + 0.0).tobytes())
+        counts, a = record(res)
+        exact.update(counts + a.tobytes())
+        signless.update(counts + (a + 0.0).tobytes())
         negative_zeros += int(np.count_nonzero((a == 0.0) & np.signbit(a)))
     return {"sha256": exact.hexdigest(), "sha256_signless": signless.hexdigest(),
             "calls": count, "negative_zeros": negative_zeros}

@@ -9,7 +9,8 @@ tools/pairs.py does, and its ``src/expmkit`` is imported as a second
 package, ``expmkit_parent``, beside the working tree's ``expmkit``.  The
 calls are those of a perfbench call workload (``flow_small`` or
 ``large_dense``), read from perfbench/workloads.py, which is imported
-and left as it is.
+and left as it is; each tree runs them through the benchmark's own map
+from a scheme to a driver, ``workloads._call``, bound to its engine.
 
 Each pass times every call on both trees back to back, the parent first
 where pass + call index is even and the change first where it is odd,
@@ -21,9 +22,9 @@ cent; pairing each call resolves a difference of a few.
 
 Prints one JSON object: per driver and over all calls, each tree's mean
 cost, the ratio change over parent and the number of calls the change
-ran faster, and the number of calls whose value bytes, plan, product
-counts or raised type differ between the trees (0 when the change keeps
-every result).
+ran faster, and the number of calls whose outcome as tools/fingerprint.py
+digests it (value bytes, plan, product counts or raised type) differs
+between the trees (0 when the change keeps every result).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import statistics
 import sys
 import tempfile
 import time
+import types
 from pathlib import Path
 
 # One BLAS thread, as in perfbench; set before numpy loads OpenBLAS.
@@ -48,6 +50,7 @@ for _path in (ROOT / "src", ROOT / "perfbench", ROOT / "tools"):
 
 import expmkit  # noqa: E402  (the working tree's)
 import workloads  # noqa: E402  (perfbench/workloads.py)
+from fingerprint import raised, record, workload_calls  # noqa: E402  (tools/fingerprint.py)
 from pairs import extract  # noqa: E402  (tools/pairs.py)
 
 WORKLOADS = ("flow_small", "large_dense")
@@ -74,45 +77,33 @@ def as_input(package, W):
     return package.matrix.Matrix(W.a)
 
 
-def call(package, W, scheme: str, eps: float):
-    """The driver workloads._call picks for ``scheme``, on ``package``.
-
-    A copy of that map, since workloads._call calls the drivers of the
-    ``expmkit`` it imports; keep the two in step (tests/test_paired_calls.py
-    checks that they agree on every scheme)."""
-    engine = package.engine
-    if scheme == package.select.SCHEME_LOWRANK:
-        return engine.expm_lowrank(W, eps)
-    if scheme == package.select.SCHEME_BASELINE:
-        return engine.expm_baseline(W, eps)
-    return engine.expm(W, eps, scheme)
+def driver_map(package):
+    """perfbench's map from a scheme to a driver, ``workloads._call``, with
+    ``package``'s engine in its globals; the scheme names are the same
+    strings in both trees."""
+    call = workloads._call
+    return types.FunctionType(call.__code__, {**call.__globals__, "engine": package.engine})
 
 
-def outcome(package, W, scheme: str, eps: float):
-    """(seconds, outcome) of one call: the outcome is the value bytes,
-    plan and counts of the result, or the type of the exception raised."""
+def outcome(run, W, scheme: str, eps: float):
+    """(seconds, outcome) of one call through the driver map ``run``: the
+    outcome is what tools/fingerprint.py digests of the result, or the
+    type of the exception raised."""
     t0 = time.perf_counter()
     try:
-        res = call(package, W, scheme, eps)
+        res = run(W, scheme, eps)
     except Exception as exc:  # the raised type is part of the outcome
-        return time.perf_counter() - t0, ("raised", type(exc).__name__)
+        return time.perf_counter() - t0, raised(exc)
     wall = time.perf_counter() - t0
-    plan = res.plan
-    return wall, (res.value.a.tobytes(), plan.m, plan.s, plan.e1, plan.e2,
-                  res.mults, res.rect_mults)
+    counts, a = record(res)
+    return wall, counts + a.tobytes()
 
 
-def calls_of(workload: str, seed: int, every: int = 1):
-    """(scheme, eps, input, product order) for every ``every``-th call of
-    the workload."""
-    wl = workloads.make(workload, seed, "")
-    inputs = {}
-    out = []
-    for case in wl.cases[::every]:
-        if case.input not in inputs:
-            inputs[case.input] = expmkit.bench.gen_matrix(wl.specs[case.input])
-        out.append((case.scheme, case.eps, inputs[case.input], wl.product_order(case)))
-    return out
+def calls_of(workload: str, seed: int):
+    """(scheme, eps, input, product order) for each call of the workload;
+    a low-rank call's products are of the pair's inner rank t."""
+    return [(scheme, eps, W, W.t if isinstance(W, expmkit.engine.LowRankPair) else W.n)
+            for W, scheme, eps in workload_calls(workload, seed)]
 
 
 def _side(costs) -> dict:
@@ -127,6 +118,7 @@ def _side(costs) -> dict:
 def compare(trees, calls, passes: int, seed: int) -> dict:
     """Time each call on the two packages ``trees`` (parent, change) back
     to back, ``passes`` times; summarize per driver and overall."""
+    runs = [driver_map(t) for t in trees]
     inputs = [[as_input(t, W) for t in trees] for _, _, W, _ in calls]
     times = [([], []) for _ in calls]
     results = [None] * len(calls)
@@ -135,7 +127,7 @@ def compare(trees, calls, passes: int, seed: int) -> dict:
             order = (0, 1) if (p + i) % 2 == 0 else (1, 0)
             got = [None, None]
             for t in order:
-                wall, got[t] = outcome(trees[t], inputs[i][t], scheme, eps)
+                wall, got[t] = outcome(runs[t], inputs[i][t], scheme, eps)
                 times[i][t].append(wall)
             results[i] = got
     gemm_s = workloads.calibrate_gemm({c[3] for c in calls}, seed)

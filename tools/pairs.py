@@ -6,9 +6,10 @@ working tree, summarized per metric.
 Run it from the root of a source checkout.  The parent revision is
 extracted with ``git archive`` into a temporary directory, never checked
 out as a worktree; the change is the working tree as it stands.  For
-each seed, both trees run ``python3 perfbench/run.py`` once, the change
-first on odd seeds and the parent first on even ones, so that a drift in
-machine speed falls on both sides.
+each seed, both trees run ``python3 perfbench/run.py`` once for the
+``run_seconds`` BENCHMARK.json sets, the change first on odd seeds and
+the parent first on even ones, so that a drift in machine speed falls on
+both sides.
 
 Prints one JSON object.  Per metric it holds both trees' values in seed
 order, their inclusive quartiles, the ratio of the medians, how many
@@ -123,12 +124,12 @@ def main(argv=None) -> int:
     p.add_argument("--parent", default="HEAD", help="git revision of the parent")
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", required=True, type=int, nargs="+")
-    p.add_argument("--seconds", type=float, default=10.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     spec = bench["per_layer" if args.trace else "end_to_end"]
+    seconds = bench["run_seconds"]
     with tempfile.TemporaryDirectory(prefix="pairs-parent-") as tmp:
         extract(args.parent, Path(tmp))
         trees = {"parent": Path(tmp), "change": ROOT}
@@ -138,11 +139,10 @@ def main(argv=None) -> int:
             run = {"seed": seed, "first": first}
             for tree in (first, "parent" if first == "change" else "change"):
                 print(f"seed {seed}: {tree}", file=sys.stderr, flush=True)
-                run[tree] = run_once(trees[tree], args.workload, seed, args.seconds,
-                                     args.trace)
+                run[tree] = run_once(trees[tree], args.workload, seed, seconds, args.trace)
             runs.append(run)
     summary = {"workload": args.workload, "parent": args.parent,
-               "seconds": args.seconds, "trace": args.trace}
+               "seconds": seconds, "trace": args.trace}
     summary.update(summarize(runs, spec))
     print(json.dumps(summary, indent=1))
     return 0

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ from .engine import ExpmResult, LowRankPair, expm, expm_baseline
 from .matrix import Matrix, MatrixError
 from .oracle import expm_reference, relative_error
 from .select import (SCHEME_BASELINE, SCHEME_PS, SCHEME_SASTRE, ToleranceError,
-                     check_tolerance)
+                     _real, check_tolerance)
 
 __all__ = [
     "BenchRecord",
@@ -105,15 +104,12 @@ def _integer(value, name: str) -> int:
 
 
 def _number(value, name: str) -> float:
-    """A real number (an int or float, numpy's too) as a float; a bool,
-    text or an integer beyond the binary64 range is refused rather than
-    converted."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+    """A real number (an int or float, numpy's too) as a float; a bool, text
+    or an integer beyond the binary64 range is refused (``select._real``)."""
     try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{name} is an integer beyond the binary64 range") from None
+        return _real(value)
+    except ValueError as e:
+        raise ConfigError(f"{name} {e}") from None
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -21,9 +21,9 @@ runs the unguarded building blocks (the selectors, the evaluators of
 :mod:`expmkit.poly` and :func:`squaring`) under one ``np.errstate`` and
 checks its result; :mod:`expmkit.matrix` states that contract and why
 an overflow still raises :class:`~expmkit.matrix.NonFiniteError`.
-A :class:`~expmkit.matrix.Matrix` carries the
-input, the selector's powers, each product's operands and the result;
-sums run on plain arrays.
+A :class:`~expmkit.matrix.Matrix` carries the input, each product's
+operands and the result; sums run on plain arrays.  The selector's powers
+live only inside the call: a result holds no array but its value.
 """
 
 from __future__ import annotations
@@ -32,24 +32,14 @@ import math
 import operator
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .matrix import (
-    Matrix,
-    MatrixError,
-    MulLedger,
-    NonFiniteError,
-    _add_to_diagonal,
-    _entries,
-    _eye,
-    _wrap,
-    check_finite,
-    identity,
-    mat_mul,  # perfbench/tracing.py wraps engine.mat_mul to count squarings
-    one_norm,
-    scale_pow2,
-)
+from .matrix import (Matrix, MatrixError, MulLedger, NonFiniteError, _add_to_diagonal, _entries,
+                     _eye, _guarded, _wrap, check_finite, identity, one_norm, scale_pow2)
+# perfbench/tracing.py wraps engine.mat_mul to count squarings.
+from .matrix import mat_mul
 from .poly import (
     eval_low_order,
     eval_t8,
@@ -89,9 +79,9 @@ class LowRankOrderError(ArithmeticError):
     """No admissible order for the unscaled low-rank series."""
 
 
-@dataclass
-class ExpmResult:
-    """Computed exponential plus the plan and cost that produced it.
+class ExpmResult(NamedTuple):
+    """Computed exponential plus the plan and cost that produced it
+    (immutable, like the plan).
 
     ``mults`` counts square matrix-matrix products (polynomial evaluation
     plus exactly s squarings); rectangular factor products on the
@@ -128,6 +118,7 @@ def squaring(X: Matrix, s: int, ledger: MulLedger) -> Matrix:
     return X
 
 
+@_guarded
 def expm_baseline(W: Matrix, eps: float) -> ExpmResult:
     """Term-accumulation exponential with norm-halving scaling.
 
@@ -141,67 +132,65 @@ def expm_baseline(W: Matrix, eps: float) -> ExpmResult:
     """
     eps = check_tolerance(eps)
     t0 = time.perf_counter()
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm1 = one_norm(W)
-        if not math.isfinite(norm1):  # the halving loop below would not end
-            raise NonFiniteError("the 1-norm of the input is not finite")
-        ledger = MulLedger()
-        s = 0
-        while math.ldexp(norm1, -s) >= 0.5:
-            s += 1
-        B = scale_pow2(W, s)
-        x = _eye(W.n)
-        Y = B
-        k = 2
-        # Y = B^(k-1)/(k-1)! with ||B||_1 < 1/2 stays below 2^-(k-1)/(k-1)!,
-        # so the unchecked products here cannot overflow and the norm is
-        # never NaN, which would end the loop as if it had converged.
-        while abs(Y.a[0, 0]) > eps or (e1 := one_norm(Y)) > eps:
-            x += Y.a
-            Y = _wrap(mat_mul(B, Y, ledger).a / k)
-            k += 1
-        X = squaring(_wrap(x), s, ledger)
-    plan = EvalPlan(m=k - 2, s=s, scheme=SCHEME_BASELINE,
-                    e1=e1, e2=0.0, cached_powers={}, cached_norms={})
+    norm1 = one_norm(W)
+    if not math.isfinite(norm1):  # the halving loop below would not end
+        raise NonFiniteError("the 1-norm of the input is not finite")
+    ledger = MulLedger()
+    s = 0
+    while math.ldexp(norm1, -s) >= 0.5:
+        s += 1
+    B = scale_pow2(W, s)
+    x = _eye(W.n)
+    Y = B
+    k = 2
+    # Y = B^(k-1)/(k-1)! with ||B||_1 < 1/2 stays below 2^-(k-1)/(k-1)!,
+    # so the unchecked products here cannot overflow and the norm is
+    # never NaN, which would end the loop as if it had converged.
+    while abs(Y.a[0, 0]) > eps or (e1 := one_norm(Y)) > eps:
+        x += Y.a
+        Y = _wrap(mat_mul(B, Y, ledger).a / k)
+        k += 1
+    X = squaring(_wrap(x), s, ledger)
+    plan = EvalPlan(k - 2, s, SCHEME_BASELINE, e1, 0.0, (norm1,))
     return ExpmResult(check_finite(X), plan, ledger.count, time.perf_counter() - t0)
 
 
+@_guarded
 def expm(W: Matrix, eps: float, scheme: str = SCHEME_SASTRE) -> ExpmResult:
     """Selected-order scaled-Taylor exponential.
 
     ``scheme`` picks the selector/evaluator pair: ``"ps"`` for
     Paterson-Stockmeyer (orders up to 16) or ``"sastre"`` for the
-    evaluation formulas (orders up to 15+).  Powers cached by the
-    selector are powers of the unscaled W; they are rescaled entrywise by
-    the exact factors 2^(-s*p) instead of being recomputed, which keeps
-    the total cost at the polynomial budget plus s.
+    evaluation formulas (orders up to 15+).  The powers W^p the selector
+    formed, local to the call, are rescaled entrywise by the exact factors
+    2^(-s*p) instead of being recomputed, which keeps the total cost at
+    the polynomial budget plus s.
     """
     t0 = time.perf_counter()
-    with np.errstate(over="ignore", invalid="ignore"):
-        ledger = MulLedger()
-        if scheme == SCHEME_PS:
-            plan = select_ps(W, eps, ledger)
-        elif scheme == SCHEME_SASTRE:
-            plan = select_sastre(W, eps, ledger)
-        else:
-            raise MatrixError(f"unknown scheme {scheme!r}; expected 'ps' or 'sastre'")
+    ledger = MulLedger()
+    powers = []
+    if scheme == SCHEME_PS:
+        plan = select_ps(W, eps, ledger, powers)
+    elif scheme == SCHEME_SASTRE:
+        plan = select_sastre(W, eps, ledger, powers)
+    else:
+        raise MatrixError(f"unknown scheme {scheme!r}; expected 'ps' or 'sastre'")
 
-        # cached_powers always holds W itself as power 1.
-        scaled = plan.cached_powers
-        if plan.s:
-            scaled = {p: scale_pow2(P, plan.s * p) for p, P in scaled.items()}
-        B = scaled[1]
-        if plan.m == 0:
-            X = identity(W.n)
-        elif scheme == SCHEME_PS:
-            X = ps_eval(taylor_coeffs_exp(plan.m), B, ledger, powers=scaled)
-        elif plan.m in (1, 2, 4):
-            X = eval_low_order(B, plan.m, ledger, a2=scaled.get(2))
-        elif plan.m == 8:
-            X = eval_t8(B, ledger, a2=scaled.get(2))
-        else:
-            X = eval_t15p(B, ledger, a2=scaled.get(2))
-        X = squaring(X, plan.s, ledger)
+    if plan.s:
+        powers = [scale_pow2(P, plan.s * p) for p, P in enumerate(powers, 1)]
+    B = powers[0]
+    a2 = powers[1] if len(powers) > 1 else None
+    if plan.m == 0:
+        X = identity(W.n)
+    elif scheme == SCHEME_PS:
+        X = ps_eval(taylor_coeffs_exp(plan.m), B, ledger, powers=powers)
+    elif plan.m in (1, 2, 4):
+        X = eval_low_order(B, plan.m, ledger, a2=a2)
+    elif plan.m == 8:
+        X = eval_t8(B, ledger, a2=a2)
+    else:
+        X = eval_t15p(B, ledger, a2=a2)
+    X = squaring(X, plan.s, ledger)
     return ExpmResult(check_finite(X), plan, ledger.count, time.perf_counter() - t0)
 
 
@@ -239,6 +228,7 @@ class LowRankPair:
 LOWRANK_ORDERS = tuple(rung.m for rung in LOWRANK_TABLES)
 
 
+@_guarded
 def expm_lowrank(pair: LowRankPair, eps: float) -> ExpmResult:
     """Exponential of W = A1 A2 via I + A1 (sum_i V^i/(i+1)!) A2, V = A2 A1.
 
@@ -254,18 +244,18 @@ def expm_lowrank(pair: LowRankPair, eps: float) -> ExpmResult:
     reported in ``rect_mults``.
     """
     t0 = time.perf_counter()
-    with np.errstate(over="ignore", invalid="ignore"):
-        ledger = MulLedger()
-        V = _wrap(pair.a2 @ pair.a1)  # _select scans V if its 1-norm is not finite
-        plan = _select(LOWRANK_TABLES, SCHEME_LOWRANK, V, eps, ledger)
-        if plan.s > 0:
-            raise LowRankOrderError(
-                f"||V||_1 = {plan.cached_norms[1]:.6g} admits no order <= "
-                f"{LOWRANK_ORDERS[-1]} at tolerance {float(eps):.3g}; the factored path "
-                "runs unscaled"
-            )
-        psi = ps_eval(phi1_coeffs(plan.m), V, ledger, powers=plan.cached_powers)
-        value = pair.a1 @ (psi.a @ pair.a2)
-        _add_to_diagonal(value, 1.0)  # I + value, on the diagonal only
+    ledger = MulLedger()
+    V = _wrap(pair.a2 @ pair.a1)  # _select scans V if its 1-norm is not finite
+    powers = []
+    plan = _select(LOWRANK_TABLES, SCHEME_LOWRANK, V, eps, ledger, powers)
+    if plan.s > 0:
+        raise LowRankOrderError(
+            f"||V||_1 = {plan.norms[0]:.6g} admits no order <= "
+            f"{LOWRANK_ORDERS[-1]} at tolerance {float(eps):.3g}; the factored path "
+            "runs unscaled"
+        )
+    psi = ps_eval(phi1_coeffs(plan.m), V, ledger, powers=powers)
+    value = pair.a1 @ (psi.a @ pair.a2)
+    _add_to_diagonal(value, 1.0)  # I + value, on the diagonal only
     return ExpmResult(check_finite(_wrap(value)), plan, ledger.count,
                       time.perf_counter() - t0, rect_mults=3)

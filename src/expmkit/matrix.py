@@ -31,7 +31,8 @@ and ``squaring`` enter no ``np.errstate``, and all but the selectors
 check nothing they return.  Their products go through :func:`mat_mul`,
 with a :class:`Matrix` around each operand and result only.  The drivers
 and the oracle guard and check: each call runs under one
-``np.errstate(over="ignore", invalid="ignore")`` and checks its result.
+``np.errstate(over="ignore", invalid="ignore")``, entered by the shared
+decorator ``_guarded`` (thread safe from numpy 2.0 on), and checks its result.
 In between, only the selectors' norm test checks anything: a selector
 scans W or a power it forms only when its 1-norm is not finite (a
 finite norm proves every entry finite).  That is enough
@@ -68,6 +69,9 @@ __all__ = [
     "save_matrix",
     "scale_pow2",
 ]
+
+
+_guarded = np.errstate(over="ignore", invalid="ignore")  # see the module docstring
 
 
 class MatrixError(ValueError):

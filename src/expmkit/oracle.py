@@ -27,7 +27,7 @@ well over ten guard digits beyond binary64, enough to adjudicate
 routine, :func:`_dd_poly`, so truncation remainders can be measured
 directly against the series tail rather than against another binary64
 evaluation.  Each of the two enters one ``np.errstate`` for the whole
-call and checks its result once, as the drivers do (see
+call, through the drivers' decorator, and checks its result once, as the drivers do (see
 :mod:`expmkit.matrix`): an overflow raises
 :class:`~expmkit.matrix.NonFiniteError`, never a warning.  The squarings
 stop early once the corner entry is not finite, as
@@ -173,7 +173,7 @@ import math
 
 import numpy as np
 
-from .matrix import Matrix, MatrixError, _wrap, check_finite, frobenius_norm, one_norm
+from .matrix import Matrix, MatrixError, _guarded, _wrap, check_finite, frobenius_norm, one_norm
 from .poly import inv_factorial, ps_shape
 
 __all__ = [
@@ -493,23 +493,23 @@ def _expm_dd(A: Matrix):
     return xh, xl
 
 
+@_guarded
 def expm_reference(A: Matrix) -> Matrix:
     """High-accuracy e^A; at least ~1e-19 relative on well-conditioned
     inputs, i.e. several digits past binary64 roundoff."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        xh, xl = _expm_dd(A)
-        return check_finite(_wrap(xh + xl))
+    xh, xl = _expm_dd(A)
+    return check_finite(_wrap(xh + xl))
 
 
+@_guarded
 def poly_reference(A: Matrix, coeffs) -> Matrix:
     """Evaluate sum_i coeffs[i] * A^i in double-double, by the same
     Paterson-Stockmeyer routine as :func:`expm_reference`."""
     if len(coeffs) == 0:
         raise MatrixError("empty coefficient list")
     hi = np.array([float(c) for c in coeffs])
-    with np.errstate(over="ignore", invalid="ignore"):
-        xh, xl = _dd_poly(A.a, _cut_table(np.stack((hi, np.zeros_like(hi)))))
-        return check_finite(_wrap(xh + xl))
+    xh, xl = _dd_poly(A.a, _cut_table(np.stack((hi, np.zeros_like(hi)))))
+    return check_finite(_wrap(xh + xl))
 
 
 def relative_error(X: Matrix, ref: Matrix) -> float:

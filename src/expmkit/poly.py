@@ -175,12 +175,12 @@ def ps_shape(m: int) -> PsShape:
 def ps_eval(coeffs, A: Matrix, ledger: MulLedger, powers=None) -> Matrix:
     """Evaluate sum_i coeffs[i] * A^i with the Paterson-Stockmeyer schedule.
 
-    ``powers`` may carry precomputed powers {p: A^p} of the same A (the
-    selectors build them while bounding); only missing powers up to A^j
-    are formed, so products already spent are not repeated.  A fresh call
+    ``powers`` may carry precomputed powers [A, A^2, ...] of the same A
+    (the selectors build them while bounding); only missing powers up to
+    A^j are formed, so products already spent are not repeated.  A fresh call
     costs (j-1) + (k-1) products for degree m >= 2 and none for m <= 1.
-    Unchecked: run it under ``np.errstate(over="ignore", invalid="ignore")``
-    and check the result (see the module docstring).
+    Unchecked: run it under ``np.errstate(over="ignore", invalid="ignore")``,
+    as a driver does, and check the result (see the module docstring).
     """
     m = len(coeffs) - 1
     if m < 0:
@@ -189,11 +189,10 @@ def ps_eval(coeffs, A: Matrix, ledger: MulLedger, powers=None) -> Matrix:
         return _wrap(_eye(A.n) * float(coeffs[0]))
     shape = ps_shape(m)
     j, k = shape.j, shape.k
-    pw = {**(powers or {}), 1: A}
-    for p in range(2, j + 1):
-        if p not in pw:
-            pw[p] = mat_mul(pw[p - 1], A, ledger)
-    a = [None] + [pw[t].a for t in range(1, j + 1)]
+    pw = list(powers or (A,))
+    while len(pw) < j:
+        pw.append(mat_mul(pw[-1], A, ledger))
+    a = [None] + [P.a for P in pw[:j]]
     tmp = np.empty_like(A.a)
     q = prod = None
     # Blocks from the top down.  The top block may reach degree j itself
@@ -218,7 +217,7 @@ def ps_eval(coeffs, A: Matrix, ledger: MulLedger, powers=None) -> Matrix:
         if prod is not None:
             q += prod
         if r:
-            prod = mat_mul(_wrap(q, writeable=True), pw[j], ledger).a
+            prod = mat_mul(_wrap(q, writeable=True), pw[j - 1], ledger).a
     return _wrap(q)
 
 

@@ -6,7 +6,7 @@ series of the low-rank path, :data:`LOWRANK_TABLES`: tuples of
 :class:`Rung` records, all built by :func:`_ladder` from the
 Paterson-Stockmeyer block shape) and bounds the
 first two remainder terms, E1 ~ c1 ||W^(m+1)|| and E2 ~ c2 ||W^(m+2)||,
-using products of 1-norms of the powers of W cached so far (never
+using products of 1-norms of the powers of W formed so far (never
 forming higher powers just to bound them).  The first order whose
 E1 + E2 meets the tolerance wins with s = 0; if none does, the top order
 is kept and the scaling parameter is the smallest s for which
@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -70,16 +69,27 @@ class ToleranceError(ValueError):
     not below 1."""
 
 
+def _real(x) -> float:
+    """x as a float, if it is a real number within binary64 and not a bool
+    or text; otherwise ValueError, naming the rule x fails."""
+    if isinstance(x, (str, bytes)):
+        raise ValueError(f"{x!r} is text, not a number")
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{x!r} of type {type(x).__name__} is not a real number")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError("is an integer beyond the binary64 range") from None
+
+
 def check_tolerance(eps: float) -> float:
     """eps as a float, if it is a real relative tolerance in [u, 1); text,
-    complex numbers and other objects are refused, not cast."""
+    complex numbers and other objects are refused, not cast (:func:`_real`)."""
     if type(eps) is not float:  # a Python float (what perfbench and the CLI pass) skips the tests
-        if isinstance(eps, (str, bytes)):
-            raise ToleranceError(f"tolerance {eps!r} is text, not a number")
-        if not isinstance(eps, numbers.Real):
-            raise ToleranceError(
-                f"tolerance {eps!r} of type {type(eps).__name__} is not a real number")
-        eps = float(eps)
+        try:
+            eps = _real(eps)
+        except ValueError as e:
+            raise ToleranceError(f"tolerance {e}") from None
     if math.isnan(eps):
         raise ToleranceError(f"tolerance {eps!r} is not a number")
     if eps < UNIT_ROUNDOFF:
@@ -165,13 +175,10 @@ SASTRE_TABLES = _ladder(SASTRE_ORDERS, cap=2,
 LOWRANK_TABLES = _ladder(SASTRE_ORDERS + (16, 20, 25, 30), cap=2, shift=1)
 
 
-@dataclass
-class EvalPlan:
-    """Outcome of order/scale selection.
+class EvalPlan(NamedTuple):
+    """Outcome of order/scale selection, an immutable record of scalars.
 
-    ``cached_powers`` holds the powers of the *unscaled* input formed
-    while bounding (W^2, plus W^3/W^4 on the Paterson-Stockmeyer ladder);
-    drivers rescale and reuse them so the advertised budgets hold.
+    ``norms[p - 1]`` is ||W^p||_1 for each power formed while bounding.
     ``e1``/``e2`` bound the two remainder terms of the *unscaled* W at
     order m (possibly 0 or inf; the selection itself compares in log
     domain); after scaling the bound is e1*2^(-s(m+1)) + e2*2^(-s(m+2)).
@@ -183,50 +190,50 @@ class EvalPlan:
     scheme: str
     e1: float
     e2: float
-    cached_powers: dict
-    cached_norms: dict
+    norms: tuple[float, ...]
 
 
 def _select(ladder: tuple[Rung, ...], scheme: str, W: Matrix, eps: float,
-            ledger: MulLedger) -> EvalPlan:
+            ledger: MulLedger, powers: list) -> EvalPlan:
+    """The plan for W on ``ladder``; the powers W, W^2, ... formed while
+    bounding go into the caller's empty list ``powers``, for it to reuse."""
     eps = check_tolerance(eps)
     norm1 = one_norm(W)
     if not math.isfinite(norm1):
         check_finite(W)
-    powers = {1: W}
-    norms = {1: norm1}
+    powers.append(W)
+    norms = [norm1]
     if norm1 == 0.0:
-        return EvalPlan(0, 0, scheme, 0.0, 0.0, powers, norms)
+        return EvalPlan(0, 0, scheme, 0.0, 0.0, (norm1,))
 
     log_eps = math.log2(eps)
-    lw = {1: _log2(norm1)}
+    lw = [_log2(norm1)]  # lw[p - 1] = log2 ||W^p||_1
     for m, j, k, lc1, lc2 in ladder:
         if m == 1:
-            l1 = lc1 + 2 * lw[1]
-            l2 = lc2 + 3 * lw[1]
+            l1 = lc1 + 2 * lw[0]
+            l2 = lc2 + 3 * lw[0]
         else:
-            if j not in powers:  # powers holds W^1..W^len(powers)
-                for p in range(len(powers) + 1, j + 1):
-                    powers[p] = mat_mul(powers[p - 1], W, ledger)
-                    norms[p] = one_norm(powers[p])
-                    if not math.isfinite(norms[p]):
-                        check_finite(powers[p])
-                    lw[p] = _log2(norms[p])
-            l1 = lc1 + k * lw[j]
-            l2 = lc2 + k * lw[j]
+            while len(powers) < j:
+                powers.append(mat_mul(powers[-1], W, ledger))
+                norms.append(one_norm(powers[-1]))
+                if not math.isfinite(norms[-1]):
+                    check_finite(powers[-1])
+                lw.append(_log2(norms[-1]))
+            l1 = lc1 + k * lw[j - 1]
+            l2 = lc2 + k * lw[j - 1]
             if j * k == m:
-                l1 += lw[1]
-                l2 += lw[2]
-            else:
+                l1 += lw[0]
                 l2 += lw[1]
-            if lw[j] == -math.inf:
+            else:
+                l2 += lw[0]
+            if lw[j - 1] == -math.inf:
                 # W^j = 0: both terms vanish, also where an overflowed
                 # ||W||_1 made the sums above -inf + inf = NaN.
                 l1 = l2 = -math.inf
         # The sum is at least either term, so a term above eps fails it
         # without the call; a NaN term fails both tests.
         if l1 <= log_eps and l2 <= log_eps and _log2_sum(l1, l2) <= log_eps:
-            return EvalPlan(m, 0, scheme, _exp2(l1), _exp2(l2), powers, norms)
+            return EvalPlan(m, 0, scheme, _exp2(l1), _exp2(l2), tuple(norms))
 
     # No order met eps unscaled, so the top one is scaled.  At the larger
     # per-term ceiling each scaled term is within eps, so their sum is
@@ -239,7 +246,7 @@ def _select(ladder: tuple[Rung, ...], scheme: str, W: Matrix, eps: float,
             s = max(s, math.ceil(min((l - log_eps) / (m + t), MAX_SCALING)))
     if s < MAX_SCALING and not _log2_sum(l1 - s * (m + 1), l2 - s * (m + 2)) <= log_eps:
         s += 1
-    return EvalPlan(m, s, scheme, _exp2(l1), _exp2(l2), powers, norms)
+    return EvalPlan(m, s, scheme, _exp2(l1), _exp2(l2), tuple(norms))
 
 
 # The two searches, unguarded building blocks like the evaluators (see

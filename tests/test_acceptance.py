@@ -154,7 +154,7 @@ def test_criterion_05_tail_bound_dominance():
                                  seed=31000 + 1000 * k_idx + i)
             W = gen_matrix(spec)
             scheme = ("ps", "sastre")[(k_idx + i) % 2]
-            plan = (select_ps if scheme == "ps" else select_sastre)(W, eps, MulLedger())
+            plan = (select_ps if scheme == "ps" else select_sastre)(W, eps, MulLedger(), [])
             assert plan.m >= 1
             B = scale_pow2(W, plan.s)
             if scheme == "sastre" and plan.m == 15:
@@ -201,12 +201,12 @@ def test_criterion_07_selector_sanity():
         n = int(rng.integers(1, 16))
         W = _random_with_norm(rng, n, float(10.0 ** rng.uniform(-6, 2)))
         for sel in (select_ps, select_sastre):
-            plan = sel(W, 1e-8, MulLedger())
+            plan = sel(W, 1e-8, MulLedger(), [])
             assert 0 <= plan.s <= 20
             if plan.e1 + plan.e2 <= 1e-8:
                 assert plan.s == 0
     for sel in (select_ps, select_sastre):
-        assert sel(Matrix([[1e60]]), 1e-8, MulLedger()).s == 20
+        assert sel(Matrix([[1e60]]), 1e-8, MulLedger(), []).s == 20
     for _ in range(10):
         n = int(rng.integers(2, 12))
         W = _random_with_norm(rng, n, float(10.0 ** rng.uniform(-3, 1.1)))
@@ -255,11 +255,12 @@ def _shifted_tail_bound(plan):
     sum_{k>m} V^k/(k+1)! (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl.
     31(3), 2009): alpha = max a_k^(1/k) over k = 2 and m+1..m+3 less the
     first even one, a_k = min_i ||V^2||^i ||V||^(k-2i) from the cached norms."""
-    m, norms = plan.m, plan.cached_norms
-    n2 = norms.get(2, norms[1] ** 2)
+    m, norms = plan.m, plan.norms  # norms[p - 1] = ||V^p||_1
+    n1 = norms[0]
+    n2 = norms[1] if len(norms) > 1 else n1 ** 2
     drop = m + 1 + (m + 1) % 2
     ks = [2] + [k for k in (m + 1, m + 2, m + 3) if k != drop]
-    alpha = max(min(n2 ** i * norms[1] ** (k - 2 * i) for i in range(k // 2 + 1))
+    alpha = max(min(n2 ** i * n1 ** (k - 2 * i) for i in range(k // 2 + 1))
                 ** (1 / k) for k in ks)
     assert alpha < m + 3
     return alpha ** (m + 1) / math.factorial(m + 2) / (1 - alpha / (m + 3))

@@ -593,6 +593,43 @@ def test_dense_drivers_reject_inputs_with_non_finite_norm(make):
                 run()
 
 
+def _leaves(x):
+    """The values in x, looking through containers and object attributes."""
+    if isinstance(x, dict):
+        x = list(x.values())
+    elif hasattr(x, "__dict__"):
+        x = list(vars(x).values())
+    if isinstance(x, (tuple, list)):
+        for y in x:
+            yield from _leaves(y)
+    else:
+        yield x
+
+
+@pytest.mark.parametrize("driver", ["ps", "sastre", "baseline", "lowrank"])
+def test_results_are_immutable_records_of_scalars(driver):
+    # A caller that keeps one result per layer keeps its value and a few
+    # numbers, not the selector's powers; neither record can be edited.
+    rng = np.random.default_rng(61)
+    W = random_with_norm(rng, 16, 3.0)  # ps forms W^2..W^4, sastre W^2, and both scale
+    a1, a2 = rng.uniform(-1, 1, (16, 4)), rng.uniform(-1, 1, (4, 16))
+    a2 *= 2.0 / np.abs(a2 @ a1).sum(axis=0).max()  # order 8: V^2 is formed
+    res = {"ps": lambda: expm(W, 1e-8, "ps"),
+           "sastre": lambda: expm(W, 1e-8, "sastre"),
+           "baseline": lambda: expm_baseline(W, 1e-8),
+           "lowrank": lambda: expm_lowrank(LowRankPair(a1, a2), 1e-8)}[driver]()
+    assert isinstance(res.value, Matrix)
+    for record, fields in ((res, ("value", "plan", "mults", "wall_time", "rect_mults")),
+                           (res.plan, ("m", "s", "scheme", "e1", "e2", "norms"))):
+        for field in fields + ("powers",):  # nor can a field be added
+            with pytest.raises(AttributeError):
+                setattr(record, field, 99)
+    held = list(_leaves([res.plan, res.mults, res.wall_time, res.rect_mults]))
+    assert all(type(v) in (int, float, str) for v in held), held
+    assert len(res.plan.norms) >= 1 and res.plan.norms[0] == one_norm(
+        W if driver != "lowrank" else Matrix(a2 @ a1))
+
+
 def _outcome(res):
     plan = res.plan
     return (plan.m, plan.s, plan.e1, plan.e2, res.mults, res.value.a.tobytes())

@@ -145,7 +145,7 @@ def test_ps_eval_reuses_supplied_powers():
     led_full = MulLedger()
     full = ps_eval(taylor_coeffs_exp(12), A, led_full)
     led_pre = MulLedger()
-    powers = {1: A, 2: mat_mul(A, A, led_pre)}
+    powers = [A, mat_mul(A, A, led_pre)]
     pre = ps_eval(taylor_coeffs_exp(12), A, led_pre, powers=powers)
     assert led_full.count == led_pre.count == 5
     assert np.array_equal(full.a, pre.a)
@@ -293,7 +293,7 @@ def _evaluator_calls(A):
     Matrix operands the call is handed."""
     led = MulLedger()
     a2 = mat_mul(A, A, led)
-    pw = {1: A, 2: a2, 3: mat_mul(a2, A, led), 4: mat_mul(mat_mul(a2, A, led), A, led)}
+    pw = [A, a2, mat_mul(a2, A, led), mat_mul(mat_mul(a2, A, led), A, led)]
     calls = []
     for m in (1, 2, 4):
         calls.append((f"low {m}", lambda m=m: eval_low_order(A, m, led), [A]))
@@ -307,11 +307,11 @@ def _evaluator_calls(A):
     for coeffs in (taylor_coeffs_exp(1), taylor_coeffs_exp(9), taylor_coeffs_exp(16),
                    phi1_coeffs(2), phi1_coeffs(15)):
         m = len(coeffs) - 1
-        given_pw = {p: P for p, P in pw.items() if p <= ps_shape(m).j}
+        given_pw = pw[:ps_shape(m).j]
         calls.append((f"ps {m}", lambda c=coeffs: ps_eval(c, A, led), [A]))
         calls.append((f"ps {m} powers",
                       lambda c=coeffs, g=given_pw: ps_eval(c, A, led, powers=g),
-                      list(given_pw.values())))
+                      given_pw))
     return calls
 
 

@@ -80,32 +80,35 @@ def test_lowrank_table_structure():
 
 def test_zero_matrix_fast_path():
     for sel in (select_ps, select_sastre):
-        plan = sel(Matrix(np.zeros((5, 5))), 1e-8, MulLedger())
+        plan = sel(Matrix(np.zeros((5, 5))), 1e-8, MulLedger(), [])
         assert (plan.m, plan.s) == (0, 0)
         assert plan.e1 == plan.e2 == 0.0
 
 
 def test_ps_diag_norm_one():
-    plan = select_ps(diag(1.0), 1e-8, MulLedger())
+    W, powers = diag(1.0), []
+    plan = select_ps(W, 1e-8, MulLedger(), powers)
     assert (plan.m, plan.s) == (12, 0)
     assert plan.e1 == pytest.approx(inv_fact(13), rel=1e-12)
     assert plan.e2 == pytest.approx(inv_fact(14), rel=1e-12)
-    assert sorted(plan.cached_powers) == [1, 2, 3, 4]
+    # the workspace holds W, W^2, W^3, W^4, and the plan their norms
+    assert len(powers) == 4 and powers[0] is W
+    assert plan.norms == tuple(np.abs(P.a).sum(axis=0).max() for P in powers)
 
 
 def test_ps_caches_only_needed_powers():
     # Terminating at order 4 means only W^2 was ever formed.
-    led = MulLedger()
-    plan = select_ps(diag(0.05), 1e-8, ledger=led)
+    led, powers = MulLedger(), []
+    plan = select_ps(diag(0.05), 1e-8, led, powers)
     assert plan.m == 4 and plan.s == 0
-    assert sorted(plan.cached_powers) == [1, 2]
+    assert len(powers) == 2
     assert led.count == 1
 
 
 def test_ps_diag_large_norm_scaling():
     eps = 1e-8
     norm = 12.57
-    plan = select_ps(diag(norm), eps, MulLedger())
+    plan = select_ps(diag(norm), eps, MulLedger(), [])
     assert plan.m == 16
     assert plan.s >= 1
     # independent re-evaluation of the clamp arithmetic
@@ -118,24 +121,25 @@ def test_ps_diag_large_norm_scaling():
 
 
 def test_sastre_tiny_norm():
-    plan = select_sastre(diag(1e-5), 1e-8, MulLedger())
+    plan = select_sastre(diag(1e-5), 1e-8, MulLedger(), [])
     assert (plan.m, plan.s) == (1, 0)
     assert plan.e1 == pytest.approx(0.5e-10, rel=1e-12)
     assert plan.e2 == pytest.approx((1e-5) ** 3 / 6, rel=1e-12)
 
 
 def test_sastre_diag_norm_one():
-    plan = select_sastre(diag(1.0), 1e-8, MulLedger())
+    powers = []
+    plan = select_sastre(diag(1.0), 1e-8, MulLedger(), powers)
     assert (plan.m, plan.s) == (15, 0)
     assert plan.e1 == pytest.approx(2.1711086342891295e-14, rel=1e-12)
     assert plan.e2 == pytest.approx(inv_fact(17), rel=1e-12)
-    assert sorted(plan.cached_powers) == [1, 2]
+    assert len(powers) == 2
 
 
 def test_sastre_diag_large_norm_scaling():
     eps = 1e-8
     norm = 12.57
-    plan = select_sastre(diag(norm), eps, MulLedger())
+    plan = select_sastre(diag(norm), eps, MulLedger(), [])
     assert plan.m == 15
     e1 = abs(inv_fact(16) - EXP_COEFFS.b16) * (norm ** 2) ** 8
     e2 = inv_fact(17) * (norm ** 2) ** 8 * norm
@@ -147,11 +151,11 @@ def test_sastre_diag_large_norm_scaling():
 def test_selection_tolerance_floor():
     for sel in (select_ps, select_sastre):
         with pytest.raises(ToleranceError):
-            sel(diag(1.0), 2.0 ** -54, MulLedger())
+            sel(diag(1.0), 2.0 ** -54, MulLedger(), [])
         with pytest.raises(ToleranceError):
-            sel(diag(1.0), float("nan"), MulLedger())
-        sel(diag(1.0), 2.0 ** -53, MulLedger())  # the floor itself is admissible
-        sel(diag(1.0), math.nextafter(1.0, 0.0), MulLedger())  # and so is the largest eps below 1
+            sel(diag(1.0), float("nan"), MulLedger(), [])
+        sel(diag(1.0), 2.0 ** -53, MulLedger(), [])  # the floor itself is admissible
+        sel(diag(1.0), math.nextafter(1.0, 0.0), MulLedger(), [])  # and so is the largest eps below 1
 
 
 @pytest.mark.parametrize("eps, rule", [(math.inf, "not below 1"), (1.0, "not below 1"),
@@ -164,21 +168,25 @@ def test_selection_tolerance_floor():
                                        (np.complex64(1e-3), "not a real number"),
                                        (np.array(1e-8 + 1j), "not a real number"),
                                        (None, "not a real number"),
-                                       ([1e-8], "not a real number")])
+                                       ([1e-8], "not a real number"),
+                                       pytest.param(10**400, "beyond the binary64 range",
+                                                    id="10**400"),
+                                       pytest.param(-10**400, "beyond the binary64 range",
+                                                    id="-10**400")])
 def test_tolerance_outside_unit_interval_rejected(eps, rule):
     # an unbounded eps would let order 1 with no scaling stand for e^W at
     # 1-norm 6, text is refused, not parsed, and a complex tolerance is
     # refused, not stripped of its imaginary part; the message names the
-    # rule that failed
+    # rule that failed, also for an integer that no binary64 float holds
     with pytest.raises(ToleranceError, match=rule):
         check_tolerance(eps)
     with pytest.raises(ToleranceError, match=rule):
-        select_ps(Matrix([[1.0, 2.0], [3.0, 4.0]]), eps, MulLedger())
+        select_ps(Matrix([[1.0, 2.0], [3.0, 4.0]]), eps, MulLedger(), [])
 
 
 def test_scaling_capped_at_20():
     for sel in (select_ps, select_sastre):
-        plan = sel(diag(1e30), 1e-8, MulLedger())
+        plan = sel(diag(1e30), 1e-8, MulLedger(), [])
         assert plan.s == 20
 
 
@@ -205,25 +213,29 @@ def test_bare_selectors_take_an_overflowed_norm_without_warning():
     for sel in (select_ps, select_sastre):
         with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
             warnings.simplefilter("error")
-            plan = sel(nilpotent, 1e-8, MulLedger())  # W^2 = 0 ends the series
+            plan = sel(nilpotent, 1e-8, MulLedger(), [])  # W^2 = 0 ends the series
             assert (plan.m, plan.s, plan.e1, plan.e2) == (2, 0, 0.0, 0.0)
             for W in bad:
                 with pytest.raises(NonFiniteError):
-                    sel(W, 1e-8, MulLedger())
+                    sel(W, 1e-8, MulLedger(), [])
 
 
 def test_drivers_take_an_overflowed_norm_without_warning():
     # The guard lives in the drivers: the same inputs through expm, with
-    # no np.errstate of the caller's, warn nowhere.
+    # no np.errstate of the caller's, warn nowhere, and the caller's
+    # np.errstate is back in place whether the driver returns or raises.
     nilpotent, bad = _overflowing_inputs()
+    before = np.geterr()
     for scheme in ("ps", "sastre"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = expm(nilpotent, 1e-8, scheme)
             assert res.plan.m == 2 and np.isfinite(res.value.a).all()
+            assert np.geterr() == before
             for W in bad:
                 with pytest.raises(NonFiniteError):
                     expm(W, 1e-8, scheme)
+                assert np.geterr() == before
 
 
 def test_engine_calls_the_public_selectors():
@@ -251,7 +263,7 @@ def test_early_termination_means_no_scaling():
                 + plan.e2 * 2.0 ** (-s * (plan.m + 2)))
 
     for sel, W in cases:
-        plan = sel(W, 1e-8, MulLedger())
+        plan = sel(W, 1e-8, MulLedger(), [])
         assert 0 <= plan.s <= MAX_SCALING
         if plan.e1 + plan.e2 <= 1e-8:
             assert plan.s == 0
@@ -260,7 +272,7 @@ def test_early_termination_means_no_scaling():
             assert scaled(plan, plan.s) <= 1e-8
         if plan.s > 0:
             assert scaled(plan, plan.s - 1) > 1e-8
-    assert [sel(W, 1e-8, MulLedger()).s for sel, W in cases[:2]] == [1, 1]
+    assert [sel(W, 1e-8, MulLedger(), []).s for sel, W in cases[:2]] == [1, 1]
 
 
 def test_norm_halving_never_increases_s():
@@ -269,7 +281,7 @@ def test_norm_halving_never_increases_s():
         n = int(rng.integers(2, 10))
         W = Matrix(rng.uniform(-1, 1, (n, n)) * 10.0 ** rng.integers(-2, 3))
         for sel in (select_ps, select_sastre):
-            s_full = sel(W, 1e-8, MulLedger()).s
-            s_half = sel(Matrix(0.5 * W.a), 1e-8, MulLedger()).s
+            s_full = sel(W, 1e-8, MulLedger(), []).s
+            s_half = sel(Matrix(0.5 * W.a), 1e-8, MulLedger(), []).s
             assert s_half <= s_full
 

@@ -472,7 +472,7 @@ def summarize(records, profile: dict, noise: float) -> dict:
     return {
         "records": len(records),
         "matrices": len({r.generator for r in records}),
-        "noise": noise,
+        "noise": float(noise),
         "schemes": per,
         "profile": profile,
     }

@@ -6,10 +6,10 @@ computation did not finish).
 
 :func:`main` owns the mapping: every input error expmkit raises (a bad
 suite, matrix, CSV or tolerance, a non-integral count) is a
-``ValueError``, as are malformed JSON and undecodable bytes, so these,
-an ``OSError`` and the ``RecursionError`` of deeply nested JSON print
-``error: ...`` and exit 2.  The commands are straight-line code; only
-``expm single`` maps a numerical failure of its computation to exit 3.
+``ValueError``, as are malformed JSON and undecodable bytes; these, an
+``OSError``, deeply nested JSON's ``RecursionError`` and the
+``MemoryError`` of a matrix too large to allocate print ``error: ...``
+and exit 2.  Only ``expm single`` maps a numerical failure to exit 3.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .bench import (
     read_records_csv,
     run_suite,
 )
-from .matrix import NonFiniteError, load_matrix, one_norm, save_matrix
+from .matrix import NonFiniteError, load_matrix, save_matrix
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -46,7 +46,7 @@ def _cmd_single(args) -> int:
         return EXIT_NUMERICAL
     print(f"m={res.plan.m} s={res.plan.s} mults={res.mults}")
     if args.stats:
-        print(f"scheme={args.scheme} n={W.n} one_norm={one_norm(W)!r}")
+        print(f"scheme={args.scheme} n={W.n} one_norm={res.plan.norms[0]!r}")
         print(f"e1={res.plan.e1!r} e2={res.plan.e2!r} wall_time_s={res.wall_time!r}")
     if args.out:
         save_matrix(res.value, args.out)
@@ -111,7 +111,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

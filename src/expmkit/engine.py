@@ -6,9 +6,8 @@
   its 1-norm from below, so the norm is formed only for a term whose
   corner is within the tolerance.
 * :func:`expm` - select (m, s) with one of the two selectors, evaluate
-  the degree-m polynomial on the scaled matrix (reusing the powers the
-  selector already formed, rescaled exactly by powers of two), square s
-  times.
+  the degree-m polynomial on the list of powers the selector formed,
+  rescaled exactly by powers of two, and square s times.
 * :func:`expm_lowrank` - for W = A1 A2 with small inner rank, evaluate
   the index-shifted series on V = A2 A1 and assemble I + A1 psi(V) A2;
   the order comes from the same selector on its own ladder, with s pinned
@@ -161,10 +160,9 @@ def expm(W: Matrix, eps: float, scheme: str = SCHEME_SASTRE) -> ExpmResult:
 
     ``scheme`` picks the selector/evaluator pair: ``"ps"`` for
     Paterson-Stockmeyer (orders up to 16) or ``"sastre"`` for the
-    evaluation formulas (orders up to 15+).  The powers W^p the selector
-    formed, local to the call, are rescaled entrywise by the exact factors
-    2^(-s*p) instead of being recomputed, which keeps the total cost at
-    the polynomial budget plus s.
+    evaluation formulas (orders up to 15+).  The evaluator gets the list of
+    powers W^p the selector formed, rescaled by the exact factors 2^(-s*p),
+    so the call costs the polynomial budget plus s.
     """
     t0 = time.perf_counter()
     ledger = MulLedger()
@@ -178,18 +176,16 @@ def expm(W: Matrix, eps: float, scheme: str = SCHEME_SASTRE) -> ExpmResult:
 
     if plan.s:
         powers = [scale_pow2(P, plan.s * p) for p, P in enumerate(powers, 1)]
-    B = powers[0]
-    a2 = powers[1] if len(powers) > 1 else None
     if plan.m == 0:
         X = identity(W.n)
     elif scheme == SCHEME_PS:
-        X = ps_eval(taylor_coeffs_exp(plan.m), B, ledger, powers=powers)
+        X = ps_eval(taylor_coeffs_exp(plan.m), powers, ledger)
     elif plan.m in (1, 2, 4):
-        X = eval_low_order(B, plan.m, ledger, a2=a2)
+        X = eval_low_order(powers, plan.m, ledger)
     elif plan.m == 8:
-        X = eval_t8(B, ledger, a2=a2)
+        X = eval_t8(powers, ledger)
     else:
-        X = eval_t15p(B, ledger, a2=a2)
+        X = eval_t15p(powers, ledger)
     X = squaring(X, plan.s, ledger)
     return ExpmResult(check_finite(X), plan, ledger.count, time.perf_counter() - t0)
 
@@ -254,7 +250,7 @@ def expm_lowrank(pair: LowRankPair, eps: float) -> ExpmResult:
             f"{LOWRANK_ORDERS[-1]} at tolerance {float(eps):.3g}; the factored path "
             "runs unscaled"
         )
-    psi = ps_eval(phi1_coeffs(plan.m), V, ledger, powers=powers)
+    psi = ps_eval(phi1_coeffs(plan.m), powers, ledger)
     value = pair.a1 @ (psi.a @ pair.a2)
     _add_to_diagonal(value, 1.0)  # I + value, on the diagonal only
     return ExpmResult(check_finite(_wrap(value)), plan, ledger.count,

@@ -12,6 +12,10 @@ Two evaluation routes are provided with exact multiplication budgets:
   orders ``SASTRE_ORDERS``, each one product dearer than the one before,
   so :func:`sastre_budget` is an order's index in it.
 
+Each evaluator takes ``powers`` = [A, A^2, ...] (the selectors build it
+while bounding), forms only the powers it lacks and leaves the list
+unchanged; a budget counts the products from [A] alone.
+
 The evaluators sum in place on plain float64 arrays: a sum's first term
 c*X allocates it, each further c*X is rounded into one scratch buffer per
 call and added, and c*I goes on the n diagonal entries only.  So each
@@ -172,28 +176,33 @@ def ps_shape(m: int) -> PsShape:
     return PsShape(m=m, j=j, k=k)
 
 
-def ps_eval(coeffs, A: Matrix, ledger: MulLedger, powers=None) -> Matrix:
+def _powers(powers: list, j: int, ledger: MulLedger) -> list:
+    """[A, A^2, ..., A^j] as a new list: the list ``powers``, cut or extended."""
+    if not powers:
+        raise MatrixError("empty power list")
+    pw = powers[:j]
+    while len(pw) < j:
+        pw.append(mat_mul(pw[-1], pw[0], ledger))
+    return pw
+
+
+def ps_eval(coeffs, powers: list, ledger: MulLedger) -> Matrix:
     """Evaluate sum_i coeffs[i] * A^i with the Paterson-Stockmeyer schedule.
 
-    ``powers`` may carry precomputed powers [A, A^2, ...] of the same A
-    (the selectors build them while bounding); only missing powers up to
-    A^j are formed, so products already spent are not repeated.  A fresh call
-    costs (j-1) + (k-1) products for degree m >= 2 and none for m <= 1.
-    Unchecked: run it under ``np.errstate(over="ignore", invalid="ignore")``,
-    as a driver does, and check the result (see the module docstring).
+    From [A] it costs (j-1) + (k-1) products for degree m >= 2, none for
+    m <= 1.  Unchecked: run it under ``np.errstate(over="ignore",
+    invalid="ignore")``, as a driver does, and check the result.
     """
     m = len(coeffs) - 1
     if m < 0:
         raise MatrixError("empty coefficient list")
     if m == 0:
-        return _wrap(_eye(A.n) * float(coeffs[0]))
+        return _wrap(_eye(_powers(powers, 1, ledger)[0].n) * float(coeffs[0]))
     shape = ps_shape(m)
     j, k = shape.j, shape.k
-    pw = list(powers or (A,))
-    while len(pw) < j:
-        pw.append(mat_mul(pw[-1], A, ledger))
-    a = [None] + [P.a for P in pw[:j]]
-    tmp = np.empty_like(A.a)
+    pw = _powers(powers, j, ledger)
+    a = [None] + [P.a for P in pw]
+    tmp = np.empty_like(a[1])
     q = prod = None
     # Blocks from the top down.  The top block may reach degree j itself
     # (when m is a multiple of j); that is what makes the k-1 Horner
@@ -225,36 +234,35 @@ def ps_eval(coeffs, A: Matrix, ledger: MulLedger, powers=None) -> Matrix:
 # Direct low-order formulas and the order-8 / order-15+ schemes
 # ---------------------------------------------------------------------------
 
-def eval_low_order(A: Matrix, m: int, ledger: MulLedger, a2: Matrix | None = None) -> Matrix:
-    """Direct Taylor formulas for orders 1, 2, 4 (0, 1, 2 products).
+def eval_low_order(powers: list, m: int, ledger: MulLedger) -> Matrix:
+    """Direct Taylor formulas for orders 1, 2, 4 (0, 1, 2 products from [A]).
 
     Unchecked, like every evaluator here (see the module docstring).
     """
     if m not in (1, 2, 4):
         raise MatrixError(f"unsupported low order {m}; expected 1, 2 or 4")
+    pw = _powers(powers, min(m, 2), ledger)  # [A] or [A, A^2]
     if m == 1:
-        x = A.a.copy()
+        x = pw[0].a.copy()
     else:
-        if a2 is None:
-            a2 = mat_mul(A, A, ledger)
         # Halving and quartering are exact, so x/2 and x/4 round as x*0.5 and x*0.25.
-        x = a2.a * (0.5 if m == 2 else 0.25)
+        x = pw[1].a * (0.5 if m == 2 else 0.25)
         if m == 4:
-            x += A.a
+            x += pw[0].a
             x /= 3
             _add_to_diagonal(x, 1.0)
-            np.multiply(mat_mul(_wrap(x, writeable=True), a2, ledger).a, 0.5, out=x)
-        x += A.a
+            np.multiply(mat_mul(_wrap(x, writeable=True), pw[1], ledger).a, 0.5, out=x)
+        x += pw[0].a
     _add_to_diagonal(x, 1.0)
     return _wrap(x)
 
 
-def _formula_head(A: Matrix, a2: Matrix | None, c, c6: float, ledger: MulLedger):
+def _formula_head(powers: list, c, c6: float, ledger: MulLedger):
     """x = c5 y02 + prod + c6 A2, the sum both evaluation formulas start
     from, with y02 = A2 (c0 A2 + c1 A) and prod = (c2 A2 + y02 + c3 A)
-    (c4 A2 + y02).  Returns x, y02, A2 and the call's scratch buffer."""
-    if a2 is None:
-        a2 = mat_mul(A, A, ledger)
+    (c4 A2 + y02).  Returns x, y02 and the arrays of A, A2 and the call's
+    scratch buffer."""
+    A, a2 = _powers(powers, 2, ledger)
     a, b = A.a, a2.a
     tmp = np.empty_like(b)
     x = b * c[0]
@@ -269,28 +277,27 @@ def _formula_head(A: Matrix, a2: Matrix | None, c, c6: float, ledger: MulLedger)
     np.multiply(y02, c[5], out=x)
     x += prod
     x += np.multiply(b, c6, out=tmp)
-    return x, y02, b, tmp
+    return x, y02, a, b, tmp
 
 
-def eval_t8(A: Matrix, ledger: MulLedger, a2: Matrix | None = None) -> Matrix:
-    """Order-8 Taylor value in three products (two with a cached A^2): the
+def eval_t8(powers: list, ledger: MulLedger) -> Matrix:
+    """Order-8 Taylor value in three products (two from [A, A^2]): the
     shared head with c6 = 1/2, plus A + I.  Unchecked (see the module docstring)."""
-    x = _formula_head(A, a2, EXP_COEFFS.t8, 0.5, ledger)[0]
-    x += A.a
+    x, _, a, _, _ = _formula_head(powers, EXP_COEFFS.t8, 0.5, ledger)
+    x += a
     _add_to_diagonal(x, 1.0)
     return _wrap(x)
 
 
-def eval_t15p(A: Matrix, ledger: MulLedger, a2: Matrix | None = None) -> Matrix:
-    """Order-15+ value in four products (three with a cached A^2).
+def eval_t15p(powers: list, ledger: MulLedger) -> Matrix:
+    """Order-15+ value in four products (three from [A, A^2]).
 
     Matches the Taylor series through degree 15; the degree-16 term
     carries coefficient ``EXP_COEFFS.b16`` instead of 1/16!.  Unchecked,
     like every evaluator here (see the module docstring).
     """
     c = EXP_COEFFS.t15p
-    y12, y02, b, tmp = _formula_head(A, a2, c, c[6], ledger)
-    a = A.a
+    y12, y02, a, b, tmp = _formula_head(powers, c, c[6], ledger)
     # (c7 A2 + y12 + c8 A) (c9 y02 + y12 + c10 A)
     x = b * c[7]
     x += y12

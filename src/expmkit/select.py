@@ -207,11 +207,11 @@ def _select(ladder: tuple[Rung, ...], scheme: str, W: Matrix, eps: float,
         return EvalPlan(0, 0, scheme, 0.0, 0.0, (norm1,))
 
     log_eps = math.log2(eps)
-    lw = [_log2(norm1)]  # lw[p - 1] = log2 ||W^p||_1
+    lw = [0.0, _log2(norm1)]  # lw[p] = log2 ||W^p||_1, with ||W^0||_1 = 1
     for m, j, k, lc1, lc2 in ladder:
         if m == 1:
-            l1 = lc1 + 2 * lw[0]
-            l2 = lc2 + 3 * lw[0]
+            l1 = lc1 + 2 * lw[1]
+            l2 = lc2 + 3 * lw[1]
         else:
             while len(powers) < j:
                 powers.append(mat_mul(powers[-1], W, ledger))
@@ -219,14 +219,10 @@ def _select(ladder: tuple[Rung, ...], scheme: str, W: Matrix, eps: float,
                 if not math.isfinite(norms[-1]):
                     check_finite(powers[-1])
                 lw.append(_log2(norms[-1]))
-            l1 = lc1 + k * lw[j - 1]
-            l2 = lc2 + k * lw[j - 1]
-            if j * k == m:
-                l1 += lw[0]
-                l2 += lw[1]
-            else:
-                l2 += lw[0]
-            if lw[j - 1] == -math.inf:
+            # ||W^(m+t)|| <= ||W^j||^k ||W^(m+t-jk)||; jk is m or m+1 on every ladder.
+            l1 = lc1 + k * lw[j] + lw[m + 1 - j * k]
+            l2 = lc2 + k * lw[j] + lw[m + 2 - j * k]
+            if lw[j] == -math.inf:
                 # W^j = 0: both terms vanish, also where an overflowed
                 # ||W||_1 made the sums above -inf + inf = NaN.
                 l1 = l2 = -math.inf

@@ -78,11 +78,11 @@ def test_criterion_02_scalar_polynomial_identities():
     for i in range(64):
         x = -2.0 + 4.0 * i / 63
         led = MulLedger()
-        got8 = eval_t8(Matrix([[x]]), led).a[0, 0]
+        got8 = eval_t8([Matrix([[x]])], led).a[0, 0]
         want8 = float(sum(Fraction(x) ** k / math.factorial(k) for k in range(9)))
         assert abs(got8 - want8) <= 1e-12 * max(1.0, math.exp(x))
 
-        got15 = eval_t15p(Matrix([[x]]), led).a[0, 0]
+        got15 = eval_t15p([Matrix([[x]])], led).a[0, 0]
         want15 = float(sum(Fraction(x) ** k / math.factorial(k) for k in range(16))
                        + Fraction(b16) * Fraction(x) ** 16)
         assert abs(got15 - want15) <= 1e-12 * math.exp(x)
@@ -99,17 +99,17 @@ def test_criterion_03_multiplication_budgets():
 
     for m, budget in ((1, 0), (2, 1), (4, 2)):
         led = MulLedger()
-        eval_low_order(A, m, led)
+        eval_low_order([A], m, led)
         assert led.count == budget, f"low order {m}"
     led = MulLedger()
-    eval_t8(A, led)
+    eval_t8([A], led)
     assert led.count == 3
     led = MulLedger()
-    eval_t15p(A, led)
+    eval_t15p([A], led)
     assert led.count == 4
     for m, budget in ((6, 3), (9, 4), (12, 5), (16, 6)):
         led = MulLedger()
-        ps_eval(taylor_coeffs_exp(m), A, led)
+        ps_eval(taylor_coeffs_exp(m), [A], led)
         assert led.count == budget, f"ps degree {m}"
     _ok(3, "budgets exact: 0/1/2 low, 3 for T8, 4 for T15+, 3/4/5/6 for PS 6/9/12/16")
 

@@ -271,6 +271,19 @@ def test_emit_reports_empty(tmp_path):
     assert summary["noise"] == 0.5
 
 
+@pytest.mark.parametrize("noise", [np.float32(1e-8), np.int64(0)])
+def test_summary_writes_a_numpy_noise_as_a_float(tmp_path, noise):
+    # A suite built in Python may hold numpy numbers; the summary's noise is
+    # the Python float the JSON path stores, not an object json refuses.
+    config = small_config(sizes=(4,), kinds=("nilpotent_perturbed",), noise=noise)
+    records = run_suite(config)
+    summary_path = tmp_path / "s.json"
+    emit_reports(records, performance_profile(records, [1.0, 2.0]), config.noise,
+                 tmp_path / "r.csv", summary_path)
+    written = json.loads(summary_path.read_text())["noise"]
+    assert written == float(noise) and type(written) is float
+
+
 def test_csv_round_trip_exact(tmp_path):
     cfg = small_config()
     records = run_suite(cfg)

@@ -177,17 +177,17 @@ def _inputs(draw):
 def test_evaluators_match_chained_matrix_formulas(A):
     with np.errstate(over="ignore", invalid="ignore"):
         for m in (1, 2, 4):
-            assert_same_bits(eval_low_order(A, m, MulLedger()), ref_low_order(A, m),
+            assert_same_bits(eval_low_order([A], m, MulLedger()), ref_low_order(A, m),
                              ("low order", m))
-        assert_same_bits(eval_t8(A, MulLedger()), ref_t8(A), "t8")
-        assert_same_bits(eval_t15p(A, MulLedger()), ref_t15p(A), "t15p")
+        assert_same_bits(eval_t8([A], MulLedger()), ref_t8(A), "t8")
+        assert_same_bits(eval_t15p([A], MulLedger()), ref_t15p(A), "t15p")
         for m in range(1, 17):
             coeffs = taylor_coeffs_exp(m)
-            assert_same_bits(ps_eval(coeffs, A, MulLedger()), ref_ps_eval(coeffs, A),
+            assert_same_bits(ps_eval(coeffs, [A], MulLedger()), ref_ps_eval(coeffs, A),
                              ("ps exp", m))
         for m in LOWRANK_ORDERS:
             coeffs = phi1_coeffs(m)
-            assert_same_bits(ps_eval(coeffs, A, MulLedger()), ref_ps_eval(coeffs, A),
+            assert_same_bits(ps_eval(coeffs, [A], MulLedger()), ref_ps_eval(coeffs, A),
                              ("ps phi1", m))
     assert_baseline_matches_reference(A, 1e-10)
 

@@ -55,7 +55,9 @@ def test_single_writes_result(matrix_file, tmp_path, capsys):
     assert rc == 0
     result = load_matrix(out_path)
     assert np.abs(result.a.diagonal() - np.exp([1.0, -0.5, 2.0])).max() <= 1e-7
-    assert "one_norm" in capsys.readouterr().out
+    # --stats prints the plan's ||W||_1, the float one_norm(W) gives.
+    want = expmkit.one_norm(load_matrix(matrix_file))
+    assert f"n=3 one_norm={want!r}\n" in capsys.readouterr().out
 
 
 def test_single_baseline(matrix_file, capsys):
@@ -255,6 +257,20 @@ def test_bench_refuses_bad_noise_on_an_empty_suite(tmp_path, capsys, noise):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "noise" in err, err
     assert not summary.exists()
+
+
+def test_bench_out_of_memory_is_an_input_error(tmp_path, capsys, monkeypatch):
+    # A matrix too large to allocate exits 2 with one line, not numpy's
+    # traceback.  The generator is stubbed, so nothing large is allocated.
+    def too_large(spec):
+        raise MemoryError(f"Unable to allocate an order-{spec.n} matrix")
+
+    monkeypatch.setattr(expmkit.bench, "gen_matrix", too_large)
+    suite = suite_file(tmp_path, kinds=["diag"], schemes=["ps"])
+    assert main(["bench", "--suite", str(suite), "--csv", str(tmp_path / "c.csv"),
+                 "--summary", str(tmp_path / "s.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate an order-4 matrix\n"
 
 
 _MISSING = object()

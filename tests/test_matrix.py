@@ -341,7 +341,7 @@ def test_every_matrix_carries_its_order():
     pair = LowRankPair(rng.uniform(-0.5, 0.5, (6, 2)), rng.uniform(-0.5, 0.5, (2, 6)))
     made = [W, Matrix(np.asfortranarray(arr)), Matrix([[2.0]]), identity(4),
             scale_pow2(W, 3), mat_mul(W, W, MulLedger()), squaring(W, 2, MulLedger()),
-            ps_eval([2.0], W, MulLedger()), ps_eval([1.0, 1.0, 0.5, 0.25], W, MulLedger()),
+            ps_eval([2.0], [W], MulLedger()), ps_eval([1.0, 1.0, 0.5, 0.25], [W], MulLedger()),
             expm_baseline(W, 1e-8).value, expm_baseline(big, 1e-8).value,
             expm_lowrank(pair, 1e-8).value,
             expm(Matrix(np.zeros((3, 3))), 1e-8, "ps").value]

@@ -76,7 +76,7 @@ def test_ps_shape_invariants():
 def test_ps_shape_cache_is_bounded_and_typed():
     assert ps_shape.cache_info().maxsize == 64
     ps_shape.cache_clear()
-    ps_eval(taylor_coeffs_exp(2), identity(3), MulLedger())
+    ps_eval(taylor_coeffs_exp(2), [identity(3)], MulLedger())
     assert ps_shape.cache_info().currsize == 1
     assert ps_shape(2) == ps_shape(2) and ps_shape.cache_info().hits == 2
     with pytest.raises(TypeError):  # 2.0 shares no entry with 2
@@ -87,11 +87,11 @@ def test_ps_shape_cache_is_bounded_and_typed():
 def test_ps_eval_result_is_binary64_whatever_the_coefficients(m):
     A = Matrix(np.random.default_rng(m).uniform(-0.2, 0.2, (4, 4)))
     with pytest.raises(TypeError):  # complex does not cast into float64
-        ps_eval([1.0, 1j] + [0.5] * (m - 1), A, MulLedger())
+        ps_eval([1.0, 1j] + [0.5] * (m - 1), [A], MulLedger())
     coeffs = [np.longdouble(1) / (i + 3) for i in range(m + 1)]
-    out = ps_eval(coeffs, A, MulLedger())
+    out = ps_eval(coeffs, [A], MulLedger())
     assert out.a.dtype == np.float64 and out.n == 4
-    assert np.allclose(out.a, ps_eval([float(c) for c in coeffs], A, MulLedger()).a,
+    assert np.allclose(out.a, ps_eval([float(c) for c in coeffs], [A], MulLedger()).a,
                        rtol=1e-15, atol=1e-16)
 
 
@@ -99,7 +99,7 @@ def test_ps_eval_rounds_each_long_double_step_into_binary64():
     c0, c1 = np.longdouble(1) / 3, np.longdouble(2) / 3
     x = np.float64(np.longdouble(5.0) * c1)  # the block's first write
     want = np.float64(np.longdouble(x) + c0)  # then the diagonal's
-    out = ps_eval([c0, c1], Matrix([[5.0]]), MulLedger())
+    out = ps_eval([c0, c1], [Matrix([[5.0]])], MulLedger())
     assert out.a.dtype == np.float64 and out.a[0, 0] == want
 
 
@@ -107,30 +107,30 @@ def test_ps_eval_rounds_each_long_double_step_into_binary64():
 def test_ps_eval_budgets(m, budget):
     led = MulLedger()
     A = Matrix(np.random.default_rng(m).uniform(-0.2, 0.2, (5, 5)))
-    ps_eval(taylor_coeffs_exp(m), A, led)
+    ps_eval(taylor_coeffs_exp(m), [A], led)
     assert led.count == budget
 
 
 def test_ps_eval_degenerate_degrees():
     led = MulLedger()
-    out = ps_eval([3.0], identity(4), led)
+    out = ps_eval([3.0], [identity(4)], led)
     assert np.array_equal(out.a, 3.0 * np.eye(4))
-    out = ps_eval([1.0, 2.0], Matrix([[5.0]]), led)
+    out = ps_eval([1.0, 2.0], [Matrix([[5.0]])], led)
     assert out.a[0, 0] == 11.0
     assert led.count == 0
     with pytest.raises(MatrixError):
-        ps_eval([], identity(2), led)
+        ps_eval([], [identity(2)], led)
 
 
 def test_ps_eval_zero_matrix_gives_identity():
     led = MulLedger()
-    out = ps_eval(taylor_coeffs_exp(9), Matrix(np.zeros((6, 6))), led)
+    out = ps_eval(taylor_coeffs_exp(9), [Matrix(np.zeros((6, 6)))], led)
     assert np.array_equal(out.a, np.eye(6))
 
 
 def test_ps_eval_scalar_degree_16_matches_e():
     led = MulLedger()
-    out = ps_eval(taylor_coeffs_exp(16), scalar(1.0), led)
+    out = ps_eval(taylor_coeffs_exp(16), [scalar(1.0)], led)
     target = exact_taylor(1.0, 16)
     assert abs(out.a[0, 0] - target) <= 1e-15 * target
     # the degree-16 truncation alone sits at ~1e-15 relative to e, so the
@@ -143,10 +143,10 @@ def test_ps_eval_reuses_supplied_powers():
     rng = np.random.default_rng(3)
     A = Matrix(rng.uniform(-0.3, 0.3, (6, 6)))
     led_full = MulLedger()
-    full = ps_eval(taylor_coeffs_exp(12), A, led_full)
+    full = ps_eval(taylor_coeffs_exp(12), [A], led_full)
     led_pre = MulLedger()
     powers = [A, mat_mul(A, A, led_pre)]
-    pre = ps_eval(taylor_coeffs_exp(12), A, led_pre, powers=powers)
+    pre = ps_eval(taylor_coeffs_exp(12), powers, led_pre)
     assert led_full.count == led_pre.count == 5
     assert np.array_equal(full.a, pre.a)
 
@@ -160,7 +160,7 @@ def test_ps_eval_matches_horner():
         A = Matrix(arr)
         coeffs = taylor_coeffs_exp(m)
         led = MulLedger()
-        ps = ps_eval(coeffs, A, led)
+        ps = ps_eval(coeffs, [A], led)
         horner = coeffs[-1] * np.eye(n)
         for c in reversed(coeffs[:-1]):
             horner = horner @ A.a + c * np.eye(n)
@@ -175,16 +175,16 @@ def test_ps_eval_matches_horner():
 def test_low_order_budgets_and_values():
     for m, budget in ((1, 0), (2, 1), (4, 2)):
         led = MulLedger()
-        eval_low_order(Matrix([[0.7]]), m, led)
+        eval_low_order([Matrix([[0.7]])], m, led)
         assert led.count == budget
 
     led = MulLedger()
-    assert np.array_equal(eval_low_order(Matrix(np.zeros((3, 3))), 1, led).a, np.eye(3))
-    assert eval_low_order(scalar(2.0), 2, led).a[0, 0] == 5.0
-    out = eval_low_order(scalar(1.0), 4, led)
+    assert np.array_equal(eval_low_order([Matrix(np.zeros((3, 3)))], 1, led).a, np.eye(3))
+    assert eval_low_order([scalar(2.0)], 2, led).a[0, 0] == 5.0
+    out = eval_low_order([scalar(1.0)], 4, led)
     assert abs(out.a[0, 0] - 65.0 / 24.0) < 1e-15
     with pytest.raises(MatrixError):
-        eval_low_order(scalar(1.0), 3, led)
+        eval_low_order([scalar(1.0)], 3, led)
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +214,14 @@ def test_b16_is_fourth_power_and_printed_digits():
 
 def test_t8_zero_matrix():
     led = MulLedger()
-    out = eval_t8(Matrix(np.zeros((4, 4))), led)
+    out = eval_t8([Matrix(np.zeros((4, 4)))], led)
     assert np.array_equal(out.a, np.eye(4))
     assert led.count == 3
 
 
 def test_t8_scalar_one():
     led = MulLedger()
-    out = eval_t8(scalar(1.0), led)
+    out = eval_t8([scalar(1.0)], led)
     target = exact_taylor(1.0, 8)
     assert abs(out.a[0, 0] - target) <= 5e-13 * target
     assert led.count == 3
@@ -231,13 +231,13 @@ def test_t8_scalar_probes():
     for i in range(64):
         x = -2.0 + 4.0 * i / 63
         led = MulLedger()
-        got = eval_t8(scalar(x), led).a[0, 0]
+        got = eval_t8([scalar(x)], led).a[0, 0]
         assert abs(got - exact_taylor(x, 8)) <= 1e-12 * max(1.0, math.exp(x))
 
 
 def test_t15p_zero_matrix_gives_c16_identity():
     led = MulLedger()
-    out = eval_t15p(Matrix(np.zeros((5, 5))), led)
+    out = eval_t15p([Matrix(np.zeros((5, 5)))], led)
     assert np.array_equal(out.a, np.eye(5))
     assert led.count == 4
 
@@ -246,7 +246,7 @@ def test_t15p_matches_perturbed_taylor():
     b16 = EXP_COEFFS.b16
     for x in (-2.0, -1.0, 1.0, 2.0):
         led = MulLedger()
-        got = eval_t15p(scalar(x), led).a[0, 0]
+        got = eval_t15p([scalar(x)], led).a[0, 0]
         target = float(sum(Fraction(x) ** i / math.factorial(i) for i in range(16))
                        + Fraction(b16) * Fraction(x) ** 16)
         assert abs(got - target) <= 1e-12 * math.exp(x)
@@ -258,7 +258,7 @@ def test_t15p_scalar_probe_grid():
     for i in range(64):
         x = -2.0 + 4.0 * i / 63
         led = MulLedger()
-        got = eval_t15p(scalar(x), led).a[0, 0]
+        got = eval_t15p([scalar(x)], led).a[0, 0]
         target = float(sum(Fraction(x) ** i / math.factorial(i) for i in range(16))
                        + Fraction(b16) * Fraction(x) ** 16)
         assert abs(got - target) <= 1e-12 * math.exp(x)
@@ -267,13 +267,13 @@ def test_t15p_scalar_probe_grid():
 def test_t8_diagonal_consistency():
     d = np.array([-1.5, -0.25, 0.0, 0.8, 2.0])
     led = MulLedger()
-    out = eval_t8(Matrix(np.diag(d)), led)
+    out = eval_t8([Matrix(np.diag(d))], led)
     off = out.a.copy()
     np.fill_diagonal(off, 0.0)
     assert not off.any()
     for i, x in enumerate(d):
         led_i = MulLedger()
-        want = eval_t8(scalar(float(x)), led_i).a[0, 0]
+        want = eval_t8([scalar(float(x))], led_i).a[0, 0]
         assert abs(out.a[i, i] - want) <= 1e-14 * max(1.0, abs(want))
 
 
@@ -296,21 +296,21 @@ def _evaluator_calls(A):
     pw = [A, a2, mat_mul(a2, A, led), mat_mul(mat_mul(a2, A, led), A, led)]
     calls = []
     for m in (1, 2, 4):
-        calls.append((f"low {m}", lambda m=m: eval_low_order(A, m, led), [A]))
+        calls.append((f"low {m}", lambda m=m: eval_low_order([A], m, led), [A]))
         if m > 1:
-            calls.append((f"low {m} a2", lambda m=m: eval_low_order(A, m, led, a2=a2),
+            calls.append((f"low {m} a2", lambda m=m: eval_low_order([A, a2], m, led),
                           [A, a2]))
-    calls.append(("t8", lambda: eval_t8(A, led), [A]))
-    calls.append(("t8 a2", lambda: eval_t8(A, led, a2=a2), [A, a2]))
-    calls.append(("t15p", lambda: eval_t15p(A, led), [A]))
-    calls.append(("t15p a2", lambda: eval_t15p(A, led, a2=a2), [A, a2]))
+    calls.append(("t8", lambda: eval_t8([A], led), [A]))
+    calls.append(("t8 a2", lambda: eval_t8([A, a2], led), [A, a2]))
+    calls.append(("t15p", lambda: eval_t15p([A], led), [A]))
+    calls.append(("t15p a2", lambda: eval_t15p([A, a2], led), [A, a2]))
     for coeffs in (taylor_coeffs_exp(1), taylor_coeffs_exp(9), taylor_coeffs_exp(16),
                    phi1_coeffs(2), phi1_coeffs(15)):
         m = len(coeffs) - 1
         given_pw = pw[:ps_shape(m).j]
-        calls.append((f"ps {m}", lambda c=coeffs: ps_eval(c, A, led), [A]))
+        calls.append((f"ps {m}", lambda c=coeffs: ps_eval(c, [A], led), [A]))
         calls.append((f"ps {m} powers",
-                      lambda c=coeffs, g=given_pw: ps_eval(c, A, led, powers=g),
+                      lambda c=coeffs, g=given_pw: ps_eval(c, g, led),
                       given_pw))
     return calls
 
@@ -328,3 +328,46 @@ def test_evaluators_leave_their_operands_alone_and_own_their_result(n):
         first = out.tobytes()
         call()
         assert out.tobytes() == first, name
+
+
+# ---------------------------------------------------------------------------
+# the power list [A, A^2, ...] every evaluator takes
+# ---------------------------------------------------------------------------
+
+# (name, call(powers, ledger)) for every evaluator; the first three need
+# no A^2, so a longer list saves them nothing.
+_EVALUATORS = [
+    ("low 1", lambda pw, led: eval_low_order(pw, 1, led)),
+    ("ps 0", lambda pw, led: ps_eval([1.0], pw, led)),
+    ("ps 1", lambda pw, led: ps_eval(taylor_coeffs_exp(1), pw, led)),
+    ("low 2", lambda pw, led: eval_low_order(pw, 2, led)),
+    ("low 4", lambda pw, led: eval_low_order(pw, 4, led)),
+    ("t8", eval_t8),
+    ("t15p", eval_t15p),
+    ("ps 2", lambda pw, led: ps_eval(taylor_coeffs_exp(2), pw, led)),
+    ("ps 9", lambda pw, led: ps_eval(taylor_coeffs_exp(9), pw, led)),
+    ("ps 16", lambda pw, led: ps_eval(taylor_coeffs_exp(16), pw, led)),
+    ("phi1 30", lambda pw, led: ps_eval(phi1_coeffs(30), pw, led)),
+]
+
+
+@pytest.mark.parametrize("name,call", _EVALUATORS[3:], ids=[e[0] for e in _EVALUATORS[3:]])
+def test_a_supplied_square_saves_one_product_and_no_bit(name, call):
+    A = Matrix(np.random.default_rng(5).uniform(-0.4, 0.4, (7, 7)))
+    short, full = [A], [A, mat_mul(A, A, MulLedger())]
+    given = list(full)
+    led_short, led_full = MulLedger(), MulLedger()
+    want = call(short, led_short).a.tobytes()
+    assert call(full, led_full).a.tobytes() == want
+    assert led_full.count == led_short.count - 1 >= 0
+    # The caller's lists keep their length and their very entries.
+    assert len(short) == 1 and short[0] is A
+    assert len(full) == 2 and all(P is Q for P, Q in zip(full, given))
+
+
+@pytest.mark.parametrize("name,call", _EVALUATORS, ids=[e[0] for e in _EVALUATORS])
+def test_an_empty_power_list_is_refused(name, call):
+    led = MulLedger()
+    with pytest.raises(MatrixError, match="empty power list"):
+        call([], led)
+    assert led.count == 0

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from expmkit import (
     EXP_COEFFS,
@@ -23,8 +24,8 @@ from expmkit import (
     select_sastre,
     squaring,
 )
-from expmkit.matrix import _wrap
-from expmkit.select import check_tolerance
+from expmkit.matrix import _wrap, check_finite, mat_mul, one_norm
+from expmkit.select import EvalPlan, _exp2, _log2, _log2_sum, check_tolerance
 
 
 def inv_fact(n):
@@ -285,3 +286,115 @@ def test_norm_halving_never_increases_s():
             s_half = sel(Matrix(0.5 * W.a), 1e-8, MulLedger(), []).s
             assert s_half <= s_full
 
+
+
+# ---------------------------------------------------------------------------
+# the one-line tail bound against the earlier two-branch one
+# ---------------------------------------------------------------------------
+
+def _reference_select(ladder, scheme, W, eps, ledger, powers):
+    """The search as it stood before each rung bounded its tails in one
+    line: lw indexed from W^1, and a branch for j * k == m."""
+    eps = check_tolerance(eps)
+    norm1 = one_norm(W)
+    if not math.isfinite(norm1):
+        check_finite(W)
+    powers.append(W)
+    norms = [norm1]
+    if norm1 == 0.0:
+        return EvalPlan(0, 0, scheme, 0.0, 0.0, (norm1,))
+
+    log_eps = math.log2(eps)
+    lw = [_log2(norm1)]  # lw[p - 1] = log2 ||W^p||_1
+    for m, j, k, lc1, lc2 in ladder:
+        if m == 1:
+            l1 = lc1 + 2 * lw[0]
+            l2 = lc2 + 3 * lw[0]
+        else:
+            while len(powers) < j:
+                powers.append(mat_mul(powers[-1], W, ledger))
+                norms.append(one_norm(powers[-1]))
+                if not math.isfinite(norms[-1]):
+                    check_finite(powers[-1])
+                lw.append(_log2(norms[-1]))
+            l1 = lc1 + k * lw[j - 1]
+            l2 = lc2 + k * lw[j - 1]
+            if j * k == m:
+                l1 += lw[0]
+                l2 += lw[1]
+            else:
+                l2 += lw[0]
+            if lw[j - 1] == -math.inf:
+                l1 = l2 = -math.inf
+        if l1 <= log_eps and l2 <= log_eps and _log2_sum(l1, l2) <= log_eps:
+            return EvalPlan(m, 0, scheme, _exp2(l1), _exp2(l2), tuple(norms))
+
+    s = 0
+    for t, l in ((1, l1), (2, l2)):
+        if l > log_eps:
+            s = max(s, math.ceil(min((l - log_eps) / (m + t), MAX_SCALING)))
+    if s < MAX_SCALING and not _log2_sum(l1 - s * (m + 1), l2 - s * (m + 2)) <= log_eps:
+        s += 1
+    return EvalPlan(m, s, scheme, _exp2(l1), _exp2(l2), tuple(norms))
+
+
+def test_every_rung_needs_at_most_one_power_past_its_blocks():
+    # m <= j*k <= m + 1 and j >= 2, so the tails' leftover powers
+    # W^(m+t-jk), W^0 to W^2, are among those the rung has formed.
+    for ladder in (PS_TABLES, SASTRE_TABLES, LOWRANK_TABLES):
+        assert all(m + 1 - j * k in (0, 1) and j >= 2 for m, j, k, _, _ in ladder if m > 1)
+
+
+_LADDERS = ((PS_TABLES, select.SCHEME_PS), (SASTRE_TABLES, select.SCHEME_SASTRE),
+            (LOWRANK_TABLES, select.SCHEME_LOWRANK))
+
+
+def _selector_input(kind, n, seed, log2_scale):
+    """One of six kinds of input: dense at 2^log2_scale, zero, nilpotent
+    (strictly upper triangular, so W^n = 0), huge-norm (the scaling cap),
+    and two with overflowing column sums, one whose W^2 overflows and one
+    whose W^2 = 0."""
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return Matrix(np.zeros((n, n)))
+    if kind == "overflow":
+        return Matrix(rng.uniform(0.5, 1.0, (n + 1, n + 1)) * 1.7e308)
+    if kind == "overflow_nilpotent":  # only the last column, above the diagonal
+        arr = np.zeros((n + 2, n + 2))
+        arr[:-1, -1] = rng.uniform(0.5, 1.0, n + 1) * 1.7e308
+        return Matrix(arr)
+    arr = rng.uniform(-1.0, 1.0, (n, n))
+    if kind == "nilpotent":
+        arr = np.triu(arr, 1)
+    elif kind == "huge":
+        log2_scale += 150
+    return Matrix(np.ldexp(arr, log2_scale))
+
+
+def _outcome(ladder, scheme, W, eps, search):
+    led, powers = MulLedger(), []
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            plan = search(ladder, scheme, W, eps, led, powers)
+    except Exception as exc:  # the raised type is part of the outcome
+        return type(exc).__name__, led.count, len(powers)
+    # repr tells NaN and -0.0 apart, as == would not.
+    return repr(plan), led.count, [P.a.tobytes() for P in powers]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(kind=st.sampled_from(("dense", "zero", "nilpotent", "huge", "overflow",
+                             "overflow_nilpotent")),
+       n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       log2_scale=st.integers(-40, 40), log2_eps=st.floats(-53.0, -1.0))
+@example(kind="zero", n=3, seed=0, log2_scale=0, log2_eps=-53.0)
+@example(kind="nilpotent", n=2, seed=1, log2_scale=40, log2_eps=-26.0)
+@example(kind="huge", n=4, seed=2, log2_scale=60, log2_eps=-1.0)
+@example(kind="overflow", n=2, seed=3, log2_scale=0, log2_eps=-30.0)
+@example(kind="overflow_nilpotent", n=1, seed=4, log2_scale=0, log2_eps=-30.0)
+def test_one_line_tail_bound_matches_the_branching_one(kind, n, seed, log2_scale, log2_eps):
+    W = _selector_input(kind, n, seed, log2_scale)
+    eps = 2.0 ** log2_eps
+    for ladder, scheme in _LADDERS:
+        want = _outcome(ladder, scheme, W, eps, _reference_select)
+        assert _outcome(ladder, scheme, W, eps, select._select) == want, scheme

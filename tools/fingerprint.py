@@ -129,9 +129,9 @@ def oracle_fingerprint(matrices) -> dict:
             ref = oracle.expm_reference(W)
             hi, lo = oracle._expm_dd(W)
         except Exception as exc:  # the raised type is part of the outcome
-            record = repr(("raised", type(exc).__name__)).encode()
-            value.update(record)
-            pair.update(record)
+            failed = raised(exc)
+            value.update(failed)
+            pair.update(failed)
             continue
         value.update(ref.a.tobytes())
         pair.update(hi.tobytes() + lo.tobytes())

@@ -119,15 +119,18 @@ def _rng(seed: int) -> np.random.Generator:
 def _scaled(arr: np.ndarray, target: float, norm: float | None = None) -> np.ndarray:
     """arr * (target / norm), with norm defaulting to arr's 1-norm.
 
-    Raises :class:`ConfigError`, without a NumPy warning, when an entry
-    of the result leaves the binary64 range.
+    Raises :class:`ConfigError`, without a NumPy warning, when the norm
+    or an entry of the result leaves the binary64 range.
     """
-    if norm is None:
-        norm = float(np.abs(arr).sum(axis=0).max())
-    if norm == 0.0:
-        raise ConfigError("generated matrix is zero; cannot hit a positive norm")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = arr * (target / norm)
+        if norm is None:
+            norm = float(np.abs(arr).sum(axis=0).max())
+        if norm == 0.0:
+            raise ConfigError("generated matrix is zero; cannot hit a positive norm")
+        factor = target / norm
+        if not (math.isfinite(factor) and factor > 0.0):
+            raise ConfigError(f"scale factor {target!r}/{norm!r} is out of binary64 range")
+        out = arr * factor
     if not np.isfinite(out).all():
         raise ConfigError(f"target norm {target!r} is out of binary64 range")
     return out

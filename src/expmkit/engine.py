@@ -112,7 +112,7 @@ def squaring(X: Matrix, s: int, ledger: MulLedger) -> Matrix:
         # Two squarings spread a NaN or Inf entry over the whole matrix
         # (0 * Inf is NaN), so the corner entry tells when more squarings
         # can only be wasted; the caller's output check still decides.
-        if not math.isfinite(X.a[0, 0]):
+        if not math.isfinite(X.a.item(0)):
             break
     return X
 
@@ -145,7 +145,7 @@ def expm_baseline(W: Matrix, eps: float) -> ExpmResult:
     # Y = B^(k-1)/(k-1)! with ||B||_1 < 1/2 stays below 2^-(k-1)/(k-1)!,
     # so the unchecked products here cannot overflow and the norm is
     # never NaN, which would end the loop as if it had converged.
-    while abs(Y.a[0, 0]) > eps or (e1 := one_norm(Y)) > eps:
+    while abs(Y.a.item(0)) > eps or (e1 := one_norm(Y)) > eps:
         x += Y.a
         Y = _wrap(mat_mul(B, Y, ledger).a / k)
         k += 1
@@ -186,7 +186,8 @@ def expm(W: Matrix, eps: float, scheme: str = SCHEME_SASTRE) -> ExpmResult:
         X = eval_t8(powers, ledger)
     else:
         X = eval_t15p(powers, ledger)
-    X = squaring(X, plan.s, ledger)
+    if plan.s:
+        X = squaring(X, plan.s, ledger)
     return ExpmResult(check_finite(X), plan, ledger.count, time.perf_counter() - t0)
 
 

@@ -44,10 +44,19 @@ overflow in any temporary reaches a selector's norm or a driver's output
 check and raises the same :class:`NonFiniteError`.  :func:`one_norm`
 keeps that signal: it reads the maximum column sum at ``argmax``, which
 picks the first NaN, so a NaN or Inf entry gives a NaN or Inf norm.
+
+:func:`one_norm` forms the column sums of |A| with one BLAS
+matrix-vector product against a ones vector, which costs about half of
+numpy's axis-0 reduction at n = 8-64.  BLAS may add in any order, so a
+norm is within (n-1)*u of the exact maximum column sum (u = 2^-53), not
+bit for bit numpy's sequential sum; it is deterministic for one BLAS
+build and thread count.  Every norm the selectors, the drivers and the
+oracle form goes through it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -148,8 +157,10 @@ class Matrix:
 
 def _wrap(a: np.ndarray, writeable: bool = False) -> Matrix:
     """Wrap a freshly computed float64 square array without scanning it;
-    a writeable wrap is for a product operand the caller reuses after."""
-    a.setflags(write=writeable)
+    a writeable wrap, for a product operand the caller reuses after,
+    leaves the fresh array writeable as it is."""
+    if not writeable:
+        a.setflags(write=False)
     m = Matrix.__new__(Matrix)
     m.a = a
     m.n = a.shape[0]
@@ -222,15 +233,26 @@ def mat_mul(A: Matrix, B: Matrix, ledger: MulLedger) -> Matrix:
     return C
 
 
+@functools.lru_cache(maxsize=64)
+def _ones(n: int) -> np.ndarray:
+    """A read-only ones vector of length n, shared by every norm of order n."""
+    x = np.ones(n)
+    x.setflags(write=False)
+    return x
+
+
 def one_norm(A: Matrix) -> float:
     """Maximum over columns of the sum of absolute entries.
 
-    The maximum is read at ``argmax``, which costs less than a second
-    reduction on small orders and gives the same float as ``.max()``:
-    the sums are never -0, and ``argmax`` picks the first NaN, so a NaN
-    or Inf entry gives a NaN or Inf norm.
+    The column sums are one BLAS product ``ones @ |A|`` (see the module
+    docstring): within (n-1)*u of the exact sums, summed in an order the
+    BLAS build picks.  The maximum is read at ``argmax``, which costs
+    less than a second reduction on small orders and gives the same float
+    as ``.max()``: the sums are never -0, and ``argmax`` picks the first
+    NaN, so a NaN or Inf entry gives a NaN or Inf norm.  Finite entries
+    whose column sum overflows give +inf.
     """
-    sums = np.add.reduce(np.abs(A.a), axis=0)
+    sums = np.dot(_ones(A.n), np.abs(A.a))
     return float(sums[sums.argmax()])
 
 

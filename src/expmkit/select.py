@@ -30,8 +30,6 @@ import math
 import numbers
 from typing import NamedTuple
 
-import numpy as np
-
 from .matrix import Matrix, MulLedger, check_finite, one_norm
 # perfbench/tracing.py wraps select.mat_mul to count selection products.
 from .matrix import mat_mul
@@ -113,7 +111,7 @@ def _exp2(x: float) -> float:
     """2^x, or inf where that overflows binary64 (from x = 1024 on)."""
     if x >= 1024.0:
         return math.inf
-    return float(np.exp2(x))
+    return math.exp2(x)
 
 
 # log2(e), the constant numpy's log2_1p multiplies log1p by.

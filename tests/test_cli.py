@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +257,22 @@ def test_bench_refuses_bad_noise_on_an_empty_suite(tmp_path, capsys, noise):
                  "--summary", str(summary)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "noise" in err, err
+    assert not summary.exists()
+
+
+def test_bench_refuses_a_generated_norm_beyond_binary64(tmp_path, capsys):
+    # Finite entries near 1e308 whose column sum overflows: the norm is
+    # inf, and scaling by target/inf would give a zero matrix labelled
+    # with the target norm.  One error line, no numpy warning.
+    suite = suite_file(tmp_path, kinds=["nilpotent_perturbed"], schemes=["sastre"],
+                       norms={"min": 1, "max": 1, "count": 1}, noise=1e308)
+    summary = tmp_path / "s.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bench", "--suite", str(suite), "--csv", str(tmp_path / "c.csv"),
+                     "--summary", str(summary)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not summary.exists()
 
 

@@ -657,3 +657,34 @@ def test_results_do_not_depend_on_the_callers_memory_layout():
             F = LowRankPair(np.asfortranarray(a1), np.asfortranarray(a2))
             assert F.a1.flags.c_contiguous and F.a2.flags.c_contiguous
             assert _outcome(expm_lowrank(C, 1e-8)) == _outcome(expm_lowrank(F, 1e-8))
+
+
+def _suite_outcomes():
+    out = []
+    for seed in (2024, 13):
+        config = expmkit.bench.default_suite_config(seed)
+        for spec in config.specs():
+            W = expmkit.gen_matrix(spec)
+            for scheme in config.schemes:
+                try:
+                    res = expmkit.bench._run_scheme(W, scheme, config.eps)
+                except (MatrixError, ArithmeticError) as exc:
+                    out.append(type(exc).__name__)
+                else:
+                    out.append((res.plan.m, res.plan.s, res.mults, res.value.a.tobytes()))
+    return out
+
+
+def test_blas_norms_keep_every_plan_and_value_of_the_default_suite(monkeypatch):
+    # The 1-norm sums columns by one BLAS product, in an order the BLAS
+    # picks; numpy's sequential reduce, which it replaced, gives the same
+    # plans, counts and value bytes on every cell of the default suite.
+    blas = _suite_outcomes()
+
+    def sequential(A):
+        sums = np.add.reduce(np.abs(A.a), axis=0)
+        return float(sums[sums.argmax()])
+
+    for mod in (matrix_mod, engine_mod, select_mod, expmkit.oracle):
+        monkeypatch.setattr(mod, "one_norm", sequential)
+    assert _suite_outcomes() == blas

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import ExpmResult, LowRankPair, expm, expm_baseline
-from .matrix import Matrix, MatrixError
+from .matrix import Matrix, MatrixError, _guarded, _real
 from .oracle import expm_reference, relative_error
-from .select import (SCHEME_BASELINE, SCHEME_PS, SCHEME_SASTRE, ToleranceError,
-                     _real, check_tolerance)
+from .select import SCHEME_BASELINE, SCHEME_PS, SCHEME_SASTRE, ToleranceError, check_tolerance
 
 __all__ = [
     "BenchRecord",
@@ -104,8 +103,7 @@ def _integer(value, name: str) -> int:
 
 
 def _number(value, name: str) -> float:
-    """A real number (an int or float, numpy's too) as a float; a bool, text
-    or an integer beyond the binary64 range is refused (``select._real``)."""
+    """value as ``matrix._real`` takes it, or ConfigError naming the field."""
     try:
         return _real(value)
     except ValueError as e:
@@ -116,21 +114,21 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+@_guarded
 def _scaled(arr: np.ndarray, target: float, norm: float | None = None) -> np.ndarray:
     """arr * (target / norm), with norm defaulting to arr's 1-norm.
 
     Raises :class:`ConfigError`, without a NumPy warning, when the norm
     or an entry of the result leaves the binary64 range.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if norm is None:
-            norm = float(np.abs(arr).sum(axis=0).max())
-        if norm == 0.0:
-            raise ConfigError("generated matrix is zero; cannot hit a positive norm")
-        factor = target / norm
-        if not (math.isfinite(factor) and factor > 0.0):
-            raise ConfigError(f"scale factor {target!r}/{norm!r} is out of binary64 range")
-        out = arr * factor
+    if norm is None:
+        norm = float(np.abs(arr).sum(axis=0).max())
+    if norm == 0.0:
+        raise ConfigError("generated matrix is zero; cannot hit a positive norm")
+    factor = target / norm
+    if not (math.isfinite(factor) and factor > 0.0):
+        raise ConfigError(f"scale factor {target!r}/{norm!r} is out of binary64 range")
+    out = arr * factor
     if not np.isfinite(out).all():
         raise ConfigError(f"target norm {target!r} is out of binary64 range")
     return out
@@ -206,6 +204,12 @@ class SuiteConfig:
         d = _json_as(d, dict, "suite config")
         norms = _json_as(_json_field(d, "norms"), dict, "norms")
         seeds = _json_as(d.get("seeds", {}), dict, "seeds")
+        # An unknown key, a typo perhaps, is refused rather than left to its default.
+        for obj, parent, keys in ((d, "", "eps sizes kinds schemes norms seeds noise"),
+                                  (norms, "norms.", "min max count scale"),
+                                  (seeds, "seeds.", "base")):
+            if unknown := [key for key in obj if key not in keys.split()]:
+                raise ConfigError(f"bad suite config: unknown field '{parent}{unknown[0]}'")
         return cls(
             eps=_number(_json_field(d, "eps"), "eps"),
             sizes=tuple(_json_as(_json_field(d, "sizes"), list, "sizes")),

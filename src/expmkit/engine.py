@@ -85,8 +85,7 @@ class ExpmResult(NamedTuple):
     ``mults`` counts square matrix-matrix products (polynomial evaluation
     plus exactly s squarings); rectangular factor products on the
     low-rank path are a different currency and live in ``rect_mults``.
-    ``plan.e1``/``plan.e2`` bound the truncation of the *unscaled* input;
-    the scaled bound is e1*2^(-s(m+1)) + e2*2^(-s(m+2)) (see EvalPlan).
+    :class:`~expmkit.select.EvalPlan` says what ``plan.e1``/``plan.e2`` bound.
     """
 
     value: Matrix

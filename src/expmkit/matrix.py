@@ -22,8 +22,10 @@ copies the caller's data to a read-only float64 array and refuses, with
 a :class:`MatrixError`, data that is not a nonempty 2-d array, has a NaN
 or Inf entry (:class:`NonFiniteError`), or is complex, text or boolean,
 whose imaginary part the cast would drop, or which it would parse or
-read as 0 and 1.  Results leave through :func:`check_finite`, once at
-each driver's exit and the oracle's.
+read as 0 and 1; ``_real``, the one rule for a real number, checks an
+object array's elements, a tolerance and a suite file's numbers.
+Results leave through :func:`check_finite`, once at each driver's exit
+and the oracle's.
 
 The building blocks are unguarded: :func:`mat_mul`, the selectors
 ``select_ps`` and ``select_sastre``, ``ps_eval``, the ``eval_*`` formulas
@@ -32,7 +34,9 @@ check nothing they return.  Their products go through :func:`mat_mul`,
 with a :class:`Matrix` around each operand and result only.  The drivers
 and the oracle guard and check: each call runs under one
 ``np.errstate(over="ignore", invalid="ignore")``, entered by the shared
-decorator ``_guarded`` (thread safe from numpy 2.0 on), and checks its result.
+decorator ``_guarded`` (thread safe from numpy 2.0 on), and checks its
+result.  ``_guarded`` is the one guard; the oracle's error measure and
+the bench generators take it too.
 In between, only the selectors' norm test checks anything: a selector
 scans W or a power it forms only when its 1-norm is not finite (a
 finite norm proves every entry finite).  That is enough
@@ -58,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -91,25 +96,36 @@ class NonFiniteError(MatrixError):
     """An operation received or produced NaN/Inf entries."""
 
 
-# What an object array may not hold: the elements of dtype kinds b, c, S and U.
-_NOT_REAL = (bool, np.bool_, complex, np.complexfloating, str, bytes)
+def _real(x) -> float:
+    """x as a float, if it is a real number within binary64 and not a bool
+    or text; otherwise ValueError, naming the rule x fails."""
+    if isinstance(x, (str, bytes)):
+        raise ValueError(f"{x!r} is text, not a number")
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{x!r} of type {type(x).__name__} is not a real number")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError("is an integer beyond the binary64 range") from None
 
 
 def _entries(data, what: str) -> np.ndarray:
     """A copy of the caller's data past the input gate (module docstring):
     2-d, C-ordered, finite, float64 and read-only.  Integer and object
     input is cast; ``[[10**30]]`` arrives as an object array, whose
-    elements are checked one by one."""
+    elements are checked one by one with :func:`_real`."""
     try:
         a = np.asarray(data)
     except ValueError as exc:  # a ragged list
         raise MatrixError(f"{what} must be a rectangular array: {exc}") from exc
-    if a.dtype.kind in "bcSU" or (
-            a.dtype.kind == "O" and any(isinstance(x, _NOT_REAL) for x in a.flat)):
+    if a.dtype.kind in "bcSU":
         raise MatrixError(f"{what} must be real numbers, got dtype {a.dtype}")
     try:
+        if a.dtype.kind == "O":
+            for x in a.flat:
+                _real(x)
         a = np.array(a, dtype=np.float64, order="C")
-    except (TypeError, ValueError, OverflowError) as exc:  # an element with no float
+    except (TypeError, ValueError, OverflowError) as exc:  # an element that is no real number
         raise MatrixError(f"{what} must be real numbers: {exc}") from exc
     if a.ndim != 2 or a.size == 0:
         raise MatrixError(f"{what} must be a nonempty 2-d array, got shape {a.shape}")
@@ -215,9 +231,7 @@ class MulLedger:
 def mat_mul(A: Matrix, B: Matrix, ledger: MulLedger) -> Matrix:
     """Full product A @ B, charging exactly one multiplication.
 
-    Unguarded (see the module docstring): run it under
-    ``np.errstate(over="ignore", invalid="ignore")`` and check the values
-    that depend on it, with :func:`check_finite` or a selector's norm test.
+    Unguarded: see the module docstring for how its callers check it.
     """
     n = A.n
     if n != B.n:

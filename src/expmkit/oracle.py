@@ -173,7 +173,8 @@ import math
 
 import numpy as np
 
-from .matrix import Matrix, MatrixError, _guarded, _wrap, check_finite, frobenius_norm, one_norm
+from .matrix import (Matrix, MatrixError, _eye, _guarded, _wrap, check_finite, frobenius_norm,
+                     one_norm)
 from .poly import inv_factorial, ps_shape
 
 __all__ = [
@@ -441,7 +442,7 @@ def _dd_poly(bh, table, depths=()):
     j, inner, left, eye = table
     depths = iter(depths)
     if left is None:
-        return eye[0, 0] * np.eye(n), eye[1, 0] * np.eye(n)
+        return eye[0, 0] * _eye(n), eye[1, 0] * _eye(n)
     k = eye.shape[1]
     pw = np.zeros((2, j, n, n))
     pw[0, 0] = bh
@@ -512,6 +513,7 @@ def poly_reference(A: Matrix, coeffs) -> Matrix:
     return check_finite(_wrap(xh + xl))
 
 
+@_guarded
 def relative_error(X: Matrix, ref: Matrix) -> float:
     """||X - ref||_F / ||ref||_F; zero exactly when the operands match,
     inf when the difference is beyond binary64."""
@@ -522,5 +524,4 @@ def relative_error(X: Matrix, ref: Matrix) -> float:
         if not X.a.any():
             return 0.0
         raise MatrixError("reference matrix has zero norm")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return frobenius_norm(_wrap(X.a - ref.a)) / denom
+    return frobenius_norm(_wrap(X.a - ref.a)) / denom

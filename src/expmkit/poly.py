@@ -70,10 +70,11 @@ def inv_factorial(n: int) -> float:
 _INV_FACT = tuple(inv_factorial(i) for i in range(MAX_ORDER + 2))
 
 
-def _check_order(m) -> int:
+def _check_order(m, orders=frozenset(range(MAX_ORDER + 1))) -> int:
+    """m, if ``operator.index`` takes it (2.0 raises TypeError) and it is in ``orders``."""
     m = operator.index(m)
-    if not 0 <= m <= MAX_ORDER:
-        raise MatrixError(f"order {m} outside supported range 0..{MAX_ORDER}")
+    if m not in orders:
+        raise MatrixError(f"unsupported order {m}; expected one of {sorted(orders)}")
     return m
 
 
@@ -190,8 +191,7 @@ def ps_eval(coeffs, powers: list, ledger: MulLedger) -> Matrix:
     """Evaluate sum_i coeffs[i] * A^i with the Paterson-Stockmeyer schedule.
 
     From [A] it costs (j-1) + (k-1) products for degree m >= 2, none for
-    m <= 1.  Unchecked: run it under ``np.errstate(over="ignore",
-    invalid="ignore")``, as a driver does, and check the result.
+    m <= 1.  Unchecked (see the module docstring).
     """
     m = len(coeffs) - 1
     if m < 0:
@@ -235,12 +235,8 @@ def ps_eval(coeffs, powers: list, ledger: MulLedger) -> Matrix:
 # ---------------------------------------------------------------------------
 
 def eval_low_order(powers: list, m: int, ledger: MulLedger) -> Matrix:
-    """Direct Taylor formulas for orders 1, 2, 4 (0, 1, 2 products from [A]).
-
-    Unchecked, like every evaluator here (see the module docstring).
-    """
-    if m not in (1, 2, 4):
-        raise MatrixError(f"unsupported low order {m}; expected 1, 2 or 4")
+    """Direct Taylor formulas for orders 1, 2, 4 (0, 1, 2 products from [A]); unchecked."""
+    m = _check_order(m, (1, 2, 4))
     pw = _powers(powers, min(m, 2), ledger)  # [A] or [A, A^2]
     if m == 1:
         x = pw[0].a.copy()
@@ -293,8 +289,7 @@ def eval_t15p(powers: list, ledger: MulLedger) -> Matrix:
     """Order-15+ value in four products (three from [A, A^2]).
 
     Matches the Taylor series through degree 15; the degree-16 term
-    carries coefficient ``EXP_COEFFS.b16`` instead of 1/16!.  Unchecked,
-    like every evaluator here (see the module docstring).
+    carries coefficient ``EXP_COEFFS.b16`` instead of 1/16!.  Unchecked.
     """
     c = EXP_COEFFS.t15p
     y12, y02, a, b, tmp = _formula_head(powers, c, c[6], ledger)
@@ -322,7 +317,4 @@ SASTRE_ORDERS = (1, 2, 4, 8, 15)
 def sastre_budget(m: int) -> int:
     """Product budget of the evaluation-formula route for a fresh call:
     the index of m in ``SASTRE_ORDERS``."""
-    try:
-        return SASTRE_ORDERS.index(m)
-    except ValueError:
-        raise MatrixError(f"no evaluation formula for order {m}") from None
+    return SASTRE_ORDERS.index(_check_order(m, SASTRE_ORDERS))

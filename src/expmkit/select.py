@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from typing import NamedTuple
 
-from .matrix import Matrix, MulLedger, check_finite, one_norm
+from .matrix import Matrix, MulLedger, _real, check_finite, one_norm
 # perfbench/tracing.py wraps select.mat_mul to count selection products.
 from .matrix import mat_mul
 from .poly import EXP_COEFFS, SASTRE_ORDERS, inv_factorial, ps_shape
@@ -65,19 +64,6 @@ SCHEME_LOWRANK = "lowrank"
 class ToleranceError(ValueError):
     """Requested tolerance not a real number, below the unit roundoff, or
     not below 1."""
-
-
-def _real(x) -> float:
-    """x as a float, if it is a real number within binary64 and not a bool
-    or text; otherwise ValueError, naming the rule x fails."""
-    if isinstance(x, (str, bytes)):
-        raise ValueError(f"{x!r} is text, not a number")
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise ValueError(f"{x!r} of type {type(x).__name__} is not a real number")
-    try:
-        return float(x)
-    except OverflowError:
-        raise ValueError("is an integer beyond the binary64 range") from None
 
 
 def check_tolerance(eps: float) -> float:
@@ -178,9 +164,11 @@ class EvalPlan(NamedTuple):
 
     ``norms[p - 1]`` is ||W^p||_1 for each power formed while bounding.
     ``e1``/``e2`` bound the two remainder terms of the *unscaled* W at
-    order m (possibly 0 or inf; the selection itself compares in log
-    domain); after scaling the bound is e1*2^(-s(m+1)) + e2*2^(-s(m+2)).
-    It covers truncation only, not rounding amplified by the s squarings.
+    order m (possibly 0 or inf; the selection compares in log domain).
+    ``eps`` bounds e1*2^(-s(m+1)) + e2*2^(-s(m+2)), the truncation of the
+    *scaled* series only: the s squarings can multiply that error, and
+    rounding, by about 2^s, and at s = ``MAX_SCALING`` the scaled bound
+    itself can exceed eps.  No result flags either case yet.
     """
 
     m: int

@@ -232,7 +232,11 @@ def test_bench_bad_config(tmp_path, capsys):
                              ("norms.count", {"norms": {"min": 1e-2, "max": 1.0}}),
                              # a count whose grid could not be allocated
                              ("norms.count", {"norms": {**norms, "count": 10 ** 13}}),
-                             ("norms.count", {"norms": {**norms, "count": 10_001}})):
+                             ("norms.count", {"norms": {**norms, "count": 10_001}}),
+                             # an unknown key, not a default run in its place
+                             ("'seed'", {"seed": {"base": 5}}),
+                             ("'nosie'", {"noise": 0, "nosie": 0}),
+                             ("'norms.scal'", {"norms": {**norms, "scal": "linear"}})):
         bad = suite_file(tmp_path, **overrides)
         assert main(["bench", "--suite", str(bad), "--csv", str(tmp_path / "c.csv"),
                      "--summary", str(tmp_path / "s.json")]) == 2, overrides

@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -411,6 +412,8 @@ def test_lowrank_pair_refuses_complex_text_and_boolean_factors():
     np.array([["1.5"]], dtype=object), np.array([[b"1"]], dtype=object),
     np.array([[True]], dtype=object), np.array([[1 + 2j]], dtype=object),
     [[1, 2], [3]], [[10**400]],
+    # refused by the same rule as a tolerance (matrix._real), not cast
+    np.array([[Decimal("0.5")]], dtype=object), np.array([[None]], dtype=object),
 ])
 def test_matrix_and_lowrank_pair_share_one_input_gate(bad):
     # The same bad data raises the same type through either constructor,

@@ -183,8 +183,13 @@ def test_low_order_budgets_and_values():
     assert eval_low_order([scalar(2.0)], 2, led).a[0, 0] == 5.0
     out = eval_low_order([scalar(1.0)], 4, led)
     assert abs(out.a[0, 0] - 65.0 / 24.0) < 1e-15
+    # the order is checked before any product is charged
+    led = MulLedger()
+    with pytest.raises(TypeError):
+        eval_low_order([scalar(1.0)], 2.0, led)
     with pytest.raises(MatrixError):
         eval_low_order([scalar(1.0)], 3, led)
+    assert led.count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +286,8 @@ def test_budget_helpers():
     assert [sastre_budget(m) for m in (1, 2, 4, 8, 15)] == [0, 1, 2, 3, 4]
     with pytest.raises(MatrixError):
         sastre_budget(16)
+    with pytest.raises(TypeError):  # an order is an integer, as taylor_coeffs_exp takes it
+        sastre_budget(2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ def _number(value, name: str) -> float:
     """value as ``matrix._real`` takes it, or ConfigError naming the field."""
     try:
         return _real(value)
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise ConfigError(f"{name} {e}") from None
 
 

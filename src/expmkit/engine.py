@@ -6,8 +6,13 @@
   its 1-norm from below, so the norm is formed only for a term whose
   corner is within the tolerance.
 * :func:`expm` - select (m, s) with one of the two selectors, evaluate
-  the degree-m polynomial on the list of powers the selector formed,
-  rescaled exactly by powers of two, and square s times.
+  the degree-m polynomial of 2^-s W on the list of powers the selector
+  formed, with the exact factors 2^(-s*d) on the coefficients in place of
+  rescaled copies of the powers, and square s times.  Only the top rung
+  is ever scaled.  The value is bit for bit the one the rescaled copies
+  give while every entry of those copies and of the folded intermediates
+  stays in the normal range; :mod:`expmkit.poly` says which
+  intermediates shrink and where the two can differ.
 * :func:`expm_lowrank` - for W = A1 A2 with small inner rank, evaluate
   the index-shifted series on V = A2 A1 and assemble I + A1 psi(V) A2;
   the order comes from the same selector on its own ladder, with s pinned
@@ -45,7 +50,7 @@ from .poly import (
     eval_t15p,
     phi1_coeffs,
     ps_eval,
-    taylor_coeffs_exp,
+    scaled_taylor_coeffs,
 )
 # perfbench/tracing.py wraps engine.select_ps and engine.select_sastre too,
 # so expm calls them by these names.
@@ -148,6 +153,7 @@ def expm_baseline(W: Matrix, eps: float) -> ExpmResult:
         x += Y.a
         Y = _wrap(mat_mul(B, Y, ledger).a / k)
         k += 1
+    del B, Y  # the squarings read x alone
     X = squaring(_wrap(x), s, ledger)
     plan = EvalPlan(k - 2, s, SCHEME_BASELINE, e1, 0.0, (norm1,))
     return ExpmResult(check_finite(X), plan, ledger.count, time.perf_counter() - t0)
@@ -160,8 +166,9 @@ def expm(W: Matrix, eps: float, scheme: str = SCHEME_SASTRE) -> ExpmResult:
     ``scheme`` picks the selector/evaluator pair: ``"ps"`` for
     Paterson-Stockmeyer (orders up to 16) or ``"sastre"`` for the
     evaluation formulas (orders up to 15+).  The evaluator gets the list of
-    powers W^p the selector formed, rescaled by the exact factors 2^(-s*p),
-    so the call costs the polynomial budget plus s.
+    powers W^p the selector formed, unscaled, and evaluates the polynomial
+    of 2^-s W with the factors 2^(-s*d) on its coefficients (see the
+    module docstring), so the call costs the polynomial budget plus s.
     """
     t0 = time.perf_counter()
     ledger = MulLedger()
@@ -173,18 +180,18 @@ def expm(W: Matrix, eps: float, scheme: str = SCHEME_SASTRE) -> ExpmResult:
     else:
         raise MatrixError(f"unknown scheme {scheme!r}; expected 'ps' or 'sastre'")
 
-    if plan.s:
-        powers = [scale_pow2(P, plan.s * p) for p, P in enumerate(powers, 1)]
+    # s > 0 only at the top rung: ps order 16 or the 15+ formula.
     if plan.m == 0:
         X = identity(W.n)
     elif scheme == SCHEME_PS:
-        X = ps_eval(taylor_coeffs_exp(plan.m), powers, ledger)
+        X = ps_eval(scaled_taylor_coeffs(plan.m, plan.s), powers, ledger)
     elif plan.m in (1, 2, 4):
         X = eval_low_order(powers, plan.m, ledger)
     elif plan.m == 8:
         X = eval_t8(powers, ledger)
     else:
-        X = eval_t15p(powers, ledger)
+        X = eval_t15p(powers, ledger, plan.s)
+    del powers  # the squarings read X alone
     if plan.s:
         X = squaring(X, plan.s, ledger)
     return ExpmResult(check_finite(X), plan, ledger.count, time.perf_counter() - t0)

@@ -98,7 +98,9 @@ class NonFiniteError(MatrixError):
 
 def _real(x) -> float:
     """x as a float, if it is a real number within binary64 and not a bool
-    or text; otherwise ValueError, naming the rule x fails."""
+    or text.  Otherwise ValueError naming x and the rule it fails, or, for
+    a number beyond binary64, OverflowError naming the rule alone: x can
+    have hundreds of digits, so the caller names it or its field."""
     if isinstance(x, (str, bytes)):
         raise ValueError(f"{x!r} is text, not a number")
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
@@ -106,7 +108,7 @@ def _real(x) -> float:
     try:
         return float(x)
     except OverflowError:
-        raise ValueError("is an integer beyond the binary64 range") from None
+        raise OverflowError("is an integer beyond the binary64 range") from None
 
 
 def _entries(data, what: str) -> np.ndarray:
@@ -123,7 +125,11 @@ def _entries(data, what: str) -> np.ndarray:
     try:
         if a.dtype.kind == "O":
             for x in a.flat:
-                _real(x)
+                try:
+                    _real(x)
+                except OverflowError as exc:  # named here, cut to its ends
+                    r = repr(x)
+                    raise ValueError(f"{r[:10]}…{r[-10:]} ({len(r)} characters) {exc}") from None
         a = np.array(a, dtype=np.float64, order="C")
     except (TypeError, ValueError, OverflowError) as exc:  # an element that is no real number
         raise MatrixError(f"{what} must be real numbers: {exc}") from exc

@@ -26,6 +26,23 @@ adds the identity's +0.  A :class:`~expmkit.matrix.Matrix` wraps only each
 charged product's operands, for the module's ``mat_mul``, and the result,
 which owns its array.  The identity is formed only for an m = 0 result.
 
+Scaling folds into the coefficients.  Only the top rung of a ladder is
+ever scaled, so only :func:`ps_eval` at order 16 and :func:`eval_t15p`
+evaluate on B = 2^-s A.  They take the unscaled powers [A, A^2, ...]
+with the exact factors 2^(-s*d) on the coefficients:
+:func:`scaled_taylor_coeffs` gives ldexp(1/i!, -s*i), and
+:func:`eval_t15p` puts 2^(-s*d_i) on c_i, d_i the power of B that c_i
+multiplies (2 more for c0 and c1, whose sum is y02's right factor, now
+multiplied by A^2 in place of B^2).  Scaling an operand by a power of two
+scales each rounded sum and product by it exactly, so the value is the
+one that the copies 2^(-s*p) A^p give, bit for bit, as long as every entry
+of those copies and of the folded intermediates stays in the normal range
+(or is 0).  The intermediates that differ in scale are each Horner value
+of :func:`ps_eval`, whose block r is 2^(-s*r*j) times the copy path's,
+and y02's right factor, 2^(-2s) times.  Where an entry leaves that range
+(tiny entries beside large ones at large s), the two round differently;
+``tests/test_poly.py`` shows one such input and bounds both.
+
 The evaluators are unguarded building blocks; :mod:`expmkit.matrix`
 states that contract.
 """
@@ -55,6 +72,7 @@ __all__ = [
     "ps_eval",
     "ps_shape",
     "sastre_budget",
+    "scaled_taylor_coeffs",
     "taylor_coeffs_exp",
 ]
 
@@ -82,6 +100,15 @@ def taylor_coeffs_exp(m: int) -> list[float]:
     """Coefficients [1/i! for i = 0..m] of the exponential series."""
     m = _check_order(m)
     return list(_INV_FACT[:m + 1])
+
+
+# Typed keys, as for ps_shape; the drivers ask for a few dozen (m, s) pairs.
+@functools.lru_cache(maxsize=128, typed=True)
+def scaled_taylor_coeffs(m: int, s: int) -> tuple[float, ...]:
+    """(ldexp(1/i!, -s*i) for i = 0..m): the degree-m Taylor polynomial of
+    e^(2^-s A) in powers of the unscaled A (see the module docstring)."""
+    m = _check_order(m)
+    return tuple(math.ldexp(c, -s * i) for i, c in enumerate(_INV_FACT[:m + 1]))
 
 
 def phi1_coeffs(m: int) -> list[float]:
@@ -225,6 +252,7 @@ def ps_eval(coeffs, powers: list, ledger: MulLedger) -> Matrix:
             q += np.multiply(a[t], coeffs[lo + t], out=tmp)
         if prod is not None:
             q += prod
+            prod = None  # freed before the next product
         if r:
             prod = mat_mul(_wrap(q, writeable=True), pw[j - 1], ledger).a
     return _wrap(q)
@@ -285,13 +313,25 @@ def eval_t8(powers: list, ledger: MulLedger) -> Matrix:
     return _wrap(x)
 
 
-def eval_t15p(powers: list, ledger: MulLedger) -> Matrix:
-    """Order-15+ value in four products (three from [A, A^2]).
+# d_i of the module docstring: the power of the scaled A that c_i of
+# the 15+ formula multiplies, plus 2 for c0 and c1.
+_T15P_DEGREES = (4, 3, 2, 1, 2, 0, 2, 2, 1, 0, 1, 0, 0, 2, 1, 0)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _t15p_coeffs(s: int) -> tuple[float, ...]:
+    """The 15+ coefficients c_i * 2^(-s*d_i); the published ones at s = 0."""
+    return tuple(math.ldexp(c, -s * d) for c, d in zip(_T15P_COEFFS, _T15P_DEGREES))
+
+
+def eval_t15p(powers: list, ledger: MulLedger, s: int = 0) -> Matrix:
+    """Order-15+ value of 2^-s A in four products (three from [A, A^2]),
+    on the unscaled powers (see the module docstring).
 
     Matches the Taylor series through degree 15; the degree-16 term
     carries coefficient ``EXP_COEFFS.b16`` instead of 1/16!.  Unchecked.
     """
-    c = EXP_COEFFS.t15p
+    c = _t15p_coeffs(s)
     y12, y02, a, b, tmp = _formula_head(powers, c, c[6], ledger)
     # (c7 A2 + y12 + c8 A) (c9 y02 + y12 + c10 A)
     x = b * c[7]
@@ -300,12 +340,13 @@ def eval_t15p(powers: list, ledger: MulLedger) -> Matrix:
     r = y02 * c[9]
     r += y12
     r += np.multiply(a, c[10], out=tmp)
-    prod = mat_mul(_wrap(x, writeable=True), _wrap(r), ledger).a
+    del tmp  # freed before the product; r is the scratch after it
+    prod = mat_mul(_wrap(x, writeable=True), _wrap(r, writeable=True), ledger).a
     # c11 y12 + prod + c12 y02 + c13 A2 + c14 A + c15 I
     np.multiply(y12, c[11], out=x)
     x += prod
     for coeff, term in ((c[12], y02), (c[13], b), (c[14], a)):
-        x += np.multiply(term, coeff, out=tmp)
+        x += np.multiply(term, coeff, out=r)
     _add_to_diagonal(x, c[15])
     return _wrap(x)
 

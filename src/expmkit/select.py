@@ -72,7 +72,7 @@ def check_tolerance(eps: float) -> float:
     if type(eps) is not float:  # a Python float (what perfbench and the CLI pass) skips the tests
         try:
             eps = _real(eps)
-        except ValueError as e:
+        except (ValueError, OverflowError) as e:
             raise ToleranceError(f"tolerance {e}") from None
     if math.isnan(eps):
         raise ToleranceError(f"tolerance {eps!r} is not a number")

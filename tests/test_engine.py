@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from decimal import Decimal
 
@@ -691,3 +692,26 @@ def test_blas_norms_keep_every_plan_and_value_of_the_default_suite(monkeypatch):
     for mod in (matrix_mod, engine_mod, select_mod, expmkit.oracle):
         monkeypatch.setattr(mod, "one_norm", sequential)
     assert _suite_outcomes() == blas
+
+
+@pytest.mark.parametrize("driver, arrays", [
+    # W^2, the live formula terms and the product
+    pytest.param(lambda W: expm(W, 1e-8, "sastre"), 6, id="sastre"),
+    # W^2..W^4, the scratch, the Horner sum and the product
+    pytest.param(lambda W: expm(W, 1e-8, "ps"), 6, id="ps"),
+    pytest.param(lambda W: expm_baseline(W, 1e-8), 5, id="baseline"),
+])
+def test_a_scaled_call_holds_no_rescaled_copy(driver, arrays):
+    # The powers are evaluated unscaled, with 2^-s folded into the
+    # coefficients, and each buffer is freed once nothing reads it: the
+    # rescaled copies took a scaled sastre or ps call to 8 n x n arrays.
+    n = 256
+    W = random_with_norm(np.random.default_rng(4), n, 40.0)
+    assert driver(W).plan.s > 0  # and the caches are warm
+    tracemalloc.start()
+    try:
+        driver(W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * n * n * 8 + 64 * 1024, peak / (n * n * 8)

@@ -132,6 +132,10 @@ def test_construction_refuses_complex_text_and_boolean_input():
                  np.array([[b"1"]]), np.eye(2, dtype=bool)):
         with pytest.raises(MatrixError, match="real numbers"):
             Matrix(data)
+    # An element beyond binary64 is named by its ends: it has 401 digits.
+    with pytest.raises(MatrixError, match=r"real numbers: 1000000000…0000000000 \(401 "
+                                          r"characters\) is an integer beyond the binary64"):
+        Matrix(np.array([[1.0, 10**400]], dtype=object))
     # Integers too large for int64 arrive as an object array and are kept.
     assert Matrix([[10**30]]).a[0, 0] == 1e30
     assert Matrix(np.eye(2, dtype=np.int32)).a.dtype == np.float64

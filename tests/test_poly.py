@@ -1,11 +1,16 @@
 import math
 from fractions import Fraction
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expmkit import (
     EXP_COEFFS,
+    MAX_SCALING,
+    PS_TABLES,
     Matrix,
     MatrixError,
     MulLedger,
@@ -16,11 +21,16 @@ from expmkit import (
     identity,
     mat_mul,
     phi1_coeffs,
+    poly_reference,
     ps_eval,
     ps_shape,
+    relative_error,
     sastre_budget,
+    scale_pow2,
+    scaled_taylor_coeffs,
     taylor_coeffs_exp,
 )
+from expmkit.poly import _t15p_coeffs
 
 
 def exact_taylor(x: float, m: int) -> float:
@@ -311,6 +321,8 @@ def _evaluator_calls(A):
     calls.append(("t8 a2", lambda: eval_t8([A, a2], led), [A, a2]))
     calls.append(("t15p", lambda: eval_t15p([A], led), [A]))
     calls.append(("t15p a2", lambda: eval_t15p([A, a2], led), [A, a2]))
+    calls.append(("t15p a2 s=3", lambda: eval_t15p([A, a2], led, 3), [A, a2]))
+    calls.append(("ps 16 s=3", lambda: ps_eval(scaled_taylor_coeffs(16, 3), pw, led), pw))
     for coeffs in (taylor_coeffs_exp(1), taylor_coeffs_exp(9), taylor_coeffs_exp(16),
                    phi1_coeffs(2), phi1_coeffs(15)):
         m = len(coeffs) - 1
@@ -378,3 +390,87 @@ def test_an_empty_power_list_is_refused(name, call):
     with pytest.raises(MatrixError, match="empty power list"):
         call([], led)
     assert led.count == 0
+
+
+# ---------------------------------------------------------------------------
+# scaling folded into the coefficients (see the module docstring of poly)
+# ---------------------------------------------------------------------------
+
+def _powers_of(A, j=4):
+    pw = [A]
+    while len(pw) < j:
+        pw.append(mat_mul(pw[-1], A, MulLedger()))
+    return pw
+
+
+def _copies(pw, s):
+    """The rescaled copies 2^(-s*p) A^p that the folded coefficients replace."""
+    return [scale_pow2(P, s * p) for p, P in enumerate(pw, 1)]
+
+
+# Uniform entries at 1-norms 1e-3..1e3 keep every entry of the copies and
+# of the folded intermediates normal (or 0) up to s = MAX_SCALING.
+_normal_inputs = dict(n=st.integers(1, 6), log10_norm=st.floats(-3.0, 3.0),
+                      seed=st.integers(0, 2 ** 32 - 1))
+
+
+def _uniform(n, log10_norm, seed):
+    arr = np.random.default_rng(seed).uniform(-1, 1, (n, n))
+    return Matrix(arr * (10.0 ** log10_norm / np.abs(arr).sum(axis=0).max()))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(**_normal_inputs)
+def test_folded_ps_eval_equals_rescaled_copies(n, log10_norm, seed):
+    pw = _powers_of(_uniform(n, log10_norm, seed))
+    for m in (rung.m for rung in PS_TABLES):
+        for s in range(1, MAX_SCALING + 1):
+            led_fold, led_copy = MulLedger(), MulLedger()
+            fold = ps_eval(scaled_taylor_coeffs(m, s), pw, led_fold)
+            copy = ps_eval(taylor_coeffs_exp(m), _copies(pw, s), led_copy)
+            assert fold.a.tobytes() == copy.a.tobytes(), (m, s)
+            assert led_fold.count == led_copy.count
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(**_normal_inputs)
+def test_folded_t15p_equals_rescaled_copies(n, log10_norm, seed):
+    pw = _powers_of(_uniform(n, log10_norm, seed), 2)
+    for s in range(1, MAX_SCALING + 1):
+        fold = eval_t15p(pw, MulLedger(), s)
+        copy = eval_t15p(_copies(pw, s), MulLedger())
+        assert fold.a.tobytes() == copy.a.tobytes(), s
+
+
+def test_folding_differs_where_an_entry_leaves_the_normal_range():
+    # 2^-20 * 1e-303 is subnormal in the copy B, and the fold's own small
+    # intermediates underflow elsewhere, so the tiny corner rounds
+    # differently on the two paths; both stay within the accuracy tests'
+    # 1e-7 of the double-double polynomial of B.
+    s = 20
+    pw = _powers_of(Matrix([[1e7, 1e-303], [0.0, 1e7]]))
+    t15p = taylor_coeffs_exp(15) + [EXP_COEFFS.b16]
+    for coeffs, fold, copy in (
+            (taylor_coeffs_exp(16), ps_eval(scaled_taylor_coeffs(16, s), pw, MulLedger()),
+             ps_eval(taylor_coeffs_exp(16), _copies(pw, s), MulLedger())),
+            (t15p, eval_t15p(pw[:2], MulLedger(), s),
+             eval_t15p(_copies(pw[:2], s), MulLedger()))):
+        assert (fold.a != copy.a).tolist() == [[False, True], [False, False]]
+        ref = poly_reference(pw[0], [math.ldexp(c, -s * i) for i, c in enumerate(coeffs)])
+        assert relative_error(fold, ref) <= 1e-7
+        assert relative_error(copy, ref) <= 1e-7
+
+
+def test_folded_coefficients_stay_normal_up_to_the_scaling_cap():
+    # The ps top order 16 puts 2^(-16 * MAX_SCALING) on 1/16!, the 15+
+    # formula at most 2^(-4 * MAX_SCALING) on c0.  A cap that pushed one
+    # into the subnormal range would round it, and fold inexactly.
+    top = PS_TABLES[-1].m
+    assert top == 16
+    for s in range(MAX_SCALING + 1):
+        for c, c0 in (*zip(scaled_taylor_coeffs(top, s), taylor_coeffs_exp(top)),
+                      *zip(_t15p_coeffs(s), EXP_COEFFS.t15p)):
+            # normal, and c0 times a power of two: the same significand
+            assert abs(c) >= sys.float_info.min and math.frexp(c)[0] == math.frexp(c0)[0]
+    assert _t15p_coeffs(0) == EXP_COEFFS.t15p
+    assert list(scaled_taylor_coeffs(9, 0)) == taylor_coeffs_exp(9)

@@ -398,3 +398,19 @@ def test_one_line_tail_bound_matches_the_branching_one(kind, n, seed, log2_scale
     for ladder, scheme in _LADDERS:
         want = _outcome(ladder, scheme, W, eps, _reference_select)
         assert _outcome(ladder, scheme, W, eps, select._select) == want, scheme
+
+
+def test_only_the_top_rung_is_ever_scaled():
+    # The drivers fold 2^-s into the top rung's coefficients alone (ps
+    # order 16 and the 15+ formula), so no lower rung may come with s > 0.
+    scaled = 0
+    for log2_scale in range(-8, 64, 3):
+        for kind, n in (("dense", 1), ("dense", 5), ("nilpotent", 6)):
+            W = _selector_input(kind, n, 100 + log2_scale, log2_scale)
+            for eps in (2.0 ** -53, 1e-8, 1e-3):
+                for ladder, scheme in _LADDERS:
+                    plan = select._select(ladder, scheme, W, eps, MulLedger(), [])
+                    if plan.s:
+                        assert plan.m == ladder[-1].m, (kind, n, log2_scale, eps, plan)
+                        scaled += 1
+    assert scaled > 100

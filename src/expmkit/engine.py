@@ -151,7 +151,11 @@ def expm_baseline(W: Matrix, eps: float) -> ExpmResult:
     # never NaN, which would end the loop as if it had converged.
     while abs(Y.a.item(0)) > eps or (e1 := one_norm(Y)) > eps:
         x += Y.a
-        Y = _wrap(mat_mul(B, Y, ledger).a / k)
+        # The previous term is dead once its product is formed, so the new
+        # term is divided into its buffer, except into B's, which the loop
+        # still reads.
+        Y = _wrap(np.divide(mat_mul(B, Y, ledger).a, k, out=None if Y is B else Y.a),
+                  writeable=True)
         k += 1
     del B, Y  # the squarings read x alone
     X = squaring(_wrap(x), s, ledger)

@@ -75,7 +75,22 @@ level and is formed in one more binary64 product (with B's lo part
 dropped from the last term, which moves it by less than 2^(-d w - 53));
 d is the fewest levels for which its rounding error is below about
 2^-106 q max|a_i:| max|b_:j|.  The tail and then the levels, smallest
-first, are summed with two_sum into (hi, lo).
+first, are summed into (hi, lo), each level with Dekker's Fast2Sum
+(Numer. Math. 18, 1971), level first: s = level + sum and
+err = sum - (s - level).  That is exact whenever level is an integer
+multiple of a power of two u and sum a multiple of ulp(sum) <= u
+(Muller et al., Handbook of Floating-Point Arithmetic, 2nd ed., 2018,
+section 4.3), and here it is: for entry (i, j), level l is an integer
+below 2^53 times u = 2^(e_i + f_j - (l+2) w), while the running sum of
+the tail and the levels after l stays below about (d+1) q 2^(w+2) u
+<= 2^(55-w) u, whose ulp is far below u.  s is the same rounded addition
+as two_sum's and the exact error is unique, so (hi, lo) keeps every bit
+of a two_sum; the swapped call, Fast2Sum(sum, level), is not exact.  The
+errors differ only in the sign of a zero (level +0 against sum -0 gives
+-0 where two_sum gives +0), which the lo sum absorbs because it starts
+at +0 and so is never -0.  The sums run in place, and the final
+quick-two-sum writes (hi, lo) straight into the caller's arrays where it
+gives them (the powers and the blocks of :func:`_dd_poly`).
 
 Up to q = 85, d = 3 and w = 22 to 25: an n-by-n product costs d + 1 = 4
 BLAS calls worth 10 binary64 products of order n (from n = 86 on, d = 4:
@@ -327,22 +342,34 @@ def _split_left(ah, al, depth=None):
     return a_row.reshape(r, (depth + 1) * q)
 
 
-def _dd_levels(a_row, right):
+def _dd_levels(a_row, right, out=None):
     """Double-double product of a left operand split by :func:`_split_left`
     and a right operand split by :func:`_split_right`, at the depth d of
-    the left operand: its width is (d + 1) q."""
+    the left operand: its width is (d + 1) q.  ``out``, a pair of arrays
+    of the product's shape, receives (hi, lo) in place of new arrays."""
     b_col, b_tail = right
     q = b_tail.shape[0] - b_col.shape[0]  # (D + 1) q rows against D q
     depth = a_row.shape[1] // q - 1
     # Level l is the first l + 1 blocks of a_row times the last l + 1 of
     # b_col; the tail is a_row times the last d + 1 blocks of b_tail,
     # [R_d(B); ..; R_1(B); hi of B].
-    ch, cl = a_row @ b_tail[b_tail.shape[0] - (depth + 1) * q:], 0.0
+    ch = a_row @ b_tail[b_tail.shape[0] - (depth + 1) * q:]
+    cl = np.zeros(ch.shape)  # +0, never -0: see the module docstring
+    s = None
     for lev in reversed(range(depth)):
         level = a_row[:, :(lev + 1) * q] @ b_col[b_col.shape[0] - (lev + 1) * q:]
-        ch, err = _two_sum(ch, level)
-        cl = cl + err
-    return _quick_two_sum(ch, cl)
+        # Fast2Sum, level first, in place: s = level + ch and
+        # ch - (s - level), the exact error, into ch's buffer.
+        s = np.add(level, ch, out=s)
+        np.subtract(s, level, out=level)
+        ch -= level
+        cl += ch
+        ch, s = s, ch
+    # Quick-two-sum of (ch, cl) into out: hi = ch + cl, lo = cl - (hi - ch).
+    hi, lo = (None, cl) if out is None else out
+    hi = np.add(ch, cl, out=hi)
+    np.subtract(hi, ch, out=ch)
+    return hi, np.subtract(cl, ch, out=lo)
 
 
 def _dd_matmul(ah, al, bh, bl):
@@ -449,15 +476,15 @@ def _dd_poly(bh, table, depths=()):
     if j > 1:
         right = _split_right(bh)
         for p in range(1, j):
-            pw[:, p] = _dd_levels(_split_left(*pw[:, p - 1], next(depths, None)), right)
+            _dd_levels(_split_left(*pw[:, p - 1], next(depths, None)), right, pw[:, p])
     # Row r of the table times [B; ..; B^J] as a (J, n^2) matrix gives the
     # k blocks (gh, gl) but their identity terms c_rj I, added on the
     # diagonals.
     stack = pw[:, :inner].reshape(2, inner, n * n)
-    gh, gl = np.empty((2, k, n * n))
+    blocks = np.empty((2, k, n * n))
     for c in range(0, n * n, _PANEL):
-        gh[:, c:c + _PANEL], gl[:, c:c + _PANEL] = _dd_levels(
-            left, _split_right(*stack[:, :, c:c + _PANEL]))
+        _dd_levels(left, _split_right(*stack[:, :, c:c + _PANEL]), blocks[:, :, c:c + _PANEL])
+    gh, gl = blocks
     # c_rj I on the k diagonals: every (n+1)-th column of the blocks.
     gh[:, ::n + 1], gl[:, ::n + 1] = _dd_add(gh[:, ::n + 1], gl[:, ::n + 1],
                                              *eye[:, :, None])

@@ -699,7 +699,8 @@ def test_blas_norms_keep_every_plan_and_value_of_the_default_suite(monkeypatch):
     pytest.param(lambda W: expm(W, 1e-8, "sastre"), 6, id="sastre"),
     # W^2..W^4, the scratch, the Horner sum and the product
     pytest.param(lambda W: expm(W, 1e-8, "ps"), 6, id="ps"),
-    pytest.param(lambda W: expm_baseline(W, 1e-8), 5, id="baseline"),
+    # x, B, the last term and its product; the next term goes into the last term's buffer
+    pytest.param(lambda W: expm_baseline(W, 1e-8), 4, id="baseline"),
 ])
 def test_a_scaled_call_holds_no_rescaled_copy(driver, arrays):
     # The powers are evaluated unscaled, with 2^-s folded into the

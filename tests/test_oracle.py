@@ -316,18 +316,28 @@ def _ref_split_right(bh, bl=None):
     return b_col, np.concatenate((b_rems, bh))
 
 
-def _ref_product(ah, al, right):
-    q = ah.shape[1]
-    width, depth = _slicing(q)
-    slices, rems = _ref_split(np.stack((ah, al)), width, depth)
-    a_row = np.hstack((*slices, rems[-1]))
+def _ref_levels(a_row, right):
+    """The levels of a split product summed with two_sum, whose operands
+    need no order, at the depth of a_row."""
     b_col, b_tail = right
-    ch, cl = a_row @ b_tail, 0.0
+    q = b_tail.shape[0] - b_col.shape[0]
+    depth = a_row.shape[1] // q - 1
+    ch, cl = a_row @ b_tail[b_tail.shape[0] - (depth + 1) * q:], 0.0
     for lev in reversed(range(depth)):
-        level = a_row[:, :(lev + 1) * q] @ b_col[(depth - 1 - lev) * q:]
+        level = a_row[:, :(lev + 1) * q] @ b_col[b_col.shape[0] - (lev + 1) * q:]
         ch, err = _two_sum(ch, level)
         cl = cl + err
     return _quick_two_sum(ch, cl)
+
+
+def _ref_product(ah, al, right, depth=None):
+    q = ah.shape[1]
+    width, full = _slicing(q)
+    depth = full if depth is None else depth
+    if depth == 0:
+        return _ref_levels(ah, right)
+    slices, rems = _ref_split(np.stack((ah, al)), width, depth)
+    return _ref_levels(np.hstack((*slices, rems[-1])), right)
 
 
 def _tight_pair(rng, n, c=None):
@@ -382,6 +392,88 @@ def test_kernels_match_two_plane_reference_bytes(n):
 @pytest.mark.parametrize("r, q, c", _RECT_SHAPES)
 def test_rectangular_kernels_match_two_plane_reference_bytes(r, q, c):
     _assert_kernels_match_reference_bytes(600 + r * q * c, r, q, c)
+
+
+# ---------------------------------------------------------------------------
+# Fast2Sum of each level against two_sum, byte for byte
+# ---------------------------------------------------------------------------
+
+def _cancelling(rng, ah, al, bh, bl):
+    """Copies of the operands in which entry (0, 0)'s leading level cancels
+    to exactly 0 while its lower levels and its tail do not: row 0 of A
+    holds v and v + delta, delta below v's leading grid, against 1 and -1
+    in column 0 of B, whose other entries are below its leading grid."""
+    q = ah.shape[1]
+    width = _slicing(q)[0]
+    ah, al, bh, bl = (x.copy() for x in (ah, al, bh, bl))
+    ah[0] = rng.uniform(-2.0 ** -4, 2.0 ** -4, q)
+    ah[0, :2] = 0.75, 0.75 + 0.75 * rng.uniform(0.5, 1.0) * 2.0 ** -(width + 2)
+    bh[:, 0] = rng.uniform(-1.0, 1.0, q) * 2.0 ** -(width + 3)
+    bh[:2, 0] = 1.0, -1.0
+    al[0] = np.spacing(np.abs(ah[0])) / 2 * rng.choice([-1.0, 1.0], q)
+    bl[:, 0] = np.spacing(np.abs(bh[:, 0])) / 2 * rng.choice([-1.0, 1.0], q)
+    return ah, al, bh, bl
+
+
+def _assert_levels_match_two_sum_bytes(seed, r, q, c):
+    # Each level is added with Fast2Sum, level first, which is exact only
+    # because the level's grid is coarser than the running sum's ulp: every
+    # depth keeps the bytes of two_sum, on operands with a zero row and a
+    # zero column, negated ones and (from q = 2) a cancelling leading level.
+    rng = np.random.default_rng(seed)
+    full = _slicing(q)[1]
+    for ah, al, bh, bl in _kernel_operands(seed, r, q, c, 2):
+        cases = [(ah, al, bh, bl), (-ah, -al, bh, bl), (ah, al, -bh, -bl)]
+        if q > 1:
+            cases.append(_cancelling(rng, ah, al, bh, bl))
+            a_row, (b_col, b_tail) = _split_left(*cases[-1][:2]), _split_right(*cases[-1][2:])
+            assert a_row[0, :q] @ b_col[-q:, 0] == 0.0  # level 0 of entry (0, 0)
+            assert a_row[0, :2 * q] @ b_col[-2 * q:, 0] != 0.0  # level 1
+            assert a_row[0] @ b_tail[:, 0] != 0.0  # the tail
+        for ah, al, bh, bl in cases:
+            right = _split_right(bh, bl)
+            for depth in range(full + 1):
+                want = _ref_product(ah, al, right, depth)
+                assert _same_bytes(_dd_levels(_split_left(ah, al, depth), right), want), depth
+                # (hi, lo) written into the caller's arrays, strided as the
+                # block product's panels are
+                out = np.full((2, r, 2 * c), np.nan)[:, :, ::2]
+                _dd_levels(_split_left(ah, al, depth), right, out)
+                assert _same_bytes(out, want), depth
+
+
+@pytest.mark.parametrize("n", _ORDERS)
+def test_level_sums_keep_two_sum_bytes_at_every_depth(n):
+    _assert_levels_match_two_sum_bytes(1000 + n, n, n, n)
+
+
+@pytest.mark.parametrize("r, q, c", _RECT_SHAPES)
+def test_rectangular_level_sums_keep_two_sum_bytes_at_every_depth(r, q, c):
+    _assert_levels_match_two_sum_bytes(1100 + r * q * c, r, q, c)
+
+
+@pytest.mark.parametrize("r, q, c", [(2, 2, 2), (16, 16, 16), (4, 3, 64)])
+def test_a_zero_level_against_a_negative_zero_sum_keeps_lo_positive(r, q, c):
+    # Split operands near 2^-540 whose products all underflow.  A sum of
+    # negative products that underflow is -0 where the BLAS rounds each
+    # fused multiply-add into the result (OpenBLAS's small-matrix kernels;
+    # at (64, 256) by (256, 64) it adds into a zeroed result and gives +0),
+    # while level 0, whose products are exact zeros, is +0: Fast2Sum's
+    # error is then -0 where two_sum's is +0, and the lo sum, which starts
+    # at +0, stays +0.
+    width, depth = _slicing(q)
+    rng = np.random.default_rng(r + q + c)
+    a_row = -np.ldexp(rng.uniform(0.5, 1.0, (r, (depth + 1) * q)), -540)
+    b_col = np.ldexp(rng.uniform(0.5, 1.0, (depth * q, c)), -540)
+    b_col[(depth - 1) * q:] = 0.0  # B_0, the last block
+    b_tail = np.ldexp(rng.uniform(0.5, 1.0, ((depth + 1) * q, c)), -540)
+    tail, level = a_row @ b_tail, a_row[:, :q] @ b_col[-q:]
+    if not np.signbit(tail).all():
+        pytest.skip("this BLAS sums products that underflow to +0")
+    assert not tail.any() and not level.any() and not np.signbit(level).any()
+    got = _dd_levels(a_row, (b_col, b_tail))
+    assert _same_bytes(got, _ref_levels(a_row, (b_col, b_tail)))
+    assert not np.signbit(got).any()
 
 
 def _ints(arr, bits=400):
@@ -526,12 +618,12 @@ def products(monkeypatch):
     calls = []
     dd_levels = oracle._dd_levels
 
-    def record(a_row, right):
+    def record(a_row, right, out=None):
         b_col, b_tail = right
         q = b_tail.shape[0] - b_col.shape[0]  # (D + 1) q rows against D q
         calls.append((a_row.shape[0], q, b_tail.shape[1], a_row.shape[1] // q - 1,
                        b_col.shape[0] // q))
-        return dd_levels(a_row, right)
+        return dd_levels(a_row, right, out)
 
     monkeypatch.setattr(oracle, "_dd_levels", record)
     return calls

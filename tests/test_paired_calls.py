@@ -1,9 +1,10 @@
-"""tools/paired_calls.py on a reduced flow_small call set, with the
-working tree's package loaded a second time as the parent."""
+"""tools/paired_calls.py on reduced flow_small and oracle call sets, with
+the working tree's package loaded a second time as the parent."""
 
 import math
 import sys
 
+import numpy as np
 import paired_calls as tool
 import workloads
 
@@ -33,6 +34,34 @@ def test_identical_trees_time_every_driver_and_agree_on_every_call():
         assert side["parent_cost_mean"] > 0 and side["change_cost_mean"] > 0
         assert math.isfinite(side["ratio_change_over_parent"])
         assert 0 <= side["change_faster"] <= side["calls"]
+
+
+def test_identical_trees_time_the_oracle_per_order_and_agree_on_every_pair():
+    twin = tool.load_package(tool.ROOT / "src", "expmkit_twin")
+    calls = tool.calls_of("suite_reference", 3)
+    assert len(calls) == 300  # the default suite, one call per matrix
+    calls = calls[::30]
+    out = tool.compare((twin, tool.expmkit), calls, passes=1, seed=3, oracle=True)
+    assert out["calls"] == 10 and out["differing_calls"] == 0
+    assert set(out["orders"]) == {"n8", "n16", "n32", "n64"} and "drivers" not in out
+    assert sum(o["calls"] for o in out["orders"].values()) == 10
+    assert math.isfinite(out["overall"]["ratio_change_over_parent"])
+
+
+def test_an_oracle_call_differs_when_its_pair_does(monkeypatch):
+    """The oracle's outcome is the (hi, lo) pair, so a change in lo alone,
+    which the binary64 value may round away, counts as a differing call."""
+    twin = tool.load_package(tool.ROOT / "src", "expmkit_twin")
+    expm_dd = twin.oracle._expm_dd
+
+    def nudged(W):
+        hi, lo = expm_dd(W)
+        return hi, lo + np.spacing(lo)
+
+    monkeypatch.setattr(twin.oracle, "_expm_dd", nudged)
+    calls = tool.calls_of("suite_reference", 3)[::100]
+    out = tool.compare((twin, tool.expmkit), calls, passes=1, seed=3, oracle=True)
+    assert out["differing_calls"] == len(calls) == 3
 
 
 def test_each_tree_runs_its_own_drivers(monkeypatch):

@@ -2,6 +2,7 @@
 the working tree, in one process.
 
     python3 tools/paired_calls.py --parent REV --workload flow_small --seed 1 --passes 7
+    python3 tools/paired_calls.py --parent REV --workload suite_reference --seed 1 --passes 5
 
 Run it from the root of a source checkout.  The parent revision is
 extracted with ``git archive`` into a temporary directory, as
@@ -11,6 +12,9 @@ calls are those of a perfbench call workload (``flow_small`` or
 ``large_dense``), read from perfbench/workloads.py, which is imported
 and left as it is; each tree runs them through the benchmark's own map
 from a scheme to a driver, ``workloads._call``, bound to its engine.
+With ``--workload suite_reference`` the calls are instead
+``expm_reference`` on each matrix of the default bench suite at the
+seed, the oracle that perfbench's ``suite_reference`` workload runs.
 
 Each pass times every call on both trees back to back, the parent first
 where pass + call index is even and the change first where it is odd,
@@ -20,11 +24,14 @@ one bare product of its order, as perfbench's ``item_cost_mean`` counts
 it.  Separate perfbench runs on a shared machine spread by several per
 cent; pairing each call resolves a difference of a few.
 
-Prints one JSON object: per driver and over all calls, each tree's mean
-cost, the ratio change over parent and the number of calls the change
-ran faster, and the number of calls whose outcome as tools/fingerprint.py
-digests it (value bytes, plan, product counts or raised type) differs
-between the trees (0 when the change keeps every result).
+Prints one JSON object: per driver (per order for the oracle) and over
+all calls, each tree's mean cost, the ratio change over parent and the
+number of calls the change ran faster, and the number of calls whose
+outcome differs between the trees (0 when the change keeps every
+result).  A driver call's outcome is what tools/fingerprint.py digests
+(value bytes, plan, product counts or raised type); an oracle call's is
+the bytes of the double-double pair (hi, lo) behind its value, or the
+raised type.
 """
 
 from __future__ import annotations
@@ -50,10 +57,12 @@ for _path in (ROOT / "src", ROOT / "perfbench", ROOT / "tools"):
 
 import expmkit  # noqa: E402  (the working tree's)
 import workloads  # noqa: E402  (perfbench/workloads.py)
-from fingerprint import raised, record, workload_calls  # noqa: E402  (tools/fingerprint.py)
+from fingerprint import (raised, record, suite_matrices,  # noqa: E402  (tools/fingerprint.py)
+                         workload_calls)
 from pairs import extract  # noqa: E402  (tools/pairs.py)
 
-WORKLOADS = ("flow_small", "large_dense")
+ORACLE_WORKLOAD = "suite_reference"
+WORKLOADS = ("flow_small", "large_dense", ORACLE_WORKLOAD)
 PARENT_PACKAGE = "expmkit_parent"
 
 
@@ -85,23 +94,52 @@ def driver_map(package):
     return types.FunctionType(call.__code__, {**call.__globals__, "engine": package.engine})
 
 
-def outcome(run, W, scheme: str, eps: float):
-    """(seconds, outcome) of one call through the driver map ``run``: the
-    outcome is what tools/fingerprint.py digests of the result, or the
+def driver_call(package):
+    """A function giving (seconds, outcome) of one call through
+    ``package``'s driver map: the outcome is what tools/fingerprint.py
+    digests of the result, or the type of the exception raised."""
+    run = driver_map(package)
+
+    def call(W, scheme: str, eps: float):
+        t0 = time.perf_counter()
+        try:
+            res = run(W, scheme, eps)
+        except Exception as exc:  # the raised type is part of the outcome
+            return time.perf_counter() - t0, raised(exc)
+        wall = time.perf_counter() - t0
+        counts, a = record(res)
+        return wall, counts + a.tobytes()
+
+    return call
+
+
+def oracle_call(package):
+    """A function giving (seconds, outcome) of ``package``'s
+    ``expm_reference`` on a matrix: the outcome is the bytes of the
+    (hi, lo) pair behind the value, formed outside the timed call, or the
     type of the exception raised."""
-    t0 = time.perf_counter()
-    try:
-        res = run(W, scheme, eps)
-    except Exception as exc:  # the raised type is part of the outcome
-        return time.perf_counter() - t0, raised(exc)
-    wall = time.perf_counter() - t0
-    counts, a = record(res)
-    return wall, counts + a.tobytes()
+    oracle = package.oracle
+
+    def call(W, _group, _eps):
+        t0 = time.perf_counter()
+        try:
+            oracle.expm_reference(W)
+        except Exception as exc:  # the raised type is part of the outcome
+            return time.perf_counter() - t0, raised(exc)
+        wall = time.perf_counter() - t0
+        hi, lo = oracle._expm_dd(W)
+        return wall, hi.tobytes() + lo.tobytes()
+
+    return call
 
 
 def calls_of(workload: str, seed: int):
-    """(scheme, eps, input, product order) for each call of the workload;
-    a low-rank call's products are of the pair's inner rank t."""
+    """(group, eps, input, product order) for each call of the workload.
+    A driver call's group is its scheme, and a low-rank call's products
+    are of the pair's inner rank t; an oracle call's group is its order."""
+    if workload == ORACLE_WORKLOAD:
+        return [(f"n{W.n}", None, W, W.n)
+                for W in suite_matrices(expmkit.bench.default_suite_config(seed))]
     return [(scheme, eps, W, W.t if isinstance(W, expmkit.engine.LowRankPair) else W.n)
             for W, scheme, eps in workload_calls(workload, seed)]
 
@@ -115,31 +153,32 @@ def _side(costs) -> dict:
             "change_faster": sum(c < p for p, c in costs)}
 
 
-def compare(trees, calls, passes: int, seed: int) -> dict:
+def compare(trees, calls, passes: int, seed: int, oracle: bool = False) -> dict:
     """Time each call on the two packages ``trees`` (parent, change) back
-    to back, ``passes`` times; summarize per driver and overall."""
-    runs = [driver_map(t) for t in trees]
+    to back, ``passes`` times; summarize per group and overall.  The
+    calls go to each tree's drivers, or to its oracle with ``oracle``."""
+    runs = [(oracle_call if oracle else driver_call)(t) for t in trees]
     inputs = [[as_input(t, W) for t in trees] for _, _, W, _ in calls]
     times = [([], []) for _ in calls]
     results = [None] * len(calls)
     for p in range(passes):
-        for i, (scheme, eps, _, _) in enumerate(calls):
+        for i, (group, eps, _, _) in enumerate(calls):
             order = (0, 1) if (p + i) % 2 == 0 else (1, 0)
             got = [None, None]
             for t in order:
-                wall, got[t] = outcome(runs[t], inputs[i][t], scheme, eps)
+                wall, got[t] = runs[t](inputs[i][t], group, eps)
                 times[i][t].append(wall)
             results[i] = got
     gemm_s = workloads.calibrate_gemm({c[3] for c in calls}, seed)
-    by_driver = {}
-    for (scheme, _, _, order), (tp, tc) in zip(calls, times):
+    by_group = {}
+    for (group, _, _, order), (tp, tc) in zip(calls, times):
         base = gemm_s[order]
-        by_driver.setdefault(scheme, []).append(
+        by_group.setdefault(group, []).append(
             (statistics.median(tp) / base, statistics.median(tc) / base))
     return {"passes": passes, "calls": len(calls),
             "differing_calls": sum(a != b for a, b in results),
-            "overall": _side([c for costs in by_driver.values() for c in costs]),
-            "drivers": {s: _side(costs) for s, costs in by_driver.items()}}
+            "overall": _side([c for costs in by_group.values() for c in costs]),
+            "orders" if oracle else "drivers": {g: _side(c) for g, c in by_group.items()}}
 
 
 def main(argv=None) -> int:
@@ -157,7 +196,8 @@ def main(argv=None) -> int:
         extract(args.parent, Path(tmp))
         parent = load_package(Path(tmp) / "src", PARENT_PACKAGE)
         summary = {"workload": args.workload, "seed": args.seed, "parent": args.parent}
-        summary.update(compare((parent, expmkit), calls, args.passes, args.seed))
+        summary.update(compare((parent, expmkit), calls, args.passes, args.seed,
+                               oracle=args.workload == ORACLE_WORKLOAD))
     print(json.dumps(summary, indent=1))
     return 0
 

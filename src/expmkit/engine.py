@@ -40,17 +40,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matrix import (Matrix, MatrixError, MulLedger, NonFiniteError, _add_to_diagonal, _entries,
-                     _eye, _guarded, _wrap, check_finite, identity, one_norm, scale_pow2)
+from .matrix import (Matrix, MatrixError, MulLedger, NonFiniteError, _add_to_diagonal, _consts,
+                     _entries, _eye, _guarded, _wrap, check_finite, identity, one_norm,
+                     scale_pow2)
 # perfbench/tracing.py wraps engine.mat_mul to count squarings.
 from .matrix import mat_mul
 from .poly import (
+    _ONE,
+    _phi1_coeffs,
+    _ps_coeffs,
     eval_low_order,
     eval_t8,
     eval_t15p,
-    phi1_coeffs,
     ps_eval,
-    scaled_taylor_coeffs,
 )
 # perfbench/tracing.py wraps engine.select_ps and engine.select_sastre too,
 # so expm calls them by these names.
@@ -121,6 +123,13 @@ def squaring(X: Matrix, s: int, ledger: MulLedger) -> Matrix:
     return X
 
 
+# The term loop's divisors k = 2..15 as 0-d arrays (see expmkit.matrix).
+# As ||B||_1 < 1/2, the term B^15/15! is below 2^-15/15! ~ 2.3e-17 in
+# 1-norm, under 2^-53 <= eps, so the loop ends at that term at the latest
+# and 15 is its last divisor: [[0.4999]] at eps 2^-53 gets there (m = 14).
+_DIVISORS = _consts(range(16))
+
+
 @_guarded
 def expm_baseline(W: Matrix, eps: float) -> ExpmResult:
     """Term-accumulation exponential with norm-halving scaling.
@@ -154,8 +163,8 @@ def expm_baseline(W: Matrix, eps: float) -> ExpmResult:
         # The previous term is dead once its product is formed, so the new
         # term is divided into its buffer, except into B's, which the loop
         # still reads.
-        Y = _wrap(np.divide(mat_mul(B, Y, ledger).a, k, out=None if Y is B else Y.a),
-                  writeable=True)
+        Y = _wrap(np.divide(mat_mul(B, Y, ledger).a, _DIVISORS[k],
+                            out=None if Y is B else Y.a), writeable=True)
         k += 1
     del B, Y  # the squarings read x alone
     X = squaring(_wrap(x), s, ledger)
@@ -188,7 +197,7 @@ def expm(W: Matrix, eps: float, scheme: str = SCHEME_SASTRE) -> ExpmResult:
     if plan.m == 0:
         X = identity(W.n)
     elif scheme == SCHEME_PS:
-        X = ps_eval(scaled_taylor_coeffs(plan.m, plan.s), powers, ledger)
+        X = ps_eval(_ps_coeffs(plan.m, plan.s), powers, ledger)
     elif plan.m in (1, 2, 4):
         X = eval_low_order(powers, plan.m, ledger)
     elif plan.m == 8:
@@ -261,8 +270,8 @@ def expm_lowrank(pair: LowRankPair, eps: float) -> ExpmResult:
             f"{LOWRANK_ORDERS[-1]} at tolerance {float(eps):.3g}; the factored path "
             "runs unscaled"
         )
-    psi = ps_eval(phi1_coeffs(plan.m), powers, ledger)
+    psi = ps_eval(_phi1_coeffs(plan.m), powers, ledger)
     value = pair.a1 @ (psi.a @ pair.a2)
-    _add_to_diagonal(value, 1.0)  # I + value, on the diagonal only
+    _add_to_diagonal(value, _ONE)  # I + value, on the diagonal only
     return ExpmResult(check_finite(_wrap(value)), plan, ledger.count,
                       time.perf_counter() - t0, rect_mults=3)

@@ -109,6 +109,15 @@ straight into its block, and B's lo part is zero and is not cut.  A
 squaring has no fixed operand: :func:`_dd_matmul` splits both of its
 operands.
 
+At n <= 64 a cut costs numpy's passes more than their flops, so each
+pass runs on operands of one shape and layout.  :func:`_cut` forms sigma
+once per cut at hi's full shape, in hi's layout (a transposed right
+operand gets a transposed sigma), and scales it by 2^-w in place: no
+pass broadcasts a column of row exponents.  :func:`_split_left` cuts
+into a contiguous (d + 1, r, q) array and interleaves it into a_row in
+one copy, instead of writing every pass through a_row's strided view.
+The values are the same, so BLAS gets the same C-ordered a_row.
+
 The k Taylor blocks are c_rj I + sum_t c_(rj+t) B^t for t = 1 .. len_r,
 with len_r = j - 1 below the top block and m - (k-1) j in it.  They come
 from one rectangular double-double product: the (k, J) table whose row
@@ -232,6 +241,34 @@ def _dd_add(xh, xl, yh, yl):
     return _quick_two_sum(sh, se)
 
 
+def _dd_add_into(xh, xl, yh, yl):
+    """:func:`_dd_add`, bit for bit, written into xh and xl with yh and yl
+    as scratch: the Horner steps of :func:`_dd_poly` allocate 3 arrays for
+    its 20.  Its operands are full-shape; the diagonal terms, broadcast,
+    take :func:`_dd_add`."""
+    s = np.add(xh, yh)  # two_sum(xh, yh) = (s, t)
+    bb = np.subtract(s, xh)
+    t = np.subtract(s, bb)
+    np.subtract(xh, t, out=t)
+    np.subtract(yh, bb, out=bb)
+    t += bb
+    np.add(xl, yl, out=xh)  # two_sum(xl, yl) = (xh, yh)
+    np.subtract(xh, xl, out=bb)
+    np.subtract(xh, bb, out=yh)
+    np.subtract(xl, yh, out=yh)
+    np.subtract(yl, bb, out=bb)
+    yh += bb
+    t += xh
+    np.add(s, t, out=xl)  # quick_two_sum(s, t) = (xl, t)
+    np.subtract(xl, s, out=s)
+    np.subtract(t, s, out=t)
+    t += yh
+    np.add(xl, t, out=xh)  # quick_two_sum(xl, t) = (xh, xl)
+    np.subtract(xh, xl, out=xl)
+    np.subtract(t, xl, out=xl)
+    return xh, xl
+
+
 def _depth_bits(q: int, width: int, depth: int) -> int:
     """Bits of a product with inner dimension q cut into ``depth`` slices of
     ``width`` bits: its error is below about 2^-bits q max|a_i:| max|b_:j|,
@@ -286,7 +323,9 @@ def _cut(hi, lo, width: int, depth: int, slices, rems=None):
     straight into another layout.
     """
     e = np.frexp(np.maximum.reduce(np.abs(hi), axis=1, keepdims=True))[1]
-    sigma = np.ldexp(0.75 * 2.0 ** (53 - width), e)
+    # sigma at hi's full shape and layout: no ufunc below broadcasts.
+    sigma = np.empty_like(hi)
+    np.copyto(sigma, np.ldexp(0.75 * 2.0 ** (53 - width), e))
     for p in range(depth):
         s = slices[p]
         np.add(hi, sigma, out=s)
@@ -304,7 +343,7 @@ def _cut(hi, lo, width: int, depth: int, slices, rems=None):
             if rem is not None:
                 np.add(hi, lo, out=rem)
         if p < depth - 1:
-            sigma = sigma * 2.0 ** -width
+            sigma *= 2.0 ** -width
 
 
 def _split_right(bh, bl=None):
@@ -337,9 +376,11 @@ def _split_left(ah, al, depth=None):
     depth = full if depth is None else depth
     if depth == 0:
         return ah
-    a_row = np.empty((r, depth + 1, q))
-    _cut(ah, al, width, depth, a_row.transpose(1, 0, 2))
-    return a_row.reshape(r, (depth + 1) * q)
+    # Cut into contiguous blocks, then interleave them in one copy (a
+    # reshape of the transposed view alone is not C-ordered at q = 1).
+    work = np.empty((depth + 1, r, q))
+    _cut(ah, al, width, depth, work)
+    return np.ascontiguousarray(work.transpose(1, 0, 2)).reshape(r, (depth + 1) * q)
 
 
 def _dd_levels(a_row, right, out=None):
@@ -491,13 +532,15 @@ def _dd_poly(bh, table, depths=()):
     gh, gl = gh.reshape(k, n, n), gl.reshape(k, n, n)
 
     # Horner in B^j over the blocks, as in poly.ps_eval: the top block may
-    # reach degree j itself, so k - 1 products suffice.
+    # reach degree j itself, so k - 1 products suffice.  A step's product
+    # is fresh and its block is read by no later step, so the sum runs in
+    # their buffers.
     xh, xl = gh[k - 1], gl[k - 1]
     if k > 1:
         right = _split_right(*pw[:, j - 1])
     for r in range(k - 2, -1, -1):
-        xh, xl = _dd_add(*_dd_levels(_split_left(xh, xl, next(depths, None)), right),
-                         gh[r], gl[r])
+        xh, xl = _dd_add_into(*_dd_levels(_split_left(xh, xl, next(depths, None)), right),
+                              gh[r], gl[r])
     return xh, xl
 
 

@@ -43,6 +43,14 @@ and y02's right factor, 2^(-2s) times.  Where an entry leaves that range
 (tiny entries beside large ones at large s), the two round differently;
 ``tests/test_poly.py`` shows one such input and bounds both.
 
+The coefficients and constants the evaluators hand to ufuncs are
+read-only 0-d float64 arrays, cached here once (:mod:`expmkit.matrix`
+says why): the order-8 set and 0.5, 0.25, 3 and 1.0 at import, the 15+
+set per s (:func:`_t15p_coeffs`), the Paterson-Stockmeyer set per (m, s)
+(:func:`_ps_coeffs`) and the low-rank set per m (:func:`_phi1_coeffs`).
+The public :func:`scaled_taylor_coeffs`, :func:`phi1_coeffs` and
+:func:`taylor_coeffs_exp` return floats.
+
 The evaluators are unguarded building blocks; :mod:`expmkit.matrix`
 states that contract.
 """
@@ -56,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import Matrix, MatrixError, MulLedger, _add_to_diagonal, _eye, _wrap
+from .matrix import Matrix, MatrixError, MulLedger, _add_to_diagonal, _consts, _eye, _wrap
 # perfbench/tracing.py wraps poly.mat_mul to count evaluation products.
 from .matrix import mat_mul
 
@@ -102,8 +110,6 @@ def taylor_coeffs_exp(m: int) -> list[float]:
     return list(_INV_FACT[:m + 1])
 
 
-# Typed keys, as for ps_shape; the drivers ask for a few dozen (m, s) pairs.
-@functools.lru_cache(maxsize=128, typed=True)
 def scaled_taylor_coeffs(m: int, s: int) -> tuple[float, ...]:
     """(ldexp(1/i!, -s*i) for i = 0..m): the degree-m Taylor polynomial of
     e^(2^-s A) in powers of the unscaled A (see the module docstring)."""
@@ -111,11 +117,24 @@ def scaled_taylor_coeffs(m: int, s: int) -> tuple[float, ...]:
     return tuple(math.ldexp(c, -s * i) for i, c in enumerate(_INV_FACT[:m + 1]))
 
 
+# Typed keys, as for ps_shape; the drivers ask for a few dozen (m, s) pairs.
+@functools.lru_cache(maxsize=128, typed=True)
+def _ps_coeffs(m: int, s: int) -> tuple:
+    """:func:`scaled_taylor_coeffs` as 0-d arrays, for :func:`ps_eval`."""
+    return _consts(scaled_taylor_coeffs(m, s))
+
+
 def phi1_coeffs(m: int) -> list[float]:
     """Coefficients [1/(i+1)! for i = 0..m] of the index-shifted series
     sum_i x^i/(i+1)! used on the low-rank path."""
     m = _check_order(m)
     return list(_INV_FACT[1:m + 2])
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _phi1_coeffs(m: int) -> tuple:
+    """:func:`phi1_coeffs` as 0-d arrays, for :func:`ps_eval`."""
+    return _consts(phi1_coeffs(m))
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +187,9 @@ class CoeffSet:
 
 
 EXP_COEFFS = CoeffSet(t8=_T8_COEFFS, t15p=_T15P_COEFFS, b16=_T15P_COEFFS[0] ** 4)
+
+_T8 = _consts(_T8_COEFFS)
+_HALF, _QUARTER, _THREE, _ONE = _consts((0.5, 0.25, 3, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -270,18 +292,18 @@ def eval_low_order(powers: list, m: int, ledger: MulLedger) -> Matrix:
         x = pw[0].a.copy()
     else:
         # Halving and quartering are exact, so x/2 and x/4 round as x*0.5 and x*0.25.
-        x = pw[1].a * (0.5 if m == 2 else 0.25)
+        x = pw[1].a * (_HALF if m == 2 else _QUARTER)
         if m == 4:
             x += pw[0].a
-            x /= 3
-            _add_to_diagonal(x, 1.0)
-            np.multiply(mat_mul(_wrap(x, writeable=True), pw[1], ledger).a, 0.5, out=x)
+            x /= _THREE
+            _add_to_diagonal(x, _ONE)
+            np.multiply(mat_mul(_wrap(x, writeable=True), pw[1], ledger).a, _HALF, out=x)
         x += pw[0].a
-    _add_to_diagonal(x, 1.0)
+    _add_to_diagonal(x, _ONE)
     return _wrap(x)
 
 
-def _formula_head(powers: list, c, c6: float, ledger: MulLedger):
+def _formula_head(powers: list, c, c6, ledger: MulLedger):
     """x = c5 y02 + prod + c6 A2, the sum both evaluation formulas start
     from, with y02 = A2 (c0 A2 + c1 A) and prod = (c2 A2 + y02 + c3 A)
     (c4 A2 + y02).  Returns x, y02 and the arrays of A, A2 and the call's
@@ -307,9 +329,9 @@ def _formula_head(powers: list, c, c6: float, ledger: MulLedger):
 def eval_t8(powers: list, ledger: MulLedger) -> Matrix:
     """Order-8 Taylor value in three products (two from [A, A^2]): the
     shared head with c6 = 1/2, plus A + I.  Unchecked (see the module docstring)."""
-    x, _, a, _, _ = _formula_head(powers, EXP_COEFFS.t8, 0.5, ledger)
+    x, _, a, _, _ = _formula_head(powers, _T8, _HALF, ledger)
     x += a
-    _add_to_diagonal(x, 1.0)
+    _add_to_diagonal(x, _ONE)
     return _wrap(x)
 
 
@@ -319,9 +341,10 @@ _T15P_DEGREES = (4, 3, 2, 1, 2, 0, 2, 2, 1, 0, 1, 0, 0, 2, 1, 0)
 
 
 @functools.lru_cache(maxsize=64, typed=True)
-def _t15p_coeffs(s: int) -> tuple[float, ...]:
-    """The 15+ coefficients c_i * 2^(-s*d_i); the published ones at s = 0."""
-    return tuple(math.ldexp(c, -s * d) for c, d in zip(_T15P_COEFFS, _T15P_DEGREES))
+def _t15p_coeffs(s: int) -> tuple:
+    """The 15+ coefficients c_i * 2^(-s*d_i) as 0-d arrays; the published
+    ones at s = 0."""
+    return _consts(math.ldexp(c, -s * d) for c, d in zip(_T15P_COEFFS, _T15P_DEGREES))
 
 
 def eval_t15p(powers: list, ledger: MulLedger, s: int = 0) -> Matrix:

@@ -134,6 +134,15 @@ def test_baseline_forms_a_term_norm_only_where_the_corner_cannot_decide(monkeypa
         assert res.plan.e1 == one_norm(terms[-1]) <= 1e-8
 
 
+@pytest.mark.parametrize("x", [0.4999, -0.4999])
+def test_baseline_reaches_its_last_divisor_at_the_extreme(x):
+    # ||B||_1 just under 1/2 at the least tolerance: the term loop runs to
+    # B^15/15!, so a divisor table one entry short raises here.
+    res = expm_baseline(Matrix([[x]]), 2.0 ** -53)
+    assert (res.plan.m, res.plan.s) == (14, 0)
+    assert res.value.a[0, 0] == pytest.approx(math.exp(x), rel=2e-16)
+
+
 def test_baseline_tolerance_floor():
     with pytest.raises(ToleranceError):
         expm_baseline(identity(2), 2.0 ** -60)

@@ -28,8 +28,9 @@ from expmkit import (
     taylor_coeffs_exp,
 )
 from expmkit import oracle
-from expmkit.oracle import (_cut, _dd_levels, _dd_matmul, _depth_bits, _expm_dd,
-                            _quick_two_sum, _slicing, _split_left, _split_right, _two_sum)
+from expmkit.oracle import (_cut, _dd_add, _dd_add_into, _dd_levels, _dd_matmul, _depth_bits,
+                            _expm_dd, _quick_two_sum, _slicing, _split_left, _split_right,
+                            _two_sum)
 
 
 def test_zero_gives_identity():
@@ -474,6 +475,107 @@ def test_a_zero_level_against_a_negative_zero_sum_keeps_lo_positive(r, q, c):
     got = _dd_levels(a_row, (b_col, b_tail))
     assert _same_bytes(got, _ref_levels(a_row, (b_col, b_tail)))
     assert not np.signbit(got).any()
+
+
+# ---------------------------------------------------------------------------
+# the cut's layouts against the broadcast, interleaved cut, byte for byte
+# ---------------------------------------------------------------------------
+
+def _ref_cut(hi, lo, width, depth, slices, rems=None):
+    """The cut with an (r, 1) sigma broadcast over each pass."""
+    e = np.frexp(np.maximum.reduce(np.abs(hi), axis=1, keepdims=True))[1]
+    sigma = np.ldexp(0.75 * 2.0 ** (53 - width), e)
+    for p in range(depth):
+        s = slices[p]
+        np.add(hi, sigma, out=s)
+        s -= sigma
+        rem = rems[p] if rems is not None else slices[depth] if p == depth - 1 else None
+        if lo is None:
+            hi = np.subtract(hi, s, out=rem)
+        else:
+            hi = hi - s
+            if (p + 1) * width + 1 > oracle._LO_GRID:
+                t = lo + sigma
+                t -= sigma
+                lo = lo - t
+                s += t
+            if rem is not None:
+                np.add(hi, lo, out=rem)
+        if p < depth - 1:
+            sigma = sigma * 2.0 ** -width
+
+
+def _ref_split_left(ah, al, depth=None):
+    """The left split that cuts through a_row's interleaved view."""
+    r, q = ah.shape
+    width, full = _slicing(q)
+    depth = full if depth is None else depth
+    if depth == 0:
+        return ah
+    a_row = np.empty((r, depth + 1, q))
+    _ref_cut(ah, al, width, depth, a_row.transpose(1, 0, 2))
+    return a_row.reshape(r, (depth + 1) * q)
+
+
+def _ref_cut_right(bh, bl=None):
+    """:func:`_split_right` on :func:`_ref_cut`."""
+    q, c = bh.shape
+    width, depth = _slicing(q)
+    b_col = np.empty((depth, q, c))
+    b_tail = np.empty((depth + 1, q, c))
+    _ref_cut(bh.T, None if bl is None else bl.T, width, depth,
+             b_col[::-1].transpose(0, 2, 1), b_tail[depth - 1::-1].transpose(0, 2, 1))
+    b_tail[depth] = bh
+    return b_col.reshape(depth * q, c), b_tail.reshape((depth + 1) * q, c)
+
+
+def _assert_layouts_match_broadcast_cut(seed, r, q, c):
+    full = _slicing(q)[1]
+    for ah, al, bh, bl in _kernel_operands(seed, r, q, c, 2):
+        for lo_a, lo_b in ((None, None), (al, bl)):
+            assert _same_bytes(_split_right(bh, lo_b), _ref_cut_right(bh, lo_b))
+            for depth in range(full + 1):
+                a_row = _split_left(ah, lo_a, depth)
+                assert a_row.tobytes() == _ref_split_left(ah, lo_a, depth).tobytes(), depth
+                assert depth == 0 or a_row.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", _ORDERS)
+def test_cut_layouts_keep_the_broadcast_cuts_bytes(n):
+    _assert_layouts_match_broadcast_cut(1200 + n, n, n, n)
+
+
+@pytest.mark.parametrize("r, q, c", _RECT_SHAPES)
+def test_rectangular_cut_layouts_keep_the_broadcast_cuts_bytes(r, q, c):
+    _assert_layouts_match_broadcast_cut(1300 + r * q * c, r, q, c)
+
+
+def test_a_panel_of_the_block_stack_keeps_the_broadcast_cuts_bytes():
+    # A panel of [B; ..; B^J] is a strided view, and so is its transpose,
+    # which the right split cuts; sigma follows its layout.
+    n, inner = 64, 5
+    rng = np.random.default_rng(64)
+    pw = np.stack([np.stack(_tight_pair(rng, n)) for _ in range(inner)], axis=1)
+    stack = pw.reshape(2, inner, n * n)
+    for c in range(0, n * n, oracle._PANEL):
+        panel = stack[:, :, c:c + oracle._PANEL]
+        assert not panel[0].flags.c_contiguous and not panel[0].flags.f_contiguous
+        assert _same_bytes(_split_right(*panel), _ref_cut_right(*panel))
+        assert _same_bytes(_split_right(panel[0]), _ref_cut_right(panel[0]))
+
+
+def test_dd_add_into_keeps_the_bytes_of_dd_add():
+    # Pairs across binary64's range with signed zeros, exact cancellations
+    # and lo parts at half an ulp, as the Horner steps add them.
+    rng = np.random.default_rng(77)
+    for n in (1, 3, 8, 64):
+        xh, xl = _tight_pair(rng, n)
+        yh, yl = _tight_pair(rng, n)
+        yh[0], yl[0] = -xh[0], -xl[0]
+        xh.flat[-1], xl.flat[-1], yh.flat[-1], yl.flat[-1] = -0.0, 0.0, -0.0, -0.0
+        want = _dd_add(xh, xl, yh, yl)
+        got = _dd_add_into(xh.copy(), xl.copy(), yh.copy(), yl.copy())
+        assert _same_bytes(got, want), n
 
 
 def _ints(arr, bits=400):

@@ -92,3 +92,24 @@ def test_summary_flags_a_metric_beyond_its_bound_and_a_failed_gate():
     ok = out["metrics"]["ok_frac"]
     assert ok["worse_by"] == pytest.approx(0.1) and ok["within_bound"] is False
     assert ok["median_gap"] == pytest.approx(-0.1)
+
+
+def test_summary_marks_a_metric_whose_parent_spread_reaches_half_its_bound():
+    # item_cost_mean's bound is 0.2: a parent IQR of 10% of its median or
+    # more leaves no room to resolve it; ok_frac does not move; a metric
+    # without a bound is never marked.
+    runs = _runs([
+        ((30.0, 0.99, 0.01), (30.0, 0.99, 0.01)),
+        ((33.0, 0.99, 0.01), (30.0, 0.99, 0.02)),
+        ((40.0, 0.99, 0.01), (30.0, 0.99, 0.03)),
+    ])
+    out = tool.summarize(runs, SPEC)
+    cost = out["metrics"]["item_cost_mean"]
+    assert cost["parent_iqr"] == 5.0 and cost["parent_quartiles"][1] == 33.0
+    assert cost["unresolved"] is True  # 2 * 5.0 >= 0.2 * 33
+    assert out["metrics"]["ok_frac"]["unresolved"] is False  # no spread
+    assert "unresolved" not in out["metrics"]["poly.self_s"]
+    narrow = tool.summarize(_runs([((32.0, 0.99, 0.01), (30.0, 0.99, 0.01)),
+                                   ((33.0, 0.99, 0.01), (30.0, 0.99, 0.01)),
+                                   ((34.0, 0.99, 0.01), (30.0, 0.99, 0.01))]), SPEC)
+    assert narrow["metrics"]["item_cost_mean"]["unresolved"] is False  # 2 * 1.0 < 6.6

@@ -30,6 +30,7 @@ from expmkit import (
     scaled_taylor_coeffs,
     taylor_coeffs_exp,
 )
+from expmkit import engine, poly
 from expmkit.poly import _t15p_coeffs
 
 
@@ -474,3 +475,55 @@ def test_folded_coefficients_stay_normal_up_to_the_scaling_cap():
             assert abs(c) >= sys.float_info.min and math.frexp(c)[0] == math.frexp(c0)[0]
     assert _t15p_coeffs(0) == EXP_COEFFS.t15p
     assert list(scaled_taylor_coeffs(9, 0)) == taylor_coeffs_exp(9)
+
+
+# ---------------------------------------------------------------------------
+# cached 0-d coefficients against Python floats, byte for byte
+# ---------------------------------------------------------------------------
+
+def _cached_scalars():
+    """(cached 0-d array, the Python number it stands for) for every scalar
+    that the evaluators and drivers pass to a ufunc."""
+    pairs = list(zip(poly._T8, EXP_COEFFS.t8))
+    pairs += zip((poly._HALF, poly._QUARTER, poly._THREE, poly._ONE), (0.5, 0.25, 3, 1.0))
+    for s in range(MAX_SCALING + 1):
+        pairs += zip(_t15p_coeffs(s), (math.ldexp(c, -s * d) for c, d in
+                                       zip(EXP_COEFFS.t15p, poly._T15P_DEGREES)))
+    # ps: every order unscaled, the top one at every s.
+    ps = [(rung.m, 0) for rung in PS_TABLES]
+    ps += [(PS_TABLES[-1].m, s) for s in range(1, MAX_SCALING + 1)]
+    for m, s in ps:
+        pairs += zip(poly._ps_coeffs(m, s), scaled_taylor_coeffs(m, s), strict=True)
+    for m in engine.LOWRANK_ORDERS:
+        pairs += zip(poly._phi1_coeffs(m), phi1_coeffs(m), strict=True)
+    pairs += ((engine._DIVISORS[k], k) for k in range(2, 16))
+    return pairs
+
+
+def _scalar_operands():
+    """A C- and a Fortran-ordered operand holding subnormals, signed zeros,
+    2^+-600 and ordinary values."""
+    a = np.array([[5e-324, -2.0 ** -1060, 0.0, -0.0],
+                  [2.0 ** 600, -(2.0 ** 600), 2.0 ** -600, -(2.0 ** -600)],
+                  [1.0, -3.0, 0.1, 2.0 ** -1022],
+                  [1e300, -1e-300, 7.5, -0.0]])
+    return a, np.asfortranarray(a.T)
+
+
+def test_cached_scalars_give_the_bytes_of_python_floats():
+    # NEP 50 casts a Python float or int to binary64 exactly, so a 0-d
+    # float64 array reaches the same operation.  The caches are shared by
+    # every call, so they must be read-only.
+    pairs = _cached_scalars()
+    assert len(pairs) > 800
+    with np.errstate(all="ignore"):
+        for c, x in pairs:
+            assert c.shape == () and c.dtype == np.float64 and not c.flags.writeable
+            assert float(c) == x
+            for a in _scalar_operands():
+                for op in (np.multiply, np.add, np.divide):
+                    want = op(a, x)
+                    assert op(a, c).tobytes() == want.tobytes(), (op, x)
+                    out = np.empty_like(a)
+                    assert op(a, c, out=out).tobytes() == want.tobytes(), (op, x)
+                    assert out.flags.f_contiguous == a.flags.f_contiguous

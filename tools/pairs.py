@@ -15,7 +15,11 @@ Prints one JSON object.  Per metric it holds both trees' values in seed
 order, their inclusive quartiles, the ratio of the medians, how many
 pairs the change wins or ties in the direction BENCHMARK.json gives, the
 gap between the medians next to the parent's interquartile range, and
-whether each seed gave identical values on both trees.
+whether each seed gave identical values on both trees.  A metric with a
+bound is marked ``unresolved`` when the parent's interquartile range over
+the pairs run is at least half that bound, relative to the parent's
+median: its spread then leaves no room to tell a move within the bound
+from noise, so rerun it with more pairs.
 """
 
 from __future__ import annotations
@@ -113,8 +117,10 @@ def summarize(runs, spec: list[dict]) -> dict:
         }
         if "bound" in m:
             worse_by = sign * (qc[1] / qp[1] - 1.0) if qp[1] else 0.0
+            iqr = entry["parent_iqr"]
             entry.update(worse_by=worse_by, bound=m["bound"],
-                         within_bound=worse_by <= m["bound"])
+                         within_bound=worse_by <= m["bound"],
+                         unresolved=iqr > 0 and 2 * iqr >= m["bound"] * abs(qp[1]))
         out["metrics"][name] = entry
     return out
 

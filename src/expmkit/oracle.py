@@ -221,48 +221,27 @@ _DEPTH_MARGIN = 2
 _PANEL = 1024
 
 
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _quick_two_sum(a, b):
-    s = a + b
-    return s, b - (s - a)
-
-
 def _dd_add(xh, xl, yh, yl):
-    sh, se = _two_sum(xh, yh)
-    th, te = _two_sum(xl, yl)
-    se = se + th
-    sh, se = _quick_two_sum(sh, se)
-    se = se + te
-    return _quick_two_sum(sh, se)
-
-
-def _dd_add_into(xh, xl, yh, yl):
-    """:func:`_dd_add`, bit for bit, written into xh and xl with yh and yl
-    as scratch: the Horner steps of :func:`_dd_poly` allocate 3 arrays for
-    its 20.  Its operands are full-shape; the diagonal terms, broadcast,
-    take :func:`_dd_add`."""
+    """(xh, xl) + (yh, yl) in double-double, written into xh and xl: two
+    two_sums and two quick_two_sums in 3 new arrays.  y is only read and
+    may broadcast against x."""
     s = np.add(xh, yh)  # two_sum(xh, yh) = (s, t)
     bb = np.subtract(s, xh)
     t = np.subtract(s, bb)
     np.subtract(xh, t, out=t)
     np.subtract(yh, bb, out=bb)
     t += bb
-    np.add(xl, yl, out=xh)  # two_sum(xl, yl) = (xh, yh)
-    np.subtract(xh, xl, out=bb)
-    np.subtract(xh, bb, out=yh)
-    np.subtract(xl, yh, out=yh)
-    np.subtract(yl, bb, out=bb)
-    yh += bb
+    np.add(xl, yl, out=xh)  # two_sum(xl, yl) = (xh, e); e overwrites xh once added to t
     t += xh
+    np.subtract(xh, xl, out=bb)
+    np.subtract(xh, bb, out=xh)
+    np.subtract(xl, xh, out=xh)
+    np.subtract(yl, bb, out=bb)
+    xh += bb
     np.add(s, t, out=xl)  # quick_two_sum(s, t) = (xl, t)
     np.subtract(xl, s, out=s)
     np.subtract(t, s, out=t)
-    t += yh
+    t += xh
     np.add(xl, t, out=xh)  # quick_two_sum(xl, t) = (xh, xl)
     np.subtract(xh, xl, out=xl)
     np.subtract(t, xl, out=xl)
@@ -526,21 +505,20 @@ def _dd_poly(bh, table, depths=()):
     for c in range(0, n * n, _PANEL):
         _dd_levels(left, _split_right(*stack[:, :, c:c + _PANEL]), blocks[:, :, c:c + _PANEL])
     gh, gl = blocks
-    # c_rj I on the k diagonals: every (n+1)-th column of the blocks.
-    gh[:, ::n + 1], gl[:, ::n + 1] = _dd_add(gh[:, ::n + 1], gl[:, ::n + 1],
-                                             *eye[:, :, None])
+    # c_rj I on the k diagonals: every (n+1)-th column of the blocks,
+    # summed in a contiguous copy (in the strided view each pass costs more).
+    gh[:, ::n + 1], gl[:, ::n + 1] = _dd_add(*blocks[:, :, ::n + 1].copy(), *eye[:, :, None])
     gh, gl = gh.reshape(k, n, n), gl.reshape(k, n, n)
 
     # Horner in B^j over the blocks, as in poly.ps_eval: the top block may
     # reach degree j itself, so k - 1 products suffice.  A step's product
-    # is fresh and its block is read by no later step, so the sum runs in
-    # their buffers.
+    # is fresh, so the sum runs in its buffers.
     xh, xl = gh[k - 1], gl[k - 1]
     if k > 1:
         right = _split_right(*pw[:, j - 1])
     for r in range(k - 2, -1, -1):
-        xh, xl = _dd_add_into(*_dd_levels(_split_left(xh, xl, next(depths, None)), right),
-                              gh[r], gl[r])
+        xh, xl = _dd_add(*_dd_levels(_split_left(xh, xl, next(depths, None)), right),
+                         gh[r], gl[r])
     return xh, xl
 
 

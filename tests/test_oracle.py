@@ -28,9 +28,8 @@ from expmkit import (
     taylor_coeffs_exp,
 )
 from expmkit import oracle
-from expmkit.oracle import (_cut, _dd_add, _dd_add_into, _dd_levels, _dd_matmul, _depth_bits,
-                            _expm_dd, _quick_two_sum, _slicing, _split_left, _split_right,
-                            _two_sum)
+from expmkit.oracle import (_cut, _dd_add, _dd_levels, _dd_matmul, _depth_bits, _expm_dd,
+                            _slicing, _split_left, _split_right)
 
 
 def test_zero_gives_identity():
@@ -212,6 +211,27 @@ def test_cross_check_against_scipy():
 # ---------------------------------------------------------------------------
 # double-double products against exact rational arithmetic
 # ---------------------------------------------------------------------------
+
+def _two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _quick_two_sum(a, b):
+    s = a + b
+    return s, b - (s - a)
+
+
+def _ref_dd_add(xh, xl, yh, yl):
+    """The double-double sum in new arrays."""
+    sh, se = _two_sum(xh, yh)
+    th, te = _two_sum(xl, yl)
+    se = se + th
+    sh, se = _quick_two_sum(sh, se)
+    se = se + te
+    return _quick_two_sum(sh, se)
+
 
 def _dd_pair(rng, n, row_scale=None, col_scale=None):
     """Normalised double-double matrix (|lo| <= ulp(hi)/2), nonzero lo."""
@@ -564,18 +584,30 @@ def test_a_panel_of_the_block_stack_keeps_the_broadcast_cuts_bytes():
         assert _same_bytes(_split_right(panel[0]), _ref_cut_right(panel[0]))
 
 
-def test_dd_add_into_keeps_the_bytes_of_dd_add():
+def test_dd_add_in_place_keeps_the_bytes_of_the_sum_in_new_arrays():
     # Pairs across binary64's range with signed zeros, exact cancellations
-    # and lo parts at half an ulp, as the Horner steps add them.
+    # and lo parts at half an ulp, full-shape as the Horner steps add them
+    # and on strided diagonals with a broadcast column, as the identity
+    # terms; y is only read.
     rng = np.random.default_rng(77)
     for n in (1, 3, 8, 64):
         xh, xl = _tight_pair(rng, n)
         yh, yl = _tight_pair(rng, n)
         yh[0], yl[0] = -xh[0], -xl[0]
         xh.flat[-1], xl.flat[-1], yh.flat[-1], yl.flat[-1] = -0.0, 0.0, -0.0, -0.0
-        want = _dd_add(xh, xl, yh, yl)
-        got = _dd_add_into(xh.copy(), xl.copy(), yh.copy(), yl.copy())
+        y_bytes = yh.tobytes() + yl.tobytes()
+        want = _ref_dd_add(xh, xl, yh, yl)
+        got = _dd_add(xh.copy(), xl.copy(), yh, yl)
         assert _same_bytes(got, want), n
+        assert yh.tobytes() + yl.tobytes() == y_bytes
+        blocks = np.stack([np.stack(_tight_pair(rng, n)).reshape(2, n * n) for _ in range(3)], 1)
+        eye = np.stack(_tight_pair(rng, 3, 1))
+        eye[:, 0] = -blocks[:, 0, :1]
+        want = blocks.copy()
+        want[:, :, ::n + 1] = _ref_dd_add(*blocks[:, :, ::n + 1], *eye)
+        eye_bytes = eye.tobytes()
+        _dd_add(*blocks[:, :, ::n + 1], *eye)
+        assert blocks.tobytes() == want.tobytes() and eye.tobytes() == eye_bytes, n
 
 
 def _ints(arr, bits=400):

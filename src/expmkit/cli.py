@@ -48,6 +48,10 @@ def _cmd_single(args) -> int:
     if args.stats:
         print(f"scheme={args.scheme} n={W.n} one_norm={res.plan.norms[0]!r}")
         print(f"e1={res.plan.e1!r} e2={res.plan.e2!r} wall_time_s={res.wall_time!r}")
+        print(f"select_mults={res.select_mults} eval_mults={res.eval_mults} "
+              f"square_mults={res.square_mults}")
+        print(f"bound={res.plan.bound!r} cap_hit={res.plan.cap_hit} "
+              f"bound_met={res.plan.bound_met}")
     if args.out:
         save_matrix(res.value, args.out)
     return EXIT_OK
@@ -89,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     single.add_argument("--scheme", required=True, choices=_SCHEMES)
     single.add_argument("--out", help="write the result matrix here")
     single.add_argument("--stats", action="store_true",
-                        help="print norms, unscaled tail bounds and timing")
+                        help="print norms, tail bounds, phase counts, flags and timing")
     single.set_defaults(func=_cmd_single)
 
     bench = sub.add_parser("bench", help="run a benchmark suite")

@@ -26,8 +26,12 @@ runs the unguarded building blocks (the selectors, the evaluators of
 checks its result; :mod:`expmkit.matrix` states that contract and why
 an overflow still raises :class:`~expmkit.matrix.NonFiniteError`.
 A :class:`~expmkit.matrix.Matrix` carries the input, each product's
-operands and the result; sums run on plain arrays.  The selector's powers
-live only inside the call: a result holds no array but its value.
+operands and the result; sums run on plain arrays.  ``expm`` with ps and
+``expm_lowrank`` hand their selector a power stack
+(:class:`~expmkit.poly._PowerStack`), whose rows take a copy of W (or V)
+and each power formed after it, for :func:`~expmkit.poly.ps_eval`'s
+block sums; sastre keeps a plain list.  The selector's powers live only
+inside the call: a result holds no array but its value.
 """
 
 from __future__ import annotations
@@ -47,22 +51,26 @@ from .matrix import (Matrix, MatrixError, MulLedger, NonFiniteError, _add_to_dia
 from .matrix import mat_mul
 from .poly import (
     _ONE,
+    _PowerStack,
     _phi1_coeffs,
     _ps_coeffs,
     eval_low_order,
     eval_t8,
     eval_t15p,
     ps_eval,
+    ps_shape,
 )
 # perfbench/tracing.py wraps engine.select_ps and engine.select_sastre too,
 # so expm calls them by these names.
 from .select import (
     LOWRANK_TABLES,
+    PS_TABLES,
     SCHEME_BASELINE,
     SCHEME_LOWRANK,
     SCHEME_PS,
     SCHEME_SASTRE,
     EvalPlan,
+    _log2,
     _select,
     check_tolerance,
     select_ps,
@@ -89,10 +97,13 @@ class ExpmResult(NamedTuple):
     """Computed exponential plus the plan and cost that produced it
     (immutable, like the plan).
 
-    ``mults`` counts square matrix-matrix products (polynomial evaluation
-    plus exactly s squarings); rectangular factor products on the
-    low-rank path are a different currency and live in ``rect_mults``.
-    :class:`~expmkit.select.EvalPlan` says what ``plan.e1``/``plan.e2`` bound.
+    ``mults`` counts square matrix-matrix products (selection, polynomial
+    evaluation and exactly s squarings); rectangular factor products on
+    the low-rank path are a different currency and live in ``rect_mults``.
+    The plan splits ``mults`` into the three phases, ``select_mults``,
+    ``eval_mults`` and ``square_mults``.
+    :class:`~expmkit.select.EvalPlan` says what ``plan.e1``/``plan.e2`` and
+    ``plan.bound`` bound, and flags a capped or missed plan.
     """
 
     value: Matrix
@@ -100,6 +111,22 @@ class ExpmResult(NamedTuple):
     mults: int
     wall_time: float
     rect_mults: int = 0
+
+    @property
+    def select_mults(self) -> int:
+        """Products formed while selecting: one per power past W whose norm
+        the plan holds (the baseline's plan holds the norm of W alone)."""
+        return len(self.plan.norms) - 1
+
+    @property
+    def square_mults(self) -> int:
+        """The s squarings."""
+        return self.plan.s
+
+    @property
+    def eval_mults(self) -> int:
+        """Products of the polynomial evaluation: the rest of ``mults``."""
+        return self.mults - self.select_mults - self.plan.s
 
 
 def squaring(X: Matrix, s: int, ledger: MulLedger) -> Matrix:
@@ -168,7 +195,7 @@ def expm_baseline(W: Matrix, eps: float) -> ExpmResult:
         k += 1
     del B, Y  # the squarings read x alone
     X = squaring(_wrap(x), s, ledger)
-    plan = EvalPlan(k - 2, s, SCHEME_BASELINE, e1, 0.0, (norm1,))
+    plan = EvalPlan(k - 2, s, SCHEME_BASELINE, e1, 0.0, (norm1,), eps, _log2(e1))
     return ExpmResult(check_finite(X), plan, ledger.count, time.perf_counter() - t0)
 
 
@@ -185,10 +212,11 @@ def expm(W: Matrix, eps: float, scheme: str = SCHEME_SASTRE) -> ExpmResult:
     """
     t0 = time.perf_counter()
     ledger = MulLedger()
-    powers = []
     if scheme == SCHEME_PS:
+        powers = _PowerStack(_PS_ROWS)
         plan = select_ps(W, eps, ledger, powers)
     elif scheme == SCHEME_SASTRE:
+        powers = []
         plan = select_sastre(W, eps, ledger, powers)
     else:
         raise MatrixError(f"unknown scheme {scheme!r}; expected 'ps' or 'sastre'")
@@ -242,6 +270,10 @@ class LowRankPair:
 
 
 LOWRANK_ORDERS = tuple(rung.m for rung in LOWRANK_TABLES)
+# The power stacks' rows: the block power j that ps_eval needs at each
+# ladder's top order (the low-rank selector forms only V^2; ps_eval the rest).
+_PS_ROWS = ps_shape(PS_TABLES[-1].m).j
+_LOWRANK_ROWS = ps_shape(LOWRANK_ORDERS[-1]).j
 
 
 @_guarded
@@ -262,7 +294,7 @@ def expm_lowrank(pair: LowRankPair, eps: float) -> ExpmResult:
     t0 = time.perf_counter()
     ledger = MulLedger()
     V = _wrap(pair.a2 @ pair.a1)  # _select scans V if its 1-norm is not finite
-    powers = []
+    powers = _PowerStack(_LOWRANK_ROWS)
     plan = _select(LOWRANK_TABLES, SCHEME_LOWRANK, V, eps, ledger, powers)
     if plan.s > 0:
         raise LowRankOrderError(

@@ -14,7 +14,10 @@ returns the rounded product itself, -0 for 0 * -x, where ``@`` adds it
 to +0, so ``mat_mul`` keeps ``@`` there.  ``tests/test_matrix.py`` pins
 the bytes at orders 1-70, 128 and 256, at scales 2^600 and 2^-600, with
 subnormal and signed-zero entries and with one array as both operands.  The
-low-rank path's rectangular products stay ``@``.
+low-rank path's rectangular products stay ``@``.  With ``out``,
+:func:`mat_mul` writes the product into a given array, such as the next
+row of :mod:`expmkit.poly`'s power stack, with the bytes a new array
+gets.
 
 Values enter the package through one gate, ``_entries``, which
 :class:`Matrix` and :class:`~expmkit.engine.LowRankPair` both call: it
@@ -65,9 +68,9 @@ Python float: numpy converts a Python float afresh on every call.
 VM).  Under NEP 50 a Python float
 reaches the ufunc as the same binary64 value, so the bytes are the
 same; ``tests/test_poly.py`` pins that on every cached set.  The caches
-are :mod:`expmkit.poly`'s coefficient tuples and constants and
-:mod:`expmkit.engine`'s divisors; a cached array is shared by every
-caller, so it is read-only.
+are :mod:`expmkit.poly`'s coefficient tuples, constants and
+Paterson-Stockmeyer diagonal terms and :mod:`expmkit.engine`'s divisors;
+a cached array is shared by every caller, so it is read-only.
 """
 
 from __future__ import annotations
@@ -255,16 +258,24 @@ class MulLedger:
         return f"<MulLedger count={self.count}>"
 
 
-def mat_mul(A: Matrix, B: Matrix, ledger: MulLedger) -> Matrix:
+def mat_mul(A: Matrix, B: Matrix, ledger: MulLedger, out: np.ndarray | None = None) -> Matrix:
     """Full product A @ B, charging exactly one multiplication.
 
-    Unguarded: see the module docstring for how its callers check it.
+    With ``out``, a C-contiguous float64 n-by-n array that overlaps
+    neither operand, the product is written into it, with the bytes of a
+    new array; the result then wraps ``out`` and makes that view
+    read-only.  Unguarded: see the module docstring for how its callers
+    check it.
     """
     n = A.n
     if n != B.n:
         raise MatrixError(f"order mismatch: {n} vs {B.n}")
-    # np.dot, not @, past order 1 (see the module docstring).
-    c = np.dot(A.a, B.a) if n > 1 else A.a @ B.a
+    # np.dot, not @, past order 1 (see the module docstring).  An explicit
+    # out=None costs np.dot about 6% at order 8, so it is passed only when given.
+    if out is None:
+        c = np.dot(A.a, B.a) if n > 1 else A.a @ B.a
+    else:
+        c = np.dot(A.a, B.a, out=out) if n > 1 else np.matmul(A.a, B.a, out=out)
     # The charge and _wrap(c), inlined: this runs once per product.
     ledger.count += 1
     c.setflags(write=False)

@@ -14,17 +14,38 @@ Two evaluation routes are provided with exact multiplication budgets:
 
 Each evaluator takes ``powers`` = [A, A^2, ...] (the selectors build it
 while bounding), forms only the powers it lacks and leaves the list
-unchanged; a budget counts the products from [A] alone.
+unchanged; a budget counts the products from [A] alone.  The drivers of
+:func:`ps_eval` hand their selector a :class:`_PowerStack` in place of a
+plain list: the selector and :func:`ps_eval` form each power past A
+straight into the next row of one (rows, n, n) array, through
+``mat_mul``'s ``out``, and :func:`ps_eval` fills that stack in place.  A
+plain list is copied once into a new stack.
 
-The evaluators sum in place on plain float64 arrays: a sum's first term
-c*X allocates it, each further c*X is rounded into one scratch buffer per
-call and added, and c*I goes on the n diagonal entries only.  So each
-entry rounds as in the chained expression ``X0 + c1*X1 + ...`` on the
-operands' arrays (binary64 addition commutes, so the first two terms may
-swap), except that an off-diagonal -0 stays -0 where the chained form
-adds the identity's +0.  A :class:`~expmkit.matrix.Matrix` wraps only each
-charged product's operands, for the module's ``mat_mul``, and the result,
-which owns its array.  The identity is formed only for an m = 0 result.
+The formula evaluators sum in place on plain float64 arrays: a sum's
+first term c*X allocates it, each further c*X is rounded into one scratch
+buffer per call and added, and c*I goes on the n diagonal entries only.
+So each entry rounds as in the chained expression ``X0 + c1*X1 + ...``
+on the operands' arrays (binary64 addition commutes, so the first two
+terms may swap), except that an off-diagonal -0 stays -0 where the
+chained form adds the identity's +0.
+
+:func:`ps_eval` forms each block sum c_rj I + c_(rj+1) A + ... with one
+BLAS matrix-vector product: the block's row of its coefficient table
+times the stack [A; A^2; ...; A^j] seen as a (j, n*n) array, written into
+one block buffer, and then c_rj added on the n diagonal entries.  BLAS
+may add in any order and fuse multiply-adds, so a block sum is not the
+chained expression's bit for bit.  Its rounding contract is the
+summation bound (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., ch. 3), which holds in any order, with or without
+FMA: a block of L terms is within gamma_(L+1) (|c_rj| I + sum_t
+|c_(rj+t)| |A^t|) of its exact sum, entry by entry, with
+gamma_n = n u / (1 - n u) and u = 2^-53.  Like :func:`~expmkit.matrix.one_norm`,
+it is deterministic for one BLAS build and thread count.  The Horner
+steps, block + q A^j, round as before.
+
+A :class:`~expmkit.matrix.Matrix` wraps only each charged product's
+operands, for the module's ``mat_mul``, and the result, which owns its
+array.  The identity is formed only for an m = 0 result.
 
 Scaling folds into the coefficients.  Only the top rung of a ladder is
 ever scaled, so only :func:`ps_eval` at order 16 and :func:`eval_t15p`
@@ -45,10 +66,13 @@ and y02's right factor, 2^(-2s) times.  Where an entry leaves that range
 
 The coefficients and constants the evaluators hand to ufuncs are
 read-only 0-d float64 arrays, cached here once (:mod:`expmkit.matrix`
-says why): the order-8 set and 0.5, 0.25, 3 and 1.0 at import, the 15+
-set per s (:func:`_t15p_coeffs`), the Paterson-Stockmeyer set per (m, s)
-(:func:`_ps_coeffs`) and the low-rank set per m (:func:`_phi1_coeffs`).
-The public :func:`scaled_taylor_coeffs`, :func:`phi1_coeffs` and
+says why): the order-8 set and 0.5, 0.25, 3 and 1.0 at import and the
+15+ set per s (:func:`_t15p_coeffs`).  :func:`ps_eval` reads a
+:class:`_PsTable`, the zero-padded (k, j) coefficient table and the k
+diagonal terms as 0-d arrays, all read-only and rounded to binary64
+once; the drivers' tables are cached per (m, s) (:func:`_ps_coeffs`) and
+per m on the low-rank path (:func:`_phi1_coeffs`).  The public
+:func:`scaled_taylor_coeffs`, :func:`phi1_coeffs` and
 :func:`taylor_coeffs_exp` return floats.
 
 The evaluators are unguarded building blocks; :mod:`expmkit.matrix`
@@ -61,6 +85,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,24 +142,11 @@ def scaled_taylor_coeffs(m: int, s: int) -> tuple[float, ...]:
     return tuple(math.ldexp(c, -s * i) for i, c in enumerate(_INV_FACT[:m + 1]))
 
 
-# Typed keys, as for ps_shape; the drivers ask for a few dozen (m, s) pairs.
-@functools.lru_cache(maxsize=128, typed=True)
-def _ps_coeffs(m: int, s: int) -> tuple:
-    """:func:`scaled_taylor_coeffs` as 0-d arrays, for :func:`ps_eval`."""
-    return _consts(scaled_taylor_coeffs(m, s))
-
-
 def phi1_coeffs(m: int) -> list[float]:
     """Coefficients [1/(i+1)! for i = 0..m] of the index-shifted series
     sum_i x^i/(i+1)! used on the low-rank path."""
     m = _check_order(m)
     return list(_INV_FACT[1:m + 2])
-
-
-@functools.lru_cache(maxsize=32, typed=True)
-def _phi1_coeffs(m: int) -> tuple:
-    """:func:`phi1_coeffs` as 0-d arrays, for :func:`ps_eval`."""
-    return _consts(phi1_coeffs(m))
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +208,6 @@ _HALF, _QUARTER, _THREE, _ONE = _consts((0.5, 0.25, 3, 1.0))
 # Paterson-Stockmeyer
 # ---------------------------------------------------------------------------
 
-_FLOAT64 = np.dtype(np.float64)
-
-
 @dataclass(frozen=True)
 class PsShape:
     """Block schedule for degree m: powers A^2..A^j are cached and k
@@ -236,48 +245,142 @@ def _powers(powers: list, j: int, ledger: MulLedger) -> list:
     return pw
 
 
+class _PsTable(NamedTuple):
+    """:func:`ps_eval`'s tables for one coefficient tuple c_0..c_m, in binary64.
+
+    ``table`` is the read-only (k, j) array of the block coefficients:
+    row r holds c_(rj+1)..c_(rj+j) of block r, zero past c_m and in the
+    last column of every block but the top one, whose c_((r+1)j) is the
+    next block's diagonal term.  ``rows`` are its rows, and ``diag`` the
+    k diagonal terms c_(rj) as read-only 0-d arrays.  At m = 0, j is 0.
+    """
+
+    table: np.ndarray
+    rows: tuple
+    diag: tuple
+
+
+def _ps_table(coeffs) -> _PsTable:
+    """The :class:`_PsTable` of ``coeffs``, rounded to binary64 once.
+    Complex, text and object coefficients (``Fraction`` among them) raise
+    TypeError, an empty or nested sequence MatrixError."""
+    c = np.asarray(coeffs)
+    if c.dtype.kind not in "biuf":
+        raise TypeError(f"coefficients must be real binary numbers, got dtype {c.dtype}")
+    if c.ndim != 1 or c.size == 0:
+        raise MatrixError("expected a nonempty 1-d coefficient sequence")
+    m = c.size - 1
+    j, k = 0, 1  # m = 0: c_0 I alone
+    if m:
+        shape = ps_shape(m)
+        j, k = shape.j, shape.k
+    padded = np.zeros(j * k + 1)
+    padded[:m + 1] = c
+    diag = _consts(padded[:j * k:j] if j else padded[:1])
+    table = padded[1:].reshape(k, j)
+    table[:-1, -1:] = 0.0  # the next block's diagonal terms, in diag
+    table.setflags(write=False)
+    return _PsTable(table, tuple(table), diag)
+
+
+# Typed keys, as for ps_shape; the drivers ask for a few dozen (m, s) pairs.
+@functools.lru_cache(maxsize=128, typed=True)
+def _ps_coeffs(m: int, s: int) -> _PsTable:
+    """The table of :func:`scaled_taylor_coeffs`, for the ps driver."""
+    return _ps_table(scaled_taylor_coeffs(m, s))
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _phi1_coeffs(m: int) -> _PsTable:
+    """The table of :func:`phi1_coeffs`, for the low-rank driver."""
+    return _ps_table(phi1_coeffs(m))
+
+
+class _PowerStack(list):
+    """A power list [A, A^2, ...] whose powers past A are formed into the
+    rows of one (rows, n, n) float64 stack, ``.a``, for :func:`ps_eval`.
+
+    The first row asked for allocates the stack and copies A into row 0,
+    so a list that never grows past A holds no stack.  The drivers of
+    :func:`ps_eval` hand one to their selector in place of a plain list;
+    the selector and :func:`ps_eval` form each further power straight
+    into its row (``mat_mul``'s ``out``), so no power is copied.
+    """
+
+    __slots__ = ("rows", "a", "flat")
+
+    def __init__(self, rows: int):  # list.__new__ made the empty list
+        self.rows = rows
+        self.a = self.flat = None
+
+    def row(self, p: int) -> np.ndarray:
+        """Row p of the stack, where A^(p+1) goes."""
+        if self.a is None:
+            A = self[0].a
+            n = A.shape[0]
+            self.a = np.empty((self.rows, n, n))
+            self.a[0] = A
+            self.flat = self.a.reshape(self.rows, n * n)  # one row per power
+        return self.a[p]
+
+
+def _stacked(powers: list, j: int, ledger: MulLedger) -> _PowerStack:
+    """A :class:`_PowerStack` holding A..A^j: ``powers`` itself, filled in
+    place, or a plain list copied into a new one, which leaves it
+    unchanged."""
+    if type(powers) is not _PowerStack:
+        given, powers = powers[:j], _PowerStack(j)
+        powers.append(given[0])
+        for P in given[1:]:
+            row = powers.row(len(powers))
+            row[...] = P.a
+            powers.append(_wrap(row))
+    while len(powers) < j:
+        powers.append(mat_mul(powers[-1], powers[0], ledger, out=powers.row(len(powers))))
+    return powers
+
+
 def ps_eval(coeffs, powers: list, ledger: MulLedger) -> Matrix:
     """Evaluate sum_i coeffs[i] * A^i with the Paterson-Stockmeyer schedule.
 
-    From [A] it costs (j-1) + (k-1) products for degree m >= 2, none for
-    m <= 1.  Unchecked (see the module docstring).
+    ``coeffs`` is a coefficient sequence or its :class:`_PsTable`.  From
+    [A] it costs (j-1) + (k-1) products for degree m >= 2, none for
+    m <= 1.  Each block sum is one BLAS product of its table row with the
+    stack [A; ...; A^j] (see the module docstring).  Unchecked.
     """
-    m = len(coeffs) - 1
-    if m < 0:
-        raise MatrixError("empty coefficient list")
-    if m == 0:
-        return _wrap(_eye(_powers(powers, 1, ledger)[0].n) * float(coeffs[0]))
-    shape = ps_shape(m)
-    j, k = shape.j, shape.k
-    pw = _powers(powers, j, ledger)
-    a = [None] + [P.a for P in pw]
-    tmp = np.empty_like(a[1])
-    q = prod = None
+    if type(coeffs) is not _PsTable:
+        coeffs = _ps_table(coeffs)
+    if not powers:
+        raise MatrixError("empty power list")
+    table, rows, diag = coeffs
+    A = powers[0]
+    n = A.n
+    k, j = table.shape
+    if j == 0:  # m = 0
+        return _wrap(_eye(n) * diag[0])
+    if j == 1:  # A's own array is the stack
+        stack, top = A.a.reshape(1, n * n), A
+    else:
+        if type(powers) is not _PowerStack or len(powers) < j:  # else filled already
+            powers = _stacked(powers, j, ledger)
+        stack, top = powers.flat[:j], powers[j - 1]
+    x = np.empty((n, n))
+    flat = x.reshape(n * n)
+    on_diag = flat[:: n + 1]
+    prod = None
     # Blocks from the top down.  The top block may reach degree j itself
     # (when m is a multiple of j); that is what makes the k-1 Horner
     # stages sufficient.  Each stage adds the product after the block's
-    # own sum, i.e. block + product, which is bit for bit product + block
-    # since binary64 addition commutes.
+    # own sum, i.e. block + product.
     for r in range(k - 1, -1, -1):
-        lo = r * j
-        hi = m if r == k - 1 else lo + j - 1
-        # q = c_lo*I + c_(lo+1)*A + ... + c_hi*A^(hi-lo), in place after
-        # the first block, whose first write allocates q.  A coefficient
-        # that promotes past float64 is rounded into it there, as the
-        # float64 buffers do after, and a complex or object one is refused
-        # (TypeError), so q is binary64 whatever the coefficients' type.
-        q = np.multiply(a[1], coeffs[lo + 1], out=q)
-        if q.dtype is not _FLOAT64:
-            q = q.astype(_FLOAT64, casting="same_kind", copy=False)
-        _add_to_diagonal(q, coeffs[lo])
-        for t in range(2, hi - lo + 1):
-            q += np.multiply(a[t], coeffs[lo + t], out=tmp)
+        np.dot(rows[r], stack, out=flat)
+        on_diag += diag[r]
         if prod is not None:
-            q += prod
+            x += prod
             prod = None  # freed before the next product
         if r:
-            prod = mat_mul(_wrap(q, writeable=True), pw[j - 1], ledger).a
-    return _wrap(q)
+            prod = mat_mul(_wrap(x, writeable=True), top, ledger).a
+    return _wrap(x)
 
 
 # ---------------------------------------------------------------------------

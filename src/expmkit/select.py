@@ -32,7 +32,7 @@ from typing import NamedTuple
 from .matrix import Matrix, MulLedger, _real, check_finite, one_norm
 # perfbench/tracing.py wraps select.mat_mul to count selection products.
 from .matrix import mat_mul
-from .poly import EXP_COEFFS, SASTRE_ORDERS, inv_factorial, ps_shape
+from .poly import EXP_COEFFS, SASTRE_ORDERS, _PowerStack, inv_factorial, ps_shape
 
 __all__ = [
     "EvalPlan",
@@ -165,10 +165,14 @@ class EvalPlan(NamedTuple):
     ``norms[p - 1]`` is ||W^p||_1 for each power formed while bounding.
     ``e1``/``e2`` bound the two remainder terms of the *unscaled* W at
     order m (possibly 0 or inf; the selection compares in log domain).
-    ``eps`` bounds e1*2^(-s(m+1)) + e2*2^(-s(m+2)), the truncation of the
-    *scaled* series only: the s squarings can multiply that error, and
-    rounding, by about 2^s, and at s = ``MAX_SCALING`` the scaled bound
-    itself can exceed eps.  No result flags either case yet.
+    ``log2_bound`` is log2 of the scaled bound
+    e1*2^(-s(m+1)) + e2*2^(-s(m+2)) that the plan reaches, as the selector
+    forms and tests it (``bound`` is its value), and ``eps`` the tolerance
+    it was selected for; the baseline's bound is the term norm that ended
+    its loop.  The bound covers the truncation of the *scaled* series
+    only: the s squarings can multiply that error, and rounding, by about
+    2^s.  At s = ``MAX_SCALING`` (``cap_hit``) the bound itself can exceed
+    eps, and ``bound_met`` then says False.
     """
 
     m: int
@@ -177,12 +181,31 @@ class EvalPlan(NamedTuple):
     e1: float
     e2: float
     norms: tuple[float, ...]
+    eps: float
+    log2_bound: float
+
+    @property
+    def bound(self) -> float:
+        """The scaled bound, or inf where it overflows binary64."""
+        return _exp2(self.log2_bound)
+
+    @property
+    def cap_hit(self) -> bool:
+        """Whether a selector stopped scaling at its cap; the baseline has none."""
+        return self.s == MAX_SCALING and self.scheme != SCHEME_BASELINE
+
+    @property
+    def bound_met(self) -> bool:
+        """Whether the scaled bound is at most eps, tested in log domain as
+        the selector tests it (False for a NaN bound)."""
+        return self.log2_bound <= math.log2(self.eps)
 
 
 def _select(ladder: tuple[Rung, ...], scheme: str, W: Matrix, eps: float,
             ledger: MulLedger, powers: list) -> EvalPlan:
     """The plan for W on ``ladder``; the powers W, W^2, ... formed while
-    bounding go into the caller's empty list ``powers``, for it to reuse."""
+    bounding go into the caller's empty list ``powers``, for it to reuse
+    (a :class:`~expmkit.poly._PowerStack` takes each into its next row)."""
     eps = check_tolerance(eps)
     norm1 = one_norm(W)
     if not math.isfinite(norm1):
@@ -190,7 +213,7 @@ def _select(ladder: tuple[Rung, ...], scheme: str, W: Matrix, eps: float,
     powers.append(W)
     norms = [norm1]
     if norm1 == 0.0:
-        return EvalPlan(0, 0, scheme, 0.0, 0.0, (norm1,))
+        return EvalPlan(0, 0, scheme, 0.0, 0.0, (norm1,), eps, -math.inf)
 
     log_eps = math.log2(eps)
     lw = [0.0, _log2(norm1)]  # lw[p] = log2 ||W^p||_1, with ||W^0||_1 = 1
@@ -200,7 +223,11 @@ def _select(ladder: tuple[Rung, ...], scheme: str, W: Matrix, eps: float,
             l2 = lc2 + 3 * lw[1]
         else:
             while len(powers) < j:
-                powers.append(mat_mul(powers[-1], W, ledger))
+                if type(powers) is _PowerStack:  # each power into the next row
+                    P = mat_mul(powers[-1], W, ledger, out=powers.row(len(powers)))
+                else:
+                    P = mat_mul(powers[-1], W, ledger)
+                powers.append(P)
                 norms.append(one_norm(powers[-1]))
                 if not math.isfinite(norms[-1]):
                     check_finite(powers[-1])
@@ -214,8 +241,8 @@ def _select(ladder: tuple[Rung, ...], scheme: str, W: Matrix, eps: float,
                 l1 = l2 = -math.inf
         # The sum is at least either term, so a term above eps fails it
         # without the call; a NaN term fails both tests.
-        if l1 <= log_eps and l2 <= log_eps and _log2_sum(l1, l2) <= log_eps:
-            return EvalPlan(m, 0, scheme, _exp2(l1), _exp2(l2), tuple(norms))
+        if l1 <= log_eps and l2 <= log_eps and (bound := _log2_sum(l1, l2)) <= log_eps:
+            return EvalPlan(m, 0, scheme, _exp2(l1), _exp2(l2), tuple(norms), eps, bound)
 
     # No order met eps unscaled, so the top one is scaled.  At the larger
     # per-term ceiling each scaled term is within eps, so their sum is
@@ -226,9 +253,11 @@ def _select(ladder: tuple[Rung, ...], scheme: str, W: Matrix, eps: float,
     for t, l in ((1, l1), (2, l2)):
         if l > log_eps:
             s = max(s, math.ceil(min((l - log_eps) / (m + t), MAX_SCALING)))
-    if s < MAX_SCALING and not _log2_sum(l1 - s * (m + 1), l2 - s * (m + 2)) <= log_eps:
+    bound = _log2_sum(l1 - s * (m + 1), l2 - s * (m + 2))
+    if s < MAX_SCALING and not bound <= log_eps:
         s += 1
-    return EvalPlan(m, s, scheme, _exp2(l1), _exp2(l2), tuple(norms))
+        bound = _log2_sum(l1 - s * (m + 1), l2 - s * (m + 2))
+    return EvalPlan(m, s, scheme, _exp2(l1), _exp2(l2), tuple(norms), eps, bound)
 
 
 # The two searches, unguarded building blocks like the evaluators (see

@@ -6,6 +6,10 @@ forms the same sums in place and adds c*I on the diagonal only, so every
 entry must round the same.  The one allowed difference is the sign of a
 zero off the diagonal: the chained form adds c*I to every entry, and
 0 + (-0) is +0.
+
+``ps_eval`` is held to a rounding contract instead: each of its block
+sums is one BLAS product, which may add in any order and fuse
+multiply-adds, so each block is checked against its exact sum.
 """
 
 import math
@@ -35,6 +39,7 @@ from expmkit import (
     scale_pow2,
     taylor_coeffs_exp,
 )
+from expmkit import poly
 
 KINDS = ("dense", "diag", "triangular", "nilpotent", "zero")
 
@@ -42,30 +47,6 @@ KINDS = ("dense", "diag", "triangular", "nilpotent", "zero")
 def mm(x, y, ledger=None):
     """x @ y as the library's charged product forms it."""
     return mat_mul(Matrix(x), Matrix(y), MulLedger() if ledger is None else ledger).a
-
-
-def ref_ps_eval(coeffs, A):
-    a = A.a
-    m = len(coeffs) - 1
-    eye = np.eye(A.n)
-    if m == 0:
-        return coeffs[0] * eye
-    shape = ps_shape(m)
-    j, k = shape.j, shape.k
-    pw = {1: a}
-    for p in range(2, j + 1):
-        pw[p] = mm(pw[p - 1], a)
-
-    def block(lo, hi):
-        q = coeffs[lo] * eye
-        for t in range(1, hi - lo + 1):
-            q = q + coeffs[lo + t] * pw[t]
-        return q
-
-    q = block((k - 1) * j, m)
-    for r in range(k - 2, -1, -1):
-        q = block(r * j, r * j + j - 1) + mm(q, pw[j])
-    return q
 
 
 def ref_low_order(A, m):
@@ -127,8 +108,8 @@ def assert_baseline_matches_reference(W, eps):
 
 
 def ref_lowrank(pair, m):
-    V = Matrix(pair.a2 @ pair.a1)
-    psi = np.eye(V.n) if m == 0 else ref_ps_eval(phi1_coeffs(m), V)
+    """The chained assembly I + A1 psi A2 around ps_eval's own psi."""
+    psi = ps_eval(phi1_coeffs(m), [Matrix(pair.a2 @ pair.a1)], MulLedger()).a
     return np.eye(pair.n) + pair.a1 @ (psi @ pair.a2)
 
 
@@ -140,6 +121,85 @@ def assert_same_bits(got: Matrix, w: np.ndarray, what):
     # ... and a raw difference only in the sign of an off-diagonal zero.
     rows, cols = np.nonzero(g.view(np.uint64) != w.view(np.uint64))
     assert (g[rows, cols] == 0.0).all() and (rows != cols).all(), what
+
+
+# ---------------------------------------------------------------------------
+# ps_eval's rounding contract: block r of degree m, with j powers and
+# k blocks, is B_r = c_rj I + c_(rj+1) A + ... + c_(rj+L-1) A^(L-1), its
+# L terms summed in one BLAS product and a diagonal add.  The computed
+# block is within gamma_(L+1) (|c_rj| I + sum_t |c_(rj+t)| |A^t|) of
+# B_r, entry by entry, with gamma_n = n u / (1 - n u) and u = 2^-53.
+# ---------------------------------------------------------------------------
+
+U_INV = 2 ** 53
+
+
+def _exact(a):
+    """The entries of a times 2^1074, as exact Python integers in an
+    object array: every binary64 number is an integer multiple of
+    2^-1074, so sums and products of these are exact rational arithmetic."""
+    ints = []
+    for x in a.ravel().tolist():
+        num, den = x.as_integer_ratio()
+        ints.append(num << (1075 - den.bit_length()))  # den = 2^(bit_length - 1)
+    return np.array(ints, dtype=object).reshape(a.shape)
+
+
+def _recorded_ps_eval(coeffs, A):
+    """ps_eval(coeffs, [A]) and the (left, right, result) arrays of each
+    product it forms, in order: the powers first, then the Horner steps."""
+    seen = []
+
+    def recorded(X, Y, ledger, out=None):
+        C = mat_mul(X, Y, ledger, out=out)
+        seen.append((X.a.copy(), Y.a.copy(), C.a.copy()))
+        return C
+
+    poly.mat_mul = recorded
+    try:
+        value = ps_eval(coeffs, [A], MulLedger()).a
+    finally:
+        poly.mat_mul = mat_mul
+    return value, seen
+
+
+def assert_ps_blocks_meet_the_contract(coeffs, A, what):
+    """Each block sum of ps_eval(coeffs, [A]) within the contract of its
+    exact sum.  A Horner step adds the product P = q_(r+1) A^j to block
+    r's computed sum and rounds once, so the sum q_r it hands on is
+    checked as |q_r - B_r - P| <= gamma_(L+1) weight + u |q_r|."""
+    m = len(coeffs) - 1
+    shape = ps_shape(m)
+    j, k = shape.j, shape.k
+    value, seen = _recorded_ps_eval(coeffs, A)
+    assert len(seen) == shape.mults, what
+    pw = [A.a]
+    for _, _, C in seen[:j - 1]:  # the powers, as the chained products form them
+        assert C.tobytes() == mm(pw[-1], A.a).tobytes(), what
+        pw.append(C)
+    horner = seen[j - 1:]
+    assert all(Y.tobytes() == pw[-1].tobytes() for _, Y, _ in horner), what
+    sums = [X for X, _, _ in horner] + [value]  # q_(k-1), ..., q_0
+    prods = [None] + [C for _, _, C in horner]  # the product each of them adds
+    exact_pw = [_exact(P) for P in pw]
+    eye = _exact(np.eye(A.n))
+    for q, P, r in zip(sums, prods, range(k - 1, -1, -1)):
+        lo = r * j
+        L = (m if r == k - 1 else lo + j - 1) - lo + 1  # terms, c_lo I among them
+        c = [_exact(np.array(float(coeffs[lo + t]))).item() for t in range(L)]
+        exact = c[0] * eye + sum((c[t] * exact_pw[t - 1] for t in range(1, L)), 0 * eye)
+        weight = abs(c[0]) * eye + sum((abs(c[t]) * abs(exact_pw[t - 1])
+                                        for t in range(1, L)), 0 * eye)
+        got = _exact(q) << 1074  # both at scale 2^2148
+        slack = 0 * eye
+        if P is not None:
+            exact = exact + (_exact(P) << 1074)
+            slack = abs(got)
+        # |got - exact| <= g u / (1 - g u) weight + u slack, times 2^53 (2^53 - g)
+        g = L + 1
+        ok = (abs(got - exact) * U_INV * (U_INV - g)
+              <= g * U_INV * weight + (U_INV - g) * slack)
+        assert ok.all(), (what, r)
 
 
 @st.composite
@@ -182,13 +242,9 @@ def test_evaluators_match_chained_matrix_formulas(A):
         assert_same_bits(eval_t8([A], MulLedger()), ref_t8(A), "t8")
         assert_same_bits(eval_t15p([A], MulLedger()), ref_t15p(A), "t15p")
         for m in range(1, 17):
-            coeffs = taylor_coeffs_exp(m)
-            assert_same_bits(ps_eval(coeffs, [A], MulLedger()), ref_ps_eval(coeffs, A),
-                             ("ps exp", m))
+            assert_ps_blocks_meet_the_contract(taylor_coeffs_exp(m), A, ("ps exp", m))
         for m in LOWRANK_ORDERS:
-            coeffs = phi1_coeffs(m)
-            assert_same_bits(ps_eval(coeffs, [A], MulLedger()), ref_ps_eval(coeffs, A),
-                             ("ps phi1", m))
+            assert_ps_blocks_meet_the_contract(phi1_coeffs(m), A, ("ps phi1", m))
     assert_baseline_matches_reference(A, 1e-10)
 
 

@@ -61,6 +61,27 @@ def test_single_writes_result(matrix_file, tmp_path, capsys):
     assert f"n=3 one_norm={want!r}\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("scheme", ["sastre", "ps", "baseline"])
+def test_single_stats_print_phase_counts_and_flags(tmp_path, scheme, capsys):
+    # A rotation block at 1-norm 3.16e6 takes sastre and ps to the scaling
+    # cap, where the bound misses eps; the baseline has no cap.
+    W = expmkit.gen_matrix(expmkit.GeneratorSpec("rotation_block", 16, 3.16e6, 0))
+    path = tmp_path / "w.txt"
+    save_matrix(W, path)
+    assert main(["single", "--in", str(path), "--eps", "1e-8", "--scheme", scheme,
+                 "--stats"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    fields = dict(tok.split("=", 1) for line in lines for tok in line.split())
+    res = expmkit.bench._run_scheme(W, scheme, 1e-8)
+    assert [int(fields[f"{phase}_mults"]) for phase in ("select", "eval", "square")] == \
+        [res.select_mults, res.eval_mults, res.square_mults]
+    assert sum(int(fields[f"{phase}_mults"]) for phase in ("select", "eval", "square")) == \
+        int(fields["mults"])
+    capped = scheme != "baseline"
+    assert (fields["cap_hit"], fields["bound_met"]) == (str(capped), str(not capped))
+    assert float(fields["bound"]) == res.plan.bound
+
+
 def test_single_baseline(matrix_file, capsys):
     rc = main(["single", "--in", str(matrix_file), "--eps", "1e-8", "--scheme", "baseline"])
     assert rc == 0

@@ -1,7 +1,9 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 from decimal import Decimal
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -462,9 +464,9 @@ def _record_products(monkeypatch):
     wrappers append to, one entry per product in call order."""
     calls = []
     for mod in (engine_mod, select_mod, poly_mod):
-        def recorded(A, B, ledger, _name=mod.__name__.rsplit(".", 1)[1],
+        def recorded(A, B, ledger, out=None, _name=mod.__name__.rsplit(".", 1)[1],
                      _mul=mod.mat_mul):
-            C = _mul(A, B, ledger)
+            C = _mul(A, B, ledger, out=out)
             calls.append((_name, bool(np.isfinite(C.a).all())))
             return C
         monkeypatch.setattr(mod, "mat_mul", recorded)
@@ -632,6 +634,8 @@ def test_results_are_immutable_records_of_scalars(driver):
            "baseline": lambda: expm_baseline(W, 1e-8),
            "lowrank": lambda: expm_lowrank(LowRankPair(a1, a2), 1e-8)}[driver]()
     assert isinstance(res.value, Matrix)
+    # The value owns its array: no view into a power stack outlives the call.
+    assert res.value.a.flags.owndata and res.value.a.base is None
     for record, fields in ((res, ("value", "plan", "mults", "wall_time", "rect_mults")),
                            (res.plan, ("m", "s", "scheme", "e1", "e2", "norms"))):
         for field in fields + ("powers",):  # nor can a field be added
@@ -641,6 +645,18 @@ def test_results_are_immutable_records_of_scalars(driver):
     assert all(type(v) in (int, float, str) for v in held), held
     assert len(res.plan.norms) >= 1 and res.plan.norms[0] == one_norm(
         W if driver != "lowrank" else Matrix(a2 @ a1))
+
+
+def test_ps_values_own_their_arrays_at_every_order():
+    # Below the top order a ps plan leaves rows of the power stack unused;
+    # the value is still a new array, not a view into the stack.
+    rng = np.random.default_rng(62)
+    orders = set()
+    for norm in np.geomspace(1e-4, 40.0, 25):
+        res = expm(random_with_norm(rng, 12, norm), 1e-8, "ps")
+        orders.add(res.plan.m)
+        assert res.value.a.flags.owndata and res.value.a.base is None, res.plan
+    assert orders == {1, 2, 4, 6, 9, 12, 16}
 
 
 def _outcome(res):
@@ -706,7 +722,8 @@ def test_blas_norms_keep_every_plan_and_value_of_the_default_suite(monkeypatch):
 @pytest.mark.parametrize("driver, arrays", [
     # W^2, the live formula terms and the product
     pytest.param(lambda W: expm(W, 1e-8, "sastre"), 6, id="sastre"),
-    # W^2..W^4, the scratch, the Horner sum and the product
+    # the power stack's four rows (a copy of W, then W^2..W^4), the block
+    # buffer and the product
     pytest.param(lambda W: expm(W, 1e-8, "ps"), 6, id="ps"),
     # x, B, the last term and its product; the next term goes into the last term's buffer
     pytest.param(lambda W: expm_baseline(W, 1e-8), 4, id="baseline"),
@@ -725,3 +742,80 @@ def test_a_scaled_call_holds_no_rescaled_copy(driver, arrays):
     finally:
         tracemalloc.stop()
     assert peak <= arrays * n * n * 8 + 64 * 1024, peak / (n * n * 8)
+
+
+# ---------------------------------------------------------------------------
+# what a result says about itself: phase counts and the plan's flags
+# ---------------------------------------------------------------------------
+
+def test_phase_counts_equal_the_tracers():
+    # perfbench/tracing.py counts each phase's products by wrapping the
+    # modules' mat_mul; the plan gives the same three counts.
+    import fingerprint
+    import tracing  # perfbench/tracing.py, on the path fingerprint sets up
+    import workloads
+
+    calls = [*islice(fingerprint.workload_calls("flow_small", 13), 0, None, 16),
+             *islice(fingerprint.workload_calls("large_dense", 13), 3, None, 12)]
+    schemes = Counter()
+    for W, scheme, eps in calls:
+        with tracing.Tracer() as tracer:
+            try:
+                res = workloads._call(W, scheme, eps)
+            except (MatrixError, ArithmeticError):
+                continue
+        spans = tracer.spans
+        traced = Counter(phase for span, phase in zip(spans, tracing.phases(spans))
+                         if span.name == tracing.MAT_MUL_SPAN)
+        assert set(traced) <= {"select", "poly", "squaring"}
+        assert (res.select_mults, res.eval_mults, res.square_mults) == \
+            (traced["select"], traced["poly"], traced["squaring"]), (scheme, res.plan)
+        assert res.select_mults + res.eval_mults + res.square_mults == res.mults
+        schemes[scheme] += 1
+    assert set(schemes) == {"sastre", "ps", "baseline", "lowrank"}
+    assert sum(schemes.values()) > 100
+
+
+def test_a_capped_plan_that_misses_eps_is_flagged():
+    # ||W||_1 = 3.16e6 takes both selectors to the cap, where the scaled
+    # bound stays above eps: 140 eps for sastre, 45.8 eps for ps.
+    W = expmkit.gen_matrix(expmkit.GeneratorSpec("rotation_block", 16, 3.16e6, 0))
+    for scheme, ratio in (("sastre", 139.69), ("ps", 45.776)):
+        plan = expm(W, 1e-8, scheme).plan
+        assert plan.s == select_mod.MAX_SCALING and plan.cap_hit and not plan.bound_met
+        assert plan.eps == 1e-8 and plan.bound == pytest.approx(ratio * 1e-8, rel=1e-4)
+        # the scaled two-term bound of the plan's own e1 and e2
+        m, s = plan.m, plan.s
+        assert plan.bound == pytest.approx(
+            math.ldexp(plan.e1, -s * (m + 1)) + math.ldexp(plan.e2, -s * (m + 2)), rel=1e-12)
+    # The baseline has no cap; its bound is the term norm that ended its loop.
+    plan = expm_baseline(W, 1e-8).plan
+    assert plan.s > select_mod.MAX_SCALING and not plan.cap_hit
+    assert plan.log2_bound == math.log2(plan.e1) and plan.e1 <= plan.eps and plan.bound_met
+
+
+def test_no_returning_small_flow_call_is_flagged():
+    import fingerprint
+    import workloads
+
+    worst = 0.0
+    returned = 0
+    for W, scheme, eps in fingerprint.workload_calls("flow_small", 13):
+        try:
+            plan = workloads._call(W, scheme, eps).plan
+        except (MatrixError, ArithmeticError):
+            continue
+        returned += 1
+        assert not plan.cap_hit and plan.bound_met and plan.eps == eps, (scheme, plan)
+        worst = max(worst, plan.bound / eps)
+    assert returned > 1500 and 0.9 < worst <= 1.0
+
+
+@pytest.mark.parametrize("scheme", ["sastre", "ps"])
+def test_an_unscaled_or_zero_plan_is_met(scheme):
+    for W in (Matrix(np.zeros((3, 3))), random_with_norm(np.random.default_rng(2), 5, 0.1)):
+        plan = expm(W, 1e-8, scheme).plan
+        assert plan.s == 0 and not plan.cap_hit and plan.bound_met
+        # formed in log domain, so within rounding of e1 + e2
+        assert plan.bound == pytest.approx(plan.e1 + plan.e2, rel=1e-12, abs=0.0)
+        assert plan.log2_bound <= math.log2(plan.eps)

@@ -8,7 +8,8 @@ import numpy as np
 from expmkit import LowRankPair, Matrix, SuiteConfig
 
 
-def test_fingerprint_repeats_within_one_process():
+def _digests():
+    """The digests of a reduced call set, checked to repeat."""
     config = SuiteConfig(eps=1e-8, sizes=(4, 8), kinds=("diag", "random_dense"),
                          schemes=("baseline", "ps", "sastre"), norm_min=1e-3,
                          norm_max=50.0, norm_count=3, base_seed=5)
@@ -23,8 +24,33 @@ def test_fingerprint_repeats_within_one_process():
     first = fp.fingerprint(calls())
     assert first == fp.fingerprint(calls())
     assert first["calls"] == 40 + 2 * 2 * 3 * 3 + 2
-    # A changed outcome changes the digest.
-    assert fp.fingerprint(calls(eps=1e-12))["sha256"] != first["sha256"]
+    # A changed outcome changes the digests.
+    changed = fp.fingerprint(calls(eps=1e-12))
+    assert changed["sha256"] != first["sha256"]
+    assert changed["plan_sha256"] != first["plan_sha256"] != first["sha256"]
+    return first
+
+
+def test_fingerprint_repeats_within_one_process():
+    _digests()
+
+
+def test_the_plan_digest_follows_plans_and_counts_not_values(monkeypatch):
+    first = _digests()
+    call = fp.workloads._call
+
+    def shifted(W, scheme, eps, values, counts):
+        res = call(W, scheme, eps)
+        if values:
+            res = res._replace(value=Matrix(np.nextafter(res.value.a, np.inf)))
+        return res._replace(mults=res.mults + counts)
+
+    for values, counts, same_plans in ((True, 0, True), (False, 1, False)):
+        monkeypatch.setattr(fp.workloads, "_call", lambda W, scheme, eps: shifted(
+            W, scheme, eps, values, counts))
+        moved = _digests()
+        assert moved["sha256"] != first["sha256"]
+        assert (moved["plan_sha256"] == first["plan_sha256"]) is same_plans
 
 
 def test_oracle_fingerprint_repeats_within_one_process():

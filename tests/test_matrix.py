@@ -384,3 +384,17 @@ def test_every_matrix_carries_its_order():
             made.append(expm(X, 1e-8, scheme).value)
     for M in made:
         assert M.n == M.a.shape[0] == M.a.shape[1], M.a.shape
+
+
+def test_mat_mul_into_out_gives_the_bytes_of_a_new_product():
+    # The power stacks take each power into a row of one array.
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 7, 16, 33, 64):
+        A, B = (Matrix(rng.uniform(-1.0, 1.0, (n, n))) for _ in range(2))
+        stack = np.full((3, n, n), np.nan)
+        led = MulLedger()
+        C = mat_mul(A, B, led, out=stack[1])
+        assert led.count == 1 and np.shares_memory(C.a, stack[1]) and C.n == n
+        assert C.a.tobytes() == mat_mul(A, B, MulLedger()).a.tobytes()
+        assert not C.a.flags.writeable and stack.flags.writeable
+        assert np.isnan(stack[0]).all() and np.isnan(stack[2]).all()

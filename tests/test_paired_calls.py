@@ -85,3 +85,32 @@ def test_each_tree_runs_its_own_drivers(monkeypatch):
         workloads._call(W, scheme, 1e-8)
         assert [tree for tree, _, _ in seen] == ["expmkit_twin", "expmkit"]
         assert seen[0][1:] == seen[1][1:]
+
+
+def test_differing_calls_split_into_value_only_and_plan_or_count(monkeypatch):
+    """A ps value one ulp off differs in value alone, a sastre count one
+    higher in its counts; every other call agrees."""
+    twin = tool.load_package(tool.ROOT / "src", "expmkit_twin")
+    expm = twin.engine.expm
+
+    def nudged(W, eps, scheme):
+        res = expm(W, eps, scheme)
+        if scheme == "ps":
+            return res._replace(value=twin.matrix.Matrix(np.nextafter(res.value.a, np.inf)))
+        return res._replace(mults=res.mults + 1)
+
+    monkeypatch.setattr(twin.engine, "expm", nudged)
+    calls = tool.calls_of("flow_small", 3)[::40]
+    out = tool.compare((twin, tool.expmkit), calls, passes=1, seed=3)
+    drivers = out["drivers"]
+    ps, sastre = drivers["ps"], drivers["sastre"]
+    assert ps["differing_calls"] == ps["value_only_calls"] == ps["calls"] > 0
+    assert ps["plan_or_count_calls"] == 0
+    assert sastre["differing_calls"] == sastre["plan_or_count_calls"] == sastre["calls"] > 0
+    assert sastre["value_only_calls"] == 0
+    for name in ("baseline", "lowrank"):
+        assert drivers[name]["differing_calls"] == 0
+    overall = out["overall"]
+    assert out["differing_calls"] == overall["differing_calls"] == ps["calls"] + sastre["calls"]
+    assert (overall["value_only_calls"], overall["plan_or_count_calls"]) == \
+        (ps["calls"], sastre["calls"])

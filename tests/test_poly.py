@@ -20,6 +20,7 @@ from expmkit import (
     frobenius_norm,
     identity,
     mat_mul,
+    one_norm,
     phi1_coeffs,
     poly_reference,
     ps_eval,
@@ -106,12 +107,76 @@ def test_ps_eval_result_is_binary64_whatever_the_coefficients(m):
                        rtol=1e-15, atol=1e-16)
 
 
-def test_ps_eval_rounds_each_long_double_step_into_binary64():
+def test_ps_eval_rounds_the_coefficients_into_binary64_once():
+    # Into the table, before any sum: the block is then binary64 throughout.
     c0, c1 = np.longdouble(1) / 3, np.longdouble(2) / 3
-    x = np.float64(np.longdouble(5.0) * c1)  # the block's first write
-    want = np.float64(np.longdouble(x) + c0)  # then the diagonal's
+    table = poly._ps_table([c0, c1])
+    assert table.table.dtype == np.float64 and table.table.tolist() == [[np.float64(c1)]]
+    assert float(table.diag[0]) == np.float64(c0)
+    want = np.float64(5.0) * np.float64(c1) + np.float64(c0)
     out = ps_eval([c0, c1], [Matrix([[5.0]])], MulLedger())
     assert out.a.dtype == np.float64 and out.a[0, 0] == want
+    # Text and exact rationals are refused at every order, as complex is.
+    for coeffs in (["1", 0.5], [Fraction(1, 3)], [1j]):
+        with pytest.raises(TypeError):
+            ps_eval(coeffs, [Matrix([[5.0]])], MulLedger())
+
+
+def _ps_table_cases():
+    """(cached table, the floats it tabulates) for every table a driver uses."""
+    cases = [(poly._ps_coeffs(rung.m, 0), scaled_taylor_coeffs(rung.m, 0)) for rung in PS_TABLES]
+    cases += [(poly._ps_coeffs(PS_TABLES[-1].m, s), scaled_taylor_coeffs(PS_TABLES[-1].m, s))
+              for s in range(1, MAX_SCALING + 1)]
+    cases += [(poly._phi1_coeffs(m), phi1_coeffs(m)) for m in engine.LOWRANK_ORDERS]
+    return cases
+
+
+def test_ps_tables_hold_the_coefficients_zero_padded_and_read_only():
+    for table, c in _ps_table_cases():
+        m = len(c) - 1
+        shape = ps_shape(m)
+        j, k = shape.j, shape.k
+        assert table.table.shape == (k, j) and table.table.dtype == np.float64
+        assert len(table.rows) == len(table.diag) == k
+        for r in range(k):
+            lo = r * j
+            hi = m if r == k - 1 else lo + j - 1
+            # c_(lo+1)..c_hi, then +0 up to the row's end
+            want = list(c[lo + 1:hi + 1]) + [0.0] * (lo + j - hi)
+            row = table.rows[r]
+            assert row.tolist() == want and not np.signbit(row).any(), (m, r)
+            assert np.shares_memory(row, table.table) and row.flags.c_contiguous
+            d = table.diag[r]
+            assert d.shape == () and float(d) == c[lo] and not d.flags.writeable
+        assert not table.table.flags.writeable
+        assert not any(row.flags.writeable for row in table.rows)
+    assert poly._ps_coeffs(16, 3) is poly._ps_coeffs(16, 3)
+    assert poly._phi1_coeffs(30) is poly._phi1_coeffs(30)
+
+
+def test_ps_eval_reads_no_stack_row_before_writing_it(monkeypatch):
+    # np.empty leaves memory as it was; filled with NaN instead, a row
+    # read before it is written (even against a zero coefficient) turns
+    # the result to NaN.
+    rng = np.random.default_rng(17)
+    calls = []
+    for n in (1, 3, 8):
+        A = Matrix(rng.uniform(-0.3, 0.3, (n, n)))
+        for m in (0, 1, 2, 3, 4, 6, 8, 9, 12, 15, 16, 30):
+            calls.append(lambda A=A, m=m: ps_eval(taylor_coeffs_exp(m), [A], MulLedger()))
+        for norm in (1e-5, 0.02, 0.3, 2.0, 40.0):
+            W = Matrix(A.a * (norm / max(one_norm(A), 1e-300)))
+            calls.append(lambda W=W: engine.expm(W, 1e-8, "ps").value)
+        a1, a2 = rng.uniform(-1, 1, (n, 1)), rng.uniform(-1, 1, (1, n))
+        for norm in (1e-5, 0.3, 2.0, 6.0):
+            pair = engine.LowRankPair(a1, a2 * (norm / abs((a2 @ a1).item())))
+            calls.append(lambda pair=pair: engine.expm_lowrank(pair, 1e-8).value)
+    want = [call().a.tobytes() for call in calls]
+    empty = np.empty
+    monkeypatch.setattr(np, "empty", lambda shape, dtype=float, order="C":
+                        np.full(shape, np.nan, dtype=dtype, order=order))
+    assert np.isnan(np.empty(2)).all() and empty is not np.empty
+    assert [call().a.tobytes() for call in calls] == want
 
 
 @pytest.mark.parametrize("m,budget", [(2, 1), (4, 2), (6, 3), (9, 4), (12, 5), (16, 6)])
@@ -489,13 +554,10 @@ def _cached_scalars():
     for s in range(MAX_SCALING + 1):
         pairs += zip(_t15p_coeffs(s), (math.ldexp(c, -s * d) for c, d in
                                        zip(EXP_COEFFS.t15p, poly._T15P_DEGREES)))
-    # ps: every order unscaled, the top one at every s.
-    ps = [(rung.m, 0) for rung in PS_TABLES]
-    ps += [(PS_TABLES[-1].m, s) for s in range(1, MAX_SCALING + 1)]
-    for m, s in ps:
-        pairs += zip(poly._ps_coeffs(m, s), scaled_taylor_coeffs(m, s), strict=True)
-    for m in engine.LOWRANK_ORDERS:
-        pairs += zip(poly._phi1_coeffs(m), phi1_coeffs(m), strict=True)
+    # ps_eval's diagonal terms, which its tables hold as 0-d arrays
+    for table, c in _ps_table_cases():
+        j = table.table.shape[1]
+        pairs += zip(table.diag, c[:j * len(table.diag):j], strict=True)
     pairs += ((engine._DIVISORS[k], k) for k in range(2, 16))
     return pairs
 
@@ -515,7 +577,7 @@ def test_cached_scalars_give_the_bytes_of_python_floats():
     # float64 array reaches the same operation.  The caches are shared by
     # every call, so they must be read-only.
     pairs = _cached_scalars()
-    assert len(pairs) > 800
+    assert len(pairs) > 450
     with np.errstate(all="ignore"):
         for c, x in pairs:
             assert c.shape == () and c.dtype == np.float64 and not c.flags.writeable

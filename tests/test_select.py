@@ -25,7 +25,7 @@ from expmkit import (
     squaring,
 )
 from expmkit.matrix import _wrap, check_finite, mat_mul, one_norm
-from expmkit.select import EvalPlan, _exp2, _log2, _log2_sum, check_tolerance
+from expmkit.select import _exp2, _log2, _log2_sum, check_tolerance
 
 
 def inv_fact(n):
@@ -302,7 +302,7 @@ def _reference_select(ladder, scheme, W, eps, ledger, powers):
     powers.append(W)
     norms = [norm1]
     if norm1 == 0.0:
-        return EvalPlan(0, 0, scheme, 0.0, 0.0, (norm1,))
+        return (0, 0, scheme, 0.0, 0.0, (norm1,))
 
     log_eps = math.log2(eps)
     lw = [_log2(norm1)]  # lw[p - 1] = log2 ||W^p||_1
@@ -327,7 +327,7 @@ def _reference_select(ladder, scheme, W, eps, ledger, powers):
             if lw[j - 1] == -math.inf:
                 l1 = l2 = -math.inf
         if l1 <= log_eps and l2 <= log_eps and _log2_sum(l1, l2) <= log_eps:
-            return EvalPlan(m, 0, scheme, _exp2(l1), _exp2(l2), tuple(norms))
+            return (m, 0, scheme, _exp2(l1), _exp2(l2), tuple(norms))
 
     s = 0
     for t, l in ((1, l1), (2, l2)):
@@ -335,7 +335,7 @@ def _reference_select(ladder, scheme, W, eps, ledger, powers):
             s = max(s, math.ceil(min((l - log_eps) / (m + t), MAX_SCALING)))
     if s < MAX_SCALING and not _log2_sum(l1 - s * (m + 1), l2 - s * (m + 2)) <= log_eps:
         s += 1
-    return EvalPlan(m, s, scheme, _exp2(l1), _exp2(l2), tuple(norms))
+    return (m, s, scheme, _exp2(l1), _exp2(l2), tuple(norms))
 
 
 def test_every_rung_needs_at_most_one_power_past_its_blocks():
@@ -378,8 +378,10 @@ def _outcome(ladder, scheme, W, eps, search):
             plan = search(ladder, scheme, W, eps, led, powers)
     except Exception as exc:  # the raised type is part of the outcome
         return type(exc).__name__, led.count, len(powers)
-    # repr tells NaN and -0.0 apart, as == would not.
-    return repr(plan), led.count, [P.a.tobytes() for P in powers]
+    # repr tells NaN and -0.0 apart, as == would not.  The reference
+    # predates the plan's eps and scaled bound, so only the search's own
+    # six fields are compared.
+    return repr(tuple(plan)[:6]), led.count, [P.a.tobytes() for P in powers]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

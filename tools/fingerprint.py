@@ -21,6 +21,9 @@ raised.
 Two trees that compute the same values, plans and product counts print
 the same ``sha256``.  ``sha256_signless`` maps -0 to +0 first, so when
 only that one matches, the trees differ in signs of zero entries alone.
+``plan_sha256`` takes the same calls' plans (m, s, e1, e2), product
+counts and raised types without their values, so two trees that differ
+in value bytes alone print the same ``plan_sha256``.
 The digests depend on the BLAS build, so compare them on one machine.
 """
 
@@ -93,8 +96,8 @@ def raised(exc: Exception) -> bytes:
 
 
 def fingerprint(calls) -> dict:
-    """The two digests, the number of calls and of -0 entries in values."""
-    exact, signless = hashlib.sha256(), hashlib.sha256()
+    """The three digests, the number of calls and of -0 entries in values."""
+    exact, signless, plans = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     count = negative_zeros = 0
     for W, scheme, eps in calls:
         count += 1
@@ -102,15 +105,17 @@ def fingerprint(calls) -> dict:
             res = workloads._call(W, scheme, eps)
         except Exception as exc:  # the raised type is part of the outcome
             failed = raised(exc)
-            exact.update(failed)
-            signless.update(failed)
+            for digest in (exact, signless, plans):
+                digest.update(failed)
             continue
         counts, a = record(res)
         exact.update(counts + a.tobytes())
         signless.update(counts + (a + 0.0).tobytes())
+        plans.update(counts)
         negative_zeros += int(np.count_nonzero((a == 0.0) & np.signbit(a)))
     return {"sha256": exact.hexdigest(), "sha256_signless": signless.hexdigest(),
-            "calls": count, "negative_zeros": negative_zeros}
+            "plan_sha256": plans.hexdigest(), "calls": count,
+            "negative_zeros": negative_zeros}
 
 
 def standard_matrices():

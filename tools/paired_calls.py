@@ -27,11 +27,14 @@ cent; pairing each call resolves a difference of a few.
 Prints one JSON object: per driver (per order for the oracle) and over
 all calls, each tree's mean cost, the ratio change over parent and the
 number of calls the change ran faster, and the number of calls whose
-outcome differs between the trees (0 when the change keeps every
-result).  A driver call's outcome is what tools/fingerprint.py digests
-(value bytes, plan, product counts or raised type); an oracle call's is
-the bytes of the double-double pair (hi, lo) behind its value, or the
-raised type.
+outcome differs between the trees (``differing_calls``, 0 when the
+change keeps every result).  A driver call's outcome is what
+tools/fingerprint.py digests: its plan and product counts, or the raised
+type, and its value bytes; an oracle call's is the raised type, or the
+bytes of the double-double pair (hi, lo) behind its value.  The
+differing calls split into ``plan_or_count_calls``, whose plan, counts
+or raised type differ, and ``value_only_calls``, which differ in value
+bytes alone.
 """
 
 from __future__ import annotations
@@ -97,7 +100,8 @@ def driver_map(package):
 def driver_call(package):
     """A function giving (seconds, outcome) of one call through
     ``package``'s driver map: the outcome is what tools/fingerprint.py
-    digests of the result, or the type of the exception raised."""
+    digests of the result, as (plan and counts, value bytes), or
+    (raised type, b"")."""
     run = driver_map(package)
 
     def call(W, scheme: str, eps: float):
@@ -105,19 +109,19 @@ def driver_call(package):
         try:
             res = run(W, scheme, eps)
         except Exception as exc:  # the raised type is part of the outcome
-            return time.perf_counter() - t0, raised(exc)
+            return time.perf_counter() - t0, (raised(exc), b"")
         wall = time.perf_counter() - t0
         counts, a = record(res)
-        return wall, counts + a.tobytes()
+        return wall, (counts, a.tobytes())
 
     return call
 
 
 def oracle_call(package):
     """A function giving (seconds, outcome) of ``package``'s
-    ``expm_reference`` on a matrix: the outcome is the bytes of the
-    (hi, lo) pair behind the value, formed outside the timed call, or the
-    type of the exception raised."""
+    ``expm_reference`` on a matrix: the outcome is (b"", the bytes of the
+    (hi, lo) pair behind the value, formed outside the timed call), or
+    (raised type, b"")."""
     oracle = package.oracle
 
     def call(W, _group, _eps):
@@ -125,12 +129,19 @@ def oracle_call(package):
         try:
             oracle.expm_reference(W)
         except Exception as exc:  # the raised type is part of the outcome
-            return time.perf_counter() - t0, raised(exc)
+            return time.perf_counter() - t0, (raised(exc), b"")
         wall = time.perf_counter() - t0
         hi, lo = oracle._expm_dd(W)
-        return wall, hi.tobytes() + lo.tobytes()
+        return wall, (b"", hi.tobytes() + lo.tobytes())
 
     return call
+
+
+def difference(parent, change) -> str | None:
+    """How two outcomes differ: None, "plan_or_count" or "value_only"."""
+    if parent == change:
+        return None
+    return "plan_or_count" if parent[0] != change[0] else "value_only"
 
 
 def calls_of(workload: str, seed: int):
@@ -144,13 +155,17 @@ def calls_of(workload: str, seed: int):
             for W, scheme, eps in workload_calls(workload, seed)]
 
 
-def _side(costs) -> dict:
-    """Both trees' mean cost over (parent, change) cost pairs."""
+def _side(costs, diffs) -> dict:
+    """Both trees' mean cost over (parent, change) cost pairs, and the
+    number of each kind of difference (see :func:`difference`)."""
     parent = statistics.fmean(p for p, _ in costs)
     change = statistics.fmean(c for _, c in costs)
     return {"calls": len(costs), "parent_cost_mean": parent, "change_cost_mean": change,
             "ratio_change_over_parent": change / parent,
-            "change_faster": sum(c < p for p, c in costs)}
+            "change_faster": sum(c < p for p, c in costs),
+            "differing_calls": sum(d is not None for d in diffs),
+            "plan_or_count_calls": diffs.count("plan_or_count"),
+            "value_only_calls": diffs.count("value_only")}
 
 
 def compare(trees, calls, passes: int, seed: int, oracle: bool = False) -> dict:
@@ -171,14 +186,17 @@ def compare(trees, calls, passes: int, seed: int, oracle: bool = False) -> dict:
             results[i] = got
     gemm_s = workloads.calibrate_gemm({c[3] for c in calls}, seed)
     by_group = {}
-    for (group, _, _, order), (tp, tc) in zip(calls, times):
+    for (group, _, _, order), (tp, tc), got in zip(calls, times, results):
         base = gemm_s[order]
-        by_group.setdefault(group, []).append(
-            (statistics.median(tp) / base, statistics.median(tc) / base))
+        costs, diffs = by_group.setdefault(group, ([], []))
+        costs.append((statistics.median(tp) / base, statistics.median(tc) / base))
+        diffs.append(difference(*got))
+    overall = _side([c for costs, _ in by_group.values() for c in costs],
+                    [d for _, diffs in by_group.values() for d in diffs])
     return {"passes": passes, "calls": len(calls),
-            "differing_calls": sum(a != b for a, b in results),
-            "overall": _side([c for costs in by_group.values() for c in costs]),
-            "orders" if oracle else "drivers": {g: _side(c) for g, c in by_group.items()}}
+            "differing_calls": overall["differing_calls"],
+            "overall": overall,
+            "orders" if oracle else "drivers": {g: _side(*v) for g, v in by_group.items()}}
 
 
 def main(argv=None) -> int:

@@ -22,9 +22,46 @@
 Every driver owns one ledger per call; ``mults`` in the result is the
 full square-product count including the squaring phase.  Each driver
 runs the unguarded building blocks (the selectors, the evaluators of
-:mod:`expmkit.poly` and :func:`squaring`) under one ``np.errstate`` and
-checks its result; :mod:`expmkit.matrix` states that contract and why
-an overflow still raises :class:`~expmkit.matrix.NonFiniteError`.
+:mod:`expmkit.poly` and :func:`squaring`) and checks its result;
+:mod:`expmkit.matrix` states that contract and why an overflow still
+raises :class:`~expmkit.matrix.NonFiniteError`.
+
+Which calls are guarded.  ``expm_lowrank`` always runs under one
+``np.errstate`` (``matrix._guarded``): V = A2 A1 and the assembly can
+overflow from finite factors of any size.  ``expm`` and
+``expm_baseline`` first form w = ||W||_1 with ``one_norm``, which cannot
+overflow, and hand it on, so the selector does not form it again.  They
+run their body under the guard only where ``not w <= GUARD_NORM``
+(2^8), which a NaN norm takes too.  The guarded body is the same
+function, wrapped by ``_guarded`` at import.
+
+Why 2^8 needs no guard.  Take a finite W with w <= 2^8, B = 2^-s W and
+x = ||B||_1 = 2^-s w.  An entry is at most its matrix's 1-norm.  Bound
+each intermediate by the polynomial P that puts x in place of each
+matrix and |c| in place of each coefficient c.  Rounding multiplies
+such a bound by at most 1 + gamma_n per operation (gamma_n = n u / (1 -
+n u)); over a whole call, s <= 20 squarings included, that factor stays
+below 2 for every n below 10^8, far past any n-by-n array in memory.
+
+* The selectors' powers W^p, p <= 4, are at most w^p <= 2^32.
+* The Taylor evaluators (``eval_low_order``, ``ps_eval``, the baseline's
+  terms) have positive coefficients, so each block sum, Horner value and
+  term is at most e^x <= e^256 < 2^370.  The formulas' intermediates
+  are at most P(256) < 2^84 for the 15+ formula, and less for the
+  order-8 one.  The coefficient folding of :mod:`expmkit.poly` only
+  shrinks an intermediate, by a power of two.
+* The squarings of X = r(B) give at most P(x)^(2^s) = e^(2^s ln P(x)),
+  and ln P(x) <= c x, with c = 1 for the Taylor evaluators and c < 4/3
+  for the 15+ formula (the maximum of ln P(x)/x, at x = 2.2).  As
+  2^s x = w, every squaring is at most e^(4/3 * 256) < 2^493.
+
+So every value stays below 2^500.  With finite operands, no overflow
+and nonzero divisors, no operation is invalid.  Nothing in the call can
+set numpy's overflow or invalid flag, and a caller's
+``np.errstate(over="raise", invalid="raise")`` sees no error.  Above
+2^8 the exponential itself can overflow (e^W for W = 710), so the guard
+stays there.  The guard costs about 1 us a call (numpy 2.4 on a 2-vCPU
+x86-64 VM), a few per cent of a small flow's call at n <= 64.
 A :class:`~expmkit.matrix.Matrix` carries the input, each product's
 operands and the result; sums run on plain arrays.  ``expm`` with ps and
 ``expm_lowrank`` hand their selector a power stack
@@ -79,6 +116,7 @@ from .select import (
 
 __all__ = [
     "ExpmResult",
+    "GUARD_NORM",
     "LOWRANK_ORDERS",
     "LowRankOrderError",
     "LowRankPair",
@@ -157,7 +195,11 @@ def squaring(X: Matrix, s: int, ledger: MulLedger) -> Matrix:
 _DIVISORS = _consts(range(16))
 
 
-@_guarded
+# The 1-norm up to which expm and expm_baseline run without numpy's
+# error-state guard (see the module docstring).
+GUARD_NORM = 2.0 ** 8
+
+
 def expm_baseline(W: Matrix, eps: float) -> ExpmResult:
     """Term-accumulation exponential with norm-halving scaling.
 
@@ -167,13 +209,21 @@ def expm_baseline(W: Matrix, eps: float) -> ExpmResult:
     termination).  Since |y_00| <= ||Y||_1, a term whose corner entry
     exceeds the tolerance continues the loop without its norm being
     formed; the loop stops at the same term as one that forms every
-    norm.  ``plan.e1`` is the norm that ended the loop.
+    norm.  ``plan.e1`` is the norm that ended the loop.  The call enters
+    numpy's error-state guard only where ||W||_1 > ``GUARD_NORM`` (see
+    the module docstring).
     """
     eps = check_tolerance(eps)
     t0 = time.perf_counter()
     norm1 = one_norm(W)
     if not math.isfinite(norm1):  # the halving loop below would not end
         raise NonFiniteError("the 1-norm of the input is not finite")
+    body = _baseline if norm1 <= GUARD_NORM else _baseline_guarded
+    return body(W, eps, t0, norm1)
+
+
+def _baseline(W: Matrix, eps: float, t0: float, norm1: float) -> ExpmResult:
+    """:func:`expm_baseline` past its norm, which is finite."""
     ledger = MulLedger()
     s = 0
     while math.ldexp(norm1, -s) >= 0.5:
@@ -199,7 +249,9 @@ def expm_baseline(W: Matrix, eps: float) -> ExpmResult:
     return ExpmResult(check_finite(X), plan, ledger.count, time.perf_counter() - t0)
 
 
-@_guarded
+_baseline_guarded = _guarded(_baseline)
+
+
 def expm(W: Matrix, eps: float, scheme: str = SCHEME_SASTRE) -> ExpmResult:
     """Selected-order scaled-Taylor exponential.
 
@@ -209,15 +261,24 @@ def expm(W: Matrix, eps: float, scheme: str = SCHEME_SASTRE) -> ExpmResult:
     powers W^p the selector formed, unscaled, and evaluates the polynomial
     of 2^-s W with the factors 2^(-s*d) on its coefficients (see the
     module docstring), so the call costs the polynomial budget plus s.
+    The call enters numpy's error-state guard only where ||W||_1 is NaN
+    or above ``GUARD_NORM`` (see the module docstring).
     """
     t0 = time.perf_counter()
+    norm1 = one_norm(W)
+    body = _expm if norm1 <= GUARD_NORM else _expm_guarded
+    return body(W, eps, scheme, t0, norm1)
+
+
+def _expm(W: Matrix, eps: float, scheme: str, t0: float, norm1: float) -> ExpmResult:
+    """:func:`expm` past its norm."""
     ledger = MulLedger()
     if scheme == SCHEME_PS:
         powers = _PowerStack(_PS_ROWS)
-        plan = select_ps(W, eps, ledger, powers)
+        plan = select_ps(W, eps, ledger, powers, norm1)
     elif scheme == SCHEME_SASTRE:
         powers = []
-        plan = select_sastre(W, eps, ledger, powers)
+        plan = select_sastre(W, eps, ledger, powers, norm1)
     else:
         raise MatrixError(f"unknown scheme {scheme!r}; expected 'ps' or 'sastre'")
 
@@ -236,6 +297,9 @@ def expm(W: Matrix, eps: float, scheme: str = SCHEME_SASTRE) -> ExpmResult:
     if plan.s:
         X = squaring(X, plan.s, ledger)
     return ExpmResult(check_finite(X), plan, ledger.count, time.perf_counter() - t0)
+
+
+_expm_guarded = _guarded(_expm)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +353,9 @@ def expm_lowrank(pair: LowRankPair, eps: float) -> ExpmResult:
 
     ``mults`` counts the t x t products of the series evaluation; the
     three factor products (A2*A1 and the two assembly products) are
-    reported in ``rect_mults``.
+    reported in ``rect_mults``.  Every call runs under numpy's
+    error-state guard: those products can overflow from finite factors
+    of any size.
     """
     t0 = time.perf_counter()
     ledger = MulLedger()

@@ -35,11 +35,16 @@ The building blocks are unguarded: :func:`mat_mul`, the selectors
 and ``squaring`` enter no ``np.errstate``, and all but the selectors
 check nothing they return.  Their products go through :func:`mat_mul`,
 with a :class:`Matrix` around each operand and result only.  The drivers
-and the oracle guard and check: each call runs under one
+and the oracle guard and check: a guarded call runs under one
 ``np.errstate(over="ignore", invalid="ignore")``, entered by the shared
-decorator ``_guarded`` (thread safe from numpy 2.0 on), and checks its
-result.  ``_guarded`` is the one guard; the oracle's error measure and
-the bench generators take it too.
+decorator ``_guarded`` (thread safe from numpy 2.0 on), and every call
+checks its result.  ``expm_lowrank``, the oracle, its error measure and
+the bench generators always take the guard.  ``expm`` and
+``expm_baseline`` take it only where ||W||_1 exceeds
+``engine.GUARD_NORM`` = 2^8 or is NaN: below it no operation of the
+call can overflow or turn invalid (:mod:`expmkit.engine` proves it), so
+the guard, about 1 us a call on a 2-vCPU x86-64 VM, would buy nothing.
+``_guarded`` is the one guard.
 In between, only the selectors' norm test checks anything: a selector
 scans W or a power it forms only when its 1-norm is not finite (a
 finite norm proves every entry finite).  That is enough
@@ -57,8 +62,10 @@ matrix-vector product against a ones vector, which costs about half of
 numpy's axis-0 reduction at n = 8-64.  BLAS may add in any order, so a
 norm is within (n-1)*u of the exact maximum column sum (u = 2^-53), not
 bit for bit numpy's sequential sum; it is deterministic for one BLAS
-build and thread count.  Every norm the selectors, the drivers and the
-oracle form goes through it.
+build and thread count.  The vector is scaled by 2^-e, 2^e >= n, so no
+column sum can overflow: the norm never warns, and a driver forms it
+before deciding whether to enter the guard.  Every norm the selectors,
+the drivers and the oracle form goes through it.
 
 A scalar that the evaluators and drivers pass to a ufunc on the hot path
 is a cached, read-only 0-d float64 array made by :func:`_consts`, not a
@@ -287,25 +294,53 @@ def mat_mul(A: Matrix, B: Matrix, ledger: MulLedger, out: np.ndarray | None = No
 
 @functools.lru_cache(maxsize=64)
 def _ones(n: int) -> np.ndarray:
-    """A read-only ones vector of length n, shared by every norm of order n."""
+    """A read-only ones vector of length n, for a norm in the subnormal range."""
     x = np.ones(n)
     x.setflags(write=False)
     return x
 
 
-def one_norm(A: Matrix) -> float:
-    """Maximum over columns of the sum of absolute entries.
+@functools.lru_cache(maxsize=64)
+def _norm_vector(n: int) -> tuple[np.ndarray, float]:
+    """(2^-e ones(n), 2^e) with 2^e the least power of two >= n, shared by
+    every norm of order n; the vector is read-only."""
+    e = (n - 1).bit_length()
+    x = np.full(n, math.ldexp(1.0, -e))
+    x.setflags(write=False)
+    return x, math.ldexp(1.0, e)
 
-    The column sums are one BLAS product ``ones @ |A|`` (see the module
-    docstring): within (n-1)*u of the exact sums, summed in an order the
-    BLAS build picks.  The maximum is read at ``argmax``, which costs
-    less than a second reduction on small orders and gives the same float
-    as ``.max()``: the sums are never -0, and ``argmax`` picks the first
-    NaN, so a NaN or Inf entry gives a NaN or Inf norm.  Finite entries
-    whose column sum overflows give +inf.
+
+# Below this scaled maximum, products 2^-e |a_ij| that matter can leave
+# the normal range, so one_norm sums again with the unit vector.
+_SUBNORMAL_SUMS = 2.0 ** -900
+
+
+def one_norm(A: Matrix) -> float:
+    """Maximum over columns of the sum of absolute entries; never warns.
+
+    The column sums are one BLAS product ``2^-e ones @ |A|`` with
+    2^e >= n (see the module docstring): each scaled sum is at most
+    max|a_ij|, so none can overflow, and the maximum is read back as a
+    Python float times 2^e, which is +inf where the norm is beyond
+    binary64.  A power-of-two factor commutes with every rounding, with
+    or without FMA, so wherever the scaled products and sums stay
+    normal the norm is the unscaled product's, bit for bit: within
+    (n-1)*u of the exact sums, summed in an order the BLAS build picks.
+    A scaled maximum below 2^-900 is summed again with the unit vector,
+    so subnormal inputs keep that bound.  The maximum is read at
+    ``argmax``, which costs less than a second reduction on small orders
+    and gives the same float as ``.max()``: the sums are never -0, and
+    ``argmax`` picks the first NaN, so a NaN or Inf entry gives a NaN or
+    Inf norm.
     """
-    sums = np.dot(_ones(A.n), np.abs(A.a))
-    return float(sums[sums.argmax()])
+    v, scale = _norm_vector(A.n)
+    a = np.abs(A.a)
+    sums = np.dot(v, a)
+    top = float(sums[sums.argmax()])
+    if top < _SUBNORMAL_SUMS:
+        sums = np.dot(_ones(A.n), a)
+        return float(sums[sums.argmax()])
+    return top * scale
 
 
 def frobenius_norm(A: Matrix) -> float:

@@ -202,12 +202,14 @@ class EvalPlan(NamedTuple):
 
 
 def _select(ladder: tuple[Rung, ...], scheme: str, W: Matrix, eps: float,
-            ledger: MulLedger, powers: list) -> EvalPlan:
+            ledger: MulLedger, powers: list, norm1: float | None = None) -> EvalPlan:
     """The plan for W on ``ladder``; the powers W, W^2, ... formed while
     bounding go into the caller's empty list ``powers``, for it to reuse
-    (a :class:`~expmkit.poly._PowerStack` takes each into its next row)."""
+    (a :class:`~expmkit.poly._PowerStack` takes each into its next row).
+    ``norm1`` is ``one_norm(W)`` where the caller formed it already."""
     eps = check_tolerance(eps)
-    norm1 = one_norm(W)
+    if norm1 is None:
+        norm1 = one_norm(W)
     if not math.isfinite(norm1):
         check_finite(W)
     powers.append(W)

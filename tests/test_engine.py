@@ -819,3 +819,132 @@ def test_an_unscaled_or_zero_plan_is_met(scheme):
         # formed in log domain, so within rounding of e1 + e2
         assert plan.bound == pytest.approx(plan.e1 + plan.e2, rel=1e-12, abs=0.0)
         assert plan.log2_bound <= math.log2(plan.eps)
+
+
+# ---------------------------------------------------------------------------
+# the guard's boundary: expm and expm_baseline enter np.errstate only above
+# GUARD_NORM (see the engine module docstring)
+# ---------------------------------------------------------------------------
+
+_DENSE_DRIVERS = {
+    "sastre": lambda W, eps: expm(W, eps, "sastre"),
+    "ps": lambda W, eps: expm(W, eps, "ps"),
+    "baseline": lambda W, eps: expm_baseline(W, eps),
+}
+_EPS_GRID = (2.0 ** -53, 1e-8, 1e-5)
+
+
+def _at_the_constant():
+    """Inputs with ||W||_1 = GUARD_NORM exactly: the sums are of integers."""
+    c = engine_mod.GUARD_NORM
+    rng = np.random.default_rng(38)
+    # Nonnegative with every column summing to c: its dominant eigenvalue
+    # is c itself, so e^W is near e^256 ~ 1.5e111.
+    dense = rng.integers(0, 31, (8, 8)).astype(float)
+    dense[-1] = c - dense[:-1].sum(axis=0)
+    # Nonnormal: large entries above a small diagonal.
+    tri = np.triu(rng.integers(-40, 41, (6, 6)).astype(float), 1)
+    tri[np.diag_indices(6)] = 1.0
+    tri[:, -1] = [200.0, -40.0, 10.0, -4.0, 1.0, 1.0]
+    return {"cI": Matrix(c * np.eye(5)), "dense": Matrix(dense), "triangular": Matrix(tri),
+            "1x1": Matrix([[c]]), "-1x1": Matrix([[-c]])}
+
+
+def _record_error_state(monkeypatch):
+    """Wrap the first building block each dense driver's body calls (the
+    selectors, and the baseline's scale_pow2); returns the list of numpy's
+    overflow modes they ran under, one per call."""
+    seen = []
+    for name in ("select_ps", "select_sastre", "scale_pow2"):
+        def recorded(*args, _f=getattr(engine_mod, name)):
+            seen.append(np.geterr()["over"])
+            return _f(*args)
+        monkeypatch.setattr(engine_mod, name, recorded)
+    return seen
+
+
+@pytest.mark.parametrize("driver", sorted(_DENSE_DRIVERS))
+def test_a_call_at_the_constant_runs_unguarded_and_cannot_overflow(driver, monkeypatch):
+    # Inside a caller's raising np.errstate, the body runs in the caller's
+    # state and raises nothing; its bytes are those of the same call with
+    # every flag ignored.
+    run = _DENSE_DRIVERS[driver]
+    seen = _record_error_state(monkeypatch)
+    for name, W in _at_the_constant().items():
+        assert one_norm(W) == engine_mod.GUARD_NORM, name
+        for eps in _EPS_GRID:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = run(W, eps)
+            seen.clear()
+            with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+                warnings.simplefilter("error")
+                got = run(W, eps)
+            assert seen == ["raise"], (name, eps)
+            assert np.isfinite(got.value.a).all()
+            assert _outcome(got) == _outcome(want), (name, eps)
+
+
+def _above_the_constant():
+    """Inputs whose norm is above GUARD_NORM or NaN, with the outcome of
+    each dense driver: a finite value, or the raised type."""
+    c = engine_mod.GUARD_NORM
+    finite = {"sastre": "ok", "ps": "ok", "baseline": "ok"}
+    overflow = {"sastre": "NonFiniteError", "ps": "NonFiniteError",
+                "baseline": "NonFiniteError"}
+    rot = expmkit.gen_matrix(expmkit.GeneratorSpec("rotation_block", 16, 1e7, 1))
+    return [
+        ("just_above", Matrix(np.nextafter(c, np.inf) * np.eye(3)), finite),
+        ("1x1_just_above", Matrix([[-np.nextafter(c, np.inf)]]), finite),
+        ("nan", matrix_mod._wrap(np.full((2, 2), math.nan)), overflow),
+        ("column_sums_overflow", Matrix(np.full((3, 3), 1e308)), overflow),
+        ("710", Matrix([[710.0]]), overflow),
+        # The selectors cap s at 20 and overflow; the baseline scales on.
+        ("-1e308", Matrix([[-1e308]]), {**overflow, "baseline": "ok"}),
+        ("rotation_1e7", rot, {**overflow, "baseline": "ok"}),
+    ]
+
+
+@pytest.mark.parametrize("driver", sorted(_DENSE_DRIVERS))
+def test_a_call_above_the_constant_takes_the_guard(driver, monkeypatch):
+    # Even inside a caller's raising np.errstate, the body runs with
+    # overflow ignored, warns nowhere, and leaves the caller's state as
+    # it was, whether the call returns or raises.
+    run = _DENSE_DRIVERS[driver]
+    seen = _record_error_state(monkeypatch)
+    for name, W, outcomes in _above_the_constant():
+        assert not one_norm(W) <= engine_mod.GUARD_NORM, name
+        for eps in _EPS_GRID:
+            seen.clear()
+            with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+                warnings.simplefilter("error")
+                before = np.geterr()
+                try:
+                    got = "ok", run(W, eps)
+                except NonFiniteError as exc:
+                    got = type(exc).__name__, None
+                assert np.geterr() == before
+            assert got[0] == outcomes[driver], (name, eps)
+            # The baseline raises on a non-finite norm before its body.
+            early = driver == "baseline" and not math.isfinite(one_norm(W))
+            assert seen == ([] if early else ["ignore"]), (name, eps)
+            if got[1] is not None:
+                assert np.isfinite(got[1].value.a).all()
+                with np.errstate(over="ignore", invalid="ignore"):
+                    assert _outcome(run(W, eps)) == _outcome(got[1])
+
+
+def test_the_low_rank_path_is_guarded_at_any_norm(monkeypatch):
+    # V = A2 A1 and the assembly can overflow from small factors, so
+    # expm_lowrank takes the guard whatever ||V||_1 is.
+    seen = []
+    select = engine_mod._select
+
+    def recorded(*args):
+        seen.append(np.geterr()["over"])
+        return select(*args)
+
+    monkeypatch.setattr(engine_mod, "_select", recorded)
+    pair = LowRankPair(np.full((4, 1), 0.5), np.full((1, 4), 0.25))
+    with np.errstate(over="raise", invalid="raise"):
+        res = expm_lowrank(pair, 1e-8)
+    assert seen == ["ignore"] and np.isfinite(res.value.a).all()

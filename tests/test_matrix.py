@@ -170,10 +170,12 @@ def test_one_norm_examples():
     for A in cases:
         assert math.copysign(1.0, one_norm(A)) == 1.0
         assert _within_summation_bound(A)
-    # Finite entries whose column sums overflow: +inf either way.
+    # Finite entries whose column sums overflow: +inf, with no warning
+    # (tier-1 turns one into an error); the chained sum warns.
     big = Matrix(np.full((3, 3), 1e308))
+    assert one_norm(big) == math.inf
     with np.errstate(over="ignore"):
-        assert one_norm(big) == chained(big) == math.inf
+        assert chained(big) == math.inf
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -186,6 +188,30 @@ def test_one_norm_is_within_the_summation_bound(n, scale, spread, seed):
     exps = rng.integers(-spread, spread + 1, (n, n)) + scale
     A = Matrix(np.ldexp(rng.uniform(-1.0, 1.0, (n, n)), exps))
     assert _within_summation_bound(A)
+    # The scaled ones vector commutes with every rounding in the normal
+    # range: the bytes are the unit vector's.
+    assert one_norm(A) == _unit_vector_norm(A.a)
+
+
+def _unit_vector_norm(a):
+    sums = np.dot(np.ones(a.shape[0]), np.abs(a))
+    return float(sums[sums.argmax()])
+
+
+def test_one_norm_never_warns_and_keeps_the_unit_vectors_bytes_elsewhere():
+    rng = np.random.default_rng(38)
+    for n in (1, 2, 3, 7, 8, 9, 64, 65, 70):
+        # Column sums beyond binary64 read +inf, with no warning; a sum
+        # just inside it is the unit vector's float.
+        big = Matrix(np.full((n, n), float(np.finfo(float).max) / max(n - 0.5, 1)))
+        assert one_norm(big) == (math.inf if n > 1 else big.a[0, 0])
+        edge = Matrix(np.full((n, n), 2.0 ** 1023 / n))
+        assert one_norm(edge) == _unit_vector_norm(edge.a) == pytest.approx(2.0 ** 1023)
+        # Near and in the subnormal range, where the scaled maximum falls
+        # below 2^-900 and the unit vector sums again, the same bytes.
+        for scale in (1e-310, 2.0 ** -1000, 2.0 ** -890):
+            a = rng.uniform(-1.0, 1.0, (n, n)) * scale
+            assert one_norm(Matrix(a)) == _unit_vector_norm(a)
 
 
 def test_ones_vectors_are_read_only_and_cached_in_a_bounded_cache():

@@ -1,6 +1,7 @@
 """tools/paired_calls.py on reduced flow_small and oracle call sets, with
 the working tree's package loaded a second time as the parent."""
 
+import itertools
 import math
 import sys
 
@@ -114,3 +115,37 @@ def test_differing_calls_split_into_value_only_and_plan_or_count(monkeypatch):
     assert out["differing_calls"] == overall["differing_calls"] == ps["calls"] + sastre["calls"]
     assert (overall["value_only_calls"], overall["plan_or_count_calls"]) == \
         (ps["calls"], sastre["calls"])
+
+
+def test_an_aa_copy_of_the_working_tree_is_timed_beside_every_ratio(monkeypatch):
+    """A third copy of the working tree runs in the same passes, and each
+    group and the overall summary carry its ratio, ``aa_ratio``."""
+    twin = tool.load_package(tool.ROOT / "src", "expmkit_twin")
+    seen = []
+    driver_call = tool.driver_call
+
+    def recording(package):
+        call = driver_call(package)
+
+        def timed(W, scheme, eps):
+            seen.append(package.__name__)
+            return call(W, scheme, eps)
+
+        return timed
+
+    monkeypatch.setattr(tool, "driver_call", recording)
+    calls = tool.calls_of("flow_small", 3)[::200]
+    out = tool.compare((twin, tool.expmkit), calls, passes=2, seed=3)
+    assert out["differing_calls"] == 0
+    assert len(seen) == 3 * 2 * len(calls) == 48
+    # The six orders in turn: over six calls each tree runs in each place,
+    # and right after each other tree, equally often.
+    names = ("expmkit_twin", "expmkit", tool.AA_PACKAGE)
+    runs = [tuple(seen[k:k + 3]) for k in range(0, 18, 3)]
+    assert sorted(runs) == sorted(itertools.permutations(names))
+    for place in range(3):
+        assert sorted(run[place] for run in runs) == sorted(names * 2)
+    for side in (out["overall"], *out["drivers"].values()):
+        assert side["aa_cost_mean"] > 0
+        assert side["aa_ratio"] == side["change_cost_mean"] / side["aa_cost_mean"]
+        assert math.isfinite(side["aa_ratio"])

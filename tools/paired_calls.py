@@ -1,8 +1,8 @@
 """Back-to-back timing of each benchmark call on a parent revision and on
 the working tree, in one process.
 
-    python3 tools/paired_calls.py --parent REV --workload flow_small --seed 1 --passes 7
-    python3 tools/paired_calls.py --parent REV --workload suite_reference --seed 1 --passes 5
+    python3 tools/paired_calls.py --parent REV --workload flow_small --seed 1 --passes 6
+    python3 tools/paired_calls.py --parent REV --workload suite_reference --seed 1 --passes 6
 
 Run it from the root of a source checkout.  The parent revision is
 extracted with ``git archive`` into a temporary directory, as
@@ -16,20 +16,27 @@ With ``--workload suite_reference`` the calls are instead
 ``expm_reference`` on each matrix of the default bench suite at the
 seed, the oracle that perfbench's ``suite_reference`` workload runs.
 
-Each pass times every call on both trees back to back, the parent first
-where pass + call index is even and the change first where it is odd,
-so that a drift in machine speed or cache state falls on both sides.  A
-call's time is its median over the passes, and its cost that time over
-one bare product of its order, as perfbench's ``item_cost_mean`` counts
-it.  Separate perfbench runs on a shared machine spread by several per
-cent; pairing each call resolves a difference of a few.
+The working tree's ``src/expmkit`` is imported a third time, as
+``expmkit_aa``: an A/A copy, timed in the same passes, that shows how far
+two identical trees read apart.  Each pass times every call on the three
+back to back, in the order of the six permutations taken in turn by
+pass + call index: over a multiple of six passes each call runs on each
+tree in each place, and after each other tree, equally often, so a drift
+in machine speed or cache state falls on every side.  (The place
+matters: a tree always run second of three read about 5% faster than
+its copy on ``flow_small``, on a 2-vCPU VM with one BLAS thread.)  A call's time is its median over the
+passes, and its cost that time over one bare product of its order, as
+perfbench's ``item_cost_mean`` counts it.  Separate perfbench runs on a
+shared machine spread by several per cent; pairing each call resolves a
+difference of a few.
 
 Prints one JSON object: per driver (per order for the oracle) and over
 all calls, each tree's mean cost, the ratio change over parent and the
-number of calls the change ran faster, and the number of calls whose
-outcome differs between the trees (``differing_calls``, 0 when the
-change keeps every result).  A driver call's outcome is what
-tools/fingerprint.py digests: its plan and product counts, or the raised
+number of calls the change ran faster, ``aa_ratio``, the change's mean
+cost over the copy's (the floor that ``ratio_change_over_parent`` must
+clear), and the number of calls whose outcome differs between parent
+and change (``differing_calls``, 0 when the change keeps every result).
+A driver call's outcome is what tools/fingerprint.py digests: its plan and product counts, or the raised
 type, and its value bytes; an oracle call's is the raised type, or the
 bytes of the double-double pair (hi, lo) behind its value.  The
 differing calls split into ``plan_or_count_calls``, whose plan, counts
@@ -41,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import itertools
 import json
 import os
 import statistics
@@ -67,6 +75,9 @@ from pairs import extract  # noqa: E402  (tools/pairs.py)
 ORACLE_WORKLOAD = "suite_reference"
 WORKLOADS = ("flow_small", "large_dense", ORACLE_WORKLOAD)
 PARENT_PACKAGE = "expmkit_parent"
+AA_PACKAGE = "expmkit_aa"
+# The orders in which a call runs on (parent, change, copy), in turn.
+ORDERS = tuple(itertools.permutations(range(3)))
 
 
 def load_package(src: Path, name: str):
@@ -156,41 +167,43 @@ def calls_of(workload: str, seed: int):
 
 
 def _side(costs, diffs) -> dict:
-    """Both trees' mean cost over (parent, change) cost pairs, and the
-    number of each kind of difference (see :func:`difference`)."""
-    parent = statistics.fmean(p for p, _ in costs)
-    change = statistics.fmean(c for _, c in costs)
+    """The three trees' mean cost over (parent, change, copy) cost
+    triples, and the number of each kind of difference (see
+    :func:`difference`)."""
+    parent, change, aa = (statistics.fmean(t) for t in zip(*costs))
     return {"calls": len(costs), "parent_cost_mean": parent, "change_cost_mean": change,
             "ratio_change_over_parent": change / parent,
-            "change_faster": sum(c < p for p, c in costs),
+            "aa_cost_mean": aa, "aa_ratio": change / aa,
+            "change_faster": sum(c < p for p, c, _ in costs),
             "differing_calls": sum(d is not None for d in diffs),
             "plan_or_count_calls": diffs.count("plan_or_count"),
             "value_only_calls": diffs.count("value_only")}
 
 
 def compare(trees, calls, passes: int, seed: int, oracle: bool = False) -> dict:
-    """Time each call on the two packages ``trees`` (parent, change) back
-    to back, ``passes`` times; summarize per group and overall.  The
-    calls go to each tree's drivers, or to its oracle with ``oracle``."""
+    """Time each call on the packages ``trees`` (parent, change) and on an
+    A/A copy of the working tree back to back, ``passes`` times (module
+    docstring); summarize per group and overall.  The calls go to each
+    tree's drivers, or to its oracle with ``oracle``."""
+    trees = (*trees, load_package(ROOT / "src", AA_PACKAGE))
     runs = [(oracle_call if oracle else driver_call)(t) for t in trees]
     inputs = [[as_input(t, W) for t in trees] for _, _, W, _ in calls]
-    times = [([], []) for _ in calls]
+    times = [([], [], []) for _ in calls]
     results = [None] * len(calls)
     for p in range(passes):
         for i, (group, eps, _, _) in enumerate(calls):
-            order = (0, 1) if (p + i) % 2 == 0 else (1, 0)
-            got = [None, None]
-            for t in order:
+            got = [None, None, None]
+            for t in ORDERS[(p + i) % len(ORDERS)]:
                 wall, got[t] = runs[t](inputs[i][t], group, eps)
                 times[i][t].append(wall)
             results[i] = got
     gemm_s = workloads.calibrate_gemm({c[3] for c in calls}, seed)
     by_group = {}
-    for (group, _, _, order), (tp, tc), got in zip(calls, times, results):
+    for (group, _, _, order), tree_times, got in zip(calls, times, results):
         base = gemm_s[order]
         costs, diffs = by_group.setdefault(group, ([], []))
-        costs.append((statistics.median(tp) / base, statistics.median(tc) / base))
-        diffs.append(difference(*got))
+        costs.append(tuple(statistics.median(t) / base for t in tree_times))
+        diffs.append(difference(*got[:2]))
     overall = _side([c for costs, _ in by_group.values() for c in costs],
                     [d for _, diffs in by_group.values() for d in diffs])
     return {"passes": passes, "calls": len(calls),
@@ -204,7 +217,8 @@ def main(argv=None) -> int:
     p.add_argument("--parent", default="HEAD", help="git revision of the parent")
     p.add_argument("--workload", choices=WORKLOADS, default="flow_small")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--passes", type=int, default=7)
+    p.add_argument("--passes", type=int, default=len(ORDERS),
+                   help="passes over the calls; a multiple of 6 balances the orders")
     args = p.parse_args(argv)
     if args.passes < 1:
         p.error("--passes must be at least 1")

@@ -8,11 +8,13 @@
 * :func:`expm` - select (m, s) with one of the two selectors, evaluate
   the degree-m polynomial of 2^-s W on the list of powers the selector
   formed, with the exact factors 2^(-s*d) on the coefficients in place of
-  rescaled copies of the powers, and square s times.  Only the top rung
-  is ever scaled.  The value is bit for bit the one the rescaled copies
-  give while every entry of those copies and of the folded intermediates
-  stays in the normal range; :mod:`expmkit.poly` says which
-  intermediates shrink and where the two can differ.
+  rescaled copies of the powers, and square s times.  Orders 1, 2 and 4,
+  the rungs both ladders share, go to ``eval_low_order`` whatever the
+  scheme.  Only the top rung is ever scaled.  The value is bit for bit
+  the one the rescaled copies give while every entry of those copies and
+  of the folded intermediates stays in the normal range;
+  :mod:`expmkit.poly` says which intermediates shrink and where the two
+  can differ.
 * :func:`expm_lowrank` - for W = A1 A2 with small inner rank, evaluate
   the index-shifted series on V = A2 A1 and assemble I + A1 psi(V) A2;
   the order comes from the same selector on its own ladder, with s pinned
@@ -65,10 +67,10 @@ x86-64 VM), a few per cent of a small flow's call at n <= 64.
 A :class:`~expmkit.matrix.Matrix` carries the input, each product's
 operands and the result; sums run on plain arrays.  ``expm`` with ps and
 ``expm_lowrank`` hand their selector a power stack
-(:class:`~expmkit.poly._PowerStack`), whose rows take a copy of W (or V)
-and each power formed after it, for :func:`~expmkit.poly.ps_eval`'s
-block sums; sastre keeps a plain list.  The selector's powers live only
-inside the call: a result holds no array but its value.
+(:class:`~expmkit.poly._PowerStack`) for :func:`~expmkit.poly.ps_eval`'s
+block sums, made with the first power one reads (W^3 for ps, V^2 on the
+low-rank path); sastre keeps a plain list.  The selector's powers live
+only inside the call: a result holds no array but its value.
 """
 
 from __future__ import annotations
@@ -255,12 +257,13 @@ _baseline_guarded = _guarded(_baseline)
 def expm(W: Matrix, eps: float, scheme: str = SCHEME_SASTRE) -> ExpmResult:
     """Selected-order scaled-Taylor exponential.
 
-    ``scheme`` picks the selector/evaluator pair: ``"ps"`` for
-    Paterson-Stockmeyer (orders up to 16) or ``"sastre"`` for the
-    evaluation formulas (orders up to 15+).  The evaluator gets the list of
-    powers W^p the selector formed, unscaled, and evaluates the polynomial
-    of 2^-s W with the factors 2^(-s*d) on its coefficients (see the
-    module docstring), so the call costs the polynomial budget plus s.
+    ``scheme`` picks the ladder above order 4: ``"ps"`` for
+    Paterson-Stockmeyer (up to 16) or ``"sastre"`` for the evaluation
+    formulas (up to 15+); orders 1, 2 and 4, on both, get one formula.
+    The evaluator gets the powers W^p the selector formed, unscaled, and
+    evaluates the polynomial of 2^-s W with the factors 2^(-s*d) on its
+    coefficients (see the module docstring), so the call costs the
+    polynomial budget plus s.
     The call enters numpy's error-state guard only where ||W||_1 is NaN
     or above ``GUARD_NORM`` (see the module docstring).
     """
@@ -285,10 +288,10 @@ def _expm(W: Matrix, eps: float, scheme: str, t0: float, norm1: float) -> ExpmRe
     # s > 0 only at the top rung: ps order 16 or the 15+ formula.
     if plan.m == 0:
         X = identity(W.n)
-    elif scheme == SCHEME_PS:
-        X = ps_eval(_ps_coeffs(plan.m, plan.s), powers, ledger)
     elif plan.m in (1, 2, 4):
         X = eval_low_order(powers, plan.m, ledger)
+    elif scheme == SCHEME_PS:
+        X = ps_eval(_ps_coeffs(plan.m, plan.s), powers, ledger)
     elif plan.m == 8:
         X = eval_t8(powers, ledger)
     else:

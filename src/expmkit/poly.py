@@ -14,12 +14,10 @@ Two evaluation routes are provided with exact multiplication budgets:
 
 Each evaluator takes ``powers`` = [A, A^2, ...] (the selectors build it
 while bounding), forms only the powers it lacks and leaves the list
-unchanged; a budget counts the products from [A] alone.  The drivers of
-:func:`ps_eval` hand their selector a :class:`_PowerStack` in place of a
-plain list: the selector and :func:`ps_eval` form each power past A
-straight into the next row of one (rows, n, n) array, through
-``mat_mul``'s ``out``, and :func:`ps_eval` fills that stack in place.  A
-plain list is copied once into a new stack.
+unchanged; a budget counts the products from [A] alone.  :func:`ps_eval`
+reads the powers as rows of one :class:`_PowerStack`, made in one place,
+its ``row``.  Its drivers hand their selector one in place of a plain
+list; a plain list goes into a new one, a copy per power, unchanged.
 
 The formula evaluators sum in place on plain float64 arrays: a sum's
 first term c*X allocates it, each further c*X is rounded into one scratch
@@ -262,10 +260,10 @@ class _PsTable(NamedTuple):
 
 def _ps_table(coeffs) -> _PsTable:
     """The :class:`_PsTable` of ``coeffs``, rounded to binary64 once.
-    Complex, text and object coefficients (``Fraction`` among them) raise
-    TypeError, an empty or nested sequence MatrixError."""
+    Boolean, complex, text and object coefficients (``Fraction`` among
+    them) raise TypeError, an empty or nested sequence MatrixError."""
     c = np.asarray(coeffs)
-    if c.dtype.kind not in "biuf":
+    if c.dtype.kind not in "iuf":
         raise TypeError(f"coefficients must be real binary numbers, got dtype {c.dtype}")
     if c.ndim != 1 or c.size == 0:
         raise MatrixError("expected a nonempty 1-d coefficient sequence")
@@ -297,47 +295,34 @@ def _phi1_coeffs(m: int) -> _PsTable:
 
 
 class _PowerStack(list):
-    """A power list [A, A^2, ...] whose powers past A are formed into the
-    rows of one (rows, n, n) float64 stack, ``.a``, for :func:`ps_eval`.
+    """A power list [A, A^2, ...] held in the rows of one (rows, n, n)
+    float64 stack, ``.a``, for :func:`ps_eval`'s block sums.
 
-    The first row asked for allocates the stack and copies A into row 0,
-    so a list that never grows past A holds no stack.  The drivers of
-    :func:`ps_eval` hand one to their selector in place of a plain list;
-    the selector and :func:`ps_eval` form each further power straight
-    into its row (``mat_mul``'s ``out``), so no power is copied.
+    The first row asked for allocates the stack and copies in each power
+    the list holds; past A, which its holder keeps, the list then holds
+    the rows instead, so no power stays outside the stack.  Each later
+    power is formed into its row (``mat_mul``'s ``out``).
     """
 
     __slots__ = ("rows", "a", "flat")
 
-    def __init__(self, rows: int):  # list.__new__ made the empty list
+    def __init__(self, rows: int, powers=()):  # list.__new__ made the empty list
         self.rows = rows
         self.a = self.flat = None
+        self.extend(powers)
 
     def row(self, p: int) -> np.ndarray:
         """Row p of the stack, where A^(p+1) goes."""
-        if self.a is None:
-            A = self[0].a
-            n = A.shape[0]
-            self.a = np.empty((self.rows, n, n))
-            self.a[0] = A
-            self.flat = self.a.reshape(self.rows, n * n)  # one row per power
-        return self.a[p]
-
-
-def _stacked(powers: list, j: int, ledger: MulLedger) -> _PowerStack:
-    """A :class:`_PowerStack` holding A..A^j: ``powers`` itself, filled in
-    place, or a plain list copied into a new one, which leaves it
-    unchanged."""
-    if type(powers) is not _PowerStack:
-        given, powers = powers[:j], _PowerStack(j)
-        powers.append(given[0])
-        for P in given[1:]:
-            row = powers.row(len(powers))
-            row[...] = P.a
-            powers.append(_wrap(row))
-    while len(powers) < j:
-        powers.append(mat_mul(powers[-1], powers[0], ledger, out=powers.row(len(powers))))
-    return powers
+        a = self.a
+        if a is None:
+            n = self[0].n
+            a = self.a = np.empty((self.rows, n, n))
+            self.flat = a.reshape(self.rows, n * n)  # one row per power
+            for i, P in enumerate(self):
+                a[i] = P.a
+                if i:
+                    self[i] = _wrap(a[i])
+        return a[p]
 
 
 def ps_eval(coeffs, powers: list, ledger: MulLedger) -> Matrix:
@@ -353,17 +338,17 @@ def ps_eval(coeffs, powers: list, ledger: MulLedger) -> Matrix:
     if not powers:
         raise MatrixError("empty power list")
     table, rows, diag = coeffs
-    A = powers[0]
-    n = A.n
     k, j = table.shape
     if j == 0:  # m = 0
-        return _wrap(_eye(n) * diag[0])
-    if j == 1:  # A's own array is the stack
-        stack, top = A.a.reshape(1, n * n), A
-    else:
-        if type(powers) is not _PowerStack or len(powers) < j:  # else filled already
-            powers = _stacked(powers, j, ledger)
-        stack, top = powers.flat[:j], powers[j - 1]
+        return _wrap(_eye(powers[0].n) * diag[0])
+    if type(powers) is not _PowerStack:  # a plain list, left unchanged
+        powers = _PowerStack(j, powers[:j])
+    while len(powers) < j:
+        powers.append(mat_mul(powers[-1], powers[0], ledger, out=powers.row(len(powers))))
+    if powers.a is None:  # A alone, or a plain list holding every power read
+        powers.row(0)
+    stack, top = powers.flat[:j], powers[j - 1]
+    n = top.n
     x = np.empty((n, n))
     flat = x.reshape(n * n)
     on_diag = flat[:: n + 1]

@@ -205,7 +205,7 @@ def _select(ladder: tuple[Rung, ...], scheme: str, W: Matrix, eps: float,
             ledger: MulLedger, powers: list, norm1: float | None = None) -> EvalPlan:
     """The plan for W on ``ladder``; the powers W, W^2, ... formed while
     bounding go into the caller's empty list ``powers``, for it to reuse
-    (a :class:`~expmkit.poly._PowerStack` takes each into its next row).
+    (a :class:`~expmkit.poly._PowerStack` takes into its rows those a block sum reads).
     ``norm1`` is ``one_norm(W)`` where the caller formed it already."""
     eps = check_tolerance(eps)
     if norm1 is None:
@@ -225,7 +225,9 @@ def _select(ladder: tuple[Rung, ...], scheme: str, W: Matrix, eps: float,
             l2 = lc2 + 3 * lw[1]
         else:
             while len(powers) < j:
-                if type(powers) is _PowerStack:  # each power into the next row
+                # From W^3 (expm's ps orders 2 and 4 are formulas), or V^2
+                # (every low-rank order is a block sum), into the stack.
+                if type(powers) is _PowerStack and (len(powers) > 1 or scheme == SCHEME_LOWRANK):
                     P = mat_mul(powers[-1], W, ledger, out=powers.row(len(powers)))
                 else:
                     P = mat_mul(powers[-1], W, ledger)

@@ -7,7 +7,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from expmkit import (
     LOWRANK_ORDERS,
@@ -659,6 +659,87 @@ def test_ps_values_own_their_arrays_at_every_order():
     assert orders == {1, 2, 4, 6, 9, 12, 16}
 
 
+# ---------------------------------------------------------------------------
+# orders 1, 2 and 4: the rungs both ladders share
+# ---------------------------------------------------------------------------
+
+def _square_input(kind, n, norm, seed):
+    """The square input of a generator kind (a low-rank pair's product
+    A1 A2), or the zero matrix."""
+    if kind == "zero":
+        return Matrix(np.zeros((n, n)))
+    if kind in ("nilpotent_perturbed", "rotation_block"):
+        n = max(n, 2)  # neither kind has an order-1 matrix
+    W = expmkit.gen_matrix(expmkit.GeneratorSpec(kind, n, norm, seed))
+    return Matrix(W.a1 @ W.a2) if isinstance(W, LowRankPair) else W
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(kind=st.sampled_from(expmkit.KINDS + ("zero",)), n=st.integers(1, 70),
+       log10_norm=st.floats(-18.0, 0.0), seed=st.integers(0, 2 ** 31 - 1),
+       eps=st.sampled_from((2.0 ** -53, 1e-8, 1e-5)))
+@example(kind="random_dense", n=1, log10_norm=-3.0, seed=0, eps=1e-8)
+@example(kind="diag", n=1, log10_norm=-9.0, seed=1, eps=2.0 ** -53)
+@example(kind="zero", n=1, log10_norm=0.0, seed=0, eps=1e-5)
+@example(kind="zero", n=9, log10_norm=0.0, seed=0, eps=2.0 ** -53)
+def test_ps_and_sastre_agree_whenever_the_plan_is_a_shared_rung(kind, n, log10_norm, seed,
+                                                                  eps):
+    # Both ladders start with orders 1, 2 and 4 and walk them on the same
+    # powers, and both schemes evaluate them by one formula.
+    W = _square_input(kind, n, 10.0 ** log10_norm, seed)
+    ps, sastre = expm(W, eps, "ps"), expm(W, eps, "sastre")
+    assert (ps.plan.m <= 4) == (sastre.plan.m <= 4)
+    if ps.plan.m <= 4:
+        assert ps.plan._replace(scheme="sastre") == sastre.plan
+        assert ps.mults == sastre.mults
+        assert ps.value.a.tobytes() == sastre.value.a.tobytes()
+
+
+def test_a_ps_call_makes_a_power_stack_only_for_a_block_sum(monkeypatch):
+    # Orders 1, 2 and 4 read W^2 at most and go to a formula, so the ps
+    # call asks its stack for no row; from order 6 on the selector forms
+    # W^3 into one.
+    asked = []
+    row = poly_mod._PowerStack.row
+
+    def recording(stack, p):
+        asked.append(p)
+        return row(stack, p)
+
+    monkeypatch.setattr(poly_mod._PowerStack, "row", recording)
+    rng = np.random.default_rng(63)
+    orders = set()
+    for n in (1, 8, 33):
+        for norm in np.geomspace(1e-9, 40.0, 12):
+            for eps in (2.0 ** -53, 1e-8, 1e-5):
+                asked.clear()
+                m = expm(random_with_norm(rng, n, norm), eps, "ps").plan.m
+                orders.add(m)
+                assert (asked == []) == (m <= 4), (n, norm, eps, m, asked)
+    assert orders == {1, 2, 4, 6, 9, 12, 16}
+
+
+@pytest.mark.parametrize("norm", [1e-5, 2e-3, 0.05, 0.3, 3.0])
+def test_a_made_stack_holds_every_power_in_its_rows(norm):
+    # Once a block sum will read the powers, the list holds W, copied into
+    # row 0, and then rows of the stack, and no power outside it; the
+    # low-rank path, where every order is a block sum, forms V^2 straight
+    # into its row.
+    W = random_with_norm(np.random.default_rng(64), 12, norm)
+    for scheme, ladder, rows in ((select_mod.SCHEME_PS, select_mod.PS_TABLES, engine_mod._PS_ROWS),
+                                 (select_mod.SCHEME_LOWRANK, select_mod.LOWRANK_TABLES,
+                                  engine_mod._LOWRANK_ROWS)):
+        powers = poly_mod._PowerStack(rows)
+        plan = select_mod._select(ladder, scheme, W, 1e-8, MulLedger(), powers)
+        if len(powers) < 2 or (scheme == select_mod.SCHEME_PS and plan.m <= 4):
+            assert powers.a is None, (scheme, plan.m)
+            continue
+        assert powers.a.shape == (rows, 12, 12)
+        assert powers[0] is W and np.array_equal(powers.a[0], W.a)
+        assert all(P.a.base is powers.a and np.shares_memory(P.a, powers.a[p])
+                   for p, P in enumerate(powers) if p), (scheme, plan.m)
+
+
 def _outcome(res):
     plan = res.plan
     return (plan.m, plan.s, plan.e1, plan.e2, res.mults, res.value.a.tobytes())
@@ -722,8 +803,8 @@ def test_blas_norms_keep_every_plan_and_value_of_the_default_suite(monkeypatch):
 @pytest.mark.parametrize("driver, arrays", [
     # W^2, the live formula terms and the product
     pytest.param(lambda W: expm(W, 1e-8, "sastre"), 6, id="sastre"),
-    # the power stack's four rows (a copy of W, then W^2..W^4), the block
-    # buffer and the product
+    # the power stack's four rows (copies of W and W^2, then W^3 and W^4),
+    # the block buffer and the product
     pytest.param(lambda W: expm(W, 1e-8, "ps"), 6, id="ps"),
     # x, B, the last term and its product; the next term goes into the last term's buffer
     pytest.param(lambda W: expm_baseline(W, 1e-8), 4, id="baseline"),

@@ -90,6 +90,19 @@ def test_poly_reference_exact_scalar():
     assert out.a[0, 0] == pytest.approx(want, rel=1e-16, abs=0)
 
 
+def test_poly_reference_reads_each_coefficient_as_a_real_number():
+    # By the library's one rule for a real number: text is not parsed and
+    # a boolean is not 0 or 1, while exact rationals, ints and numpy reals pass.
+    A = Matrix([[0.5]])
+    for coeffs in (["1", "2"], [True, True], [1.0, np.True_], [1.0, 1j], [np.complex128(1)]):
+        with pytest.raises(TypeError):
+            poly_reference(A, coeffs)
+    want = poly_reference(A, [1.0, 2.0, 0.25]).a
+    for coeffs in ([Fraction(1), 2, np.float32(0.25)],
+                   [np.int64(1), np.float64(2), Fraction(1, 4)]):
+        assert poly_reference(A, coeffs).a.tobytes() == want.tobytes()
+
+
 def test_poly_reference_matches_float_horner_loosely():
     rng = np.random.default_rng(4)
     A = Matrix(rng.uniform(-0.4, 0.4, (5, 5)))

@@ -149,3 +149,39 @@ def test_an_aa_copy_of_the_working_tree_is_timed_beside_every_ratio(monkeypatch)
         assert side["aa_cost_mean"] > 0
         assert side["aa_ratio"] == side["change_cost_mean"] / side["aa_cost_mean"]
         assert math.isfinite(side["aa_ratio"])
+
+
+def test_each_driver_splits_its_calls_by_the_parents_plan_order(monkeypatch):
+    """A change to ps values at orders 2 and 4 alone shows as differing
+    calls in those two plan orders of ps and in no other; sastre calls
+    that the parent refuses at order 15 go last, under ``raised``."""
+    twin = tool.load_package(tool.ROOT / "src", "expmkit_twin")
+    expm = twin.engine.expm
+
+    def nudged(W, eps, scheme):
+        res = expm(W, eps, scheme)
+        if scheme == "ps" and res.plan.m in (2, 4):
+            return res._replace(value=twin.matrix.Matrix(np.nextafter(res.value.a, np.inf)))
+        if scheme == "sastre" and res.plan.m == 15:
+            raise twin.matrix.NonFiniteError("refused")
+        return res
+
+    monkeypatch.setattr(twin.engine, "expm", nudged)
+    calls = tool.calls_of("flow_small", 3)[::10]
+    out = tool.compare((twin, tool.expmkit), calls, passes=1, seed=3)
+    for driver in out["drivers"].values():
+        split = driver["plan_orders"]
+        assert sum(side["calls"] for side in split.values()) == driver["calls"]
+        assert all(side.keys() == driver.keys() - {"plan_orders"} for side in split.values())
+        keys = [k for k in split if k != "raised"]
+        assert keys == sorted(keys, key=lambda k: int(k[1:]))
+    ps = out["drivers"]["ps"]["plan_orders"]
+    assert {"m2", "m4", "m16"} <= ps.keys()
+    for key, side in ps.items():
+        assert side["differing_calls"] == side["value_only_calls"] == \
+            (side["calls"] if key in ("m2", "m4") else 0), key
+    sastre = out["drivers"]["sastre"]["plan_orders"]
+    assert list(sastre)[-1] == "raised" and "m15" not in sastre
+    assert sastre["raised"]["differing_calls"] == sastre["raised"]["plan_or_count_calls"] > 0
+    assert out["differing_calls"] == \
+        ps["m2"]["calls"] + ps["m4"]["calls"] + sastre["raised"]["calls"]

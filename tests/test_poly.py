@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,8 +117,9 @@ def test_ps_eval_rounds_the_coefficients_into_binary64_once():
     want = np.float64(5.0) * np.float64(c1) + np.float64(c0)
     out = ps_eval([c0, c1], [Matrix([[5.0]])], MulLedger())
     assert out.a.dtype == np.float64 and out.a[0, 0] == want
-    # Text and exact rationals are refused at every order, as complex is.
-    for coeffs in (["1", 0.5], [Fraction(1, 3)], [1j]):
+    # Text, booleans and exact rationals are refused at every order, as
+    # complex is; [True, True] would otherwise give I + A.
+    for coeffs in (["1", 0.5], [Fraction(1, 3)], [1j], [True, True], np.ones(3, bool)):
         with pytest.raises(TypeError):
             ps_eval(coeffs, [Matrix([[5.0]])], MulLedger())
 
@@ -225,6 +227,32 @@ def test_ps_eval_reuses_supplied_powers():
     pre = ps_eval(taylor_coeffs_exp(12), powers, led_pre)
     assert led_full.count == led_pre.count == 5
     assert np.array_equal(full.a, pre.a)
+
+
+def test_ps_eval_copies_a_plain_list_into_a_stack_once_per_power():
+    # The block sums read the powers as rows of one stack, so a plain list
+    # is copied into a new one, each power once and none formed again,
+    # and the caller's list keeps its entries, bytes and flags.
+    n = 64
+    A = Matrix(np.random.default_rng(8).uniform(-0.02, 0.02, (n, n)))
+    led = MulLedger()
+    a2 = mat_mul(A, A, led)
+    given = [A, a2, mat_mul(a2, A, led)]
+    before = [(P, P.a.tobytes()) for P in given]
+    coeffs = poly._ps_coeffs(9, 0)  # j = 3: the block sums read all three
+    want = ps_eval(coeffs, [A], MulLedger()).a.tobytes()
+    led = MulLedger()
+    tracemalloc.start()
+    try:
+        out = ps_eval(coeffs, given, led)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The three rows, the block buffer and one Horner product.
+    assert peak <= 5 * n * n * 8 + 64 * 1024, peak / (n * n * 8)
+    assert led.count == 2 and out.a.tobytes() == want
+    assert [(P, P.a.tobytes()) for P in given] == before
+    assert not any(P.a.flags.writeable or np.shares_memory(P.a, out.a) for P in given)
 
 
 def test_ps_eval_matches_horner():

@@ -36,6 +36,10 @@ number of calls the change ran faster, ``aa_ratio``, the change's mean
 cost over the copy's (the floor that ``ratio_change_over_parent`` must
 clear), and the number of calls whose outcome differs between parent
 and change (``differing_calls``, 0 when the change keeps every result).
+Each driver also splits its calls by the order m of the parent's plan,
+under ``plan_orders`` (``m2``, ..., and ``raised`` for the calls that
+raised on the parent), with the same fields: a change that acts on some
+orders shows there the share of calls it touches and its ratio on them.
 A driver call's outcome is what tools/fingerprint.py digests: its plan and product counts, or the raised
 type, and its value bytes; an oracle call's is the raised type, or the
 bytes of the double-double pair (hi, lo) behind its value.  The
@@ -111,8 +115,8 @@ def driver_map(package):
 def driver_call(package):
     """A function giving (seconds, outcome) of one call through
     ``package``'s driver map: the outcome is what tools/fingerprint.py
-    digests of the result, as (plan and counts, value bytes), or
-    (raised type, b"")."""
+    digests of the result, as (plan and counts, value bytes, plan order
+    m), or (raised type, b"", None)."""
     run = driver_map(package)
 
     def call(W, scheme: str, eps: float):
@@ -120,10 +124,10 @@ def driver_call(package):
         try:
             res = run(W, scheme, eps)
         except Exception as exc:  # the raised type is part of the outcome
-            return time.perf_counter() - t0, (raised(exc), b"")
+            return time.perf_counter() - t0, (raised(exc), b"", None)
         wall = time.perf_counter() - t0
         counts, a = record(res)
-        return wall, (counts, a.tobytes())
+        return wall, (counts, a.tobytes(), res.plan.m)
 
     return call
 
@@ -198,18 +202,34 @@ def compare(trees, calls, passes: int, seed: int, oracle: bool = False) -> dict:
                 times[i][t].append(wall)
             results[i] = got
     gemm_s = workloads.calibrate_gemm({c[3] for c in calls}, seed)
-    by_group = {}
+    by_group, by_order = {}, {}
     for (group, _, _, order), tree_times, got in zip(calls, times, results):
         base = gemm_s[order]
-        costs, diffs = by_group.setdefault(group, ([], []))
-        costs.append(tuple(statistics.median(t) / base for t in tree_times))
-        diffs.append(difference(*got[:2]))
+        cost = tuple(statistics.median(t) / base for t in tree_times)
+        diff = difference(*got[:2])
+        sides = [by_group.setdefault(group, ([], []))]
+        if not oracle:  # split by the parent's plan order, the outcome's last field
+            sides.append(by_order.setdefault(group, {}).setdefault(got[0][-1], ([], [])))
+        for costs, diffs in sides:
+            costs.append(cost)
+            diffs.append(diff)
     overall = _side([c for costs, _ in by_group.values() for c in costs],
                     [d for _, diffs in by_group.values() for d in diffs])
+    if oracle:
+        groups = {"orders": {g: _side(*v) for g, v in by_group.items()}}
+    else:
+        groups = {"drivers": {g: {**_side(*v), "plan_orders": _by_plan_order(by_order[g])}
+                              for g, v in by_group.items()}}
     return {"passes": passes, "calls": len(calls),
             "differing_calls": overall["differing_calls"],
-            "overall": overall,
-            "orders" if oracle else "drivers": {g: _side(*v) for g, v in by_group.items()}}
+            "overall": overall, **groups}
+
+
+def _by_plan_order(sides: dict) -> dict:
+    """:func:`_side` of each plan order's (costs, diffs), keyed ``m<order>``
+    in ascending order, then ``raised`` for the calls the parent refused."""
+    return {("raised" if m is None else f"m{m}"): _side(*sides[m])
+            for m in sorted(sides, key=lambda m: (m is None, m or 0))}
 
 
 def main(argv=None) -> int:

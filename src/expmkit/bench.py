@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import ExpmResult, LowRankPair, expm, expm_baseline
-from .matrix import Matrix, MatrixError, _guarded, _real
+from .matrix import Matrix, MatrixError, _entries, _guarded, _real
 from .oracle import expm_reference, relative_error
 from .select import SCHEME_BASELINE, SCHEME_PS, SCHEME_SASTRE, ToleranceError, check_tolerance
 
@@ -376,10 +376,14 @@ def performance_profile(records, alphas) -> dict:
     """The JSON object the bench summary and ``expm profile`` write:
     ``fractions[scheme][i]`` is the fraction of matrices whose error is
     within ``alphas[i]`` of the per-matrix best.  Matrices where a scheme
-    failed or is missing are ``excluded``."""
-    alphas = [float(a) for a in alphas]
-    if not alphas or not all(1 <= a < math.inf for a in alphas):
-        raise ConfigError("alpha grid must be nonempty with finite values >= 1")
+    failed or is missing are ``excluded``.  The grid passes the input
+    gate of :mod:`expmkit.matrix`, which makes it nonempty and finite."""
+    try:
+        alphas = _entries(alphas, "alpha grid", 1).tolist()
+    except MatrixError as e:
+        raise ConfigError(str(e)) from None
+    if not all(a >= 1 for a in alphas):
+        raise ConfigError("alpha grid values must be at least 1")
     if any(b < a for a, b in zip(alphas, alphas[1:])):
         raise ConfigError("alpha grid must be ascending")
     schemes = sorted({r.scheme for r in records})

@@ -19,16 +19,17 @@ low-rank path's rectangular products stay ``@``.  With ``out``,
 row of :mod:`expmkit.poly`'s power stack, with the bytes a new array
 gets.
 
-Values enter the package through one gate, ``_entries``, which
-:class:`Matrix` and :class:`~expmkit.engine.LowRankPair` both call: it
-copies the caller's data to a read-only float64 array and refuses, with
-a :class:`MatrixError`, data that is not a nonempty 2-d array, has a NaN
-or Inf entry (:class:`NonFiniteError`), or is complex, text or boolean,
-whose imaginary part the cast would drop, or which it would parse or
-read as 0 and 1; ``_real``, the one rule for a real number, checks an
-object array's elements, a tolerance and a suite file's numbers.
-Results leave through :func:`check_finite`, once at each driver's exit
-and the oracle's.
+Arrays enter the package through one gate, ``_entries``, which
+:class:`Matrix` and :class:`~expmkit.engine.LowRankPair` call for 2-d
+data, and ``ps_eval``, ``poly_reference`` and ``performance_profile``
+for 1-d coefficients and alpha grids.  It copies the data to a read-only
+float64 array: an integer or float ndarray passes on its dtype, anything
+else is read element by element with ``_real``, the one rule for a real
+number (``check_tolerance`` and the suite fields call it too).  It
+refuses, with a :class:`MatrixError`, data of the wrong dimension, empty
+data, NaN or Inf (:class:`NonFiniteError`), and elements that are
+complex, text, bool or time values.  Results leave through
+:func:`check_finite`, once at each driver's exit and the oracle's.
 
 The building blocks are unguarded: :func:`mat_mul`, the selectors
 ``select_ps`` and ``select_sastre``, ``ps_eval``, the ``eval_*`` formulas
@@ -119,13 +120,13 @@ class NonFiniteError(MatrixError):
 
 
 def _real(x) -> float:
-    """x as a float, if it is a real number within binary64 and not a bool
-    or text.  Otherwise ValueError naming x and the rule it fails, or, for
-    a number beyond binary64, OverflowError naming the rule alone: x can
-    have hundreds of digits, so the caller names it or its field."""
+    """x as a float, if it is a real number within binary64 and not a bool,
+    a numpy time span (an integer to numpy) or text.  Otherwise ValueError
+    naming x and the rule it fails, or, for a number beyond binary64,
+    OverflowError naming the rule alone, for the caller to name x."""
     if isinstance(x, (str, bytes)):
         raise ValueError(f"{x!r} is text, not a number")
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+    if isinstance(x, (bool, np.timedelta64)) or not isinstance(x, numbers.Real):
         raise ValueError(f"{x!r} of type {type(x).__name__} is not a real number")
     try:
         return float(x)
@@ -133,30 +134,30 @@ def _real(x) -> float:
         raise OverflowError("is an integer beyond the binary64 range") from None
 
 
-def _entries(data, what: str) -> np.ndarray:
+def _entries(data, what: str, ndim: int = 2) -> np.ndarray:
     """A copy of the caller's data past the input gate (module docstring):
-    2-d, C-ordered, finite, float64 and read-only.  Integer and object
-    input is cast; ``[[10**30]]`` arrives as an object array, whose
-    elements are checked one by one with :func:`_real`."""
-    try:
-        a = np.asarray(data)
-    except ValueError as exc:  # a ragged list
-        raise MatrixError(f"{what} must be a rectangular array: {exc}") from exc
-    if a.dtype.kind in "bcSU":
-        raise MatrixError(f"{what} must be real numbers, got dtype {a.dtype}")
-    try:
-        if a.dtype.kind == "O":
-            for x in a.flat:
-                try:
-                    _real(x)
-                except OverflowError as exc:  # named here, cut to its ends
-                    r = repr(x)
-                    raise ValueError(f"{r[:10]}…{r[-10:]} ({len(r)} characters) {exc}") from None
-        a = np.array(a, dtype=np.float64, order="C")
-    except (TypeError, ValueError, OverflowError) as exc:  # an element that is no real number
-        raise MatrixError(f"{what} must be real numbers: {exc}") from exc
-    if a.ndim != 2 or a.size == 0:
-        raise MatrixError(f"{what} must be a nonempty 2-d array, got shape {a.shape}")
+    ``ndim``-d (2 for a matrix or a factor, 1 for coefficients), nonempty,
+    C-ordered, finite, float64 and read-only.  An integer or float ndarray
+    is cast; anything else is read element by element with :func:`_real`,
+    from an object array, which keeps each element as the caller gave it
+    where ``np.asarray`` would promote ``[True, 0.5]`` to floats first."""
+    if isinstance(data, np.ndarray) and data.dtype.kind in "iuf":
+        a = np.array(data, dtype=np.float64, order="C")
+    else:
+        o = data if isinstance(data, np.ndarray) else np.array(data, dtype=object)
+        values = []
+        for x in o.flat:
+            try:
+                values.append(_real(x))
+            except ValueError as exc:
+                raise MatrixError(f"{what} must be real numbers: {exc}") from None
+            except OverflowError as exc:  # named here, cut to its ends
+                r = repr(x)
+                raise MatrixError(f"{what} must be real numbers: "
+                                  f"{r[:10]}…{r[-10:]} ({len(r)} characters) {exc}") from None
+        a = np.array(values, dtype=np.float64).reshape(o.shape)
+    if a.ndim != ndim or a.size == 0:
+        raise MatrixError(f"{what} must be a nonempty {ndim}-d array, got shape {a.shape}")
     if not _all_finite(a):
         raise NonFiniteError(f"{what} must be finite")
     a.setflags(write=False)
@@ -403,7 +404,7 @@ def parse_matrix(text: str) -> Matrix:
             rows.append([float(t) for t in toks])
         except ValueError as exc:
             raise MatrixError(f"bad entry in row {ln!r}") from exc
-    return Matrix(rows)
+    return Matrix(np.array(rows))  # float() is the rule for text; the gate casts the array
 
 
 def save_matrix(A: Matrix, path) -> None:

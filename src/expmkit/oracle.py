@@ -197,7 +197,7 @@ import math
 
 import numpy as np
 
-from .matrix import (Matrix, MatrixError, _eye, _guarded, _real, _wrap, check_finite,
+from .matrix import (Matrix, MatrixError, _entries, _eye, _guarded, _wrap, check_finite,
                      frobenius_norm, one_norm)
 from .poly import inv_factorial, ps_shape
 
@@ -553,14 +553,10 @@ def expm_reference(A: Matrix) -> Matrix:
 @_guarded
 def poly_reference(A: Matrix, coeffs) -> Matrix:
     """Evaluate sum_i coeffs[i] * A^i in double-double, by the same
-    Paterson-Stockmeyer routine as :func:`expm_reference`.  Text, bool and
-    complex coefficients raise TypeError (``matrix._real``)."""
-    if len(coeffs) == 0:
-        raise MatrixError("empty coefficient list")
-    try:
-        hi = np.array([_real(c) for c in coeffs])
-    except ValueError as exc:
-        raise TypeError(f"coefficient {exc}") from None
+    Paterson-Stockmeyer routine as :func:`expm_reference`.  The
+    coefficients pass the input gate of :mod:`expmkit.matrix`, as those of
+    ``ps_eval`` do."""
+    hi = _entries(coeffs, "coefficients", 1)
     xh, xl = _dd_poly(A.a, _cut_table(np.stack((hi, np.zeros_like(hi)))))
     return check_finite(_wrap(xh + xl))
 

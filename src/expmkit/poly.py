@@ -88,6 +88,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .matrix import Matrix, MatrixError, MulLedger, _add_to_diagonal, _consts, _eye, _wrap
+from .matrix import _entries
 # perfbench/tracing.py wraps poly.mat_mul to count evaluation products.
 from .matrix import mat_mul
 
@@ -259,14 +260,9 @@ class _PsTable(NamedTuple):
 
 
 def _ps_table(coeffs) -> _PsTable:
-    """The :class:`_PsTable` of ``coeffs``, rounded to binary64 once.
-    Boolean, complex, text and object coefficients (``Fraction`` among
-    them) raise TypeError, an empty or nested sequence MatrixError."""
-    c = np.asarray(coeffs)
-    if c.dtype.kind not in "iuf":
-        raise TypeError(f"coefficients must be real binary numbers, got dtype {c.dtype}")
-    if c.ndim != 1 or c.size == 0:
-        raise MatrixError("expected a nonempty 1-d coefficient sequence")
+    """The :class:`_PsTable` of ``coeffs``, read through the input gate of
+    :mod:`expmkit.matrix`, and so rounded to binary64 once."""
+    c = _entries(coeffs, "coefficients", 1)
     m = c.size - 1
     j, k = 0, 1  # m = 0: c_0 I alone
     if m:

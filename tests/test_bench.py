@@ -253,6 +253,14 @@ def test_profile_validates_alpha_grid():
         performance_profile(records, [0.5, 2.0])
     with pytest.raises(ConfigError):
         performance_profile(records, [4.0, 2.0])
+    # The grid passes the input gate: a boolean is not read as 1, text is
+    # not parsed, and NaN, Inf and a nested grid are refused too.
+    for alphas in (["1", True, 2], [1.0, np.True_], [1.0, math.nan], [1.0, math.inf],
+                   [[1.0, 2.0]], None):
+        with pytest.raises(ConfigError, match="alpha grid"):
+            performance_profile(records, alphas)
+    out = performance_profile(records, (1, np.float32(1.5), 2.0))
+    assert out["alphas"] == [1.0, 1.5, 2.0] and all(type(a) is float for a in out["alphas"])
 
 
 # ---------------------------------------------------------------------------

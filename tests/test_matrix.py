@@ -141,6 +141,43 @@ def test_construction_refuses_complex_text_and_boolean_input():
     assert Matrix(np.eye(2, dtype=np.int32)).a.dtype == np.float64
 
 
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_a_boolean_among_floats_is_refused_not_read_as_one(flag):
+    # np.asarray would promote the list to float64 before any test could
+    # see the boolean; the gate reads it element by element.
+    with pytest.raises(MatrixError, match="matrix entries must be real numbers"):
+        Matrix([[flag, 0.5], [0.0, 1.0]])
+    for a1, a2 in (([[flag], [0.5]], [[1.0, 2.0]]), ([[1.0], [0.5]], [[1.0, flag]])):
+        with pytest.raises(MatrixError, match="low-rank factors must be real numbers"):
+            LowRankPair(a1, a2)
+
+
+@pytest.mark.parametrize("data", [
+    np.full((2, 2), np.datetime64("2020-01-01", "ns")),
+    np.full((2, 2), np.datetime64("2020-01-01", "D")),
+    np.full((2, 2), np.timedelta64(5, "ns")),
+    np.full((2, 2), np.timedelta64(5, "s")),
+    [[np.timedelta64(5, "ns"), 1.0], [0.0, 1.0]],
+])
+def test_time_values_are_refused_not_read_as_counts(data):
+    # A datetime64 or timedelta64 would cast to its count of units; numpy
+    # counts timedelta64 among its integers, and float() takes one in ns.
+    with pytest.raises(MatrixError, match="real numbers"):
+        Matrix(data)
+
+
+def test_a_numeric_array_is_cast_and_anything_else_read_element_by_element():
+    # Same values, same bytes, whichever way they enter.
+    a = np.array([[0.1, -2.0], [3.0, 2.0 ** -1070]])
+    want = Matrix(a).a.tobytes()
+    for data in (a.tolist(), np.asfortranarray(a), a.astype(object), list(a)):
+        assert Matrix(data).a.tobytes() == want
+    with pytest.raises(MatrixError, match="must be a nonempty 2-d array"):
+        Matrix([1.0, 2.0])
+    with pytest.raises(MatrixError, match="real numbers"):  # ragged: a row is no number
+        Matrix([[1.0, 2.0], [3.0]])
+
+
 def test_entries_are_read_only():
     A = Matrix([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
@@ -319,6 +356,13 @@ def test_text_round_trip_exact():
     assert np.array_equal(A.a, again.a)
     text = format_matrix(A)
     assert text.splitlines()[0] == "5"
+
+
+def test_parse_matrix_hands_the_gate_a_float64_array(monkeypatch):
+    # float() on each token is the rule for text; the gate then casts the
+    # parsed array, with no element loop.
+    monkeypatch.setattr(matrix_mod, "_real", None)
+    assert parse_matrix("2\n1 2\n3 4.5\n").a.tolist() == [[1.0, 2.0], [3.0, 4.5]]
 
 
 def test_parse_matrix_errors():

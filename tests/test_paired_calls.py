@@ -2,7 +2,9 @@
 the working tree's package loaded a second time as the parent."""
 
 import itertools
+import json
 import math
+import shutil
 import sys
 
 import numpy as np
@@ -185,3 +187,29 @@ def test_each_driver_splits_its_calls_by_the_parents_plan_order(monkeypatch):
     assert sastre["raised"]["differing_calls"] == sastre["raised"]["plan_or_count_calls"] > 0
     assert out["differing_calls"] == \
         ps["m2"]["calls"] + ps["m4"]["calls"] + sastre["raised"]["calls"]
+
+
+def test_several_seeds_pool_their_calls_into_one_summary(monkeypatch, tmp_path, capsys):
+    """``--seed 3 4`` times the calls of both seeds in the same passes and
+    lists both seeds; the parent here is a copy of the working tree."""
+    def key(call):  # a workload input is compared by its values
+        group, eps, W, order = call
+        data = (W.a1, W.a2) if isinstance(W, tool.expmkit.engine.LowRankPair) else (W.a,)
+        return group, eps, order, b"".join(a.tobytes() for a in data)
+
+    pooled = tool.pooled_calls("flow_small", [3, 4])
+    assert list(map(key, pooled)) == \
+        list(map(key, tool.calls_of("flow_small", 3) + tool.calls_of("flow_small", 4)))
+    calls_of = tool.calls_of
+    monkeypatch.setattr(tool, "calls_of", lambda workload, seed: calls_of(workload, seed)[::200])
+    monkeypatch.setattr(tool, "extract", lambda rev, dest: shutil.copytree(tool.ROOT / "src",
+                                                                             dest / "src"))
+    calibrated = []
+    calibrate = workloads.calibrate_gemm
+    monkeypatch.setattr(workloads, "calibrate_gemm",
+                        lambda orders, seed: calibrated.append(seed) or calibrate(orders, seed))
+    assert tool.main(["--workload", "flow_small", "--seed", "3", "4", "--passes", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["seeds"] == [3, 4] and "seed" not in out
+    assert out["calls"] == out["overall"]["calls"] == 16 and out["differing_calls"] == 0
+    assert calibrated == [3]

@@ -15,6 +15,7 @@ from expmkit import (
     Matrix,
     MatrixError,
     MulLedger,
+    NonFiniteError,
     eval_low_order,
     eval_t8,
     eval_t15p,
@@ -99,7 +100,7 @@ def test_ps_shape_cache_is_bounded_and_typed():
 @pytest.mark.parametrize("m", [1, 6])
 def test_ps_eval_result_is_binary64_whatever_the_coefficients(m):
     A = Matrix(np.random.default_rng(m).uniform(-0.2, 0.2, (4, 4)))
-    with pytest.raises(TypeError):  # complex does not cast into float64
+    with pytest.raises(MatrixError):  # complex is no real number
         ps_eval([1.0, 1j] + [0.5] * (m - 1), [A], MulLedger())
     coeffs = [np.longdouble(1) / (i + 3) for i in range(m + 1)]
     out = ps_eval(coeffs, [A], MulLedger())
@@ -117,11 +118,86 @@ def test_ps_eval_rounds_the_coefficients_into_binary64_once():
     want = np.float64(5.0) * np.float64(c1) + np.float64(c0)
     out = ps_eval([c0, c1], [Matrix([[5.0]])], MulLedger())
     assert out.a.dtype == np.float64 and out.a[0, 0] == want
-    # Text, booleans and exact rationals are refused at every order, as
-    # complex is; [True, True] would otherwise give I + A.
-    for coeffs in (["1", 0.5], [Fraction(1, 3)], [1j], [True, True], np.ones(3, bool)):
-        with pytest.raises(TypeError):
+    # Text and booleans are refused at every order, as complex is;
+    # [True, True] would otherwise give I + A.
+    for coeffs in (["1", 0.5], [1j], [True, True], np.ones(3, bool)):
+        with pytest.raises(MatrixError):
             ps_eval(coeffs, [Matrix([[5.0]])], MulLedger())
+    # An exact rational is rounded once too, as poly_reference rounds it.
+    out = ps_eval([Fraction(1, 3)], [Matrix([[5.0]])], MulLedger())
+    assert out.a[0, 0] == float(Fraction(1, 3))
+
+
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_ps_eval_and_its_reference_refuse_a_boolean_among_floats(flag):
+    A = Matrix([[2.0]])
+    for coeffs in ([1.0, flag], [flag, 0.5, 0.25]):
+        with pytest.raises(MatrixError, match="coefficients must be real numbers"):
+            ps_eval(coeffs, [A], MulLedger())
+        with pytest.raises(MatrixError, match="coefficients must be real numbers"):
+            poly_reference(A, coeffs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_coefficient_is_refused_where_it_enters(bad):
+    A = Matrix([[2.0]])
+    for coeffs in ([bad, 1.0], np.array([1.0, 0.5, bad])):
+        with pytest.raises(NonFiniteError, match="coefficients must be finite"):
+            ps_eval(coeffs, [A], MulLedger())
+        with pytest.raises(NonFiniteError, match="coefficients must be finite"):
+            poly_reference(A, coeffs)
+
+
+@pytest.mark.parametrize("kind", [
+    lambda i: Fraction(1, i + 3),
+    lambda i: 2 ** 64 + 2 ** 40 * i + 1,  # beyond int64, not binary64 integers
+    lambda i: np.float32(1 / (i + 3)),
+    lambda i: np.longdouble(1) / (i + 3),
+], ids=["Fraction", "int_beyond_int64", "float32", "longdouble"])
+@pytest.mark.parametrize("m", [0, 1, 6, 9])
+def test_ps_eval_on_exact_and_wide_coefficients_is_ps_eval_on_their_roundings(kind, m):
+    A = Matrix(np.random.default_rng(m).uniform(-1e-10, 1e-10, (4, 4)))
+    coeffs = [kind(i) for i in range(m + 1)]
+    want = ps_eval([float(c) for c in coeffs], [A], MulLedger()).a.tobytes()
+    assert ps_eval(coeffs, [A], MulLedger()).a.tobytes() == want
+    if not isinstance(coeffs[0], (int, Fraction)):  # a numpy array of them too
+        assert ps_eval(np.array(coeffs), [A], MulLedger()).a.tobytes() == want
+
+
+_U = 2.0 ** -53
+_coefficient = st.one_of(
+    st.floats(-1e3, 1e3), st.integers(-10 ** 6, 10 ** 6), st.integers(2 ** 63, 2 ** 80),
+    st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 1000)),
+    st.floats(-1e3, 1e3, width=32).map(np.float32),
+    st.floats(-1e3, 1e3).map(lambda x: np.longdouble(x) / 3),
+    st.sampled_from([True, np.True_, None, math.nan, math.inf, -math.inf]),
+    st.text(max_size=3), st.complex_numbers(max_magnitude=10))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(coeffs=st.lists(_coefficient, min_size=1, max_size=10), seed=st.integers(0, 2 ** 32 - 1))
+def test_ps_eval_and_its_reference_accept_and_refuse_the_same_coefficients(coeffs, seed):
+    """Both read their coefficients through the one gate: they raise the
+    same type, or agree within the summation bound (u times a small
+    multiple of m + n, on sum_i |c_i| |A|^i entry by entry)."""
+    A = Matrix(np.random.default_rng(seed).uniform(-0.5, 0.5, (3, 3)))
+    outcomes = []
+    for run in (lambda: ps_eval(coeffs, [A], MulLedger()), lambda: poly_reference(A, coeffs)):
+        try:
+            outcomes.append(run().a)
+        except Exception as exc:  # the raised type is the outcome
+            outcomes.append(type(exc))
+    got, ref = outcomes
+    if isinstance(got, type) or isinstance(ref, type):
+        assert got is ref and issubclass(got, MatrixError)
+        return
+    m = len(coeffs) - 1
+    c = [abs(float(x)) for x in coeffs]
+    power, bound = np.eye(3), c[0] * np.eye(3)
+    for ci in c[1:]:
+        power = power @ np.abs(A.a)
+        bound += ci * power
+    assert (np.abs(got - ref) <= 4 * (m + A.n + 2) * _U * bound).all()
 
 
 def _ps_table_cases():

@@ -3,6 +3,7 @@ the working tree, in one process.
 
     python3 tools/paired_calls.py --parent REV --workload flow_small --seed 1 --passes 6
     python3 tools/paired_calls.py --parent REV --workload suite_reference --seed 1 --passes 6
+    python3 tools/paired_calls.py --parent REV --workload large_dense --seed 1 2 3 --passes 6
 
 Run it from the root of a source checkout.  The parent revision is
 extracted with ``git archive`` into a temporary directory, as
@@ -15,6 +16,10 @@ from a scheme to a driver, ``workloads._call``, bound to its engine.
 With ``--workload suite_reference`` the calls are instead
 ``expm_reference`` on each matrix of the default bench suite at the
 seed, the oracle that perfbench's ``suite_reference`` workload runs.
+Several seeds pool their calls: every call of every seed is timed in
+the same passes and summarized together, so a group's floor rests on
+more calls than one seed gives (48 a driver on ``large_dense``).  The
+summary lists the seeds; the unit product is timed with the first.
 
 The working tree's ``src/expmkit`` is imported a third time, as
 ``expmkit_aa``: an A/A copy, timed in the same passes, that shows how far
@@ -170,6 +175,11 @@ def calls_of(workload: str, seed: int):
             for W, scheme, eps in workload_calls(workload, seed)]
 
 
+def pooled_calls(workload: str, seeds) -> list:
+    """:func:`calls_of` each seed in turn, as one list of calls."""
+    return [call for seed in seeds for call in calls_of(workload, seed)]
+
+
 def _side(costs, diffs) -> dict:
     """The three trees' mean cost over (parent, change, copy) cost
     triples, and the number of each kind of difference (see
@@ -236,19 +246,20 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", default="HEAD", help="git revision of the parent")
     p.add_argument("--workload", choices=WORKLOADS, default="flow_small")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, nargs="+", default=[1],
+                   help="workload seeds, whose calls are timed together")
     p.add_argument("--passes", type=int, default=len(ORDERS),
                    help="passes over the calls; a multiple of 6 balances the orders")
     args = p.parse_args(argv)
     if args.passes < 1:
         p.error("--passes must be at least 1")
 
-    calls = calls_of(args.workload, args.seed)
+    calls = pooled_calls(args.workload, args.seed)
     with tempfile.TemporaryDirectory(prefix="paired-calls-parent-") as tmp:
         extract(args.parent, Path(tmp))
         parent = load_package(Path(tmp) / "src", PARENT_PACKAGE)
-        summary = {"workload": args.workload, "seed": args.seed, "parent": args.parent}
-        summary.update(compare((parent, expmkit), calls, args.passes, args.seed,
+        summary = {"workload": args.workload, "seeds": args.seed, "parent": args.parent}
+        summary.update(compare((parent, expmkit), calls, args.passes, args.seed[0],
                                oracle=args.workload == ORACLE_WORKLOAD))
     print(json.dumps(summary, indent=1))
     return 0
